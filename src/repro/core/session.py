@@ -15,7 +15,8 @@ A session is where reads happen.  Two kinds exist behind one interface:
   caller expects.  ``XmlDatabase.query``/``explain`` are thin shims over
   one cached live session.
 
-Both kinds route queries through the database's
+A query through either kind allocates no page and commits nothing (a
+snapshot's disk refuses to).  Both kinds route queries through the database's
 :class:`~repro.query.admission.AdmissionController` (when attached),
 inherit its per-query deadlines/quotas, and feed the shared
 observability hub — a query is a query no matter which surface ran it.
@@ -171,11 +172,6 @@ class Session:
     @property
     def closed(self):
         return self._closed
-
-    @property
-    def scratch_pages(self):
-        """Pages the engine allocated in this session's private overlay."""
-        return self._disk.scratch_page_count if self._disk is not None else 0
 
     def close(self):
         """Release the snapshot pin and drop session state (idempotent).

@@ -8,7 +8,8 @@ provided, matching the paper's Table 1 plus one extra merge baseline:
 * :func:`stack_tree_join` — Stack-Tree-Desc, the "no-index" baseline;
 * :func:`mpmgjn_join` — multi-predicate merge join (Zhang et al.);
 * :func:`bplus_join` — Anc_Des_B+ over B+-tree indexed inputs;
-* :func:`xr_stack_join` — the paper's XR-stack (Algorithm 6) over XR-trees.
+* :func:`xr_stack_join` — the paper's XR-stack (Algorithm 6) over XR-trees,
+  or over a :class:`MemoryElementList` (a sorted list in the same shape).
 """
 
 from repro.joins.base import JoinStats, nested_loop_join
@@ -18,6 +19,7 @@ from repro.joins.bplus_variants import (
     bplus_sp_join,
     with_containment_pointers,
 )
+from repro.joins.memory import MemoryElementList
 from repro.joins.mpmgjn import mpmgjn_join
 from repro.joins.registry import (
     JoinAlgorithm,
@@ -33,6 +35,7 @@ from repro.joins.xr_stack import xr_stack_join
 __all__ = [
     "JoinAlgorithm",
     "JoinStats",
+    "MemoryElementList",
     "algorithm_names",
     "bplus_join",
     "bplus_psp_join",

@@ -7,23 +7,40 @@ and the matched descendants become the new current set.  This is precisely
 the "combination of multiple structural joins" execution model the paper
 leaves as future work, built on the primitives it provides.
 
-Intermediate results are bulk-loaded into throwaway XR-trees so every join in
-the pipeline is an XR-stack join; a ``strategy="stack-tree"`` escape hatch
-runs the pipeline on plain merged lists instead (useful for comparing plans).
+Evaluation never writes: an intermediate result, already a start-sorted
+list, enters XR-stack as a :class:`~repro.joins.MemoryElementList` against
+the step's per-tag XR-tree (:func:`semi_join`).  ``strategy="stack-tree"``
+merges the element lists instead (plan comparison; the page-quota fallback).
 """
 
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.core.api import StorageContext, build_element_list, build_xr_tree
-from repro.joins import stack_tree_join, xr_stack_join
+from repro.core.api import StorageContext, build_xr_tree
+from repro.joins import MemoryElementList, stack_tree_join, xr_stack_join
 from repro.joins.base import JoinStats
 from repro.obs.profile import QueryProfile
 from repro.obs.trace import NULL_SPAN
 from repro.query.path import AttributePredicate, Axis, parse_path
 from repro.query.runtime import PageQuotaExceeded, QueryContext
 from repro.storage.errors import ChecksumError
+
+
+def semi_join(ancestors, descendants, parent_child=False, stats=None,
+              algorithm="xr-stack"):
+    """One structural join's distinct matched ancestors and descendants,
+    each in document order.  ``ancestors`` is a start-sorted entry list;
+    ``descendants`` is another, or a built index (a per-tag XR-tree)."""
+    if isinstance(descendants, list):
+        descendants = MemoryElementList(descendants)
+    join = xr_stack_join if algorithm == "xr-stack" else stack_tree_join
+    pairs, _ = join(MemoryElementList(ancestors), descendants,
+                    parent_child=parent_child, stats=stats)
+    matched_a = {a.start: a for a, _ in pairs}
+    matched_d = {d.start: d for _, d in pairs}
+    return ([matched_a[start] for start in sorted(matched_a)],
+            [matched_d[start] for start in sorted(matched_d)])
 
 
 class QueryError(Exception):
@@ -82,9 +99,9 @@ class PathQueryEngine:
 
     def __init__(self, document, context=None, strategy="xr-stack",
                  index_loader=None, observability=None):
-        """``index_loader(tag)`` may supply a pre-built XR-tree for a tag
-        (e.g. one persisted in a catalog); return None to fall back to
-        building one from the document's entries.
+        """``index_loader(tag)`` supplies the persisted XR-tree for a tag
+        (e.g. from a catalog), or None when it has none; without a loader
+        the engine builds and owns one XR-tree per tag in ``context``.
 
         ``observability`` optionally attaches an
         :class:`~repro.obs.Observability` hub: its tracer is wired to the
@@ -126,14 +143,15 @@ class PathQueryEngine:
         return self._tag_entries[tag]
 
     def index_for(self, tag):
-        """The XR-tree index over ``tag``'s element set.
+        """The index over ``tag``'s element set.
 
         Loader-provided trees are *not* cached here: the loader (typically
         an :class:`~repro.storage.indexmanager.IndexManager` behind an
         :class:`~repro.core.database.XmlDatabase`) owns their lifecycle,
         and double-caching would let this engine serve a handle the manager
-        already evicted or mutated.  Only trees the engine builds itself
-        are kept in ``_tag_indexes``.
+        already evicted or mutated.  Its owner owns the pages too: a tag
+        it has no tree for (``"*"``) is served from memory, and only an
+        engine without a loader builds trees (``_tag_indexes`` keeps both).
         """
         self._active_tag = tag  # checksum-failure attribution
         if self._index_loader is not None:
@@ -141,8 +159,11 @@ class PathQueryEngine:
             if tree is not None:
                 return tree
         if tag not in self._tag_indexes:
-            self._tag_indexes[tag] = build_xr_tree(self.entries_for(tag),
-                                                   self.context.pool)
+            entries = self.entries_for(tag)
+            self._tag_indexes[tag] = (
+                build_xr_tree(entries, self.context.pool)
+                if self._index_loader is None
+                else MemoryElementList(entries))
         return self._tag_indexes[tag]
 
     # -- cache invalidation ---------------------------------------------------
@@ -177,10 +198,10 @@ class PathQueryEngine:
         QueryContext` governing the run.  Deadlines, cancellation and row
         caps raise their typed errors; a tripped *page quota* instead
         walks the degradation ladder: an xr-stack evaluation is retried
-        once as a streaming stack-tree plan (no throwaway index builds,
-        sequential list scans) with the quota rebased, and the result is
-        marked ``degraded``.  If the streaming plan exhausts the quota
-        too, :class:`~repro.query.runtime.PageQuotaExceeded` surfaces.
+        once as a streaming stack-tree plan (sequential scans of the
+        element lists, no index probes) with the quota rebased, and the
+        result is marked ``degraded``.  If the streaming plan exhausts the
+        quota too, :class:`~repro.query.runtime.PageQuotaExceeded` surfaces.
 
         ``profile`` optionally attaches a :class:`~repro.obs.profile.\
         QueryProfile` recording per-operator actuals (it may also ride in
@@ -437,33 +458,14 @@ class PathQueryEngine:
             return []
         self._joins_run += 1
         parent_child = axis is Axis.CHILD
-        ancestors = sorted(ancestors, key=lambda e: e.start)
-        descendants = sorted(descendants, key=lambda e: e.start)
         algorithm = self._current_strategy()
         name = "semi-join (%s)" % ("child" if parent_child
                                    else "descendant")
         with self._operator(name, "semi-join", algorithm, stats,
                             input_a=len(ancestors),
                             input_d=len(descendants)) as op:
-            if algorithm == "xr-stack":
-                a_tree = build_xr_tree(ancestors, self.context.pool)
-                d_tree = build_xr_tree(descendants, self.context.pool)
-                pairs, _ = xr_stack_join(a_tree, d_tree,
-                                         parent_child=parent_child,
-                                         stats=stats)
-            else:
-                a_list = build_element_list(ancestors, self.context.pool)
-                d_list = build_element_list(descendants, self.context.pool)
-                pairs, _ = stack_tree_join(a_list, d_list,
-                                           parent_child=parent_child,
-                                           stats=stats)
-            seen = set()
-            survivors = []
-            for ancestor, _descendant in pairs:
-                if ancestor.start not in seen:
-                    seen.add(ancestor.start)
-                    survivors.append(ancestor)
-            survivors.sort(key=lambda e: e.start)
+            survivors, _ = semi_join(ancestors, descendants, parent_child,
+                                     stats, algorithm)
             if op is not None:
                 op.rows_out = len(survivors)
         return survivors
@@ -573,31 +575,9 @@ class PathQueryEngine:
                             input_a=len(ancestors),
                             input_d=len(descendants)) as op:
             if algorithm == "xr-stack":
-                a_tree = build_xr_tree(
-                    sorted(ancestors, key=lambda e: e.start),
-                    self.context.pool,
-                )
-                d_tree = self.index_for(step.tag)
-                pairs, _ = xr_stack_join(a_tree, d_tree,
-                                         parent_child=parent_child,
-                                         stats=stats)
-            else:
-                a_list = build_element_list(
-                    sorted(ancestors, key=lambda e: e.start),
-                    self.context.pool,
-                )
-                d_list = build_element_list(descendants, self.context.pool)
-                pairs, _ = stack_tree_join(a_list, d_list,
-                                           parent_child=parent_child,
-                                           stats=stats)
-            # Distinct matched descendants, in document order.
-            seen = set()
-            matched = []
-            for _, descendant in pairs:
-                if descendant.start not in seen:
-                    seen.add(descendant.start)
-                    matched.append(descendant)
-            matched.sort(key=lambda e: e.start)
+                descendants = self.index_for(step.tag)
+            _, matched = semi_join(ancestors, descendants, parent_child,
+                                   stats, algorithm)
             if op is not None:
                 op.rows_out = len(matched)
         return matched

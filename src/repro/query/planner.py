@@ -22,9 +22,8 @@ answer.
 
 from dataclasses import dataclass, field
 
-from repro.core.api import build_xr_tree
-from repro.joins import xr_stack_join
 from repro.joins.base import JoinStats
+from repro.query.engine import semi_join
 from repro.query.path import Axis, parse_path
 
 
@@ -105,7 +104,6 @@ class EstimatingPlanner:
 
     def order_with_entries(self, frontiers, steps):
         from repro.query.estimate import estimate_join
-        from repro.query.path import Axis
 
         sizes = [float(len(f)) for f in frontiers]
         edge_estimates = {}
@@ -134,7 +132,7 @@ class EstimatingPlanner:
         return order
 
 
-def execute_plan(document, path, planner=None, context=None):
+def execute_plan(document, path, planner=None):
     """Evaluate a linear ``path`` with a chosen join order.
 
     Fragments are per-step element lists; executing edge ``i`` joins the
@@ -143,15 +141,12 @@ def execute_plan(document, path, planner=None, context=None):
     only their matched elements.  After all edges, the last step's frontier
     is the answer.
     """
-    from repro.core.api import StorageContext
-
     expression = parse_path(path) if isinstance(path, str) else path
     if any(step.predicates for step in expression.steps):
         raise ValueError("the planner handles linear paths; use "
                          "PathQueryEngine for predicates")
     if any(step.axis.is_reverse for step in expression.steps):
         raise ValueError("the planner handles forward axes only")
-    context = context or StorageContext()
     steps = list(expression.steps)
     frontiers = []
     for index, step in enumerate(steps):
@@ -177,9 +172,8 @@ def execute_plan(document, path, planner=None, context=None):
             frontiers[edge + 1] = []
             continue
         axis = steps[edge + 1].axis
-        survivors_left, survivors_right = _binary_semijoin(
-            left, right, axis, stats, context
-        )
+        survivors_left, survivors_right = semi_join(
+            left, right, axis is Axis.CHILD, stats)
         result.joins.append(PlannedJoin(
             steps[edge].tag, steps[edge + 1].tag, axis,
             len(left), len(right),
@@ -197,31 +191,9 @@ def execute_plan(document, path, planner=None, context=None):
         if not left or not right:
             frontiers[-1] = []
             break
-        _, survivors_right = _binary_semijoin(
-            left, right, steps[edge + 1].axis, stats, context
-        )
+        _, survivors_right = semi_join(
+            left, right, steps[edge + 1].axis is Axis.CHILD, stats)
         frontiers[edge + 1] = survivors_right
     result.matches = frontiers[-1]
     return result
 
-
-def _binary_semijoin(left, right, axis, stats, context):
-    """Matched ancestors and matched descendants of one structural join."""
-    a_tree = build_xr_tree(sorted(left, key=lambda e: e.start),
-                           context.pool)
-    d_tree = build_xr_tree(sorted(right, key=lambda e: e.start),
-                           context.pool)
-    pairs, _ = xr_stack_join(a_tree, d_tree,
-                             parent_child=axis is Axis.CHILD, stats=stats)
-    seen_a, seen_d = set(), set()
-    survivors_left, survivors_right = [], []
-    for ancestor, descendant in pairs:
-        if ancestor.start not in seen_a:
-            seen_a.add(ancestor.start)
-            survivors_left.append(ancestor)
-        if descendant.start not in seen_d:
-            seen_d.add(descendant.start)
-            survivors_right.append(descendant)
-    survivors_left.sort(key=lambda e: e.start)
-    survivors_right.sort(key=lambda e: e.start)
-    return survivors_left, survivors_right

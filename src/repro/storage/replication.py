@@ -345,7 +345,7 @@ class StandbyReplica:
         self.stats.pages_applied += len(records)
         self.stats.last_applied_sequence = seq
         self.stall_reason = None
-        self._invalidate_query_db()
+        self._close_query_db()
         self._tracer.event("replica.apply", sequence=seq,
                            pages=len(records))
         return True
@@ -461,12 +461,10 @@ class StandbyReplica:
                                         page_size=self.page_size,
                                         buffer_pages=self.buffer_pages)
 
-    def _invalidate_query_db(self):
-        self._close_query_db()
-
     def _close_query_db(self):
         if self._db is not None:
-            self._db.close()
+            # Not close(): it flushes, and only apply_group may write the file.
+            self._db.abandon()
             self._db = None
 
     # -- snapshot re-seed ----------------------------------------------------

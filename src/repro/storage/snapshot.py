@@ -1,22 +1,13 @@
-"""A pinned, copy-on-write view of another disk (one per session).
+"""A pinned, strictly read-only view of another disk (one per session).
 
 :class:`SnapshotDisk` is the storage face of a read session.  It pins a
-commit sequence on the base disk at construction and serves every read of
-a base page via :meth:`SimulatedDisk.read_snapshot`, so the view stays
-frozen at that sequence no matter what the writer commits afterwards.
+commit sequence on the base disk at construction and serves every read
+via :meth:`SimulatedDisk.read_snapshot`, so the view stays frozen at that
+sequence no matter what the writer commits afterwards.
 
-Sessions are *not* storage-read-only, though: the query engine builds
-throwaway XR-trees for intermediate join inputs, and those need pages.
-The snapshot therefore keeps a private scratch overlay — pages allocated
-through it live in a local dict, invisible to the base disk and to other
-sessions, and are simply dropped when the snapshot closes.  Scratch page
-ids start at the base disk's allocation frontier as of the pin; a later
-base allocation may hand out the same id to the writer, which is
-harmless, because the overlay shadows the base on every read and the
-pinned catalog can never reference a page allocated after the pin.
-
-Writes to base pages are refused — snapshot isolation here is strictly
-read-committed-at-a-sequence, there is no write-merge story.
+Queries join intermediate results in memory (:mod:`repro.joins.memory`),
+so no read needs a page of its own and ``allocate``, ``write`` and ``free``
+raise: read-committed-at-a-sequence, with no write-merge story.
 """
 
 from repro.storage.disk import SimulatedDisk
@@ -24,26 +15,23 @@ from repro.storage.errors import PageNotFoundError, StorageError
 
 
 class SnapshotDisk(SimulatedDisk):
-    """Read view of ``base`` at a pinned sequence + private scratch pages."""
+    """Read-only view of ``base`` at a pinned commit sequence."""
 
     def __init__(self, base):
         super().__init__(base.page_size)
         self._base = base
         self.sequence = base.pin_snapshot()
         self._released = False
-        self._scratch = {}
-        # Scratch ids start past everything the pinned catalog can name.
+        # The pinned catalog can name no page at or past this frontier.
         with base._commit_lock:
             self._next_page_id = base._next_page_id
-        self._base_floor = self._next_page_id
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self):
-        """Drop the scratch overlay and release the pin (idempotent)."""
+        """Release the pin (idempotent)."""
         if not self._released:
             self._released = True
-            self._scratch.clear()
             self._base.release_snapshot(self.sequence)
 
     @property
@@ -56,42 +44,20 @@ class SnapshotDisk(SimulatedDisk):
     def __exit__(self, exc_type, exc, tb):
         self.close()
 
-    # -- SimulatedDisk hooks ---------------------------------------------------
+    # -- SimulatedDisk surface -------------------------------------------------
 
-    def _on_allocate(self, page_id):
-        self._scratch[page_id] = bytes(self.page_size)
+    def _refuse(self, *_args):
+        raise StorageError(
+            "snapshot at sequence %d is read-only" % self.sequence)
 
-    def _on_free(self, page_id):
-        if page_id not in self._scratch:
-            raise StorageError(
-                "snapshot at sequence %d cannot free base page %d"
-                % (self.sequence, page_id)
-            )
-        del self._scratch[page_id]
+    allocate = free = write = _write = _refuse
 
     def _read(self, page_id):
-        image = self._scratch.get(page_id)
-        if image is not None:
-            return image
         return self._base.read_snapshot(page_id, self.sequence)
-
-    def _write(self, page_id, data):
-        if page_id not in self._scratch:
-            raise StorageError(
-                "snapshot at sequence %d is read-only for base page %d"
-                % (self.sequence, page_id)
-            )
-        self._scratch[page_id] = data
 
     def _check_exists(self, page_id):
         if self._released:
             raise StorageError(
                 "I/O on a released snapshot (sequence %d)" % self.sequence)
-        if page_id in self._scratch:
-            return
-        if not 1 <= page_id < self._base_floor:
+        if not 1 <= page_id < self._next_page_id:
             raise PageNotFoundError(page_id)
-
-    @property
-    def scratch_page_count(self):
-        return len(self._scratch)

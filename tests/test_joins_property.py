@@ -4,7 +4,9 @@ on arbitrary valid region sets."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import StorageContext, build_element_list, build_xr_tree
 from repro.joins import (
+    MemoryElementList,
     bplus_join,
     mpmgjn_join,
     nested_loop_join,
@@ -17,6 +19,17 @@ from tests.test_xrtree_property import tree_shape_to_entries
 
 shapes = st.lists(st.integers(min_value=0, max_value=3),
                   min_size=1, max_size=80)
+
+
+def memory_runs(ancestors, descendants, **options):
+    """XR-stack and Stack-Tree with the in-memory input as the ancestor
+    side, against an in-memory and a page-backed descendant side."""
+    pool = StorageContext(page_size=512, buffer_pages=64).pool
+    for join, build in ((xr_stack_join, build_xr_tree),
+                        (stack_tree_join, build_element_list)):
+        for d_input in (MemoryElementList(descendants),
+                        build(descendants, pool)):
+            yield join(MemoryElementList(ancestors), d_input, **options)
 
 
 def split_sets(entries, selector_bits):
@@ -43,6 +56,9 @@ def test_all_algorithms_match_oracle(shape, bits):
         pairs, stats = run(algorithm, ancestors, descendants)
         assert sort_pairs(pairs) == expected
         assert stats.pairs == len(expected)
+    for pairs, stats in memory_runs(ancestors, descendants):
+        assert sort_pairs(pairs) == expected
+        assert stats.pairs == len(expected)
 
 
 @given(shapes, st.lists(st.integers(min_value=0, max_value=2),
@@ -55,6 +71,8 @@ def test_parent_child_matches_oracle(shape, bits):
     for algorithm in (stack_tree_join, bplus_join, xr_stack_join):
         pairs, _ = run(algorithm, ancestors, descendants, parent_child=True)
         assert sort_pairs(pairs) == expected
+    for pairs, _ in memory_runs(ancestors, descendants, parent_child=True):
+        assert sort_pairs(pairs) == expected
 
 
 @given(shapes)
@@ -65,6 +83,8 @@ def test_full_overlap_self_join(shape):
     for algorithm in (stack_tree_join, mpmgjn_join, bplus_join,
                       xr_stack_join):
         pairs, _ = run(algorithm, entries, entries)
+        assert sort_pairs(pairs) == expected
+    for pairs, _ in memory_runs(entries, entries):
         assert sort_pairs(pairs) == expected
 
 

@@ -219,6 +219,37 @@ class TestTailing:
         replica.close()
 
 
+def _items_xml(round_no, items=6):
+    return "<site>%s</site>" % "".join(
+        "<item><name>n%d-%d</name><note><name>x</name></note></item>"
+        % (round_no, i) for i in range(items))
+
+
+class TestStandbyReadsWriteNothing:
+    def test_two_step_reads_between_applies_match_primary(self, tmp_path):
+        """A multi-step path joins an intermediate result; served between
+        applied commits it must neither miss rows nor touch the data file
+        that ``apply_group`` owns."""
+        path, archive_dir, backup, db = make_primary(tmp_path)
+        replica = make_standby(tmp_path, archive_dir, backup)
+        live = []
+        for round_no in range(24):
+            live.append(db.add_document(_items_xml(round_no),
+                                        name="d%d" % round_no))
+            if len(live) > 3:
+                db.remove_document(live.pop(0))
+            db.flush()
+            expected = db.query("//item/name").starts()
+            assert expected
+            assert replica.catch_up() == 1
+            assert replica.applied_sequence == db.commit_sequence
+            # The read database stays open across the next apply.
+            assert replica.query("//item/name").starts() == expected
+        assert replica.database.verify() == db.verify()
+        db.close()
+        replica.close()
+
+
 class TestDivergence:
     def _primary_with_three_commits(self, tmp_path):
         path, archive_dir, backup, db = make_primary(tmp_path)

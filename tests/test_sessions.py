@@ -1,6 +1,7 @@
 """The redesigned client API: sessions, DatabaseConfig, the shared
 ``(runtime, profile)`` trio, warm joins, and the serving front end."""
 
+import os
 import threading
 
 import pytest
@@ -137,6 +138,43 @@ class TestSession:
             assert isinstance(session, Session)
             assert session.is_snapshot
             assert "snapshot" in repr(session)
+
+
+class TestReadsWriteNothing:
+    PATHS = ("//department/employee/name", "//employee[email]/name",
+             "//department//employee[name]//email", "//department/*",
+             "//name/parent::employee")
+
+    def test_queries_leave_a_file_backed_database_untouched(self, tmp_path):
+        path = str(tmp_path / "d.db")
+        database = XmlDatabase.create(path, page_size=512, buffer_pages=64)
+        try:
+            for _ in range(4):
+                database.add_document(XML_ONE)
+                database.add_document(XML_TWO)
+            database.flush()
+            disk = database._context.disk
+
+            def footprint():
+                return (disk.allocated_page_count, os.path.getsize(path),
+                        database.commit_sequence,
+                        disk.durability_stats.commits)
+
+            before = footprint()
+            expected = [starts(database.query(p)) for p in self.PATHS]
+            assert all(expected)
+            with database.session() as session, \
+                    Server(database, workers=2) as server:
+                for run in (database.query, session.query, server.query):
+                    for _ in range(2):
+                        got = [starts(run(p)) for p in self.PATHS]
+                        assert got == expected
+                assert session._disk.allocated_page_count == before[0]
+                with pytest.raises(StorageError):
+                    session._disk.allocate()
+            assert footprint() == before
+        finally:
+            database.close()
 
 
 class TestExplainParity:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.indexes.xrtree import XRTree, check_xrtree
+from repro.joins import JoinStats, MemoryElementList
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.xmldata.model import Document, Element, annotate_regions
@@ -60,6 +61,21 @@ class TestBulkLoadProperties:
         got = [a.start for a in tree.find_ancestors(point)]
         expected = [e.start for e in entries if e.start < point < e.end]
         assert got == expected
+        # The in-memory input answers, and charges, like the tree.
+        memory = MemoryElementList(entries)
+        after = expected[len(expected) // 2] if expected else point // 2
+        for options in ({}, {"after_start": after}, {"required_level": 2},
+                        {"after_start": after, "required_level": 3}):
+            tree_stats, memory_stats = JoinStats(), JoinStats()
+            assert memory.find_ancestors(point, memory_stats, **options) \
+                == tree.find_ancestors(point, tree_stats, **options)
+            assert memory_stats.elements_scanned == \
+                tree_stats.elements_scanned
+        for seek in ("seek", "seek_after"):
+            ours = getattr(memory, seek)(point)
+            theirs = getattr(tree, seek)(point)
+            assert ours.at_end == theirs.at_end
+            assert ours.at_end or ours.current == theirs.current
 
     @given(shapes, st.integers(min_value=0, max_value=300),
            st.integers(min_value=0, max_value=300))
