@@ -11,7 +11,7 @@ The same ceiling bounds *disabled observability*: a disabled
 :class:`~repro.obs.trace.Tracer` attached to the buffer pool costs one
 ``enabled`` predicate check per page fetch, and must stay within
 ``OVERHEAD_CEILING`` of the bare join (the ISSUE's acceptance bar is
-1.05x on ``bench_join_micro``; the tighter path is asserted there via the
+1.05x on the bare join kernels; the tighter path is asserted there via the
 pool-level check being branch-only).
 
 Inputs are prebuilt once per algorithm so the measured window is the join

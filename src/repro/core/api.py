@@ -137,7 +137,7 @@ class StorageContext:
         """What recovery-on-open did for a file-backed disk (else None).
 
         A :class:`~repro.storage.disk.RecoveryStats` for a ``FileDisk``
-        (``clean`` is True when no journal replay or discard was needed);
+        (``clean`` is True when no group replay or discard was needed);
         None for in-memory disks, which have nothing to recover.
         """
         return getattr(self.disk, "recovery_stats", None)
@@ -151,7 +151,7 @@ class StorageContext:
 
     def close(self):
         """Flush the attached index manager and the pool, then close a
-        file-backed disk (committing its final journal group).  Idempotent."""
+        file-backed disk (committing its final group).  Idempotent."""
         if self.indexes is not None:
             self.indexes.close()
         close = getattr(self.disk, "close", None)
@@ -164,7 +164,7 @@ class StorageContext:
         """Release resources *without* committing anything.
 
         The fencing teardown: no index write-back, no pool flush, no
-        final journal group — file descriptors are released through the
+        final commit group — file descriptors are released through the
         disk's ``abort()`` (or ``close()`` when it has none), so it is
         safe on a disk that crashed mid-commit and must not be allowed
         to ack state on behalf of a node that is being fenced off.

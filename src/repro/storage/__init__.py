@@ -46,7 +46,7 @@ from repro.storage.backup import (
     hot_backup,
     restore,
 )
-from repro.storage.journal import Archive, Journal
+from repro.storage.journal import Archive
 from repro.storage.retention import (
     CheckpointManager,
     RetentionPolicy,
@@ -104,7 +104,6 @@ __all__ = [
     "ScrubReport",
     "InMemoryDisk",
     "IOStats",
-    "Journal",
     "LocalDirShipper",
     "LogShipper",
     "PAGE_HEADER_SIZE",

@@ -39,7 +39,8 @@ from dataclasses import asdict, dataclass
 
 from repro.storage.disk import decode_superblock
 from repro.storage.errors import BackupError
-from repro.storage.journal import Archive, fsync_directory, segment_name
+from repro.storage.journal import (Archive, _apply_records, fsync_directory,
+                                   segment_name)
 
 MANIFEST_NAME = "MANIFEST.json"
 DATA_NAME = "data.db"
@@ -246,15 +247,11 @@ def _replay_segments(result, manifest, archive_dir, dest_path,
                     "beyond it — cannot replay past it without losing "
                     "commits" % segment_name(seq)
                 )
-            _sequence, records = group
-            for page_id in sorted(records):
-                os.pwrite(fd, records[page_id],
-                          page_id * manifest.page_size)
-                result.pages_applied += 1
+            result.pages_applied += _apply_records(fd, group[1],
+                                                   manifest.page_size)
             result.segments_applied += 1
             result.sequence = seq
             expected = seq + 1
-        os.fsync(fd)
     finally:
         os.close(fd)
 

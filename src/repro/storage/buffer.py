@@ -329,8 +329,8 @@ class BufferPool:
     def flush_all(self):
         """Write back every dirty frame (pages stay cached).
 
-        On a journaling disk this is also a commit point: the written-back
-        pages are staged into the write-ahead journal and ``sync()`` makes
+        On a durable disk this is also a commit point: the written-back
+        pages are staged into the next commit group and ``sync()`` makes
         them durable as one atomic group.
         """
         with self._latch:

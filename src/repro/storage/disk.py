@@ -7,9 +7,9 @@ Two implementations are provided behind a common abstract interface:
   to the file-backed variant.
 * :class:`FileDisk` — pages live in a real file on the local filesystem,
   written with ``os.pwrite``-style positioned I/O, fronted by a superblock
-  and a write-ahead journal (:mod:`repro.storage.journal`) so that every
-  ``sync()`` is an atomic multi-page commit and a crash at any instant
-  either replays or discards a whole commit group on reopen.
+  and write-ahead commit-group segments (:mod:`repro.storage.journal`) so
+  that every ``sync()`` is an atomic multi-page commit and a crash at any
+  instant either replays or discards a whole commit group on reopen.
 
 The paper's testbed performed direct disk I/O on Windows XP; the relevant
 observable for the evaluation is the *number* of physical page transfers,
@@ -30,7 +30,7 @@ from repro.storage.errors import (
     StorageError,
     TransientIOError,
 )
-from repro.storage.journal import Archive, Journal
+from repro.storage.journal import Archive, _apply_records, decode_group
 from repro.storage.versions import PageVersionStore
 
 DEFAULT_PAGE_SIZE = 4096
@@ -338,14 +338,14 @@ class RecoveryStats:
     discarded_groups: int = 0
     free_pages_recovered: int = 0
     leaked_pages: int = 0
-    #: Non-empty journal/archive groups that failed to decode (torn or
+    #: Non-empty commit-group segments that failed to decode (torn or
     #: corrupt).  Always <= ``discarded_groups``; surfaced separately so a
     #: silent discard is still observable (``journal_torn_groups`` metric).
     torn_groups: int = 0
 
     @property
     def clean(self):
-        """True when the file needed no journal replay or discard."""
+        """True when the file needed no group replay or discard."""
         return not (self.replayed_groups or self.discarded_groups)
 
 
@@ -354,8 +354,7 @@ class DurabilityStats:
     """Physical write accounting behind the logical ``IOStats`` counters."""
 
     commits: int = 0
-    journal_pages: int = 0   # page images written to the journal file
-    archived_pages: int = 0  # page images written to archive segments
+    logged_pages: int = 0    # page images written to commit-group segments
     applied_pages: int = 0   # page images applied to the data file
     direct_pages: int = 0    # in-place writes (durability="none" only)
     superblock_writes: int = 0
@@ -363,7 +362,7 @@ class DurabilityStats:
     @property
     def physical_page_writes(self):
         """Total page-sized writes that reached the operating system."""
-        return (self.journal_pages + self.archived_pages + self.applied_pages
+        return (self.logged_pages + self.applied_pages
                 + self.direct_pages + self.superblock_writes)
 
 
@@ -375,7 +374,7 @@ _SUPERBLOCK = struct.Struct("<4sHIIQQII")
 _SUPERBLOCK_MAGIC = b"XRSB"
 _SUPERBLOCK_VERSION = 1
 _SB_CRC_OFFSET = 6  # after magic (4s) + version (H)
-_FREE_ID = struct.Struct("<I")
+_FREE_ID_SIZE = 4  # u32 page ids
 
 
 def decode_superblock(image):
@@ -384,8 +383,8 @@ def decode_superblock(image):
     ``image`` must hold the full superblock page (its own ``page_size``
     field tells how long that is).  Raises
     :class:`~repro.storage.errors.RecoveryError` on a bad magic, version
-    or CRC — the checks backups and log shipping rely on to refuse a
-    corrupt base.
+    or CRC — the checks recovery, backups and log shipping rely on to
+    refuse a corrupt base.
     """
     if len(image) < _SUPERBLOCK.size:
         raise RecoveryError("superblock image is %d bytes; header needs %d"
@@ -407,9 +406,23 @@ def decode_superblock(image):
         "page_size": page_size,
         "sequence": seq,
         "next_page_id": next_id,
-        "free_count": free_count,
         "leaked": leaked,
+        "free_list": list(struct.unpack_from("<%dI" % free_count, page,
+                                             _SUPERBLOCK.size)),
     }
+
+
+#: ``durability="journal"`` keeps its in-flight segment in this private
+#: directory beside the data file.
+_WAL_SUFFIX = ".wal"
+
+
+def _drop_segments(store):
+    """The retain-nothing policy.  No directory fsync: a segment the crash
+    resurrects is the newest and already applied, so it replays idempotently.
+    """
+    for sequence in store.sequences():
+        store.remove(sequence, sync_directory=False)
 
 
 class FileDisk(SimulatedDisk):
@@ -418,20 +431,24 @@ class FileDisk(SimulatedDisk):
     The file starts with a superblock (at offset 0; page ``n`` lives at
     offset ``n * page_size``) recording the allocation frontier and the
     free list, so freed pages survive a close and are recycled across
-    sessions.  With ``durability="journal"`` (the default) writes are
-    *staged* in memory and made durable only by :meth:`sync`, which
-    commits every staged page plus the new superblock as one atomic group
-    through a write-ahead journal (``<path>.journal``): journal + fsync,
-    apply + fsync, clear.  Reopening the file replays a committed group
-    the crash left unapplied, or discards a torn one, and reports what it
-    did in :attr:`recovery_stats`.
+    sessions.  In both durable modes writes are *staged* in memory and
+    made durable only by :meth:`sync`, which commits every staged page
+    plus the new superblock as one atomic group: write the group to its
+    own segment file + fsync (:class:`~repro.storage.journal.Archive`),
+    apply it to the data file + fsync, then drop or keep the segment.
+    Reopening the file replays a committed group the crash left
+    unapplied, or discards a torn one, and reports what it did in
+    :attr:`recovery_stats`.
 
-    ``durability="archive"`` commits exactly like journal mode, but each
-    group is written to its own sequence-numbered segment file in an
-    archive directory (``<path>.archive`` by default) and *kept* after
-    being applied — the replay stream consumed by hot backups,
-    point-in-time recovery (:mod:`repro.storage.backup`) and standby
-    replicas (:mod:`repro.storage.replication`).
+    ``durability="journal"`` (the default) drops each segment once it is
+    applied; its segment directory (``<path>.wal``) is private and never
+    holds more than the in-flight group.
+
+    ``durability="archive"`` *keeps* every segment in an archive
+    directory (``<path>.archive`` by default) — the replay stream
+    consumed by hot backups, point-in-time recovery
+    (:mod:`repro.storage.backup`) and standby replicas
+    (:mod:`repro.storage.replication`).
 
     ``durability="none"`` is the unjournaled baseline: writes go in place
     immediately and only the superblock is maintained — a crash can tear
@@ -452,16 +469,18 @@ class FileDisk(SimulatedDisk):
         #: :class:`~repro.storage.faults.FaultInjectingDisk` (or None).
         self.fault_hook = None
         self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-        self._pending = {}       # page_id -> staged image (journal mode)
+        self._pending = {}       # page_id -> staged image (durable modes)
         self._meta_dirty = False
         self._commit_seq = 0
         self._live = set()
-        self._journal = (Journal(path + ".journal", page_size,
-                                 fault_filter=self._filter_physical)
-                         if durability == "journal" else None)
-        self._archive = (Archive(archive_dir or path + ".archive", page_size,
-                                 fault_filter=self._filter_physical)
-                         if durability == "archive" else None)
+        #: Where a staged group becomes durable, in both durable modes.
+        self._archive = None
+        if self.journaled:
+            directory = path + _WAL_SUFFIX
+            if durability == "archive":
+                directory = archive_dir or path + ".archive"
+            self._archive = Archive(directory, page_size,
+                                    fault_filter=self._filter_physical)
         if os.fstat(self._fd).st_size == 0:
             self._write_superblock_direct()
         else:
@@ -470,8 +489,9 @@ class FileDisk(SimulatedDisk):
     @property
     def archive(self):
         """The commit-group :class:`~repro.storage.journal.Archive`
-        (``durability="archive"`` only; None otherwise)."""
-        return self._archive
+        (``durability="archive"`` only; None otherwise — journal mode's
+        segments are private and gone once applied)."""
+        return self._archive if self.durability == "archive" else None
 
     @property
     def supports_snapshots(self):
@@ -488,13 +508,11 @@ class FileDisk(SimulatedDisk):
         return self._fd is None
 
     def close(self):
-        """Commit staged writes and release file descriptors (idempotent)."""
+        """Commit staged writes and release the file descriptor
+        (idempotent)."""
         if self._fd is not None:
             self.sync()
-            os.close(self._fd)
-            self._fd = None
-        if self._journal is not None:
-            self._journal.close()
+            self.abort()
 
     def abort(self):
         """Drop staged writes and close *without* committing.
@@ -508,8 +526,6 @@ class FileDisk(SimulatedDisk):
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-        if self._journal is not None:
-            self._journal.close()
 
     def __enter__(self):
         return self
@@ -523,10 +539,11 @@ class FileDisk(SimulatedDisk):
         """Make every write since the last sync durable; returns pages
         committed.
 
-        In journal mode this is the atomic commit point: staged pages and
-        the new superblock are journaled, fsynced, applied and fsynced, so
-        a crash anywhere leaves either the previous or the new state.  In
-        ``durability="none"`` mode only the superblock is rewritten.
+        In the durable modes this is the atomic commit point: staged
+        pages and the new superblock are written to a segment, fsynced,
+        applied and fsynced, so a crash anywhere leaves either the
+        previous or the new state.  In ``durability="none"`` mode only
+        the superblock is rewritten.
         """
         if self._fd is None:
             raise StorageError("sync on a closed disk")
@@ -544,17 +561,15 @@ class FileDisk(SimulatedDisk):
             records = dict(self._pending)
             records[0] = self._superblock_image()
             try:
-                if self._archive is not None:
-                    self._archive.append(self._commit_seq, records)
-                else:
-                    self._journal.commit(self._commit_seq, records)
+                self.durability_stats.logged_pages += self._archive.append(
+                    self._commit_seq, records)
             except (TransientIOError, DiskFullError):
                 # Nothing became durable (a transient fault fires before
-                # any byte is written; the journal/archive cleans up its
-                # partial file on ENOSPC), so the sequence number must
-                # not be consumed — a retried sync() reuses it, keeping
-                # the archive gap-free.  Staged writes stay in _pending
-                # and the database remains readable throughout.
+                # any byte is written; the archive unlinks its partial
+                # segment on ENOSPC), so the sequence number must not be
+                # consumed — a retried sync() reuses it, keeping the
+                # archive gap-free.  Staged writes stay in _pending and
+                # the database remains readable throughout.
                 self._commit_seq -= 1
                 raise
             try:
@@ -562,8 +577,8 @@ class FileDisk(SimulatedDisk):
             except OSError as exc:
                 if exc.errno != errno.ENOSPC:
                     raise
-                # The group IS durable (journaled/archived) — a standby
-                # may already have shipped it — so the sequence stays
+                # The group IS durable in its segment — a standby may
+                # already have shipped it — so the sequence stays
                 # consumed; rewriting it with different content would
                 # fork history.  A retried sync() re-stages the same
                 # pages under the next sequence and the idempotent apply
@@ -571,49 +586,34 @@ class FileDisk(SimulatedDisk):
                 raise DiskFullError(
                     "applying commit group %d hit ENOSPC: %s"
                     % (self._commit_seq, exc)) from exc
-        if self._journal is not None:
-            self._journal.clear()
+            if self.durability == "journal":
+                _drop_segments(self._archive)
         self.durability_stats.commits += 1
-        if self._journal is not None:
-            self.durability_stats.journal_pages = self._journal.pages_journaled
-        if self._archive is not None:
-            self.durability_stats.archived_pages = \
-                self._archive.pages_archived
         self._pending.clear()
         self._meta_dirty = False
         return len(records)
 
-    def _apply(self, records, preimage_upto=None):
+    def _apply(self, records, preimage_upto):
+        """Keep pre-images for pinned snapshots, then write the group."""
         with self._commit_lock:
-            if preimage_upto is not None and self.versions.pinned:
+            if self.versions.pinned:
                 for page_id in records:
                     if page_id == 0:
                         continue  # snapshots never read the superblock
                     self.versions.record(page_id, preimage_upto,
                                          self._peek(page_id))
-            for page_id in sorted(records):
-                image = records[page_id]
-                image, crash = self._filter_physical("apply", page_id, image)
-                os.pwrite(self._fd, image, page_id * self.page_size)
-                self.durability_stats.applied_pages += 1
-                if crash:
-                    self._crash()
-            os.fsync(self._fd)
+            self.durability_stats.applied_pages += _apply_records(
+                self._fd, records, self.page_size, self._filter_physical)
 
     def _filter_physical(self, kind, page_id, data):
         if self.fault_hook is None:
             return data, False
         return self.fault_hook(kind, page_id, data)
 
-    def _crash(self):
-        from repro.storage.faults import CrashPoint
-
-        raise CrashPoint("killed during a physical page write")
-
     # -- superblock ----------------------------------------------------------
 
     def _superblock_image(self):
-        capacity = (self.page_size - _SUPERBLOCK.size) // _FREE_ID.size
+        capacity = (self.page_size - _SUPERBLOCK.size) // _FREE_ID_SIZE
         persisted = self._freed[:capacity]
         leaked = len(self._freed) - len(persisted)
         if leaked:
@@ -625,128 +625,97 @@ class FileDisk(SimulatedDisk):
             self.page_size, self._commit_seq, self._next_page_id,
             len(persisted), leaked,
         )
-        offset = _SUPERBLOCK.size
-        for page_id in persisted:
-            _FREE_ID.pack_into(image, offset, page_id)
-            offset += _FREE_ID.size
+        struct.pack_into("<%dI" % len(persisted), image, _SUPERBLOCK.size,
+                         *persisted)
         crc = zlib.crc32(bytes(image)) & 0xFFFFFFFF
         struct.pack_into("<I", image, _SB_CRC_OFFSET, crc)
         return bytes(image)
 
     def _write_superblock_direct(self):
-        image = self._superblock_image()
-        image, crash = self._filter_physical("superblock", 0, image)
-        os.pwrite(self._fd, image, 0)
-        os.fsync(self._fd)
+        # A one-record group: same write + fsync as any apply.
+        _apply_records(self._fd, {0: self._superblock_image()},
+                       self.page_size, self._filter_physical)
         self.durability_stats.superblock_writes += 1
         self._meta_dirty = False
-        if crash:
-            self._crash()
+
+    def _read_superblock(self):
+        """Decode the data file's superblock page (RecoveryError if it is
+        missing, torn or corrupt)."""
+        raw = os.pread(self._fd, self.page_size, 0)
+        return decode_superblock(raw.ljust(self.page_size, b"\x00"))
 
     def _load_superblock(self, count_stats=True):
-        raw = os.pread(self._fd, self.page_size, 0)
-        if len(raw) < _SUPERBLOCK.size:
-            raise RecoveryError(
-                "%s has no superblock (file is %d bytes; expected a "
-                "%d-byte page at offset 0)" % (self._path, len(raw),
-                                               self.page_size)
-            )
-        image = bytearray(raw.ljust(self.page_size, b"\x00"))
-        (magic, version, stored_crc, page_size, seq, next_id,
-         free_count, leaked) = _SUPERBLOCK.unpack_from(image, 0)
-        if magic != _SUPERBLOCK_MAGIC:
-            raise RecoveryError("%s has no superblock magic" % self._path)
-        if version != _SUPERBLOCK_VERSION:
-            raise RecoveryError("superblock version %d unsupported" % version)
-        # The page-size check must precede the CRC check: the checksum
-        # covers a full page of the *stored* size, so verifying it at
-        # the wrong size fails first and masks the real mismatch.
-        if page_size != self.page_size:
+        try:
+            info = self._read_superblock()
+        except RecoveryError as exc:
+            raise RecoveryError("%s: %s" % (self._path, exc)) from exc
+        if info["page_size"] != self.page_size:
             raise StorageError(
                 "%s was created with page size %d, opened with %d"
-                % (self._path, page_size, self.page_size)
+                % (self._path, info["page_size"], self.page_size)
             )
-        struct.pack_into("<I", image, _SB_CRC_OFFSET, 0)
-        if zlib.crc32(bytes(image)) & 0xFFFFFFFF != stored_crc:
-            raise RecoveryError("superblock checksum mismatch in %s"
-                                % self._path)
-        freed = []
-        offset = _SUPERBLOCK.size
-        for _ in range(free_count):
-            freed.append(_FREE_ID.unpack_from(image, offset)[0])
-            offset += _FREE_ID.size
-        self._commit_seq = seq
-        self._next_page_id = next_id
-        self._freed = freed
-        self._live = set(range(1, next_id)) - set(freed)
+        self._commit_seq = info["sequence"]
+        self._next_page_id = info["next_page_id"]
+        self._freed = info["free_list"]
+        self._live = set(range(1, self._next_page_id)) - set(self._freed)
         if count_stats:
-            self.recovery_stats.free_pages_recovered = len(freed)
-            self.recovery_stats.leaked_pages += leaked
+            self.recovery_stats.free_pages_recovered = len(self._freed)
+            self.recovery_stats.leaked_pages += info["leaked"]
 
     # -- recovery-on-open ----------------------------------------------------
 
     def _recover(self):
-        if self._journal is not None:
-            group = self._journal.read_group()
-            if group is not None:
-                sequence, records = group
-                known = self._peek_superblock_sequence()
-                if known is None or sequence >= known:
-                    self._replay(records)
-                else:
-                    self.recovery_stats.discarded_groups += 1
-                self._journal.clear()
-            elif self._journal.pending_bytes > 0:
-                # Torn or corrupt group: never committed, discard it —
-                # but count the tear instead of discarding silently.
-                self.recovery_stats.discarded_groups += 1
-                self.recovery_stats.torn_groups += self._journal.torn_groups
-                self._journal.clear()
-        if self._archive is not None:
-            self._recover_from_archive()
+        """Replay or discard what a crashed predecessor left pending.
+
+        Only the newest segment of a directory can be unapplied (every
+        older one was fully applied before its successor was written).
+        A journal-mode directory, and the single-file ``<path>.journal``
+        of earlier versions (same group encoding), are drained whichever
+        durable mode opens the file; an archive keeps its applied
+        segments — they are history, not pending intents.
+        """
+        if self.journaled:
+            legacy = self._path + ".journal"
+            if os.path.isfile(legacy):
+                with open(legacy, "rb") as handle:
+                    blob = handle.read()
+                if blob:
+                    self._recover_group(decode_group(blob, self.page_size))
+                os.remove(legacy)
+            wal = self._path + _WAL_SUFFIX
+            if os.path.isdir(wal):
+                store = Archive(wal, self.page_size)
+                self._recover_newest(store)
+                _drop_segments(store)
+            if self.archive is not None:
+                self._recover_newest(self.archive)
         self._load_superblock()
 
-    def _recover_from_archive(self):
-        """Replay or discard the newest archived segment.
-
-        Only the newest segment can be unapplied (every older one was
-        fully applied before its successor was written); a torn newest
-        segment was never acknowledged, so it is deleted and counted.
-        An existing non-empty ``<path>.journal`` left by a previous
-        journal-mode session is replayed first by the caller when the
-        disk is opened in journal mode; archive mode refuses to open
-        over a pending journal to avoid silently skipping it.
-        """
-        journal_path = self._path + ".journal"
-        if os.path.exists(journal_path) and os.path.getsize(journal_path):
-            raise RecoveryError(
-                "%s has a pending journal; reopen once with "
-                "durability=\"journal\" before switching to archive mode"
-                % self._path
-            )
-        latest = self._archive.latest_sequence()
+    def _recover_newest(self, store):
+        latest = store.latest_sequence()
         if latest is None:
             return
-        group = self._archive.read(latest)
-        if group is None:
-            self.recovery_stats.discarded_groups += 1
-            self.recovery_stats.torn_groups += 1
-            self._archive.remove(latest)
-            return
-        sequence, records = group
-        known = self._peek_superblock_sequence()
-        if known is None or sequence >= known:
-            self._replay(records)
-        # An already-applied segment stays in the archive: it is history,
-        # not a pending intent.
+        if not self._recover_group(store.read(latest)):
+            store.remove(latest)
 
-    def _replay(self, records):
-        for page_id in sorted(records):
-            os.pwrite(self._fd, records[page_id],
-                      page_id * self.page_size)
-        os.fsync(self._fd)
-        self.recovery_stats.replayed_groups += 1
-        self.recovery_stats.replayed_pages += len(records)
+    def _recover_group(self, group):
+        """Replay one pending group, or count a torn one (``group`` None,
+        returns False): it was never acknowledged."""
+        stats = self.recovery_stats
+        if group is None:
+            stats.discarded_groups += 1
+            stats.torn_groups += 1
+            return False
+        sequence, records = group
+        try:
+            applied = self._read_superblock()["sequence"]
+        except RecoveryError:
+            applied = None  # torn mid-apply: the group rewrites page 0
+        if applied is None or sequence >= applied:
+            stats.replayed_pages += _apply_records(self._fd, records,
+                                                   self.page_size)
+            stats.replayed_groups += 1
+        return True
 
     # -- standby apply -------------------------------------------------------
 
@@ -783,24 +752,6 @@ class FileDisk(SimulatedDisk):
             self._apply(records, preimage_upto=self._commit_seq)
             self._load_superblock(count_stats=False)
         return len(records)
-
-    def _peek_superblock_sequence(self):
-        """The committed superblock's sequence number, or None if unreadable."""
-        try:
-            raw = os.pread(self._fd, self.page_size, 0)
-            if len(raw) < _SUPERBLOCK.size:
-                return None
-            image = bytearray(raw.ljust(self.page_size, b"\x00"))
-            (magic, version, stored_crc, _ps, seq, _next, _fc, _lk) = \
-                _SUPERBLOCK.unpack_from(image, 0)
-            if magic != _SUPERBLOCK_MAGIC:
-                return None
-            struct.pack_into("<I", image, _SB_CRC_OFFSET, 0)
-            if zlib.crc32(bytes(image)) & 0xFFFFFFFF != stored_crc:
-                return None
-            return seq
-        except OSError:
-            return None
 
     # -- physical page I/O ---------------------------------------------------
 
@@ -841,7 +792,9 @@ class FileDisk(SimulatedDisk):
             os.pwrite(self._fd, data, self._offset(page_id))
             self.durability_stats.direct_pages += 1
             if crash:
-                self._crash()
+                from repro.storage.faults import CrashPoint
+
+                raise CrashPoint("killed during an in-place page write")
 
     def _peek(self, page_id):
         """The persisted image, ignoring staged writes (test hook)."""

@@ -53,7 +53,7 @@ class TransientIOError(StorageError):
 class DiskFullError(StorageError):
     """The volume ran out of space (``ENOSPC``) during a commit.
 
-    Raised instead of a raw :class:`OSError` by the journal/archive
+    Raised instead of a raw :class:`OSError` by the segment/apply
     commit path after cleaning up any partial on-disk state: nothing of
     the failed group became durable, the disk's in-memory staging is
     intact, and the commit may simply be retried once space is freed.

@@ -5,7 +5,7 @@ SimulatedDisk` and exposes the same page interface while letting tests
 
 * **kill a run** at the N-th logical read / write / allocate, or — when a
   :class:`~repro.storage.disk.FileDisk` is wrapped — at the N-th *physical*
-  page write (journal records, applies, superblock writes, in-place
+  page write (segment records, applies, superblock writes, in-place
   writes), which is where crash atomicity is actually decided;
 * **tear the fatal write**: persist only a prefix of the page image before
   the kill, modelling a sector-level partial write;

@@ -1,9 +1,9 @@
-"""Write-ahead journal giving :class:`FileDisk` atomic multi-page commits.
+"""Commit groups: the encoding, the segment store, and the apply.
 
-The journal is a side file (``<data file>.journal``) holding at most one
-*commit group* at a time.  A group is the full set of page images (plus the
-new superblock, recorded as page id 0) that one ``sync()`` wants to make
-durable together:
+Everything a :class:`~repro.storage.disk.FileDisk` commit is outside the
+disk's own staging lives here.  A *commit group* is the full set of page
+images (plus the new superblock, recorded as page id 0) that one
+``sync()`` makes durable together:
 
 ```
 group header   "XRJL" magic, sequence number, page count
@@ -11,33 +11,33 @@ page records   page id (u64) + raw page image (page_size bytes), repeated
 group footer   "XRJC" magic, CRC-32 over header + records
 ```
 
-Commit protocol (:meth:`Journal.commit` / :meth:`FileDisk.sync`):
+Every durable ``sync()`` walks one pipeline:
 
-1. write the whole group to the journal file, fsync it (and, on the very
-   first commit after the journal file was created, fsync the parent
-   directory so the journal's directory entry itself is durable);
-2. apply every record to the data file at its page offset, fsync it;
-3. truncate the journal to zero (:meth:`Journal.clear`).
+1. **segment** — :meth:`Archive.append` writes the encoded group to its
+   own ``seg-<sequence>.xrseg`` file, fsyncs it, and fsyncs the segment
+   directory so the file's entry is durable too (the directory's *own*
+   entry is fsynced into its parent when :class:`Archive` creates it);
+2. **apply** — :func:`_apply_records` writes every record to the data
+   file at its page offset and fsyncs it;
+3. **drop or keep** — ``durability="journal"`` unlinks the segment (a
+   private one-slot write-ahead log), ``durability="archive"`` keeps it
+   as history: the replay stream for point-in-time recovery and the
+   shipping stream for standby replicas (:mod:`repro.storage.backup`,
+   :mod:`repro.storage.replication`).
 
-A crash at any point leaves one of three states, all recoverable:
+A crash at any point leaves one of three states, all recoverable from
+the *newest* segment alone:
 
-* journal empty or torn (crash during step 1) — the group never became
-  durable; recovery discards it and the data file still holds the previous
-  commit;
-* journal complete, data file partially applied (crash during step 2) —
+* segment missing or torn (crash during step 1) — the group never became
+  durable; recovery deletes it and the data file still holds the
+  previous commit;
+* segment complete, data file partially applied (crash during step 2) —
   recovery replays the whole group; applying page images is idempotent;
-* journal complete and applied but not yet cleared (crash during step 3) —
-  recovery replays harmlessly and clears.
+* segment complete and applied (crash before the unlink reached the
+  disk, or archive mode) — recovery replays harmlessly.
 
 Validity of a group is established by length and CRC alone, so a torn
-journal write can never masquerade as a committed group.
-
-The same group encoding is reused by :class:`Archive` — the
-``durability="archive"`` mode's segment store — where applied groups are
-*kept* as sequence-numbered segment files instead of truncated, forming
-the log-shipping stream that backups, point-in-time recovery and standby
-replicas consume (:mod:`repro.storage.backup`,
-:mod:`repro.storage.replication`).
+segment write can never masquerade as a committed group.
 """
 
 import errno
@@ -64,9 +64,8 @@ def segment_name(sequence):
     return "seg-%016d%s" % (sequence, SEGMENT_SUFFIX)
 
 
-def encode_group(sequence, records, page_size, fault_filter=None,
-                 filter_kind="journal"):
-    """Serialize one commit group; returns ``(body, crash, pages_written)``.
+def encode_group(sequence, records, page_size, fault_filter=None):
+    """Serialize one commit group; returns ``(body, crash)``.
 
     ``fault_filter`` is the physical-write interception hook wired up by
     :class:`~repro.storage.faults.FaultInjectingDisk`: it sees every page
@@ -76,22 +75,20 @@ def encode_group(sequence, records, page_size, fault_filter=None,
     body = bytearray()
     body += _HEADER.pack(_GROUP_MAGIC, sequence, len(records))
     crash = False
-    written = 0
     for page_id in sorted(records):
         image = bytes(records[page_id])
         if len(image) < page_size:
             image += bytes(page_size - len(image))
         if fault_filter is not None:
-            image, crash = fault_filter(filter_kind, page_id, image)
+            image, crash = fault_filter("segment", page_id, image)
         body += _RECORD.pack(page_id)
         body += image
-        written += 1
         if crash:
             break
     if not crash:
         body += _FOOTER.pack(_COMMIT_MAGIC,
                              zlib.crc32(bytes(body)) & 0xFFFFFFFF)
-    return bytes(body), crash, written
+    return bytes(body), crash
 
 
 def decode_group(blob, page_size):
@@ -136,137 +133,44 @@ def fsync_directory(path):
         os.close(fd)
 
 
-class Journal:
-    """One commit group of page images, made durable before being applied.
+def _apply_records(fd, records, page_size, fault_filter=None):
+    """Write one decoded group's page images to a data file and fsync it.
 
-    ``fault_filter`` is the physical-write interception hook wired up by
-    :class:`~repro.storage.faults.FaultInjectingDisk`: it sees every record
-    written to the journal file and may tear it or kill the process.
+    The one place a commit group reaches a data file: ``FileDisk.sync()``,
+    recovery-on-open, the standby's ``apply_group``, ``backup.restore``
+    and the in-place superblock write (a one-record group) all land here.
+    Writing is idempotent, which is what lets recovery replay a group a
+    crash left half applied.
+    ``fault_filter`` may tear a write or kill the run, as for
+    :func:`encode_group`.  Returns the number of pages written.
     """
-
-    def __init__(self, path, page_size, fault_filter=None):
-        self.path = path
-        self.page_size = page_size
-        self._filter = fault_filter
-        created = not os.path.exists(path)
-        self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-        # A freshly created journal file is not durable until its parent
-        # directory's entry is — a crash right after the first commit could
-        # otherwise lose the journal file itself.  The first commit pays
-        # one directory fsync to close that hole.
-        self._needs_dir_sync = created
-        #: Counters for the durability benchmark.
-        self.commits = 0
-        self.pages_journaled = 0
-        self.dir_fsyncs = 0
-        #: Trailing corrupt groups seen by :meth:`read_group` (satellites
-        #: surface this through ``recovery_stats.torn_groups``).
-        self.torn_groups = 0
-
-    @property
-    def closed(self):
-        return self._fd is None
-
-    @property
-    def pending_bytes(self):
-        """Bytes currently sitting in the journal file."""
-        return os.fstat(self._fd).st_size
-
-    def close(self):
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    # -- writing ---------------------------------------------------------------
-
-    def commit(self, sequence, records):
-        """Make ``records`` (page id -> image) durable as one group.
-
-        Writes the group and fsyncs the journal file; the caller applies the
-        records to the data file afterwards and then calls :meth:`clear`.
-        """
-        try:
-            body, crash, written = encode_group(sequence, records,
-                                                self.page_size, self._filter)
-            self.pages_journaled += written
-            os.pwrite(self._fd, body, 0)
-            os.ftruncate(self._fd, len(body))
-            os.fsync(self._fd)
-        except OSError as exc:
-            if exc.errno != errno.ENOSPC:
-                raise
-            # Out of space mid-journal: whatever prefix landed is torn
-            # (no valid footer can have been fsynced), so truncating it
-            # away restores the exact pre-commit on-disk state.  Nothing
-            # durable was lost — the caller keeps its staged writes and
-            # may retry once space is freed.
-            try:
-                os.ftruncate(self._fd, 0)
-            except OSError:
-                pass
-            raise DiskFullError(
-                "journal commit of group %d hit ENOSPC: %s"
-                % (sequence, exc)) from exc
-        if self._needs_dir_sync:
-            fsync_directory(os.path.dirname(os.path.abspath(self.path)))
-            self.dir_fsyncs += 1
-            self._needs_dir_sync = False
-        self.commits += 1
+    for page_id in sorted(records):
+        image, crash = records[page_id], False
+        if fault_filter is not None:
+            image, crash = fault_filter("apply", page_id, image)
+        os.pwrite(fd, image, page_id * page_size)
         if crash:
             from repro.storage.faults import CrashPoint
 
-            raise CrashPoint("killed while journaling a commit group")
-
-    def clear(self):
-        """Empty the journal after its group has been applied."""
-        os.ftruncate(self._fd, 0)
-        os.fsync(self._fd)
-
-    # -- reading ---------------------------------------------------------------
-
-    def read_group(self):
-        """The pending commit group, or None.
-
-        Returns ``(sequence, {page_id: image})`` when the journal holds a
-        complete, checksum-valid group; None when it is empty, torn or
-        corrupt.  A non-empty journal that fails to decode is counted in
-        :attr:`torn_groups` — the caller still discards it (it was never
-        acknowledged), but the occurrence is surfaced instead of silent.
-        """
-        size = os.fstat(self._fd).st_size
-        if size == 0:
-            return None
-        blob = os.pread(self._fd, size, 0)
-        group = decode_group(blob, self.page_size)
-        if group is None:
-            self.torn_groups += 1
-        return group
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-
-
-class ArchiveError(Exception):
-    """Archive directory misuse or an unreadable segment."""
+            raise CrashPoint("killed while applying a commit group")
+    os.fsync(fd)
+    return len(records)
 
 
 class Archive:
     """Sequence-numbered commit-group segments in a directory.
 
-    The ``durability="archive"`` commit path: instead of writing each
-    group to a single truncating journal file, every group is written to
-    its own ``seg-<sequence>.xrseg`` file (fsynced, with the directory
-    entry fsynced too) *before* being applied to the data file.  The
-    archive therefore holds the full history of committed groups since
-    its creation — the replay stream for point-in-time recovery and the
-    shipping stream for standby replicas.
+    Every group is written to its own ``seg-<sequence>.xrseg`` file
+    (fsynced, with the directory entry fsynced too) *before* being
+    applied to the data file.  ``durability="archive"`` keeps every
+    segment, so the directory holds the full history of committed groups
+    since its creation — the replay stream for point-in-time recovery
+    and the shipping stream for standby replicas; ``durability="journal"``
+    drops each one as soon as it is applied.
 
     A torn trailing segment (crash while writing it) is detected by the
-    group CRC exactly as for the journal; it was never acknowledged, so
-    recovery deletes it and counts it.
+    group CRC; it was never acknowledged, so recovery deletes it and
+    counts it.
     """
 
     def __init__(self, directory, page_size, fault_filter=None):
@@ -278,15 +182,14 @@ class Archive:
             os.makedirs(directory, exist_ok=True)
             fsync_directory(os.path.dirname(os.path.abspath(directory))
                             or ".")
-        #: Counters for the durability benchmark and replication metrics.
-        self.commits = 0
-        self.pages_archived = 0
+        #: Directory fsyncs paid so far (creation, appends, synced removes).
         self.dir_fsyncs = 1 if created else 0
 
     # -- writing ---------------------------------------------------------------
 
     def append(self, sequence, records):
-        """Write one commit group as the segment for ``sequence``.
+        """Write one commit group as the segment for ``sequence``;
+        returns the number of page records written.
 
         Out of space (``ENOSPC``) raises a typed
         :class:`~repro.storage.errors.DiskFullError` after unlinking the
@@ -295,9 +198,8 @@ class Archive:
         """
         path = os.path.join(self.directory, segment_name(sequence))
         try:
-            body, crash, written = encode_group(sequence, records,
-                                                self.page_size, self._filter)
-            self.pages_archived += written
+            body, crash = encode_group(sequence, records, self.page_size,
+                                       self._filter)
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
             try:
                 os.pwrite(fd, body, 0)
@@ -313,14 +215,14 @@ class Archive:
             except OSError:
                 pass
             raise DiskFullError(
-                "archiving segment %d hit ENOSPC: %s"
+                "writing segment %d hit ENOSPC: %s"
                 % (sequence, exc)) from exc
         self.dir_fsyncs += 1
-        self.commits += 1
         if crash:
             from repro.storage.faults import CrashPoint
 
-            raise CrashPoint("killed while archiving a commit group")
+            raise CrashPoint("killed while writing a commit-group segment")
+        return len(records)
 
     # -- reading ---------------------------------------------------------------
 
@@ -346,10 +248,8 @@ class Archive:
 
         Returns None when the segment is missing, torn or corrupt.
         """
-        try:
-            with open(self.segment_path(sequence), "rb") as fh:
-                blob = fh.read()
-        except FileNotFoundError:
+        blob = self.read_raw(sequence)
+        if blob is None:
             return None
         group = decode_group(blob, self.page_size)
         if group is not None and group[0] != sequence:

@@ -1,4 +1,4 @@
-"""Journal shipping to a warm standby, with promotion on failover.
+"""Segment shipping to a warm standby, with promotion on failover.
 
 With ``durability="archive"`` every committed group survives as a
 sequence-numbered segment file (:class:`~repro.storage.journal.Archive`).
@@ -203,7 +203,7 @@ class StandbyReplica:
                         else NULL_TRACER)
         if disk_factory is None:
             # durability="none": the standby never commits through the
-            # logical write path; groups arrive pre-journaled.
+            # logical write path; groups arrive already durable.
             disk_factory = lambda p, ps: FileDisk(p, ps, durability="none")
         self._disk_factory = disk_factory
         self._disk = disk_factory(path, page_size)

@@ -1,11 +1,17 @@
 """Crash-recovery sweep: kill the engine at every physical write point.
 
-The central claim of the journaled commit protocol is that a crash at *any*
-physical page write leaves the database file in some committed state — never
-a torn mixture.  These tests enforce that claim exhaustively: a probe run
-counts every physical write a fixed workload performs, then the workload is
-re-run once per write with a :class:`FaultInjectingDisk` killing (and
-possibly tearing) exactly that write, and the file is reopened and checked.
+The central claim of the commit protocol (stage -> segment -> apply) is that
+a crash at *any* physical page write leaves the database file in some
+committed state — never a torn mixture.  These tests enforce that claim
+exhaustively: a probe run counts every physical write a fixed workload
+performs, then the workload is re-run once per write with a
+:class:`FaultInjectingDisk` killing (and possibly tearing) exactly that
+write, and the file is reopened and checked.
+
+Both durable modes walk the one commit path and differ only in whether an
+applied segment is dropped (``"journal"``) or kept (``"archive"``), so the
+crash classes take ``durability`` as a class attribute and an ``...Archive``
+subclass re-runs every case under the other retain policy.
 
 The sweep is seeded: set ``CHAOS_SEED`` to reproduce a CI failure locally.
 """
@@ -21,6 +27,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import FileDisk
 from repro.storage.errors import ChecksumError
 from repro.storage.faults import CrashPoint, FaultInjectingDisk
+from repro.storage.journal import encode_group, segment_name
 
 SEED = int(os.environ.get("CHAOS_SEED", "20030305"))
 
@@ -52,9 +59,9 @@ def make_base(tmp_path):
     return base
 
 
-def open_wrapped(path, **fault_options):
+def open_wrapped(path, durability="journal", **fault_options):
     """The base database reopened behind a fault-injecting wrapper."""
-    inner = FileDisk(path, page_size=PAGE_SIZE)
+    inner = FileDisk(path, page_size=PAGE_SIZE, durability=durability)
     disk = FaultInjectingDisk(inner, **fault_options)
     db = XmlDatabase.open(disk=disk, page_size=PAGE_SIZE,
                           buffer_pages=BUFFER_PAGES)
@@ -71,10 +78,10 @@ def run_workload(db):
     db.close()
 
 
-def assert_consistent(path):
+def assert_consistent(path, durability="journal"):
     """Reopen ``path`` plainly and check every durability invariant."""
     db = XmlDatabase.open(path, page_size=PAGE_SIZE,
-                          buffer_pages=BUFFER_PAGES)
+                          buffer_pages=BUFFER_PAGES, durability=durability)
     try:
         stats = db.recovery_stats
         assert stats is not None
@@ -90,6 +97,8 @@ def assert_consistent(path):
 
 
 class TestCrashSweep:
+    durability = "journal"
+
     def test_every_physical_write_is_a_safe_crash_point(self, tmp_path):
         rng = random.Random(SEED)
         base = make_base(tmp_path)
@@ -97,7 +106,7 @@ class TestCrashSweep:
         # Probe run: count the workload's physical page writes.
         probe = str(tmp_path / "probe.db")
         shutil.copyfile(base, probe)
-        db, disk = open_wrapped(probe)
+        db, disk = open_wrapped(probe, self.durability)
         run_workload(db)
         total = disk.op_counts["physical-write"]
         assert total > 10  # the workload must be worth sweeping
@@ -106,15 +115,16 @@ class TestCrashSweep:
         for kill in range(1, total + 1):
             path = str(tmp_path / "run.db")
             shutil.copyfile(base, path)
-            journal = path + ".journal"
-            if os.path.exists(journal):
-                os.remove(journal)
+            # Segments a previous run left behind belong to another file.
+            for segments in (path + ".wal", path + ".archive"):
+                shutil.rmtree(segments, ignore_errors=True)
             torn = rng.choice([None, 1, 7, rng.randrange(PAGE_SIZE)])
-            db, disk = open_wrapped(path, kill_after=kill, torn_bytes=torn)
+            db, disk = open_wrapped(path, self.durability,
+                                    kill_after=kill, torn_bytes=torn)
             with pytest.raises(CrashPoint):
                 run_workload(db)
             disk.abort()
-            _names, stats = assert_consistent(path)
+            _names, stats = assert_consistent(path, self.durability)
             replayed += stats.replayed_groups
             discarded += stats.discarded_groups
 
@@ -126,11 +136,20 @@ class TestCrashSweep:
         base = make_base(tmp_path)
         path = str(tmp_path / "clean.db")
         shutil.copyfile(base, path)
-        db, disk = open_wrapped(path)
+        db, disk = open_wrapped(path, self.durability)
         run_workload(db)
-        names, stats = assert_consistent(path)
+        names, stats = assert_consistent(path, self.durability)
         assert names == ["b"]
-        assert stats.clean
+        assert stats.discarded_groups == 0
+        # A kept newest segment is replayed (idempotently) on every open;
+        # a dropped one leaves nothing to look at.
+        assert stats.clean == (self.durability == "journal")
+        if self.durability == "journal":
+            assert os.listdir(path + ".wal") == []  # retain nothing
+
+
+class TestCrashSweepArchive(TestCrashSweep):
+    durability = "archive"
 
 
 class TestBitRot:
@@ -174,7 +193,7 @@ class TestJournalRecoveryPaths:
         disk = FaultInjectingDisk(inner)
         page = disk.allocate()
         disk.write(page, b"v1")
-        inner.sync()  # commit 1: 2 journal writes + 2 applies
+        inner.sync()  # commit 1: 2 segment records + 2 applies
         return path, inner, disk, page
 
     def test_crash_during_apply_replays_group(self, tmp_path):
@@ -192,7 +211,7 @@ class TestJournalRecoveryPaths:
     def test_torn_journal_write_discards_group(self, tmp_path):
         path, inner, disk, page = self._committed_v1(tmp_path)
         disk.write(page, b"v2")
-        disk.kill_after = disk.op_counts["physical-write"] + 1  # journaling
+        disk.kill_after = disk.op_counts["physical-write"] + 1  # segment
         disk.torn_bytes = 3
         with pytest.raises(CrashPoint):
             inner.sync()
@@ -233,33 +252,79 @@ class TestFreeListPersistence:
 
 
 class TestJournalDirectoryDurability:
-    def test_first_commit_fsyncs_parent_directory_once(self, tmp_path):
+    @pytest.fixture
+    def synced_dirs(self, monkeypatch):
+        """Every directory fsynced through the segment store, in order."""
+        import repro.storage.journal as journal
+
+        synced = []
+        real = journal.fsync_directory
+
+        def recording(directory):
+            synced.append(os.path.abspath(directory))
+            real(directory)
+
+        monkeypatch.setattr(journal, "fsync_directory", recording)
+        return synced
+
+    def test_first_commit_fsyncs_parent_directory_once(self, tmp_path,
+                                                       synced_dirs):
         path = str(tmp_path / "d.db")
         inner = FileDisk(path, page_size=256)
         disk = FaultInjectingDisk(inner)
+        # Creating the segment directory made its own entry durable.
+        assert synced_dirs == [str(tmp_path)]
+        assert inner._archive.dir_fsyncs == 1
         page = disk.allocate()
         disk.write(page, b"v1")
         inner.sync()
-        assert inner._journal.dir_fsyncs == 1  # journal entry made durable
         disk.write(page, b"v2")
         inner.sync()
-        assert inner._journal.dir_fsyncs == 1  # only the *first* commit
+        # Each commit makes its segment's entry durable; the parent
+        # directory is never paid for again.
+        assert synced_dirs == [str(tmp_path)] + [path + ".wal"] * 2
+        assert inner._archive.dir_fsyncs == 3
         disk.close()
 
-    def test_preexisting_journal_needs_no_directory_fsync(self, tmp_path):
+    def test_preexisting_journal_needs_no_directory_fsync(self, tmp_path,
+                                                          synced_dirs):
         path = str(tmp_path / "d.db")
         with FileDisk(path, page_size=256) as disk:
             page = disk.allocate()
             disk.write(page, b"v1")
-        # The journal file survives close (truncated), so its directory
-        # entry is already durable on reopen.
+        del synced_dirs[:]
+        # The segment directory survives close (emptied), so its entry in
+        # the parent is already durable on reopen.
         with FileDisk(path, page_size=256) as disk:
             disk.write(page, b"v2")
             disk.sync()
-            assert disk._journal.dir_fsyncs == 0
+            assert synced_dirs == [path + ".wal"]
+            assert disk._archive.dir_fsyncs == 1
+
+    def test_sync_costs_at_most_three_fsyncs(self, tmp_path, monkeypatch):
+        # Segment file, segment directory, data file: none may go, and
+        # dropping the segment must not add a fourth.  The single-file
+        # journal paid the same count (journal, data file, truncate).
+        path = str(tmp_path / "d.db")
+        with FileDisk(path, page_size=256) as disk:
+            page = disk.allocate()
+            disk.write(page, b"v1")
+            disk.sync()
+            calls = []
+            real = os.fsync
+
+            def counting_fsync(fd):
+                calls.append(fd)
+                real(fd)
+
+            monkeypatch.setattr(os, "fsync", counting_fsync)
+            disk.write(page, b"v2")
+            disk.sync()
+            monkeypatch.undo()
+            assert len(calls) == 3
 
     def test_crash_before_dir_fsync_still_recovers(self, tmp_path):
-        # A torn group written to a never-synced journal file is the worst
+        # A torn group written to a never-synced segment file is the worst
         # case the dir fsync guards against: recovery must fall back to
         # the pre-commit state, never half-apply.
         path = str(tmp_path / "d.db")
@@ -279,9 +344,11 @@ class TestJournalDirectoryDurability:
 
 
 class TestTornGroupAccounting:
+    durability = "journal"
+
     def test_torn_trailing_group_is_counted_not_fatal(self, tmp_path):
         path = str(tmp_path / "t.db")
-        inner = FileDisk(path, page_size=256)
+        inner = FileDisk(path, page_size=256, durability=self.durability)
         disk = FaultInjectingDisk(inner)
         page = disk.allocate()
         disk.write(page, b"v1")
@@ -292,7 +359,8 @@ class TestTornGroupAccounting:
         with pytest.raises(CrashPoint):
             inner.sync()
         disk.abort()
-        with FileDisk(path, page_size=256) as reopened:
+        with FileDisk(path, page_size=256,
+                      durability=self.durability) as reopened:
             assert reopened.recovery_stats.torn_groups == 1
             assert reopened.recovery_stats.discarded_groups == 1
             assert reopened.read(page).startswith(b"v1")
@@ -300,14 +368,20 @@ class TestTornGroupAccounting:
     def test_torn_groups_surface_in_database_stats_and_metrics(self, tmp_path):
         path = str(tmp_path / "t.db")
         db = XmlDatabase.create(path, page_size=PAGE_SIZE,
-                                buffer_pages=BUFFER_PAGES)
+                                buffer_pages=BUFFER_PAGES,
+                                durability=self.durability)
         db.add_document(XML_A, name="a")
         db.close()
-        # Fake the torn tail of a crashed commit: valid magic, garbage body.
-        with open(path + ".journal", "wb") as handle:
+        # Fake the torn tail of a crashed commit — the newest segment:
+        # valid magic, garbage body.
+        segments = path + (".wal" if self.durability == "journal"
+                           else ".archive")
+        with open(os.path.join(segments, segment_name(10 ** 6)),
+                  "wb") as handle:
             handle.write(b"XRJL" + b"\x07" * 30)
         db = XmlDatabase.open(path, page_size=PAGE_SIZE,
-                              buffer_pages=BUFFER_PAGES)
+                              buffer_pages=BUFFER_PAGES,
+                              durability=self.durability)
         try:
             assert db.recovery_stats.torn_groups == 1
             assert db.stats()["recovery"]["torn_groups"] == 1
@@ -315,3 +389,57 @@ class TestTornGroupAccounting:
             assert [n for _i, n in db.documents()] == ["a"]
         finally:
             db.close()
+
+
+class TestTornGroupAccountingArchive(TestTornGroupAccounting):
+    durability = "archive"
+
+
+class TestLegacyJournalFile:
+    """A ``<path>.journal`` left by a crashed pre-segment process holds the
+    same group encoding: either durable mode replays it once and removes
+    it, instead of stranding or refusing it."""
+
+    @pytest.mark.parametrize("durability", ["journal", "archive"])
+    def test_pending_legacy_group_is_replayed_and_removed(self, tmp_path,
+                                                          durability):
+        path = str(tmp_path / "l.db")
+        with FileDisk(path, page_size=256) as disk:
+            page = disk.allocate()
+            disk.write(page, b"v1")
+            disk.sync()
+            disk.write(page, b"v2")
+            # What the old journal held when its process died before the
+            # apply: the next group, complete, the data file untouched.
+            disk._commit_seq += 1
+            sequence = disk.commit_sequence
+            records = {0: disk._superblock_image(), page: disk.read(page)}
+            disk.abort()
+        body, _crash = encode_group(sequence, records, 256)
+        with open(path + ".journal", "wb") as handle:
+            handle.write(body)
+        with FileDisk(path, page_size=256, durability=durability) as reopened:
+            assert reopened.recovery_stats.replayed_groups == 1
+            assert reopened.recovery_stats.discarded_groups == 0
+            assert reopened.commit_sequence == sequence
+            assert reopened.read(page).startswith(b"v2")
+            assert not os.path.exists(path + ".journal")
+
+    def test_archive_open_drains_a_journal_mode_segment(self, tmp_path):
+        # The same promise for the current layout: a journal-mode process
+        # that died mid-apply is recovered by an archive-mode successor.
+        path = str(tmp_path / "x.db")
+        inner = FileDisk(path, page_size=256)
+        disk = FaultInjectingDisk(inner)
+        page = disk.allocate()
+        disk.write(page, b"v1")
+        inner.sync()
+        disk.write(page, b"v2")
+        disk.kill_after = disk.op_counts["physical-write"] + 3  # 1st apply
+        with pytest.raises(CrashPoint):
+            inner.sync()
+        disk.abort()
+        with FileDisk(path, page_size=256, durability="archive") as reopened:
+            assert reopened.recovery_stats.replayed_groups == 1
+            assert reopened.read(page).startswith(b"v2")
+            assert os.listdir(path + ".wal") == []

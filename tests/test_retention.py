@@ -50,11 +50,14 @@ XML = ("<dept><team><name>db</name>"
        "<member><name>ada</name></member></team></dept>")
 
 
-def make_primary(tmp_path, name="primary"):
+def make_primary(tmp_path, name="primary", durability="archive"):
     path = str(tmp_path / ("%s.db" % name))
-    archive_dir = str(tmp_path / ("%s.archive" % name))
+    # Where the commit path writes its segments: journal mode's directory
+    # is private and fixed, and archive_dir is ignored.
+    archive_dir = (str(tmp_path / ("%s.archive" % name))
+                   if durability == "archive" else path + ".wal")
     disk = FaultInjectingDisk(
-        FileDisk(path, PAGE_SIZE, durability="archive",
+        FileDisk(path, PAGE_SIZE, durability=durability,
                  archive_dir=archive_dir))
     db = XmlDatabase.create(disk=disk, page_size=PAGE_SIZE,
                             buffer_pages=BUFFER_PAGES)
@@ -230,8 +233,22 @@ class TestSafeHorizon:
 
 
 class TestEnospcInjection:
+    """The clean-failed-commit guarantee of the one commit path, under
+    the keep-everything policy here and the retain-nothing policy in
+    :class:`TestEnospcInjectionJournal`."""
+
+    durability = "archive"
+
+    def retained(self, sequence):
+        """Segments on disk once commit ``sequence`` is applied."""
+        if self.durability == "archive":
+            return list(range(1, sequence + 1))
+        return []
+
     def test_single_shot_enospc_fails_commit_cleanly(self, tmp_path):
-        db, disk, _adir = make_primary(tmp_path)
+        db, disk, archive_dir = make_primary(tmp_path,
+                                             durability=self.durability)
+        segments = Archive(archive_dir, PAGE_SIZE)
         sequence = db.commit_sequence
         disk.fail_with_disk_full(1)
         db.add_document(XML, name="doomed")
@@ -240,17 +257,17 @@ class TestEnospcInjection:
         assert disk.enospc_injected == 1
         # Nothing durable, sequence not consumed, archive gap-free.
         assert db.commit_sequence == sequence
-        assert db.archive.sequences() == list(range(1, sequence + 1))
+        assert segments.sequences() == self.retained(sequence)
         # Single-shot: the retry goes straight through and reuses the
         # sequence the failed commit gave back.
         db.flush()
         assert db.commit_sequence == sequence + 1
-        assert db.archive.sequences() == list(range(1, sequence + 2))
+        assert segments.sequences() == self.retained(sequence + 1)
         assert [n for _i, n in db.documents()][-1] == "doomed"
         db.close()
 
     def test_sticky_disk_full_until_freed(self, tmp_path):
-        db, disk, _adir = make_primary(tmp_path)
+        db, disk, _adir = make_primary(tmp_path, durability=self.durability)
         disk.fill_disk()
         assert disk.disk_full
         db.add_document(XML, name="waiting")
@@ -276,7 +293,8 @@ class TestEnospcInjection:
         assert not is_disk_full_error(ValueError("nope"))
 
     def test_no_partial_segment_left_behind(self, tmp_path):
-        db, disk, archive_dir = make_primary(tmp_path)
+        db, disk, archive_dir = make_primary(tmp_path,
+                                             durability=self.durability)
         disk.fill_disk()
         db.add_document(XML, name="w")
         with pytest.raises(DiskFullError):
@@ -286,6 +304,11 @@ class TestEnospcInjection:
             assert archive.read(sequence) is not None   # all decodable
         disk.free_space()
         db.close()
+
+
+class TestEnospcInjectionJournal(TestEnospcInjection):
+    durability = "journal"
+    test_is_disk_full_error_walks_causes = None  # no disk involved
 
 
 class TestReadOnlyDegrade:
