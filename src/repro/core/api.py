@@ -215,8 +215,10 @@ class XRTreeIndex:
     def insert(self, entry):
         self.tree.insert(entry)
 
-    def delete(self, start):
-        return self.tree.delete(start)
+    def delete(self, start, end=None):
+        """Remove the entry starting at ``start``, or with ``end`` every
+        entry starting in ``[start, end]`` (:meth:`XRTree.delete`)."""
+        return self.tree.delete(start, end)
 
     def items(self):
         return self.tree.items()

@@ -62,7 +62,7 @@ class XmlDatabase:
         self._indexes = context.attach_index_manager(
             IndexManager(catalog, pool=context.pool, capacity=handle_budget)
         )
-        self._registry = self._load_registry()
+        self._load_registry()
         self._sessions = set()
         self._live_session = None
         self._engine = None
@@ -163,12 +163,15 @@ class XmlDatabase:
         return database
 
     def flush(self):
-        """Write back dirty index metadata, then every dirty page.
+        """Write back the document registry (if an add or remove dirtied
+        it) and dirty index metadata, then every dirty page.
 
-        The order matters for crash consistency: catalog metadata is
-        staged first so the commit group ``pool.flush_all()`` triggers
-        (via ``disk.sync()``) captures trees and their catalog entries
-        together.
+        The order matters for crash consistency: registry and catalog
+        metadata are staged first so the commit group ``pool.flush_all()``
+        triggers (via ``disk.sync()``) captures trees, their catalog
+        entries and the documents they index together.  :meth:`scrub` and
+        :meth:`rebuild_index` commit too (the scrubber syncs before its
+        cold reads) and stage the registry the same way.
 
         A commit that hits ``ENOSPC`` raises
         :class:`~repro.storage.errors.DiskFullError` and flips the
@@ -179,6 +182,7 @@ class XmlDatabase:
         degradation.
         """
         try:
+            self._stage_registry()
             self._indexes.flush()
             self._context.pool.flush_all()
         except DiskFullError as exc:
@@ -299,66 +303,90 @@ class XmlDatabase:
         """Add an XML document (text or a parsed Document); returns doc id.
 
         Elements are inserted into the per-tag XR-trees one by one —
-        dynamic maintenance, not a rebuild.
+        dynamic maintenance, not a rebuild.  The document owns the start
+        range ``[offset, offset + span]`` of the corpus numbering; no other
+        document's element ever falls inside it, which is what lets
+        :meth:`remove_document` address its entries by region.
         """
         self._require_writable()
         document = (parse_document(source) if isinstance(source, str)
                     else source)
-        doc_id = len(self._registry["documents"]) + 1
-        offset = self._registry["next_base"]
-        self._registry["documents"].append({
-            "name": name or ("doc-%d" % doc_id),
-            "offset": offset,
-            "span": document.root.end,
-        })
-        self._registry["next_base"] = offset + document.root.end + _DOC_GAP
+        doc_id = self._next_id
+        offset = self._next_base
         per_tag = {}
         for ordinal, node in enumerate(document):
             per_tag.setdefault(node.tag, []).append(ElementEntry(
                 doc_id, node.start + offset, node.end + offset,
                 node.level, False, ordinal,
             ))
-        known = set(self._registry["tags"])
+        # Name every tree before anything changes: a tag too long to
+        # catalogue rejects the whole document, not its tail.
+        names = {tag: _tree_name(tag) for tag in per_tag}
+        self._documents[doc_id] = {
+            "name": name or ("doc-%d" % doc_id),
+            "offset": offset,
+            "span": document.root.end,
+            "elements": sum(len(entries) for entries in per_tag.values()),
+        }
+        self._next_id = doc_id + 1
+        self._next_base = offset + document.root.end + _DOC_GAP
+        self._registry_dirty = True
         for tag, entries in per_tag.items():
-            tree = self._indexes.get_or_create_xrtree(_tree_name(tag))
-            self._indexes.mark_dirty(_tree_name(tag))
+            tree = self._indexes.get_or_create_xrtree(names[tag])
+            self._indexes.mark_dirty(names[tag])
             if tree.size == 0:
                 tree.bulk_load(sorted(entries, key=lambda e: e.start))
             else:
                 for entry in entries:
                     tree.insert(entry)
-            known.add(tag)
             self._invalidate_tag(tag)
-        self._registry["tags"] = sorted(known)
-        self._save_registry()
+        self._tags = sorted(set(self._tags).union(per_tag))
         return doc_id
 
     def remove_document(self, doc_id):
         """Delete every element of one document from the stored indexes.
 
-        Pure Algorithm 2 at scale: each of the document's entries is
-        removed from its tag's XR-tree dynamically; stab lists, (ps, pe)
-        summaries and directories re-balance as they go.  The document's
-        registry slot is tombstoned (ids are never reused).
+        The document's entries under a tag are one start range — its
+        region — so each tag's tree is entered at the region's offset and
+        the run is cut out with a single :meth:`XRTree.delete(lo, hi)
+        <repro.indexes.xrtree.XRTree.delete>`: Algorithm 2 a leaf at a
+        time, never reading a leaf outside the region.  The region stands
+        in for a ``doc_id`` filter, so it is read once first: unless all it
+        holds carries this document's id, and as much as was recorded at
+        insert, the removal raises with nothing changed.  The id is retired
+        (ids are never reused).
         """
         self._require_writable()
-        documents = self._registry["documents"]
-        if not 1 <= doc_id <= len(documents):
-            raise XmlDatabaseError("unknown document id %d" % doc_id)
-        info = documents[doc_id - 1]
-        if info.get("removed"):
-            raise XmlDatabaseError("document %d already removed" % doc_id)
+        info = self._documents.get(doc_id)
+        if info is None:
+            raise XmlDatabaseError(
+                ("document %d already removed" if 1 <= doc_id < self._next_id
+                 else "unknown document id %d") % doc_id)
+        low, high = info["offset"], info["offset"] + info["span"]
+        held = own = 0
+        for tag in self._tags:
+            tree = self._indexes.get_xrtree(_tree_name(tag))
+            if tree is None:
+                continue
+            cursor = tree.seek(low)
+            while not cursor.at_end and cursor.current.start <= high:
+                held += 1
+                own += cursor.current.doc_id == doc_id
+                cursor.advance()
+        # Documents stored before counts were kept skip that half.
+        if own != held or held != info.get("elements", held):
+            raise XmlDatabaseError(
+                "document %d recorded %s elements but its region holds %d, "
+                "%d of them its own; nothing was removed"
+                % (doc_id, info.get("elements", "no count of"), held, own))
         survivors = []
-        for tag in list(self._registry["tags"]):
+        for tag in self._tags:
             name = _tree_name(tag)
             tree = self._indexes.get_xrtree(name)
             if tree is None:
                 continue
-            doomed = [e.start for e in tree.items() if e.doc_id == doc_id]
-            if doomed:
+            if tree.delete(low, high):
                 self._indexes.mark_dirty(name)
-                for start in doomed:
-                    tree.delete(start)
                 self._invalidate_tag(tag)
             if tree.size == 0:
                 # An emptied tag must not linger in the catalog: drop the
@@ -367,18 +395,17 @@ class XmlDatabase:
                 self._indexes.drop(name)
             else:
                 survivors.append(tag)
-        info["removed"] = True
-        self._registry["tags"] = survivors
-        self._save_registry()
+        del self._documents[doc_id]
+        self._tags = survivors
+        self._registry_dirty = True
 
     def documents(self):
         """(doc_id, name) pairs in insertion order (removed ones excluded)."""
-        return [(index + 1, info["name"])
-                for index, info in enumerate(self._registry["documents"])
-                if not info.get("removed")]
+        return [(doc_id, info["name"])
+                for doc_id, info in self._documents.items()]
 
     def tags(self):
-        return list(self._registry["tags"])
+        return list(self._tags)
 
     def element_count(self, tag=None):
         if tag is not None:
@@ -801,6 +828,7 @@ class XmlDatabase:
         raise :class:`~repro.storage.scrub.IndexQuarantinedError` until
         they are rebuilt (:meth:`rebuild_index`).
         """
+        self._stage_registry()  # the scrubber's sync is a commit
         report = self.scrubber.step(io_budget=io_budget)
         for name in report.quarantined:
             if name.startswith("tag:"):
@@ -812,6 +840,7 @@ class XmlDatabase:
 
         Clears the quarantine on success; returns a ``RebuildResult``.
         """
+        self._stage_registry()  # the scrubber's sync is a commit
         result = self.scrubber.rebuild(_tree_name(tag))
         self._invalidate_tag(tag)
         return result
@@ -823,7 +852,7 @@ class XmlDatabase:
 
     def locate(self, entry):
         """Map a stored entry back to (doc name, local start, local end)."""
-        info = self._registry["documents"][entry.doc_id - 1]
+        info = self._documents[entry.doc_id]
         return (info["name"], entry.start - info["offset"],
                 entry.end - info["offset"])
 
@@ -853,17 +882,48 @@ class XmlDatabase:
         self._sessions.discard(session)
 
     def _load_registry(self):
+        """Read the document registry: live documents keyed by id, the next
+        id and region base to hand out, and the tags that have a tree.
+
+        Stored as JSON ``{"documents": [{"id", "name", "offset", "span",
+        "elements"}, ...], "next_id", "next_base", "tags"}`` holding live
+        documents only.  Files written before ids were stored keep every
+        document ever added in id order, removed ones marked
+        ``"removed": true``; that form is still read (a standby restored
+        from an old backup opens one) and is rewritten on the next commit
+        that changes the registry.
+        """
         from repro.storage.catalog import CatalogError
 
         try:
-            return json.loads(self._catalog.load_blob(_REGISTRY))
+            stored = json.loads(self._catalog.load_blob(_REGISTRY))
         except CatalogError:
-            return {"documents": [], "tags": [], "next_base": 0}
+            stored = {"documents": [], "tags": [], "next_base": 0}
+        self._documents = {}
+        for position, info in enumerate(stored["documents"], start=1):
+            if not info.pop("removed", False):
+                self._documents[info.pop("id", position)] = info
+        self._next_id = stored.get("next_id", len(stored["documents"]) + 1)
+        self._next_base = stored["next_base"]
+        self._tags = stored["tags"]
+        self._registry_dirty = False
+
+    def _stage_registry(self):
+        """Stage the registry blob if an add or remove dirtied it.  Every
+        path that commits calls this first, so no commit group holds trees
+        without the documents they index."""
+        if self._registry_dirty:
+            self._save_registry()
 
     def _save_registry(self):
-        self._catalog.save_blob(
-            _REGISTRY, json.dumps(self._registry).encode("utf-8")
-        )
+        self._catalog.save_blob(_REGISTRY, json.dumps({
+            "documents": [dict(info, id=doc_id)
+                          for doc_id, info in self._documents.items()],
+            "next_id": self._next_id,
+            "next_base": self._next_base,
+            "tags": self._tags,
+        }).encode("utf-8"))
+        self._registry_dirty = False
 
 
 def _tree_name(tag):

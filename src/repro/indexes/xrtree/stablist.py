@@ -110,16 +110,23 @@ class StabList:
                 page_id = page.next_id
         return count
 
-    def iter_psl(self, key_index):
-        """Yield the records of ``PSL_{key_index}`` in outermost-first order."""
-        low, high = self.node.psl_bounds(key_index)
-        directory = self._load_directory()
+    def iter_range(self, low, high, directory=None, charge=None):
+        """Yield the records with ``low < start <= high`` in start order.
+
+        Only the chain pages that can hold such records are read: the
+        directory (loaded unless the caller passes one in) routes to the
+        first, and the walk stops at the first record past ``high``.
+        ``charge`` (optional) is called with 1 per chain page fetched —
+        stab-list page accounting for the caller's counter.
+        """
+        if directory is None:
+            directory = self._load_directory()
         if not directory:
             return
-        index = self._route(directory, low + 1)
-        page_id = directory[index][1]
-        started = False
+        page_id = directory[self._route(directory, low + 1)][1]
         while page_id:
+            if charge is not None:
+                charge(1)
             with self._pool.pinned(page_id) as page:
                 records = list(page.records)
                 page_id = page.next_id
@@ -128,10 +135,12 @@ class StabList:
                     continue
                 if record.start > high:
                     return
-                started = True
                 yield record
-            if started and records and records[-1].start > high:
-                return
+
+    def iter_psl(self, key_index, directory=None, charge=None):
+        """Yield the records of ``PSL_{key_index}`` in outermost-first order."""
+        low, high = self.node.psl_bounds(key_index)
+        return self.iter_range(low, high, directory, charge)
 
     # -- Algorithm 5: SearchStabList ----------------------------------------------
 
@@ -169,7 +178,7 @@ class StabList:
         directory = self._load_directory()
         results = []
         for c in candidates:
-            for record in self._iter_psl_via(directory, c, charge):
+            for record in self.iter_psl(c, directory, charge):
                 if record.start < point < record.end:
                     if after_start is None or record.start > after_start:
                         if counter is not None:
@@ -179,30 +188,6 @@ class StabList:
                     break
         results.sort(key=lambda r: r.start)
         return results
-
-    def _iter_psl_via(self, directory, key_index, charge=None):
-        """Like :meth:`iter_psl` but reusing an already-loaded directory.
-
-        ``charge`` (optional) is called with 1 per chain page fetched —
-        stab-list page accounting for the caller's counter.
-        """
-        low, high = self.node.psl_bounds(key_index)
-        if not directory:
-            return
-        index = self._route(directory, low + 1)
-        page_id = directory[index][1]
-        while page_id:
-            if charge is not None:
-                charge(1)
-            with self._pool.pinned(page_id) as page:
-                records = list(page.records)
-                page_id = page.next_id
-            for record in records:
-                if record.start <= low:
-                    continue
-                if record.start > high:
-                    return
-                yield record
 
     # -- point updates -----------------------------------------------------------
 

@@ -362,40 +362,87 @@ class XRTree:
 
     # ---------------------------------------------------- Algorithm 2: deletion
 
-    def delete(self, key):
-        """Delete the entry whose start equals ``key`` (Algorithm 2).
+    def delete(self, start, end=None):
+        """Delete by start position, a leaf run at a time (Algorithm 2).
 
-        Returns the removed entry, or None when absent.
+        ``delete(k)`` removes the entry whose start equals ``k`` and returns
+        it, or None when absent.  ``delete(lo, hi)`` removes every entry with
+        ``lo <= start <= hi`` and returns them in start order.  Either way
+        the cost follows what is removed: one descent per leaf the run
+        touches, the run sliced out of that leaf at once, its flagged records
+        dropped from their owners' stab lists, and the leaf rebalanced once.
         """
-        if not self.root_id:
-            return None
-        path, leaf = self._descend(key)
-        starts = [r.start for r in leaf.records]
-        slot = bisect_left(starts, key)
-        if slot >= len(starts) or starts[slot] != key:
-            self.pool.unpin(leaf)
-            return None
-        entry = leaf.records[slot]
-        # D1: remove E from the stab list of the node that owns it.
-        if entry.in_stab_list:
-            self._remove_from_owner(path, entry)
-        leaf.records.pop(slot)
-        self.size -= 1
-        self._rebalance_leaf(path, leaf)
-        return entry
+        removed = []
+        self._delete_run(start, start if end is None else end, removed)
+        if end is None:
+            return removed[0] if removed else None
+        return removed
 
-    def _remove_from_owner(self, path, entry):
-        """Find the highest path node stabbing ``entry`` and delete it there."""
+    def _delete_run(self, low, high, removed):
+        while low is not None and low <= high and self.root_id:
+            low = self._delete_leaf_run(low, high, removed)
+
+    def _delete_leaf_run(self, low, high, removed):
+        """Cut ``[low, high]`` out of the one leaf covering ``low``.
+
+        Appends the cut records to ``removed`` and returns the start at
+        which the run may continue in the next leaf, or None when it ends
+        here (or was finished from here).
+        """
+        path, leaf = self._descend(low)
+        starts = [r.start for r in leaf.records]
+        first = bisect_left(starts, low)
+        stop = bisect_right(starts, high, first)
+        next_id = leaf.next_id if stop == len(starts) else 0
+        if first == stop:
+            self.pool.unpin(leaf)
+            if not next_id:
+                return None
+            # ``low`` falls between this leaf's last record and the next
+            # leaf's first: the run, if any, starts there.
+            with self.pool.pinned(next_id) as following:
+                return following.records[0].start
+        run = leaf.records[first:stop]
+        del leaf.records[first:stop]
+        # D1: remove the run's flagged elements from the nodes owning them.
+        flagged = [r for r in run if r.in_stab_list]
+        if flagged:
+            self._remove_from_owners(path, flagged)
+        self.size -= len(run)
+        removed.extend(run)
+        if next_id and run[-1].start < high and leaf.records:
+            # A partly cut leaf with the run going on (only its first leaf
+            # can be): topping it up now would borrow from the right just
+            # what the run deletes next.  Finish the run, then come back to
+            # whichever leaf holds the survivors by then.
+            survivor = leaf.records[-1].start
+            self.pool.unpin(leaf, dirty=True)
+            self._delete_run(run[-1].start + 1, high, removed)
+            path, leaf = self._descend(survivor)
+            self._rebalance_leaf(path, leaf)
+            return None
+        self._rebalance_leaf(path, leaf)
+        return run[-1].start + 1 if next_id else None
+
+    def _remove_from_owners(self, path, flagged):
+        """Delete each flagged entry from the stab list of the highest path
+        node stabbing it (one fetch per path node, not per entry)."""
         for page_id, _index in path:
             page = self.pool.fetch(page_id)
-            if page.stabs(entry.start, entry.end):
-                StabList(self.pool, page).delete(entry.start)
-                self.pool.unpin(page, dirty=True)
+            stab = StabList(self.pool, page)
+            below = []
+            for entry in flagged:
+                if page.stabs(entry.start, entry.end):
+                    stab.delete(entry.start)
+                else:
+                    below.append(entry)
+            self.pool.unpin(page, dirty=len(below) < len(flagged))
+            flagged = below
+            if not flagged:
                 return
-            self.pool.unpin(page)
         raise XRTreeError(
             "flagged entry (%d, %d) found in no stab list on its path"
-            % (entry.start, entry.end)
+            % (flagged[0].start, flagged[0].end)
         )
 
     def _push_down_from(self, node, entry):
@@ -425,19 +472,20 @@ class XRTree:
         page.records[slot] = page.records[slot].with_flag(False)
         self.pool.unpin(page, dirty=True)
 
-    def _recheck_stab_list(self, node):
-        """Drop and re-home every stab record no longer stabbed by ``node``.
+    def _rehome_orphans(self, node, stab, candidates, key_indices):
+        """Step D31 after a key of ``node`` was removed or replaced.
 
-        Called after the node's key set changed (key removal/replacement).
+        ``candidates`` are the stab records the change can have orphaned —
+        the changed key's own PSL, read before the change: a record whose
+        primary key survives is still stabbed.  Those no key of ``node``
+        stabs any more leave ``SL(node)`` and sink below it; ``(ps, pe)`` is
+        recomputed for ``key_indices`` only, the keys whose PSLs the change
+        can have re-headed.
         """
-        stab = StabList(self.pool, node)
-        orphans = [
-            record for record in stab.iter_all()
-            if not node.stabs(record.start, record.end)
-        ]
+        orphans = [r for r in candidates if not node.stabs(r.start, r.end)]
         for record in orphans:
             stab.delete(record.start)
-        stab.refresh_pspe()
+        self._refresh_key_pspe(node, stab, key_indices)
         for record in orphans:
             self._push_down_from(node, record)
 
@@ -470,7 +518,8 @@ class XRTree:
         return self.internal_capacity // 2
 
     def _rebalance_leaf(self, path, leaf):
-        """Steps D2x: redistribute or merge an underfull leaf."""
+        """Steps D2x, once per leaf: top an underfull leaf up from a sibling
+        under a single separator change, or merge it away."""
         if not path:
             if not leaf.records:
                 self.pool.free_page(leaf)
@@ -479,42 +528,42 @@ class XRTree:
             else:
                 self.pool.unpin(leaf, dirty=True)
             return
-        if len(leaf.records) >= self._min_leaf():
+        need = self._min_leaf() - len(leaf.records)
+        if need <= 0:
             self.pool.unpin(leaf, dirty=True)
             return
         parent_id, index = path[-1]
         parent = self.pool.fetch(parent_id)
-        # D22: redistribution with a sibling, preferring the right one.
-        if index + 1 < len(parent.children):
-            sibling = self.pool.fetch(parent.children[index + 1])
-            if len(sibling.records) > self._min_leaf():
-                self._tick("leaf_borrows")
-                leaf.records.append(sibling.records.pop(0))
-                self._replace_separator(
-                    parent, index, leaf, sibling,
-                    self._choose_separator(leaf.records[-1].start,
-                                           sibling.records[0].start),
-                )
-                self.pool.unpin(sibling, dirty=True)
-                self.pool.unpin(parent, dirty=True)
-                self.pool.unpin(leaf, dirty=True)
-                return
-            self.pool.unpin(sibling)
-        if index > 0:
-            sibling = self.pool.fetch(parent.children[index - 1])
-            if len(sibling.records) > self._min_leaf():
-                self._tick("leaf_borrows")
-                leaf.records.insert(0, sibling.records.pop())
-                self._replace_separator(
-                    parent, index - 1, sibling, leaf,
-                    self._choose_separator(sibling.records[-1].start,
-                                           leaf.records[0].start),
-                )
-                self.pool.unpin(sibling, dirty=True)
-                self.pool.unpin(parent, dirty=True)
-                self.pool.unpin(leaf, dirty=True)
-                return
-            self.pool.unpin(sibling)
+        # D22: redistribution with a sibling that can spare what the leaf
+        # needs, preferring the right one.  A leaf the run emptied is merged
+        # away instead: refilling it moves records that a continuing run
+        # deletes next, and dropping it costs the parent only the key.
+        sides = (index + 1, index - 1) if leaf.records else ()
+        for side in sides:
+            if not 0 <= side < len(parent.children):
+                continue
+            sibling = self.pool.fetch(parent.children[side])
+            if len(sibling.records) - need < self._min_leaf():
+                self.pool.unpin(sibling)
+                continue
+            self._tick("leaf_borrows")
+            if side > index:
+                leaf.records.extend(sibling.records[:need])
+                del sibling.records[:need]
+                left, right = leaf, sibling
+            else:
+                leaf.records[:0] = sibling.records[-need:]
+                del sibling.records[-need:]
+                left, right = sibling, leaf
+            self._replace_separator(
+                parent, min(index, side), left, right,
+                self._choose_separator(left.records[-1].start,
+                                       right.records[0].start),
+            )
+            self.pool.unpin(sibling, dirty=True)
+            self.pool.unpin(parent, dirty=True)
+            self.pool.unpin(leaf, dirty=True)
+            return
         # D23: merge with a sibling (into the left node of the pair).
         self._tick("leaf_merges")
         if index > 0:
@@ -544,22 +593,28 @@ class XRTree:
         """
         if parent.keys[key_index] == new_key:
             return
+        stab = StabList(self.pool, parent)
+        psl = list(stab.iter_psl(key_index))
         parent.keys[key_index] = new_key
         parent.mark_dirty()
-        self._recheck_stab_list(parent)
+        # The moved boundary also re-divides this PSL and its right
+        # neighbour's between the two keys.
+        self._rehome_orphans(parent, stab, psl, (key_index, key_index + 1))
         self._absorb_newly_stabbed(parent, (left_leaf, right_leaf))
-        StabList(self.pool, parent).refresh_pspe()
 
     def _delete_from_internal(self, path, page_id, key_index):
         """Step D3: remove ``keys[key_index]``/``children[key_index + 1]``
         from an internal node, then rebalance upward as needed."""
         page = self.pool.fetch(page_id)
+        stab = StabList(self.pool, page)
+        psl = list(stab.iter_psl(key_index))
         page.keys.pop(key_index)
         page.ps.pop(key_index)
         page.pe.pop(key_index)
         page.children.pop(key_index + 1)
-        # D31: re-home stab records the removed key alone was stabbing.
-        self._recheck_stab_list(page)
+        # D31: survivors of the removed key's PSL join the next key's,
+        # which now sits at ``key_index``.
+        self._rehome_orphans(page, stab, psl, (key_index,))
         if not path:
             if not page.keys:
                 # D4: shorten the tree. The stab list must be empty now —
@@ -574,32 +629,28 @@ class XRTree:
             else:
                 self.pool.unpin(page, dirty=True)
             return
-        if len(page.keys) >= self._min_internal():
+        need = self._min_internal() - len(page.keys)
+        if need <= 0:
             self.pool.unpin(page, dirty=True)
             return
         parent_id, index = path[-1]
         parent = self.pool.fetch(parent_id)
-        # D32: redistribution between internal nodes.
-        if index + 1 < len(parent.children):
-            sibling = self.pool.fetch(parent.children[index + 1])
-            if len(sibling.keys) > self._min_internal():
-                self._tick("internal_rotations")
-                self._rotate_internal_left(parent, index, page, sibling)
-                self.pool.unpin(sibling, dirty=True)
-                self.pool.unpin(parent, dirty=True)
-                self.pool.unpin(page, dirty=True)
-                return
-            self.pool.unpin(sibling)
-        if index > 0:
-            sibling = self.pool.fetch(parent.children[index - 1])
-            if len(sibling.keys) > self._min_internal():
-                self._tick("internal_rotations")
-                self._rotate_internal_right(parent, index - 1, sibling, page)
-                self.pool.unpin(sibling, dirty=True)
-                self.pool.unpin(parent, dirty=True)
-                self.pool.unpin(page, dirty=True)
-                return
-            self.pool.unpin(sibling)
+        # D32: redistribution between internal nodes, as many keys as the
+        # node needs in one rotation, preferring the right sibling.
+        for side in (index + 1, index - 1):
+            if not 0 <= side < len(parent.children):
+                continue
+            sibling = self.pool.fetch(parent.children[side])
+            if len(sibling.keys) - need < self._min_internal():
+                self.pool.unpin(sibling)
+                continue
+            self._tick("internal_rotations")
+            self._rotate_internal(parent, min(index, side), page, sibling,
+                                  need, from_right=side > index)
+            self.pool.unpin(sibling, dirty=True)
+            self.pool.unpin(parent, dirty=True)
+            self.pool.unpin(page, dirty=True)
+            return
         # D33: merge internal nodes (into the left node of the pair).
         self._tick("internal_merges")
         if index > 0:
@@ -615,73 +666,74 @@ class XRTree:
         self.pool.unpin(parent)
         self._delete_from_internal(path[:-1], parent_id, drop_index)
 
-    def _rotate_internal_left(self, parent, sep_index, page, right_sibling):
-        """Borrow the right sibling's first key through the parent.
+    def _rotate_internal(self, parent, sep_index, page, sibling, count,
+                         from_right):
+        """Move ``count`` keys from ``sibling`` through the parent into
+        ``page`` (Section 4.2's redistribution between internal nodes).
 
-        The separator sinks into ``page``; the sibling's first key rises into
-        the parent.  Elements stabbed by the rising key move up into
-        ``SL(parent)`` from both children; elements the parent no longer
-        stabs sink (Section 4.2's redistribution rule).
-        """
-        up_key = right_sibling.keys[0]
-        down_key = parent.keys[sep_index]
-        page.keys.append(down_key)
-        page.ps.append(NIL)
-        page.pe.append(NIL)
-        page.children.append(right_sibling.children.pop(0))
-        right_sibling.keys.pop(0)
-        right_sibling.ps.pop(0)
-        right_sibling.pe.pop(0)
-        parent.keys[sep_index] = up_key
-        self._after_internal_rotation(parent, page, right_sibling, up_key)
-
-    def _rotate_internal_right(self, parent, sep_index, left_sibling, page):
-        """Borrow the left sibling's last key through the parent."""
-        up_key = left_sibling.keys[-1]
-        down_key = parent.keys[sep_index]
-        page.keys.insert(0, down_key)
-        page.ps.insert(0, NIL)
-        page.pe.insert(0, NIL)
-        page.children.insert(0, left_sibling.children.pop())
-        left_sibling.keys.pop()
-        left_sibling.ps.pop()
-        left_sibling.pe.pop()
-        parent.keys[sep_index] = up_key
-        self._after_internal_rotation(parent, page, left_sibling, up_key)
-
-    def _after_internal_rotation(self, parent, page, sibling, up_key):
-        """Shared stab maintenance after an internal-key rotation.
-
-        "SL(k') should be removed from the two internal nodes and inserted
-        into SL(P)": records either child holds that the risen key stabs move
-        to the parent; then every node re-homes records it no longer stabs.
+        Each step sinks the separator into ``page`` with the sibling's
+        nearest child and raises the sibling's nearest key in its place.
+        Stab lists follow the keys: what the finally risen key stabs moves up
+        into ``SL(parent)`` ("SL(k') should be removed from the two internal
+        nodes and inserted into SL(P)"), what the old separator alone stabbed
+        sinks from ``SL(parent)`` into ``SL(page)``, and records of the
+        sibling whose subtree moved across re-home under ``page``.
         """
         parent_stab = StabList(self.pool, parent)
-        for child in (page, sibling):
-            child_stab = StabList(self.pool, child)
-            for record in child_stab.extract_stabbed(up_key):
-                parent_stab.insert(record)
-        # Re-home from the parent first (its key set changed), then fix the
-        # children, whose membership rules also changed.
-        self._recheck_stab_list(parent)
-        self._recheck_stab_list(page)
-        self._recheck_stab_list(sibling)
-        StabList(self.pool, parent).refresh_pspe()
-        StabList(self.pool, page).refresh_pspe()
-        StabList(self.pool, sibling).refresh_pspe()
-        parent.mark_dirty()
-        page.mark_dirty()
-        sibling.mark_dirty()
+        down_key = parent.keys[sep_index]
+        sunk_psl = list(parent_stab.iter_psl(sep_index))
+        for _ in range(count):
+            if from_right:
+                page.keys.append(parent.keys[sep_index])
+                page.children.append(sibling.children.pop(0))
+                parent.keys[sep_index] = sibling.keys.pop(0)
+            else:
+                page.keys.insert(0, parent.keys[sep_index])
+                page.children.insert(0, sibling.children.pop())
+                parent.keys[sep_index] = sibling.keys.pop()
+        up_key = parent.keys[sep_index]
+        # No record page owned has a primary key among the arrivals, whose
+        # PSLs therefore start empty; the sibling's other keys keep theirs.
+        if from_right:
+            del sibling.ps[:count], sibling.pe[:count]
+            page.ps.extend([NIL] * count)
+            page.pe.extend([NIL] * count)
+        else:
+            del sibling.ps[-count:], sibling.pe[-count:]
+            page.ps[:0] = [NIL] * count
+            page.pe[:0] = [NIL] * count
+        # Only the sibling can hold records the risen key stabs: anything in
+        # page's subtree reaching it crosses the old separator too, so a
+        # node above page already owns it.
+        sibling_stab = StabList(self.pool, sibling)
+        risen = sibling_stab.extract_stabbed(up_key)
+        # What else the sibling holds between the old separator and the new
+        # one belongs to the subtree that moved across with the children.
+        moved = list(sibling_stab.iter_range(*sorted((down_key, up_key))))
+        for record in moved:
+            sibling_stab.delete(record.start)
+        self._refresh_key_pspe(
+            sibling, sibling_stab,
+            {sibling.primary_key_index(r.start) for r in risen} - {None})
+        for record in risen:
+            parent_stab.insert(record)
+        self._rehome_orphans(parent, parent_stab, sunk_psl,
+                             (sep_index, sep_index + 1))
+        for record in moved:
+            self._push_down_from(parent, record)
 
     def _merge_internal(self, parent, sep_index, left, right):
         """Merge ``right`` into ``left`` around ``parent.keys[sep_index]``.
 
         The separator sinks into the merged node; the stab lists are merged
-        "by linking SL(I) to SL(S)" (Section 4.2).  The caller removes the
-        parent entry afterwards via :meth:`_delete_from_internal` recursion.
+        "by linking SL(I) to SL(S)" (Section 4.2).  Every record keeps its
+        primary key and the sunken separator's PSL starts empty, so the
+        concatenated ``(ps, pe)`` arrays are already exact.  The caller
+        removes the parent entry afterwards via :meth:`_delete_from_internal`
+        recursion, whose D31 step re-homes the records the parent held for
+        the sunken separator.
         """
-        down_key = parent.keys[sep_index]
-        left.keys.append(down_key)
+        left.keys.append(parent.keys[sep_index])
         left.ps.append(NIL)
         left.pe.append(NIL)
         left.keys.extend(right.keys)
@@ -690,10 +742,7 @@ class XRTree:
         left.children.extend(right.children)
         StabList(self.pool, left).merge_from(right)
         self.pool.free_page(right)
-        StabList(self.pool, left).refresh_pspe()
         left.mark_dirty()
-        # Records the parent held for the sunken separator are re-homed by
-        # the _recheck_stab_list call inside _delete_from_internal.
 
     # ----------------------------------------------------------------- bulk load
 

@@ -116,6 +116,17 @@ class TestInMemoryDatabase:
         with pytest.raises(XmlDatabaseError):
             database.add_document("<%s/>" % ("x" * 40))
 
+    def test_rejected_document_leaves_no_trace(self, db):
+        """A tag too long to catalogue is found before the registry or any
+        tree is touched — even when it comes last in the document."""
+        before = (db.documents(), db.tags(), db.element_count(),
+                  len(db.query("//name")))
+        with pytest.raises(XmlDatabaseError):
+            db.add_document("<dept><name/><%s/></dept>" % ("t" * 40))
+        assert (db.documents(), db.tags(), db.element_count(),
+                len(db.query("//name"))) == before
+        assert db.add_document(DOC_A) == 3  # the id was not spent either
+
     def test_explain(self, db):
         plan = db.explain("//emp//name")
         assert "plan for //emp//name" in plan
@@ -181,6 +192,152 @@ class TestRemoveDocument:
             assert db.documents() == [(1, "alpha")]
             assert all(m.doc_id == 1
                        for m in db.query("//emp//name").matches)
+
+
+class TestRemovalCostsTheDocument:
+    """Removing a document reads what the document holds, not the corpus."""
+
+    ELEMENTS = 300
+
+    def removal_requests(self, documents, victim):
+        from repro.workloads import department_dataset
+
+        document = department_dataset(self.ELEMENTS, seed=84).document
+        elements = sum(1 for _node in document)
+        db = XmlDatabase.create(page_size=1024, buffer_pages=64)
+        for _ in range(documents):
+            db.add_document(document)
+        db.flush()
+        stats = db._context.pool.stats
+        before = stats.requests
+        db.remove_document(victim)
+        requests = stats.requests - before
+        assert db.verify() == len(db.tags())
+        assert db.element_count() == (documents - 1) * elements
+        return requests, elements
+
+    @pytest.mark.parametrize("victim", [1, 10])
+    def test_page_requests_follow_the_document_not_the_corpus(self, victim):
+        requests, elements = self.removal_requests(20, victim)
+        # Measured 0.5 (oldest document) and 1.5 (one in the middle) per
+        # element; scanning every leaf of every tree and then descending
+        # once per element made 6 and 14.
+        assert requests <= 3 * elements
+        doubled, _ = self.removal_requests(40, victim)
+        assert doubled <= 1.25 * requests
+
+
+class TestRegistry:
+    def test_registry_holds_live_documents_only(self):
+        import json
+
+        db = XmlDatabase.create()
+        for round_number in range(30):
+            db.add_document(DOC_A, name="doc")
+            if round_number >= 2:
+                db.remove_document(round_number - 1)
+        db.flush()
+        stored = json.loads(db._catalog.load_blob("__documents__"))
+        assert [info["id"] for info in stored["documents"]] == [29, 30]
+        assert stored["next_id"] == 31
+        assert db.add_document(DOC_B) == 31  # ids are never reused
+
+    def test_registry_is_staged_once_per_flush(self, monkeypatch):
+        db = XmlDatabase.create()
+        saves = []
+        save_blob = db._catalog.save_blob
+        monkeypatch.setattr(db._catalog, "save_blob",
+                            lambda name, data: (saves.append(name),
+                                                save_blob(name, data)))
+        db.add_document(DOC_A)
+        db.add_document(DOC_B)
+        db.remove_document(1)
+        assert saves == []
+        db.flush()
+        assert saves == ["__documents__"]
+        db.flush()  # clean: nothing to write
+        assert saves == ["__documents__"]
+
+    def test_scrub_and_rebuild_commit_the_registry_with_the_trees(
+            self, tmp_path):
+        """The scrubber syncs before its cold reads — a commit that never
+        passes through ``flush()``.  It must carry the registry too, or a
+        crash right after leaves trees indexing a document the registry
+        never heard of (and hands its id and region out again)."""
+        path = str(tmp_path / "scrubbed.db")
+        db = XmlDatabase.create(path, page_size=1024)
+        db.add_document(DOC_A, name="alpha")
+        db.scrub()
+        db.add_document(DOC_B, name="beta")
+        db.rebuild_index("name")
+        db.abandon()  # crash: nothing else reaches the file
+        with XmlDatabase.open(path, page_size=1024) as db:
+            assert db.documents() == [(1, "alpha"), (2, "beta")]
+            names = db.entries_for_tag("name")
+            assert {db.locate(entry)[0] for entry in names} \
+                == {"alpha", "beta"}
+            assert db.add_document(DOC_A, name="gamma") == 3
+            starts = [entry.start for entry in db.entries_for_tag("name")]
+            assert len(starts) == len(set(starts)) == len(names) + 2
+            assert db.verify() == len(db.tags())
+
+    def test_element_count_mismatch_is_reported(self):
+        db = XmlDatabase.create()
+        db.add_document(DOC_A)
+        db.add_document(DOC_B)
+        db._tree_for("name").delete(db.entries_for_tag("name")[0].start)
+        with pytest.raises(XmlDatabaseError,
+                           match="recorded 5 elements but its region holds 4"):
+            db.remove_document(1)
+
+    def test_foreign_elements_in_the_region_are_reported(self):
+        db = XmlDatabase.create()
+        db.add_document(DOC_A)
+        db.add_document(DOC_B)
+        db._documents[1]["span"] += 1000  # a region reaching into doc 2
+        before = db.documents(), db.tags(), db.element_count()
+        with pytest.raises(XmlDatabaseError,
+                           match="holds 10, 5 of them its own"):
+            db.remove_document(1)
+        # Raised before the first cut: document 2 kept its elements.
+        assert (db.documents(), db.tags(), db.element_count()) == before
+        assert db.verify() == len(db.tags())
+
+    def test_tombstoned_registry_still_opens(self, tmp_path):
+        """Files written before ids were stored list every document ever
+        added, removed ones tombstoned, without element counts."""
+        import json
+
+        path = str(tmp_path / "old.db")
+        with XmlDatabase.create(path, page_size=1024) as db:
+            for name in ("alpha", "beta", "gamma"):
+                db.add_document(DOC_A if name != "beta" else DOC_B,
+                                name=name)
+            db.remove_document(1)
+            db.flush()
+            new_form = json.loads(db._catalog.load_blob("__documents__"))
+            spans = {1: parse_document(DOC_A).root.end}
+            old_form = {
+                "documents": [
+                    {"name": "alpha", "offset": 0, "span": spans[1],
+                     "removed": True}]
+                + [{key: info[key] for key in ("name", "offset", "span")}
+                   for info in new_form["documents"]],
+                "tags": new_form["tags"],
+                "next_base": new_form["next_base"],
+            }
+            db._catalog.save_blob("__documents__",
+                                  json.dumps(old_form).encode("utf-8"))
+        with XmlDatabase.open(path, page_size=1024) as db:
+            assert db.documents() == [(2, "beta"), (3, "gamma")]
+            assert db.locate(db.entries_for_tag("office")[0])[0] == "beta"
+            db.remove_document(2)  # no recorded count: the check is skipped
+            assert db.add_document(DOC_B, name="delta") == 4
+            assert db.verify() == len(db.tags())
+        with XmlDatabase.open(path, page_size=1024) as db:
+            assert db.documents() == [(3, "gamma"), (4, "delta")]
+            stored = json.loads(db._catalog.load_blob("__documents__"))
+            assert stored["next_id"] == 5
 
 
 class TestPersistence:

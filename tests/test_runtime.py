@@ -127,22 +127,42 @@ def test_idle_context_never_trips():
 # -- deadline and cancellation through real joins ------------------------------
 
 
-def test_deadline_stops_30k_join_within_twice_the_budget():
+class CheckpointClock:
+    """Stands in for the runtime module's ``time``: virtual time advances
+    by a fixed cost per checkpoint the governed query has passed, so how
+    far a join outlives its deadline is a count of checkpoints, not a race
+    against whatever else the host is running."""
+
+    def __init__(self, context, seconds_per_checkpoint):
+        self.context = context
+        self.seconds_per_checkpoint = seconds_per_checkpoint
+
+    def monotonic(self):
+        return self.context.ticks * self.seconds_per_checkpoint
+
+
+def test_deadline_stops_30k_join_within_twice_the_budget(monkeypatch):
     """Acceptance: an unbounded descendant-heavy join over a 30k-element
     corpus is cancelled within 2x the configured deadline, leaking no
-    pinned pages, and the pool remains usable."""
+    pinned pages, and the pool remains usable.
+
+    The join passes ~11.7k checkpoints when left alone; at 25 us each the
+    50 ms deadline covers the first 2000, and the clock is consulted every
+    ``check_every`` of them."""
     data = department_dataset(target_elements=30000, seed=SEED)
     context = StorageContext()
     atree = build_xr_tree(data.ancestors, context.pool)
     dtree = build_xr_tree(data.descendants, context.pool)
     deadline = 0.05
     runtime = QueryContext(deadline=deadline, check_every=16)
-    started = time.perf_counter()
+    clock = CheckpointClock(runtime, seconds_per_checkpoint=25e-6)
+    monkeypatch.setattr("repro.query.runtime.time", clock)
     with pytest.raises(DeadlineExceeded):
         structural_join(atree, dtree, context=context, runtime=runtime)
-    elapsed = time.perf_counter() - started
-    assert elapsed <= 2 * deadline, (
-        "join outlived its deadline: %.3fs > 2 * %.3fs" % (elapsed, deadline)
+    budget = round(deadline / clock.seconds_per_checkpoint)
+    assert budget <= runtime.ticks < budget + runtime.check_every, (
+        "join passed %d checkpoints on a budget of %d"
+        % (runtime.ticks, budget)
     )
     assert context.pool.pinned_count == 0, "cancelled join leaked pins"
     # The pool is still fully usable for the next query.

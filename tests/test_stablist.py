@@ -251,3 +251,47 @@ class TestStructuralOps:
         node.keys = [3]  # now (4, 11) is not stabbed by any key
         with pytest.raises(StabListError):
             lst.refresh_pspe()
+
+
+class TestKeyRemovalLocality:
+    def test_internal_key_removal_reads_only_that_keys_psl(self, pool):
+        """Step D31 as the paper writes it: dropping one key of a node
+        re-examines that key's PSL, not the node's whole stab list."""
+        from repro.indexes.xrtree import XRTree, check_xrtree
+
+        tree = XRTree(pool, leaf_capacity=8)
+        # One long nesting chain: every element reaches past every
+        # separator, so all of them sit in the root's stab list, a leaf's
+        # worth per PSL, over a chain of many pages.
+        tree.bulk_load([entry(start, 1000 - start)
+                        for start in range(1, 229)])
+        assert tree.height == 2
+        root = pool.fetch(tree.root_id)
+        chain = StabList(pool, root)
+        chain_pages = chain.page_count()
+        assert chain_pages >= 8 and root.sl_dir
+        # Consecutive starts leave no gap, so each separator is the first
+        # start of the leaf to its right.
+        middle = len(root.keys) // 2
+        low, high = root.keys[middle - 1], root.keys[middle] - 1
+        pool.unpin(root)
+
+        stab_pages_read = set()
+        fetch = pool.fetch
+
+        def recording_fetch(page_id):
+            page = fetch(page_id)
+            if isinstance(page, StabListPage):
+                stab_pages_read.add(page_id)
+            return page
+
+        pool.fetch = recording_fetch
+        try:
+            # Empty exactly the leaf left of the middle key: it merges away
+            # and a key goes with it.
+            removed = tree.delete(low, high)
+        finally:
+            del pool.fetch
+        assert len(removed) == 8 and tree.maintenance_stats["leaf_merges"] == 1
+        assert len(stab_pages_read) <= 2 < chain_pages, stab_pages_read
+        check_xrtree(tree)
