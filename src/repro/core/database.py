@@ -31,6 +31,7 @@ the handle-cache counters.
 """
 
 import json
+import struct
 
 from repro.core.api import StorageContext
 from repro.core.config import merge_config
@@ -314,14 +315,28 @@ class XmlDatabase:
         doc_id = self._next_id
         offset = self._next_base
         per_tag = {}
+        depth = 0
         for ordinal, node in enumerate(document):
             per_tag.setdefault(node.tag, []).append(ElementEntry(
                 doc_id, node.start + offset, node.end + offset,
                 node.level, False, ordinal,
             ))
-        # Name every tree before anything changes: a tag too long to
-        # catalogue rejects the whole document, not its tail.
+            depth = max(depth, node.level)
+        # Name every tree and size the document against the record before
+        # anything changes: a tag too long to catalogue, or a region or
+        # depth the record cannot hold (regions are never reused, so the
+        # numbering does run out), rejects the whole document here — not its
+        # tail, and not every later flush from inside page write-back.
         names = {tag: _tree_name(tag) for tag in per_tag}
+        try:
+            ElementEntry(doc_id, offset, offset + document.root.end,
+                         depth).pack()
+        except struct.error as exc:
+            raise XmlDatabaseError(
+                "document does not fit the element record (id %d, region "
+                "%d..%d, depth %d): %s"
+                % (doc_id, offset, offset + document.root.end, depth, exc)
+            ) from None
         self._documents[doc_id] = {
             "name": name or ("doc-%d" % doc_id),
             "offset": offset,

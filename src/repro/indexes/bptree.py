@@ -12,16 +12,12 @@ library assigns disjoint region ranges to different documents.
 """
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from itertools import starmap
 
 from repro.storage.errors import PageDecodeError, StorageError
 from repro.storage.pagedlist import RecordPage
-from repro.storage.pages import (
-    PAGE_HEADER_SIZE,
-    ElementEntry,
-    Page,
-    register_page_type,
-)
+from repro.storage.pages import PAGE_HEADER_SIZE, Page, register_page_type
 
 
 class BPlusTreeError(StorageError):
@@ -33,15 +29,6 @@ class BPlusLeafPage(RecordPage):
     """Leaf page: start-ordered :class:`ElementEntry` records + next link."""
 
     TYPE_ID = 3
-    RECORD_SIZE = ElementEntry.SIZE
-
-    @staticmethod
-    def pack_record(record):
-        return record.pack()
-
-    @staticmethod
-    def unpack_record(data, offset):
-        return ElementEntry.unpack_from(data, offset)
 
 
 @register_page_type
@@ -54,8 +41,7 @@ class BPlusInternalPage(Page):
     """
 
     TYPE_ID = 4
-    _HEADER = struct.Struct("<H")
-    _CHILD = struct.Struct("<I")
+    _HEADER = struct.Struct("<HI")  # key count, first child
     _PAIR = struct.Struct("<iI")  # key, right child
 
     def __init__(self, keys=None, children=None):
@@ -66,38 +52,29 @@ class BPlusInternalPage(Page):
     @classmethod
     def capacity(cls, page_size):
         """Maximum number of keys per internal page."""
-        return (page_size - PAGE_HEADER_SIZE - cls._HEADER.size
-                - cls._CHILD.size) // cls._PAIR.size
+        return (page_size - PAGE_HEADER_SIZE - cls._HEADER.size) \
+            // cls._PAIR.size
 
-    def encode_payload(self):
-        parts = [self._HEADER.pack(len(self.keys))]
-        parts.append(self._CHILD.pack(self.children[0] if self.children else 0))
-        for key, child in zip(self.keys, self.children[1:]):
-            parts.append(self._PAIR.pack(key, child))
-        return b"".join(parts)
+    def encode_payload(self, out):
+        self._HEADER.pack_into(out, 0, len(self.keys),
+                               self.children[0] if self.children else 0)
+        body = b"".join(starmap(self._PAIR.pack, zip(
+            self.keys, self.children[1:], strict=True)))
+        out[self._HEADER.size : self._HEADER.size + len(body)] = body
 
     @classmethod
     def decode_payload(cls, data, page_size):
-        (count,) = cls._HEADER.unpack_from(data, 0)
-        if cls._HEADER.size + cls._CHILD.size + count * cls._PAIR.size \
-                > len(data):
+        count, first_child = cls._HEADER.unpack_from(data, 0)
+        end = cls._HEADER.size + count * cls._PAIR.size
+        if end > len(data):
             raise PageDecodeError(
                 "B+-tree internal page claims %d keys but the payload "
                 "holds at most %d"
-                % (count, (len(data) - cls._HEADER.size - cls._CHILD.size)
-                   // cls._PAIR.size)
+                % (count, (len(data) - cls._HEADER.size) // cls._PAIR.size)
             )
-        offset = cls._HEADER.size
-        (first_child,) = cls._CHILD.unpack_from(data, offset)
-        offset += cls._CHILD.size
-        keys = []
-        children = [first_child]
-        for _ in range(count):
-            key, child = cls._PAIR.unpack_from(data, offset)
-            keys.append(key)
-            children.append(child)
-            offset += cls._PAIR.size
-        return cls(keys, children)
+        columns = zip(*cls._PAIR.iter_unpack(data[cls._HEADER.size : end]))
+        keys, children = columns if count else ((), ())
+        return cls(keys, (first_child,) + children)
 
     def child_index_for(self, key):
         """Index of the child subtree to descend into for ``key``."""
@@ -251,7 +228,7 @@ class BPlusTree:
         if leaf is None:
             return None
         try:
-            slot = bisect_left([r.start for r in leaf.records], key)
+            slot = leaf.slot_of(key)
             if slot < len(leaf.records) and leaf.records[slot].start == key:
                 return leaf.records[slot]
             return None
@@ -263,7 +240,7 @@ class BPlusTree:
         path, leaf = self._descend(key)
         if leaf is None:
             return BPlusCursor(self.pool, 0, 0)
-        slot = bisect_left([r.start for r in leaf.records], key)
+        slot = leaf.slot_of(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
         return BPlusCursor(self.pool, leaf_id, slot)
@@ -277,7 +254,7 @@ class BPlusTree:
         path, leaf = self._descend(key)
         if leaf is None:
             return BPlusCursor(self.pool, 0, 0)
-        slot = bisect_right([r.start for r in leaf.records], key)
+        slot = leaf.slot_after(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
         return BPlusCursor(self.pool, leaf_id, slot)
@@ -301,7 +278,7 @@ class BPlusTree:
         if leaf is None:
             return None
         try:
-            slot = bisect_left([r.start for r in leaf.records], key)
+            slot = leaf.slot_of(key)
             if slot > 0:
                 return leaf.records[slot - 1]
         finally:
@@ -354,9 +331,9 @@ class BPlusTree:
             self.size = 1
             return
         path, leaf = self._descend(entry.start)
-        starts = [r.start for r in leaf.records]
-        slot = bisect_left(starts, entry.start)
-        if slot < len(starts) and starts[slot] == entry.start:
+        slot = leaf.slot_of(entry.start)
+        if slot < len(leaf.records) \
+                and leaf.records[slot].start == entry.start:
             self.pool.unpin(leaf)
             raise BPlusTreeError("duplicate key %d" % entry.start)
         leaf.records.insert(slot, entry)
@@ -412,9 +389,8 @@ class BPlusTree:
         if not self.root_id:
             return None
         path, leaf = self._descend(key)
-        starts = [r.start for r in leaf.records]
-        slot = bisect_left(starts, key)
-        if slot >= len(starts) or starts[slot] != key:
+        slot = leaf.slot_of(key)
+        if slot >= len(leaf.records) or leaf.records[slot].start != key:
             self.pool.unpin(leaf)
             return None
         removed = leaf.records.pop(slot)
@@ -561,13 +537,16 @@ class BPlusTree:
         def _walk(page_id, low, high, depth):
             with self.pool.pinned(page_id) as page:
                 if isinstance(page, BPlusLeafPage):
-                    starts = [r.start for r in page.records]
-                    if starts != sorted(set(starts)):
+                    records = page.records
+                    if any(right.start <= left.start
+                           for left, right in zip(records, records[1:])):
                         raise BPlusTreeError("leaf keys unsorted or duplicated")
-                    for start in starts:
-                        if not (low <= start and (high is None or start < high)):
+                    for record in records:
+                        if not (low <= record.start
+                                and (high is None or record.start < high)):
                             raise BPlusTreeError(
-                                "leaf key %d outside (%s, %s)" % (start, low, high)
+                                "leaf key %d outside (%s, %s)"
+                                % (record.start, low, high)
                             )
                     if depth != self.height:
                         raise BPlusTreeError("leaf at depth %d != %d"

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from repro.joins.base import JoinSink, JoinStats
 from repro.storage.errors import PageDecodeError, StorageError
 from repro.storage.pagedlist import RecordPage
-from repro.storage.pages import (
-    PAGE_HEADER_SIZE,
-    ElementEntry,
-    Page,
-    register_page_type,
-)
+from repro.storage.pages import PAGE_HEADER_SIZE, Page, register_page_type
 
 
 class RTreeError(StorageError):
@@ -79,15 +74,6 @@ class RTreeLeafPage(RecordPage):
     """Leaf page: element entries (points in the (start, end) plane)."""
 
     TYPE_ID = 10
-    RECORD_SIZE = ElementEntry.SIZE
-
-    @staticmethod
-    def pack_record(record):
-        return record.pack()
-
-    @staticmethod
-    def unpack_record(data, offset):
-        return ElementEntry.unpack_from(data, offset)
 
 
 @register_page_type
@@ -108,30 +94,27 @@ class RTreeInternalPage(Page):
         return (page_size - PAGE_HEADER_SIZE - cls._HEADER.size) \
             // cls._ENTRY.size
 
-    def encode_payload(self):
-        parts = [self._HEADER.pack(len(self.children))]
-        for rect, child in zip(self.rects, self.children):
-            parts.append(self._ENTRY.pack(rect.min_start, rect.max_start,
-                                          rect.min_end, rect.max_end, child))
-        return b"".join(parts)
+    def encode_payload(self, out):
+        self._HEADER.pack_into(out, 0, len(self.children))
+        offset = self._HEADER.size
+        for rect, child in zip(self.rects, self.children, strict=True):
+            self._ENTRY.pack_into(out, offset, rect.min_start, rect.max_start,
+                                  rect.min_end, rect.max_end, child)
+            offset += self._ENTRY.size
 
     @classmethod
     def decode_payload(cls, data, page_size):
         (count,) = cls._HEADER.unpack_from(data, 0)
-        if cls._HEADER.size + count * cls._ENTRY.size > len(data):
+        end = cls._HEADER.size + count * cls._ENTRY.size
+        if end > len(data):
             raise PageDecodeError(
                 "R-tree internal page claims %d children but the payload "
                 "holds at most %d"
                 % (count, (len(data) - cls._HEADER.size) // cls._ENTRY.size)
             )
-        offset = cls._HEADER.size
-        rects, children = [], []
-        for _ in range(count):
-            a, b, c, d, child = cls._ENTRY.unpack_from(data, offset)
-            rects.append(Rect(a, b, c, d))
-            children.append(child)
-            offset += cls._ENTRY.size
-        return cls(rects, children)
+        entries = list(cls._ENTRY.iter_unpack(data[cls._HEADER.size : end]))
+        return cls([Rect(*entry[:4]) for entry in entries],
+                   [entry[4] for entry in entries])
 
 
 def _leaf_rect(records):

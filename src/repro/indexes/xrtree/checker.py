@@ -59,8 +59,7 @@ class _Snapshot:
     def collect(self, page_id, low, high, depth):
         with self.pool.pinned(page_id) as page:
             if isinstance(page, XRLeafPage):
-                starts = [r.start for r in page.records]
-                if starts != sorted(set(starts)):
+                if not _strictly_ascending(page.records):
                     raise XRTreeInvariantError("leaf keys unsorted/duplicated")
                 for record in page.records:
                     if not (low <= record.start
@@ -178,8 +177,7 @@ class _Snapshot:
         self.stab_records = {}
         for page_id, node in self.nodes.items():
             records = self._read_chain(node)
-            starts = [r.start for r in records]
-            if starts != sorted(set(starts)):
+            if not _strictly_ascending(records):
                 raise XRTreeInvariantError("stab chain unsorted/duplicated")
             if len(records) != node["sl_count"]:
                 raise XRTreeInvariantError(
@@ -274,3 +272,8 @@ def _primary_index(keys, start):
 
     index = bisect_left(keys, start)
     return index if index < len(keys) else None
+
+
+def _strictly_ascending(records):
+    return all(left.start < right.start
+               for left, right in zip(records, records[1:]))

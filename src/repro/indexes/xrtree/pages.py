@@ -21,15 +21,12 @@ I/O bound and is cheaper to maintain.  DESIGN.md records this substitution.)
 """
 
 import struct
+from bisect import bisect_left, bisect_right
+from itertools import starmap
 
 from repro.storage.errors import PageDecodeError
 from repro.storage.pagedlist import RecordPage
-from repro.storage.pages import (
-    PAGE_HEADER_SIZE,
-    ElementEntry,
-    Page,
-    register_page_type,
-)
+from repro.storage.pages import PAGE_HEADER_SIZE, Page, register_page_type
 
 #: Encoded nil for (ps, pe) fields.
 NIL = 0
@@ -41,15 +38,6 @@ class XRLeafPage(RecordPage):
     entries keyed on ``s``, linked left to right."""
 
     TYPE_ID = 5
-    RECORD_SIZE = ElementEntry.SIZE
-
-    @staticmethod
-    def pack_record(record):
-        return record.pack()
-
-    @staticmethod
-    def unpack_record(data, offset):
-        return ElementEntry.unpack_from(data, offset)
 
 
 @register_page_type
@@ -57,15 +45,6 @@ class StabListPage(RecordPage):
     """One page of a stab-list chain: element records sorted by start."""
 
     TYPE_ID = 6
-    RECORD_SIZE = ElementEntry.SIZE
-
-    @staticmethod
-    def pack_record(record):
-        return record.pack()
-
-    @staticmethod
-    def unpack_record(data, offset):
-        return ElementEntry.unpack_from(data, offset)
 
 
 @register_page_type
@@ -85,26 +64,22 @@ class StabDirectoryPage(Page):
         return (page_size - PAGE_HEADER_SIZE - cls._HEADER.size) \
             // cls._ENTRY.size
 
-    def encode_payload(self):
-        parts = [self._HEADER.pack(len(self.entries))]
-        parts.extend(self._ENTRY.pack(first, pid) for first, pid in self.entries)
-        return b"".join(parts)
+    def encode_payload(self, out):
+        self._HEADER.pack_into(out, 0, len(self.entries))
+        body = b"".join(starmap(self._ENTRY.pack, self.entries))
+        out[self._HEADER.size : self._HEADER.size + len(body)] = body
 
     @classmethod
     def decode_payload(cls, data, page_size):
         (count,) = cls._HEADER.unpack_from(data, 0)
-        if cls._HEADER.size + count * cls._ENTRY.size > len(data):
+        end = cls._HEADER.size + count * cls._ENTRY.size
+        if end > len(data):
             raise PageDecodeError(
                 "stab directory page claims %d entries but the payload "
                 "holds at most %d"
                 % (count, (len(data) - cls._HEADER.size) // cls._ENTRY.size)
             )
-        offset = cls._HEADER.size
-        entries = []
-        for _ in range(count):
-            entries.append(cls._ENTRY.unpack_from(data, offset))
-            offset += cls._ENTRY.size
-        return cls(entries)
+        return cls(list(cls._ENTRY.iter_unpack(data[cls._HEADER.size : end])))
 
 
 @register_page_type
@@ -137,56 +112,41 @@ class XRInternalPage(Page):
         avail = page_size - PAGE_HEADER_SIZE - cls._HEADER.size - 4
         return avail // cls._ENTRY.size
 
-    def encode_payload(self):
-        parts = [
-            self._HEADER.pack(
-                len(self.keys), self.children[0] if self.children else 0,
-                self.sl_head, self.sl_dir, self.sl_count,
-            )
-        ]
-        for index, key in enumerate(self.keys):
-            parts.append(
-                self._ENTRY.pack(key, self.ps[index], self.pe[index],
-                                 self.children[index + 1])
-            )
-        return b"".join(parts)
+    def encode_payload(self, out):
+        self._HEADER.pack_into(
+            out, 0, len(self.keys), self.children[0] if self.children else 0,
+            self.sl_head, self.sl_dir, self.sl_count,
+        )
+        body = b"".join(starmap(self._ENTRY.pack, zip(
+            self.keys, self.ps, self.pe, self.children[1:], strict=True)))
+        out[self._HEADER.size : self._HEADER.size + len(body)] = body
 
     @classmethod
     def decode_payload(cls, data, page_size):
         count, first_child, sl_head, sl_dir, sl_count = cls._HEADER.unpack_from(
             data, 0
         )
-        if cls._HEADER.size + count * cls._ENTRY.size > len(data):
+        end = cls._HEADER.size + count * cls._ENTRY.size
+        if end > len(data):
             raise PageDecodeError(
                 "XR-tree internal page claims %d keys but the payload "
                 "holds at most %d"
                 % (count, (len(data) - cls._HEADER.size) // cls._ENTRY.size)
             )
-        offset = cls._HEADER.size
-        keys, ps, pe = [], [], []
-        children = [first_child]
-        for _ in range(count):
-            key, ps_value, pe_value, child = cls._ENTRY.unpack_from(data, offset)
-            keys.append(key)
-            ps.append(ps_value)
-            pe.append(pe_value)
-            children.append(child)
-            offset += cls._ENTRY.size
-        return cls(keys, children, ps, pe, sl_head, sl_dir, sl_count)
+        columns = zip(*cls._ENTRY.iter_unpack(data[cls._HEADER.size : end]))
+        keys, ps, pe, children = columns if count else ((), (), (), ())
+        return cls(keys, (first_child,) + children, ps, pe,
+                   sl_head, sl_dir, sl_count)
 
     # -- key helpers -----------------------------------------------------------
 
     def child_index_for(self, key):
         """Child to descend into for ``key`` (Definition 4(3) semantics)."""
-        from bisect import bisect_right
-
         return bisect_right(self.keys, key)
 
     def primary_key_index(self, start):
         """Index of the smallest key >= ``start`` (the primary stabbing key
         of an element starting at ``start``), or None."""
-        from bisect import bisect_left
-
         index = bisect_left(self.keys, start)
         return index if index < len(self.keys) else None
 

@@ -16,12 +16,14 @@ entry per chain page rather than one entry per key; both variants give the
 insertions (PSL membership is derived from the node's keys, never stored).
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from operator import itemgetter
 
 from repro.indexes.xrtree.pages import NIL, StabDirectoryPage, StabListPage
 from repro.storage.errors import StorageError
 
 _NEG_INF = -(2 ** 31)
+_FIRST_START = itemgetter(0)  # of a ``(first_start, page_id)`` directory entry
 
 
 class StabListError(StorageError):
@@ -82,7 +84,7 @@ class StabList:
 
     def _route(self, directory, start):
         """Index into ``directory`` of the page that should hold ``start``."""
-        index = bisect_right([first for first, _ in directory], start) - 1
+        index = bisect_right(directory, start, key=_FIRST_START) - 1
         return max(index, 0)
 
     # -- iteration --------------------------------------------------------------
@@ -207,9 +209,9 @@ class StabList:
         else:
             index = self._route(directory, entry.start)
             page = self._pool.fetch(directory[index][1])
-            starts = [r.start for r in page.records]
-            slot = bisect_left(starts, entry.start)
-            if slot < len(starts) and starts[slot] == entry.start:
+            slot = page.slot_of(entry.start)
+            if slot < len(page.records) \
+                    and page.records[slot].start == entry.start:
                 self._pool.unpin(page)
                 raise StabListError("duplicate stab entry %d" % entry.start)
             page.records.insert(slot, entry)
@@ -259,9 +261,8 @@ class StabList:
             return None
         index = self._route(directory, start)
         page = self._pool.fetch(directory[index][1])
-        starts = [r.start for r in page.records]
-        slot = bisect_left(starts, start)
-        if slot >= len(starts) or starts[slot] != start:
+        slot = page.slot_of(start)
+        if slot >= len(page.records) or page.records[slot].start != start:
             self._pool.unpin(page)
             return None
         removed = page.records.pop(slot)
@@ -391,15 +392,14 @@ class StabList:
             if first is None:
                 return 0, 0, 0
             directory[0] = (first.start, directory[0][1])
-        split_index = bisect_right([first for first, _ in directory], key)
+        split_index = bisect_right(directory, key, key=_FIRST_START)
         left_directory = directory[:split_index]
         right_directory = directory[split_index:]
         if left_directory:
             # The page at the boundary may hold records for both sides.
             boundary_first, boundary_id = left_directory[-1]
             page = self._pool.fetch(boundary_id)
-            starts = [r.start for r in page.records]
-            cut = bisect_right(starts, key)
+            cut = page.slot_after(key)
             if cut < len(page.records):
                 right_records = page.records[cut:]
                 page.records = page.records[:cut]

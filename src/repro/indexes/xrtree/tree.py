@@ -84,9 +84,8 @@ class XRTree:
         if leaf is None:
             return None
         try:
-            starts = [r.start for r in leaf.records]
-            slot = bisect_left(starts, key)
-            if slot < len(starts) and starts[slot] == key:
+            slot = leaf.slot_of(key)
+            if slot < len(leaf.records) and leaf.records[slot].start == key:
                 return leaf.records[slot]
             return None
         finally:
@@ -97,7 +96,7 @@ class XRTree:
         _path, leaf = self._descend(key)
         if leaf is None:
             return BPlusCursor(self.pool, 0, 0)
-        slot = bisect_left([r.start for r in leaf.records], key)
+        slot = leaf.slot_of(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
         return BPlusCursor(self.pool, leaf_id, slot)
@@ -109,7 +108,7 @@ class XRTree:
         _path, leaf = self._descend(key)
         if leaf is None:
             return BPlusCursor(self.pool, 0, 0)
-        slot = bisect_right([r.start for r in leaf.records], key)
+        slot = leaf.slot_after(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
         return BPlusCursor(self.pool, leaf_id, slot)
@@ -195,8 +194,7 @@ class XRTree:
         # scan counter charges each produced ancestor, not the in-page
         # filtering — in-page work is CPU, not a list scan, which is how the
         # paper's XR counts stay below the merge baselines'.
-        slot = bisect_left([r.start for r in page.records], point)
-        for entry in page.records[:slot]:
+        for entry in page.records[:page.slot_of(point)]:
             if not entry.in_stab_list and entry.start < point < entry.end:
                 if after_start is not None and entry.start <= after_start:
                     continue
@@ -238,9 +236,9 @@ class XRTree:
             page = self.pool.fetch(child_id)
         leaf = page
         entry = entry.with_flag(owner_id is not None)
-        starts = [r.start for r in leaf.records]
-        slot = bisect_left(starts, entry.start)
-        if slot < len(starts) and starts[slot] == entry.start:
+        slot = leaf.slot_of(entry.start)
+        if slot < len(leaf.records) \
+                and leaf.records[slot].start == entry.start:
             self.pool.unpin(leaf)
             raise XRTreeError("duplicate key %d" % entry.start)
         if owner_id is not None:
@@ -390,10 +388,9 @@ class XRTree:
         here (or was finished from here).
         """
         path, leaf = self._descend(low)
-        starts = [r.start for r in leaf.records]
-        first = bisect_left(starts, low)
-        stop = bisect_right(starts, high, first)
-        next_id = leaf.next_id if stop == len(starts) else 0
+        first = leaf.slot_of(low)
+        stop = leaf.slot_after(high)
+        next_id = leaf.next_id if stop == len(leaf.records) else 0
         if first == stop:
             self.pool.unpin(leaf)
             if not next_id:
@@ -464,9 +461,9 @@ class XRTree:
             child_id = page.children[page.child_index_for(entry.start)]
             self.pool.unpin(page)
             page = self.pool.fetch(child_id)
-        starts = [r.start for r in page.records]
-        slot = bisect_left(starts, entry.start)
-        if slot >= len(starts) or starts[slot] != entry.start:
+        slot = page.slot_of(entry.start)
+        if slot >= len(page.records) \
+                or page.records[slot].start != entry.start:
             self.pool.unpin(page)
             raise XRTreeError("entry %d missing from its leaf" % entry.start)
         page.records[slot] = page.records[slot].with_flag(False)

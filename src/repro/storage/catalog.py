@@ -53,18 +53,20 @@ class CatalogPage(Page):
         return (page_size - PAGE_HEADER_SIZE - cls._HEADER.size) \
             // cls._ENTRY.size
 
-    def encode_payload(self):
-        parts = [self._HEADER.pack(len(self.entries), self.next_id)]
+    def encode_payload(self, out):
+        self._HEADER.pack_into(out, 0, len(self.entries), self.next_id)
+        offset = self._HEADER.size
         for entry in self.entries:
             name = entry["name"].encode("utf-8")
             if len(name) > 32:
                 raise CatalogError("name %r exceeds 32 bytes" % entry["name"])
-            parts.append(self._ENTRY.pack(
+            self._ENTRY.pack_into(
+                out, offset,
                 name, entry["kind"], entry["root"], entry["height"],
                 entry["size"], entry["leaf_capacity"],
                 entry["internal_capacity"],
-            ))
-        return b"".join(parts)
+            )
+            offset += self._ENTRY.size
 
     @classmethod
     def decode_payload(cls, data, page_size):
@@ -105,8 +107,9 @@ class BlobPage(Page):
     def capacity(cls, page_size):
         return page_size - PAGE_HEADER_SIZE - cls._HEADER.size
 
-    def encode_payload(self):
-        return self._HEADER.pack(len(self.data), self.next_id) + self.data
+    def encode_payload(self, out):
+        self._HEADER.pack_into(out, 0, len(self.data), self.next_id)
+        out[self._HEADER.size : self._HEADER.size + len(self.data)] = self.data
 
     @classmethod
     def decode_payload(cls, data, page_size):

@@ -18,7 +18,9 @@ class PageFullError(StorageError):
 
 
 class PageDecodeError(StorageError):
-    """On-disk bytes could not be decoded into a typed page object."""
+    """On-disk bytes could not be decoded into a typed page object, or a
+    page object does not encode into an image (payload too large, a field
+    out of its record's range)."""
 
 
 class ChecksumError(PageDecodeError):

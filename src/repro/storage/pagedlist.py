@@ -12,6 +12,8 @@ the next page in the chain).
 """
 
 import struct
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 from repro.storage.errors import PageDecodeError
 from repro.storage.pages import (
@@ -21,15 +23,19 @@ from repro.storage.pages import (
     register_page_type,
 )
 
+_START = attrgetter("start")
+
 
 class RecordPage(Page):
-    """A page holding a list of fixed-size records and a next-page link.
+    """A page of :class:`ElementEntry` records and a next-page link.
 
-    Subclasses set ``RECORD_SIZE``, ``pack_record`` and ``unpack_record``.
+    Owns the record codec — one ``iter_unpack`` over the page's record
+    region, one ``pack_into`` per record straight into the page image — and
+    the in-page search on ``start``.  A concrete page type adds only its
+    ``TYPE_ID``.
     """
 
     _HEADER = struct.Struct("<HI")  # record count, next page id (0 = nil)
-    RECORD_SIZE = None
 
     def __init__(self, records=None, next_id=0):
         super().__init__()
@@ -40,36 +46,37 @@ class RecordPage(Page):
     def capacity(cls, page_size):
         """Maximum number of records a page of ``page_size`` bytes holds."""
         return (page_size - PAGE_HEADER_SIZE - cls._HEADER.size) \
-            // cls.RECORD_SIZE
+            // ElementEntry.SIZE
 
-    def encode_payload(self):
-        parts = [self._HEADER.pack(len(self.records), self.next_id)]
-        parts.extend(self.pack_record(record) for record in self.records)
-        return b"".join(parts)
+    def encode_payload(self, out):
+        self._HEADER.pack_into(out, 0, len(self.records), self.next_id)
+        pack_into = ElementEntry.STRUCT.pack_into
+        offset = self._HEADER.size
+        for record in self.records:
+            pack_into(out, offset, record.doc_id, record.start, record.end,
+                      record.level, record.in_stab_list, record.ptr)
+            offset += ElementEntry.SIZE
 
     @classmethod
     def decode_payload(cls, data, page_size):
         count, next_id = cls._HEADER.unpack_from(data, 0)
-        if cls._HEADER.size + count * cls.RECORD_SIZE > len(data):
+        end = cls._HEADER.size + count * ElementEntry.SIZE
+        if end > len(data):
             raise PageDecodeError(
                 "%s claims %d records but the payload holds at most %d"
                 % (cls.__name__, count,
-                   (len(data) - cls._HEADER.size) // cls.RECORD_SIZE)
+                   (len(data) - cls._HEADER.size) // ElementEntry.SIZE)
             )
-        offset = cls._HEADER.size
-        records = []
-        for _ in range(count):
-            records.append(cls.unpack_record(data, offset))
-            offset += cls.RECORD_SIZE
-        return cls(records, next_id)
+        fields = ElementEntry.STRUCT.iter_unpack(data[cls._HEADER.size : end])
+        return cls([ElementEntry(*record) for record in fields], next_id)
 
-    @staticmethod
-    def pack_record(record):
-        raise NotImplementedError
+    def slot_of(self, key):
+        """Slot of the first record with ``start >= key``."""
+        return bisect_left(self.records, key, key=_START)
 
-    @staticmethod
-    def unpack_record(data, offset):
-        raise NotImplementedError
+    def slot_after(self, key):
+        """Slot of the first record with ``start > key``."""
+        return bisect_right(self.records, key, key=_START)
 
 
 @register_page_type
@@ -77,15 +84,6 @@ class ElementListPage(RecordPage):
     """A page of :class:`ElementEntry` records in document order."""
 
     TYPE_ID = 2
-    RECORD_SIZE = ElementEntry.SIZE
-
-    @staticmethod
-    def pack_record(record):
-        return record.pack()
-
-    @staticmethod
-    def unpack_record(data, offset):
-        return ElementEntry.unpack_from(data, offset)
 
 
 class PagedElementList:

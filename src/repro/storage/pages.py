@@ -15,7 +15,6 @@ interpreted.
 
 import struct
 import zlib
-from dataclasses import dataclass, field
 
 from repro.storage.errors import ChecksumError, PageDecodeError
 
@@ -26,12 +25,17 @@ _CHECKSUM = struct.Struct("<I")
 #: Bytes every page image reserves before the payload: type tag + CRC-32.
 PAGE_HEADER_SIZE = 1 + _CHECKSUM.size
 
+_ZEROED_CHECKSUM = bytes(_CHECKSUM.size)
+
 
 def page_checksum(image):
-    """CRC-32 of a full page image, with the checksum field zeroed."""
-    buf = bytearray(image)
-    _CHECKSUM.pack_into(buf, 1, 0)
-    return zlib.crc32(bytes(buf)) & 0xFFFFFFFF
+    """CRC-32 of a full page image, with the checksum field zeroed (chained
+    over views of the tag, four zero bytes and the rest: no copy)."""
+    view = memoryview(image)
+    return zlib.crc32(
+        view[PAGE_HEADER_SIZE:],
+        zlib.crc32(_ZEROED_CHECKSUM, zlib.crc32(view[:1])),
+    )
 
 
 def seal_image(image):
@@ -41,9 +45,9 @@ def seal_image(image):
     pass verification (e.g. to corrupt a *payload* field surgically).
     """
     buf = bytearray(image)
-    _CHECKSUM.pack_into(buf, 1, 0)
-    _CHECKSUM.pack_into(buf, 1, zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+    _CHECKSUM.pack_into(buf, 1, page_checksum(buf))
     return bytes(buf)
+
 
 #: Registry mapping the page-type byte to the page class.
 _PAGE_TYPES = {}
@@ -92,17 +96,23 @@ class Page:
     # -- codec ---------------------------------------------------------------
 
     def encode(self, page_size):
-        """Serialize to a full checksummed page image of ``page_size`` bytes."""
-        payload = self.encode_payload()
-        if len(payload) + PAGE_HEADER_SIZE > page_size:
-            raise PageDecodeError(
-                "%s payload of %d bytes exceeds page size %d"
-                % (type(self).__name__, len(payload), page_size)
-            )
+        """Serialize to a full checksummed page image of ``page_size`` bytes.
+
+        A payload that does not fit the page, or a field its record format
+        cannot hold, raises :class:`~repro.storage.errors.PageDecodeError`
+        (never a raw ``struct.error`` out of buffer-pool write-back).
+        """
         image = bytearray(page_size)
         image[0] = self.TYPE_ID
-        image[PAGE_HEADER_SIZE : PAGE_HEADER_SIZE + len(payload)] = payload
-        return seal_image(image)
+        try:
+            self.encode_payload(memoryview(image)[PAGE_HEADER_SIZE:])
+        except (struct.error, ValueError) as exc:
+            raise PageDecodeError(
+                "%s does not encode into a %d-byte page: %s"
+                % (type(self).__name__, page_size, exc)
+            ) from exc
+        _CHECKSUM.pack_into(image, 1, page_checksum(image))
+        return bytes(image)
 
     @classmethod
     def decode(cls, data, page_size, verify=True):
@@ -110,29 +120,33 @@ class Page:
 
         Verifies the page checksum first (raising
         :class:`~repro.storage.errors.ChecksumError` on mismatch) unless
-        ``verify`` is False, then dispatches on the type tag.  Any raw
-        ``struct``/index error a payload decoder leaks is normalized to
+        ``verify`` is False, then dispatches on the type tag, handing the
+        payload on as a view.  Any raw ``struct``/index error a payload
+        decoder leaks is normalized to
         :class:`~repro.storage.errors.PageDecodeError`.
         """
         if not data:
             raise PageDecodeError("empty page image")
-        image = bytes(data[:page_size])
-        if len(image) < PAGE_HEADER_SIZE:
+        if type(data) is not bytes or len(data) != page_size:
+            data = bytes(data[:page_size])
+        if len(data) < PAGE_HEADER_SIZE:
             raise PageDecodeError(
                 "page image of %d bytes is shorter than the %d-byte header"
-                % (len(image), PAGE_HEADER_SIZE)
+                % (len(data), PAGE_HEADER_SIZE)
             )
         if verify:
-            (stored,) = _CHECKSUM.unpack_from(image, 1)
-            computed = page_checksum(image)
+            (stored,) = _CHECKSUM.unpack_from(data, 1)
+            computed = page_checksum(data)
             if stored != computed:
                 raise ChecksumError(
                     "page image failed CRC-32 verification "
                     "(stored 0x%08x, computed 0x%08x)" % (stored, computed)
                 )
-        page_cls = page_codec(image[0])
+        page_cls = page_codec(data[0])
         try:
-            return page_cls.decode_payload(image[PAGE_HEADER_SIZE:], page_size)
+            return page_cls.decode_payload(
+                memoryview(data)[PAGE_HEADER_SIZE:], page_size
+            )
         except PageDecodeError:
             raise
         except (struct.error, IndexError, ValueError) as exc:
@@ -141,11 +155,14 @@ class Page:
                 % (page_cls.__name__, exc)
             ) from exc
 
-    def encode_payload(self):
+    def encode_payload(self, out):
+        """Write the payload into ``out``, a writable view of the page image
+        past its header (writing beyond it raises)."""
         raise NotImplementedError
 
     @classmethod
     def decode_payload(cls, data, page_size):
+        """Build the page from ``data``, a view of the same region."""
         raise NotImplementedError
 
 
@@ -160,8 +177,10 @@ class RawPage(Page):
         super().__init__()
         self.payload = bytes(payload)
 
-    def encode_payload(self):
-        return self._HEADER.pack(len(self.payload)) + self.payload
+    def encode_payload(self, out):
+        self._HEADER.pack_into(out, 0, len(self.payload))
+        out[self._HEADER.size : self._HEADER.size + len(self.payload)] = \
+            self.payload
 
     @classmethod
     def decode_payload(cls, data, page_size):
@@ -174,7 +193,6 @@ class RawPage(Page):
         return cls(data[cls._HEADER.size : cls._HEADER.size + length])
 
 
-@dataclass(frozen=True)
 class ElementEntry:
     """The canonical on-disk record for one region-encoded XML element.
 
@@ -182,31 +200,57 @@ class ElementEntry:
     Section 2.2.  ``in_stab_list`` is the ``InStabList`` flag of Definition 4
     (meaningful in XR-tree leaf pages); ``ptr`` points at the data entry for
     the element (we store the element's ordinal in its source document).
+
+    Equality and hash cover ``(doc_id, start, end, level)`` only: the flag
+    and ``ptr`` are index-internal bookkeeping, so the same element compares
+    equal whether it came from a leaf page, a stab list or a plain element
+    list.  Entries are shared between pages, cursors and results and must
+    never be assigned to; :meth:`with_flag` is the only way to get a
+    different flag.  That is a convention, no longer enforced: one entry is
+    built per decoded record, and a frozen dataclass's six
+    ``object.__setattr__`` calls were most of what a page miss cost.
     """
 
-    doc_id: int
-    start: int
-    end: int
-    level: int
-    # Index-internal bookkeeping: excluded from equality/hash so that the
-    # same element compares equal whether it came from a leaf page, a stab
-    # list or a plain element list.
-    in_stab_list: bool = field(default=False, compare=False)
-    ptr: int = field(default=0, compare=False)
+    __slots__ = ("doc_id", "start", "end", "level", "in_stab_list", "ptr")
 
-    STRUCT = struct.Struct("<iiiHBq")
-    SIZE = struct.Struct("<iiiHBq").size
+    #: ``?`` reads the flag byte back as a real ``bool``.
+    STRUCT = struct.Struct("<iiiH?q")
+    SIZE = STRUCT.size
+
+    def __init__(self, doc_id, start, end, level, in_stab_list=False, ptr=0):
+        self.doc_id = doc_id
+        self.start = start
+        self.end = end
+        self.level = level
+        self.in_stab_list = in_stab_list
+        self.ptr = ptr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.doc_id, self.start, self.end, self.level) == (
+            other.doc_id, other.start, other.end, other.level)
+
+    def __hash__(self):
+        return hash((self.doc_id, self.start, self.end, self.level))
+
+    def __repr__(self):
+        return (
+            "ElementEntry(doc_id=%r, start=%r, end=%r, level=%r, "
+            "in_stab_list=%r, ptr=%r)"
+            % (self.doc_id, self.start, self.end, self.level,
+               self.in_stab_list, self.ptr)
+        )
 
     def pack(self):
         return self.STRUCT.pack(
             self.doc_id, self.start, self.end, self.level,
-            1 if self.in_stab_list else 0, self.ptr,
+            self.in_stab_list, self.ptr,
         )
 
     @classmethod
     def unpack_from(cls, data, offset):
-        doc_id, start, end, level, flag, ptr = cls.STRUCT.unpack_from(data, offset)
-        return cls(doc_id, start, end, level, bool(flag), ptr)
+        return cls(*cls.STRUCT.unpack_from(data, offset))
 
     # -- structural predicates (region encoding, Section 2.1) ----------------
 

@@ -127,6 +127,31 @@ class TestInMemoryDatabase:
                 len(db.query("//name"))) == before
         assert db.add_document(DOC_A) == 3  # the id was not spent either
 
+    @pytest.mark.parametrize("next_base, xml", [
+        # Regions are never reused, so the int32 numbering does run out.
+        (2 ** 31 - 4, "<a><b/><b/></a>"),
+        (None, "<a>" * 65537 + "</a>" * 65537),  # level is a uint16
+    ])
+    def test_document_the_record_cannot_hold_is_rejected(self, db, next_base,
+                                                         xml):
+        """Such a document used to be accepted, after which every flush
+        raised a raw ``struct.error`` from inside page write-back and the
+        database could never commit again."""
+        db.flush()
+        if next_base is not None:
+            db._next_base = next_base
+        before = (db.documents(), db.tags(), db.element_count(),
+                  db._next_base, db._next_id, len(db.query("//name")))
+        with pytest.raises(XmlDatabaseError, match="does not fit"):
+            db.add_document(xml)
+        assert (db.documents(), db.tags(), db.element_count(),
+                db._next_base, db._next_id, len(db.query("//name"))) == before
+        db.flush()
+        assert db.add_document("<name/>") == 3  # one that fits still commits
+        db.flush()
+        assert db.verify() == len(db.tags())
+        assert len(db.query("//name")) == before[-1] + 1
+
     def test_explain(self, db):
         plan = db.explain("//emp//name")
         assert "plan for //emp//name" in plan

@@ -1,8 +1,12 @@
 """Tests for page codecs and ElementEntry (repro.storage.pages)."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.storage.errors import ChecksumError, PageDecodeError
+from repro.storage.errors import ChecksumError, PageDecodeError, StorageError
+from repro.storage.pagedlist import ElementListPage
 from repro.storage.pages import (
     PAGE_HEADER_SIZE,
     ElementEntry,
@@ -33,6 +37,13 @@ class TestRawPageCodec:
     def test_oversized_payload_rejected(self):
         with pytest.raises(PageDecodeError):
             RawPage(b"x" * 300).encode(256)
+
+    def test_field_the_record_cannot_hold_is_a_storage_error(self):
+        """Not the raw ``struct.error`` buffer-pool write-back used to leak."""
+        for bad in (entry(2 ** 31, 2 ** 31 + 1), entry(1, 2, level=65536),
+                    entry(1, 2, ptr=2 ** 63)):
+            with pytest.raises(StorageError, match="ElementListPage"):
+                ElementListPage([entry(1, 2), bad]).encode(128)
 
     def test_unknown_type_byte_rejected(self):
         with pytest.raises(PageDecodeError):
@@ -100,6 +111,69 @@ class TestElementEntryCodec:
     def test_negative_doc_id_roundtrips(self):
         original = ElementEntry(-1, 5, 9, 0)
         assert ElementEntry.unpack_from(original.pack(), 0) == original
+
+
+class TestElementEntryValue:
+    """What the rest of the library relies on an entry being."""
+
+    def test_equality_and_hash_ignore_flag_and_ptr(self):
+        plain, flagged = entry(1, 9), entry(1, 9, flag=True, ptr=7)
+        assert plain == flagged and not plain != flagged
+        assert hash(plain) == hash(flagged)
+        for other in (entry(2, 9), entry(1, 8), entry(1, 9, level=2),
+                      entry(1, 9, doc=2)):
+            assert plain != other and not plain == other
+        assert plain != (1, 1, 9, 1) and plain != None  # noqa: E711
+
+    def test_usable_in_sets_and_as_dict_keys(self):
+        seen = {entry(1, 9), entry(1, 9, flag=True, ptr=3), entry(2, 5)}
+        assert len(seen) == 2
+        owners = {entry(1, 9): "leaf"}
+        assert owners[entry(1, 9, flag=True, ptr=99)] == "leaf"
+
+    def test_unordered(self):
+        with pytest.raises(TypeError):
+            sorted([entry(2, 5), entry(1, 9)])
+
+    def test_with_flag_returns_a_new_object(self):
+        original = entry(1, 9, flag=False, ptr=42)
+        flagged = original.with_flag(True)
+        assert flagged is not original
+        assert flagged.in_stab_list is True
+        assert original.in_stab_list is False
+        assert (flagged.doc_id, flagged.start, flagged.end, flagged.level,
+                flagged.ptr) == (1, 1, 9, 1, 42)
+
+    def test_decoded_flag_is_a_real_bool(self):
+        image = ElementListPage([entry(1, 2, flag=True),
+                                 entry(3, 4, flag=False)]).encode(128)
+        on, off = Page.decode(image, 128).records
+        assert on.in_stab_list is True
+        assert off.in_stab_list is False
+        assert ElementEntry.unpack_from(on.pack(), 0).in_stab_list is True
+
+    def test_copy_and_pickle_roundtrip(self):
+        original = ElementEntry(3, 17, 90, 4, True, 1234567890123)
+        for clone in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert clone == original
+            assert (clone.in_stab_list, clone.ptr) == (True, 1234567890123)
+
+    def test_repr_text(self):
+        assert repr(ElementEntry(3, 17, 90, 4)) == (
+            "ElementEntry(doc_id=3, start=17, end=90, level=4, "
+            "in_stab_list=False, ptr=0)")
+        assert repr(entry(1, 2, flag=True, ptr=-5)).endswith(
+            "in_stab_list=True, ptr=-5)")
+
+    def test_immutability_is_a_documented_convention(self):
+        """PR 18 traded the frozen dataclass's enforcement for a cheap
+        record: the class says so, carries no ``__dict__`` to grow stray
+        attributes in, and nothing but construction sets a field."""
+        assert "never be assigned to" in " ".join(ElementEntry.__doc__.split())
+        assert not hasattr(entry(1, 2), "__dict__")
+        with pytest.raises(AttributeError):
+            entry(1, 2).parent = None
 
 
 class TestElementEntryPredicates:
