@@ -45,40 +45,6 @@ def test_buffer_size_insensitivity(benchmark):
     assert max(misses) <= min(misses) * 3 + 20
 
 
-def test_replacement_policy(benchmark):
-    """LRU vs CLOCK replacement under the join workload.
-
-    Ordered probes touch index pages at most once (Section 6.1), so both
-    policies behave nearly identically here — the policy ablation confirms
-    the paper's buffer-insensitivity argument from another angle.
-    """
-    from repro.core.api import StorageContext
-
-    data = department_dataset(10000, seed=7)
-
-    def run():
-        results = {}
-        for policy in ("lru", "clock"):
-            context = StorageContext(page_size=1024, buffer_pages=50)
-            from repro.storage.buffer import BufferPool
-
-            context.pool = BufferPool(context.disk, 50, policy=policy)
-            outcome = structural_join(data.ancestors, data.descendants,
-                                      algorithm="xr-stack",
-                                      context=context, collect=False)
-            results[policy] = outcome
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\n=== Ablation: buffer replacement policy ===")
-    for policy, outcome in results.items():
-        print("%-6s misses: %5d  scanned: %6d"
-              % (policy, outcome.page_misses,
-                 outcome.stats.elements_scanned))
-    assert results["lru"].pair_count == results["clock"].pair_count
-    assert results["clock"].page_misses <= results["lru"].page_misses * 2
-
-
 def test_mpmgjn_pays_for_rescans(benchmark):
     data = department_dataset(8000, seed=7)
 

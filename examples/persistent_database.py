@@ -2,10 +2,10 @@
 
 Shows the storage-engine face of the library: a file-backed storage
 context, a catalog page recording every structure's metadata, and XR-tree /
-B+-tree indexes that survive process restarts byte-for-byte.  Reopening
-goes through an :class:`~repro.storage.indexmanager.IndexManager`, so
-repeated access to the same index reuses one live handle instead of
-re-deserializing it from the catalog.
+B+-tree indexes that survive process restarts byte-for-byte.  The XR-tree
+is reopened through an :class:`~repro.storage.indexmanager.IndexManager`,
+so repeated access reuses one live handle instead of re-deserializing it
+from the catalog.
 
 Run:  python examples/persistent_database.py
 """
@@ -51,8 +51,7 @@ def reopen_and_query(path, data):
         catalog = Catalog.open(context.pool)
         print("catalog:", catalog.names())
         manager = context.attach_index_manager(
-            IndexManager(catalog, pool=context.pool)
-        )
+            IndexManager(catalog, context.pool))
 
         employees = manager.get_xrtree("employees")
         check_xrtree(employees)
@@ -65,11 +64,11 @@ def reopen_and_query(path, data):
               % (probe.start, len(ancestors),
                  [a.start for a in ancestors]))
 
-        names = manager.get_bptree("names")
+        names = catalog.load_bptree("names")
         found = names.search(probe.start)
         print("B+-tree lookup of that name:", (found.start, found.end))
 
-        # Re-fetching goes through the handle cache, not the catalog.
+        # Re-fetching returns the live handle; the catalog is not re-read.
         assert manager.get_xrtree("employees") is employees
         stats = context.index_stats
         print("index handles: %d loads, %d hits (hit rate %.2f)"

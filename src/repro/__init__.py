@@ -20,7 +20,6 @@ The package provides, from scratch:
 
 from repro.core import (
     ALGORITHMS,
-    DatabaseConfig,
     JoinOutcome,
     Session,
     StorageContext,
@@ -37,7 +36,6 @@ __all__ = [
     "ALGORITHMS",
     "AdmissionController",
     "CancellationToken",
-    "DatabaseConfig",
     "ElementEntry",
     "JoinOutcome",
     "QueryContext",

@@ -11,13 +11,11 @@ from repro.core.api import (
     build_xr_tree,
     structural_join,
 )
-from repro.core.config import DatabaseConfig
 from repro.core.database import XmlDatabase
 from repro.core.session import Session, SessionError
 
 __all__ = [
     "ALGORITHMS",
-    "DatabaseConfig",
     "JoinOutcome",
     "Session",
     "SessionError",

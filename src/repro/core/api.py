@@ -14,7 +14,6 @@ Typical use::
 import time
 from dataclasses import dataclass, field
 
-from repro.core.config import DatabaseConfig, merge_config
 from repro.indexes.bptree import BPlusTree
 from repro.indexes.xrtree import XRTree
 from repro.joins import nested_loop_join
@@ -47,22 +46,11 @@ class StorageContext:
 
         with StorageContext(path="corpus.pages") as context:
             ...
-
-    ``config`` takes a :class:`~repro.core.config.DatabaseConfig` carrying
-    page size, pool size, durability and time model in one object — the
-    same config every database entry point accepts.  The individual
-    kwargs remain supported (an explicit kwarg overrides the config) but
-    new code should prefer ``config=``; the per-option spellings are kept
-    for compatibility and may eventually go away.
     """
 
-    def __init__(self, page_size=None, buffer_pages=None, path=None,
-                 time_model=None, disk=None, durability=None,
-                 archive_dir=None, config=None):
-        config = merge_config(config, page_size=page_size,
-                              buffer_pages=buffer_pages,
-                              durability=durability, time_model=time_model)
-        page_size = config.resolve("page_size", DEFAULT_PAGE_SIZE)
+    def __init__(self, page_size=DEFAULT_PAGE_SIZE,
+                 buffer_pages=DEFAULT_POOL_PAGES, path=None, time_model=None,
+                 disk=None, durability="journal", archive_dir=None):
         if disk is not None:
             # An externally built disk (e.g. a FaultInjectingDisk wrapper,
             # or a FileDisk with a non-default durability mode).
@@ -74,30 +62,24 @@ class StorageContext:
             # sequence-numbered segments (in ``archive_dir``, default
             # ``<path>.archive``) — the stream backups, point-in-time
             # recovery and standby replicas consume.
-            self.disk = FileDisk(path, page_size,
-                                 durability=config.resolve("durability",
-                                                           "journal"),
+            self.disk = FileDisk(path, page_size, durability=durability,
                                  archive_dir=archive_dir)
-        self.pool = BufferPool(
-            self.disk, config.resolve("buffer_pages", DEFAULT_POOL_PAGES))
-        self.time_model = config.time_model or DiskTimeModel()
+        self.pool = BufferPool(self.disk, buffer_pages)
+        self.time_model = time_model or DiskTimeModel()
         self.indexes = None  # attached IndexManager, if any
 
     @classmethod
-    def from_pool(cls, pool, time_model=None, config=None):
+    def from_pool(cls, pool, time_model=None):
         """Wrap an existing buffer pool (and its disk) in a context.
 
         Lets measurement helpers run against structures that were built
         elsewhere — e.g. prebuilt join inputs handed to
-        :func:`structural_join`.  Only the ``time_model`` of ``config``
-        applies here (the pool and its disk already exist); the explicit
-        ``time_model`` kwarg, kept for compatibility, wins over it.
+        :func:`structural_join`.
         """
-        config = merge_config(config, time_model=time_model)
         context = cls.__new__(cls)
         context.disk = pool.disk
         context.pool = pool
-        context.time_model = config.time_model or DiskTimeModel()
+        context.time_model = time_model or DiskTimeModel()
         context.indexes = None
         return context
 
@@ -123,7 +105,7 @@ class StorageContext:
 
     @property
     def index_stats(self):
-        """Handle-cache counters of the attached index manager.
+        """Handle counters of the attached index manager.
 
         Always returns an :class:`IndexManagerStats` (all zero when no
         manager is attached), so callers can read counters unconditionally.

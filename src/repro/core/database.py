@@ -24,23 +24,22 @@ elements across documents.
 Index handles are owned by an :class:`~repro.storage.indexmanager.\
 IndexManager`: repeated queries reuse live trees instead of
 re-deserializing them from the catalog, mutations mark handles dirty and
-catalog metadata writes back in batches (on eviction, ``flush()`` and
-``close()``), and a mutation invalidates only the touched tags' query
-caches instead of discarding the whole engine.  ``db.index_stats`` exposes
-the handle-cache counters.
+catalog metadata writes back in batches (on ``flush()`` and ``close()``),
+and a mutation invalidates only the touched tags' query caches instead of
+discarding the whole engine.  ``db.index_stats`` exposes the handle
+counters.
 """
 
 import json
 import struct
 
 from repro.core.api import StorageContext
-from repro.core.config import merge_config
 from repro.core.session import Session
 from repro.obs import Observability
 from repro.query.engine import PathQueryEngine
 from repro.storage.catalog import Catalog
 from repro.storage.errors import DiskFullError, ReadOnlyError
-from repro.storage.indexmanager import DEFAULT_HANDLE_BUDGET, IndexManager
+from repro.storage.indexmanager import IndexManager
 from repro.storage.pages import ElementEntry
 from repro.storage.scrub import IndexQuarantinedError, IntegrityScrubber
 from repro.xmldata.parser import parse_document
@@ -57,12 +56,11 @@ class XmlDatabaseError(Exception):
 class XmlDatabase:
     """A persistent, queryable collection of XML documents."""
 
-    def __init__(self, context, catalog, handle_budget=DEFAULT_HANDLE_BUDGET):
+    def __init__(self, context, catalog):
         self._context = context
         self._catalog = catalog
         self._indexes = context.attach_index_manager(
-            IndexManager(catalog, pool=context.pool, capacity=handle_budget)
-        )
+            IndexManager(catalog, context.pool))
         self._load_registry()
         self._sessions = set()
         self._live_session = None
@@ -84,17 +82,9 @@ class XmlDatabase:
     # -- lifecycle ------------------------------------------------------------
 
     @classmethod
-    def create(cls, path=None, page_size=None, buffer_pages=None,
-               handle_budget=None, disk=None, durability=None,
-               archive_dir=None, config=None):
+    def create(cls, path=None, page_size=4096, buffer_pages=256, disk=None,
+               durability="journal", archive_dir=None):
         """Create a fresh database (in memory when ``path`` is None).
-
-        Storage options come from one :class:`~repro.core.config.\
-        DatabaseConfig` passed as ``config``; the per-option kwargs
-        (``page_size`` default 4096, ``buffer_pages`` default 256,
-        ``handle_budget``, ``durability`` default ``"journal"``) remain
-        accepted and win over the config when given — new code should
-        prefer the config object.
 
         Pass ``disk`` to supply a pre-built disk — e.g. a
         :class:`~repro.storage.faults.FaultInjectingDisk` wrapper or a
@@ -103,46 +93,26 @@ class XmlDatabase:
         ``archive_dir``, default ``<path>.archive``) for backups,
         point-in-time recovery and standby replication.
         """
-        config = merge_config(config, page_size=page_size,
-                              buffer_pages=buffer_pages,
-                              handle_budget=handle_budget,
-                              durability=durability)
-        context = StorageContext(
-            config.resolve("page_size", 4096),
-            config.resolve("buffer_pages", 256),
-            path=path, disk=disk,
-            durability=config.resolve("durability", "journal"),
-            archive_dir=archive_dir, time_model=config.time_model)
-        catalog = Catalog.create(context.pool)
-        database = cls(context, catalog,
-                       config.resolve("handle_budget",
-                                      DEFAULT_HANDLE_BUDGET))
+        context = StorageContext(page_size, buffer_pages, path=path,
+                                 disk=disk, durability=durability,
+                                 archive_dir=archive_dir)
+        database = cls(context, Catalog.create(context.pool))
         database._save_registry()
         return database
 
     @classmethod
-    def open(cls, path=None, page_size=None, buffer_pages=None,
-             handle_budget=None, disk=None, durability=None,
-             archive_dir=None, config=None):
+    def open(cls, path=None, page_size=4096, buffer_pages=256, disk=None,
+             durability="journal", archive_dir=None):
         """Reopen an existing database file (recovery runs on open).
 
-        Takes the same ``config``/kwargs contract as :meth:`create`.
+        Takes the same storage options as :meth:`create`.
         """
         if path is None and disk is None:
             raise XmlDatabaseError("open() needs a path or a disk")
-        config = merge_config(config, page_size=page_size,
-                              buffer_pages=buffer_pages,
-                              handle_budget=handle_budget,
-                              durability=durability)
-        context = StorageContext(
-            config.resolve("page_size", 4096),
-            config.resolve("buffer_pages", 256),
-            path=path, disk=disk,
-            durability=config.resolve("durability", "journal"),
-            archive_dir=archive_dir, time_model=config.time_model)
-        catalog = Catalog.open(context.pool)
-        return cls(context, catalog,
-                   config.resolve("handle_budget", DEFAULT_HANDLE_BUDGET))
+        context = StorageContext(page_size, buffer_pages, path=path,
+                                 disk=disk, durability=durability,
+                                 archive_dir=archive_dir)
+        return cls(context, Catalog.open(context.pool))
 
     @classmethod
     def restore(cls, backup_dir, path, archive_dir=None, upto_sequence=None,
@@ -274,7 +244,7 @@ class XmlDatabase:
 
     @property
     def index_stats(self):
-        """Handle-cache counters (hits, misses, loads, evictions, ...).
+        """Index-handle counters (hits, misses, loads, writebacks, ...).
 
         Also carries the buffer pool's ``max_pinned`` high-water mark —
         the most frames any operation held pinned at once, the floor a
@@ -635,7 +605,6 @@ class XmlDatabase:
             "misses": index.misses,
             "loads": index.loads,
             "creations": index.creations,
-            "evictions": index.evictions,
             "writebacks": index.writebacks,
             "invalidations": index.invalidations,
         }
@@ -712,103 +681,86 @@ class XmlDatabase:
         }
 
     def _register_collectors(self):
-        """Mirror every subsystem's counters into pull-refreshed gauges."""
-        m = self.observability.metrics
-        gauges = {}
+        """Mirror every subsystem's counters into pull-refreshed gauges.
 
-        def gauge(name, help_text):
-            gauges[name] = m.gauge(name, help_text)
-
-        gauge("repro_buffer_hits", "Buffer pool page hits")
-        gauge("repro_buffer_misses", "Buffer pool page misses")
-        gauge("repro_buffer_evictions", "Buffer pool evictions")
-        gauge("repro_buffer_writebacks", "Buffer pool writebacks")
-        gauge("repro_buffer_max_pinned", "Pinned-frame high-water mark")
-        gauge("repro_index_handle_hits", "Index handle-cache hits")
-        gauge("repro_index_handle_misses", "Index handle-cache misses")
-        gauge("repro_index_handle_loads", "Index catalog loads")
-        gauge("repro_index_handle_evictions", "Index handle evictions")
-        gauge("repro_index_handle_writebacks",
-              "Index metadata writebacks")
-        gauge("repro_admission_admitted", "Queries admitted")
-        gauge("repro_admission_rejected", "Queries rejected by admission")
-        gauge("repro_admission_peak_active",
-              "Admission concurrent-query high-water mark")
-        gauge("repro_recovery_replayed_groups",
-              "Journal groups replayed at open")
-        gauge("repro_recovery_discarded_groups",
-              "Incomplete journal groups discarded at open")
-        gauge("repro_journal_torn_groups",
-              "Non-empty journal/archive groups that failed to decode")
-        gauge("repro_scrub_entries_checked",
-              "Catalog entries verified by the scrubber (lifetime)")
-        gauge("repro_scrub_pages_read", "Cold pages read by the scrubber")
-        gauge("repro_scrub_corrupt",
-              "Catalog entries found corrupt (lifetime)")
-        gauge("repro_scrub_quarantined",
-              "Structures currently quarantined")
-        gauge("repro_sessions_active", "Open snapshot sessions")
-        gauge("repro_snapshot_lag",
-              "Commits the oldest pinned snapshot trails the head by")
-        gauge("repro_disk_full_degraded",
-              "1 while the database is read-only because a commit hit "
-              "ENOSPC")
-        gauge("repro_disk_full_commit_failures",
-              "Commits that failed with ENOSPC (lifetime)")
-        gauge("repro_disk_full_recoveries",
-              "Read-only degradations cleared by a later successful "
-              "commit")
-
-        def refresh(_registry):
-            pool = self._context.pool.stats
-            gauges["repro_buffer_hits"].set(pool.hits)
-            gauges["repro_buffer_misses"].set(pool.misses)
-            gauges["repro_buffer_evictions"].set(pool.evictions)
-            gauges["repro_buffer_writebacks"].set(pool.writebacks)
-            gauges["repro_buffer_max_pinned"].set(pool.max_pinned)
-            index = self._indexes.stats
-            gauges["repro_index_handle_hits"].set(index.hits)
-            gauges["repro_index_handle_misses"].set(index.misses)
-            gauges["repro_index_handle_loads"].set(index.loads)
-            gauges["repro_index_handle_evictions"].set(index.evictions)
-            gauges["repro_index_handle_writebacks"].set(index.writebacks)
-            if self._admission is not None:
-                a = self._admission.stats
-                gauges["repro_admission_admitted"].set(a.admitted)
-                gauges["repro_admission_rejected"].set(a.rejected)
-                gauges["repro_admission_peak_active"].set(a.peak_active)
-            if self.recovery_stats is not None:
-                r = self.recovery_stats
-                gauges["repro_recovery_replayed_groups"].set(
-                    r.replayed_groups)
-                gauges["repro_recovery_discarded_groups"].set(
-                    r.discarded_groups)
-                gauges["repro_journal_torn_groups"].set(r.torn_groups)
-            if self._scrubber is not None:
-                s = self._scrubber.stats()
-                gauges["repro_scrub_entries_checked"].set(
-                    s["entries_checked"])
-                gauges["repro_scrub_pages_read"].set(s["pages_read"])
-                gauges["repro_scrub_corrupt"].set(s["corrupt"])
-                gauges["repro_scrub_quarantined"].set(s["quarantined"])
-            gauges["repro_sessions_active"].set(len(self._sessions))
+        A subsystem that is not there (no admission controller, an
+        in-memory disk, a scrubber never run) reads as ``{}``: zeroes.
+        """
+        def derived():
             disk = self._context.disk
             versions = getattr(disk, "versions", None)
-            lag = 0
-            if versions is not None:
-                oldest = versions.min_pinned()
-                if oldest is not None:
-                    lag = disk.commit_sequence - oldest
-            gauges["repro_snapshot_lag"].set(lag)
-            gauges["repro_disk_full_degraded"].set(
-                0 if self._degraded_reason is None else 1)
-            gauges["repro_disk_full_commit_failures"].set(
-                self._disk_full_commit_failures)
-            gauges["repro_disk_full_recoveries"].set(
-                self._disk_full_recoveries)
+            oldest = versions.min_pinned() if versions is not None else None
+            return {
+                "sessions": len(self._sessions),
+                "lag": 0 if oldest is None else disk.commit_sequence - oldest,
+                "degraded": int(self._degraded_reason is not None),
+                "commit_failures": self._disk_full_commit_failures,
+                "recoveries": self._disk_full_recoveries,
+            }
 
-        m.register_collector(refresh, owns=tuple(sorted(gauges)),
-                             name="database")
+        for stats, spec in (
+            (self._context.pool.stats, (
+                ("repro_buffer_hits", "hits", "Buffer pool page hits"),
+                ("repro_buffer_misses", "misses", "Buffer pool page misses"),
+                ("repro_buffer_evictions", "evictions",
+                 "Buffer pool evictions"),
+                ("repro_buffer_writebacks", "writebacks",
+                 "Buffer pool writebacks"),
+                ("repro_buffer_max_pinned", "max_pinned",
+                 "Pinned-frame high-water mark"),
+            )),
+            (self._indexes.stats, (
+                ("repro_index_handle_hits", "hits",
+                 "Index handle-cache hits"),
+                ("repro_index_handle_misses", "misses",
+                 "Index handle-cache misses"),
+                ("repro_index_handle_loads", "loads", "Index catalog loads"),
+                ("repro_index_handle_writebacks", "writebacks",
+                 "Index metadata writebacks"),
+            )),
+            (lambda: self._admission.stats if self._admission is not None
+             else {}, (
+                ("repro_admission_admitted", "admitted", "Queries admitted"),
+                ("repro_admission_rejected", "rejected",
+                 "Queries rejected by admission"),
+                ("repro_admission_peak_active", "peak_active",
+                 "Admission concurrent-query high-water mark"),
+            )),
+            (lambda: self.recovery_stats or {}, (
+                ("repro_recovery_replayed_groups", "replayed_groups",
+                 "Journal groups replayed at open"),
+                ("repro_recovery_discarded_groups", "discarded_groups",
+                 "Incomplete journal groups discarded at open"),
+                ("repro_journal_torn_groups", "torn_groups",
+                 "Non-empty journal/archive groups that failed to decode"),
+            )),
+            (lambda: self._scrubber.stats() if self._scrubber is not None
+             else {}, (
+                ("repro_scrub_entries_checked", "entries_checked",
+                 "Catalog entries verified by the scrubber (lifetime)"),
+                ("repro_scrub_pages_read", "pages_read",
+                 "Cold pages read by the scrubber"),
+                ("repro_scrub_corrupt", "corrupt",
+                 "Catalog entries found corrupt (lifetime)"),
+                ("repro_scrub_quarantined", "quarantined",
+                 "Structures currently quarantined"),
+            )),
+            (derived, (
+                ("repro_sessions_active", "sessions",
+                 "Open snapshot sessions"),
+                ("repro_snapshot_lag", "lag",
+                 "Commits the oldest pinned snapshot trails the head by"),
+                ("repro_disk_full_degraded", "degraded",
+                 "1 while the database is read-only because a commit hit "
+                 "ENOSPC"),
+                ("repro_disk_full_commit_failures", "commit_failures",
+                 "Commits that failed with ENOSPC (lifetime)"),
+                ("repro_disk_full_recoveries", "recoveries",
+                 "Read-only degradations cleared by a later successful "
+                 "commit"),
+            )),
+        ):
+            self.observability.metrics.mirror(stats, spec, name="database")
 
     def verify(self):
         """Check every stored index's structural invariants.

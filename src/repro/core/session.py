@@ -77,9 +77,7 @@ class Session:
             context = StorageContext.from_pool(
                 pool, time_model=base_context.time_model)
             catalog = Catalog.open(pool)
-            self._manager = IndexManager(
-                catalog, pool=pool,
-                capacity=database._indexes.capacity)
+            self._manager = IndexManager(catalog, pool)
             try:
                 self._registry = json.loads(
                     catalog.load_blob("__documents__"))

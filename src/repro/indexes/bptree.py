@@ -16,7 +16,7 @@ from bisect import bisect_right
 from itertools import starmap
 
 from repro.storage.errors import PageDecodeError, StorageError
-from repro.storage.pagedlist import RecordPage
+from repro.storage.pagedlist import RecordCursor, RecordPage
 from repro.storage.pages import PAGE_HEADER_SIZE, Page, register_page_type
 
 
@@ -79,56 +79,6 @@ class BPlusInternalPage(Page):
     def child_index_for(self, key):
         """Index of the child subtree to descend into for ``key``."""
         return bisect_right(self.keys, key)
-
-
-class BPlusCursor:
-    """Forward cursor over the linked leaf level.
-
-    ``current`` is the entry under the cursor; ``advance`` moves right,
-    following leaf sibling links through the buffer pool.
-    """
-
-    def __init__(self, pool, leaf_id, slot):
-        self._pool = pool
-        self._leaf_id = leaf_id
-        self._slot = slot
-        self._records = []
-        self._next_id = 0
-        self._exhausted = leaf_id == 0
-        if not self._exhausted:
-            self._load(leaf_id)
-            self._normalize()
-
-    def _load(self, leaf_id):
-        with self._pool.pinned(leaf_id) as page:
-            self._records = page.records
-            self._next_id = page.next_id
-        self._leaf_id = leaf_id
-
-    def _normalize(self):
-        while self._slot >= len(self._records):
-            if not self._next_id:
-                self._exhausted = True
-                return
-            self._load(self._next_id)
-            self._slot = 0
-
-    @property
-    def at_end(self):
-        return self._exhausted
-
-    @property
-    def current(self):
-        if self._exhausted:
-            raise StopIteration("cursor is exhausted")
-        return self._records[self._slot]
-
-    def advance(self):
-        if self._exhausted:
-            return False
-        self._slot += 1
-        self._normalize()
-        return not self._exhausted
 
 
 def _balanced_chunks(items, per_chunk, minimum):
@@ -239,11 +189,11 @@ class BPlusTree:
         """Cursor positioned at the first entry with ``start >= key``."""
         path, leaf = self._descend(key)
         if leaf is None:
-            return BPlusCursor(self.pool, 0, 0)
+            return RecordCursor(self.pool, 0)
         slot = leaf.slot_of(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
-        return BPlusCursor(self.pool, leaf_id, slot)
+        return RecordCursor(self.pool, leaf_id, slot)
 
     def seek_after(self, key):
         """Cursor at the first entry with ``start > key`` (open-ended probe).
@@ -253,16 +203,16 @@ class BPlusTree:
         """
         path, leaf = self._descend(key)
         if leaf is None:
-            return BPlusCursor(self.pool, 0, 0)
+            return RecordCursor(self.pool, 0)
         slot = leaf.slot_after(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
-        return BPlusCursor(self.pool, leaf_id, slot)
+        return RecordCursor(self.pool, leaf_id, slot)
 
     def first(self):
         """Cursor at the smallest key."""
         if not self.root_id:
-            return BPlusCursor(self.pool, 0, 0)
+            return RecordCursor(self.pool, 0)
         page = self.pool.fetch(self.root_id)
         while isinstance(page, BPlusInternalPage):
             child_id = page.children[0]
@@ -270,7 +220,7 @@ class BPlusTree:
             page = self.pool.fetch(child_id)
         leaf_id = page.page_id
         self.pool.unpin(page)
-        return BPlusCursor(self.pool, leaf_id, 0)
+        return RecordCursor(self.pool, leaf_id)
 
     def predecessor(self, key):
         """The entry with the largest ``start < key``, or None."""

@@ -13,10 +13,10 @@ ranges).
 
 from bisect import bisect_left, bisect_right
 
-from repro.indexes.bptree import BPlusCursor
 from repro.indexes.xrtree.pages import NIL, XRInternalPage, XRLeafPage
 from repro.indexes.xrtree.stablist import StabList
 from repro.storage.errors import StorageError
+from repro.storage.pagedlist import RecordCursor
 
 
 class XRTreeError(StorageError):
@@ -95,11 +95,11 @@ class XRTree:
         """Cursor at the first entry with ``start >= key``."""
         _path, leaf = self._descend(key)
         if leaf is None:
-            return BPlusCursor(self.pool, 0, 0)
+            return RecordCursor(self.pool, 0)
         slot = leaf.slot_of(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
-        return BPlusCursor(self.pool, leaf_id, slot)
+        return RecordCursor(self.pool, leaf_id, slot)
 
     def seek_after(self, key):
         """Cursor at the first entry with ``start > key`` — the open-ended
@@ -107,16 +107,16 @@ class XRTree:
         descendants (Section 5.2)."""
         _path, leaf = self._descend(key)
         if leaf is None:
-            return BPlusCursor(self.pool, 0, 0)
+            return RecordCursor(self.pool, 0)
         slot = leaf.slot_after(key)
         leaf_id = leaf.page_id
         self.pool.unpin(leaf)
-        return BPlusCursor(self.pool, leaf_id, slot)
+        return RecordCursor(self.pool, leaf_id, slot)
 
     def first(self):
         """Cursor at the smallest key."""
         if not self.root_id:
-            return BPlusCursor(self.pool, 0, 0)
+            return RecordCursor(self.pool, 0)
         page = self.pool.fetch(self.root_id)
         while isinstance(page, XRInternalPage):
             child_id = page.children[0]
@@ -124,7 +124,7 @@ class XRTree:
             page = self.pool.fetch(child_id)
         leaf_id = page.page_id
         self.pool.unpin(page)
-        return BPlusCursor(self.pool, leaf_id, 0)
+        return RecordCursor(self.pool, leaf_id)
 
     def items(self):
         """Yield every indexed entry in start order."""

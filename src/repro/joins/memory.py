@@ -25,10 +25,13 @@ class MemoryCursor:
 
     @property
     def current(self):
+        """The entry under the cursor; ``IndexError`` past the end."""
         return self._entries[self._slot]
 
     def advance(self):
+        """Move to the next entry; returns False when the list is exhausted."""
         self._slot += 1
+        return self._slot < len(self._entries)
 
 
 class MemoryElementList:
@@ -51,8 +54,6 @@ class MemoryElementList:
     def first(self):
         """Cursor at the smallest start."""
         return MemoryCursor(self._entries, 0)
-
-    cursor = first
 
     def seek(self, key):
         """Cursor at the first entry with ``start >= key``."""

@@ -17,8 +17,8 @@ def mpmgjn_join(alist, dlist, parent_child=False, collect=True, stats=None):
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = alist.cursor()
-    anchor = dlist.cursor()
+    a_cur = alist.first()
+    anchor = dlist.first()
     while not a_cur.at_end:
         ancestor = a_cur.current
         stats.count(1)

@@ -13,14 +13,15 @@ _INF = float("inf")
 
 def stack_tree_join(alist, dlist, parent_child=False, collect=True,
                     stats=None):
-    """Join two :class:`~repro.storage.pagedlist.PagedElementList` inputs.
+    """Join two start-sorted inputs scanned from ``first()`` — paged
+    element lists, or any other access method's leaf level.
 
     Returns ``(pairs, stats)``; ``pairs`` is None when ``collect`` is off.
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = alist.cursor()
-    d_cur = dlist.cursor()
+    a_cur = alist.first()
+    d_cur = dlist.first()
     stack = []
     while not d_cur.at_end and (not a_cur.at_end or stack):
         # Guardrail checkpoint at a pin-free point (see JoinStats).

@@ -49,8 +49,8 @@ def stack_tree_anc_join(alist, dlist, parent_child=False, collect=True,
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = alist.cursor()
-    d_cur = dlist.cursor()
+    a_cur = alist.first()
+    d_cur = dlist.first()
     stack = []
 
     def pop_frame():

@@ -62,7 +62,7 @@ from repro.net.frames import (
 )
 from repro.obs.trace import NULL_TRACER, current_trace_id
 from repro.storage.replication import LogShipper
-from repro.storage.timemodel import SystemClock
+from repro.storage.timemodel import SystemClock, backoff_delay
 
 #: Retry policy defaults for one request (connect + send + receive).
 DEFAULT_MAX_RETRIES = 3
@@ -308,16 +308,10 @@ class SocketShipper(LogShipper):
             self.stats.timeouts += 1
 
     def _backoff(self, attempts):
-        if not self.backoff_seconds:
-            return
-        delay = self.backoff_seconds * (2 ** (attempts - 1))
-        if self.max_backoff_seconds is not None:
-            delay = min(delay, self.max_backoff_seconds)
-        if self.backoff_jitter:
-            # Jitter shaves up to ``jitter`` of the delay off, so the
-            # ceiling holds and synchronized retry herds spread out.
-            delay *= 1.0 - self.backoff_jitter * self.rng.random()
-        self.clock.sleep(delay)
+        if self.backoff_seconds:
+            self.clock.sleep(backoff_delay(
+                attempts, self.backoff_seconds, self.max_backoff_seconds,
+                self.backoff_jitter, self.rng))
 
     # -- metrics -------------------------------------------------------------
 

@@ -149,7 +149,7 @@ class PathQueryEngine:
         an :class:`~repro.storage.indexmanager.IndexManager` behind an
         :class:`~repro.core.database.XmlDatabase`) owns their lifecycle,
         and double-caching would let this engine serve a handle the manager
-        already evicted or mutated.  Its owner owns the pages too: a tag
+        already discarded or dropped.  Its owner owns the pages too: a tag
         it has no tree for (``"*"``) is served from memory, and only an
         engine without a loader builds trees (``_tag_indexes`` keeps both).
         """

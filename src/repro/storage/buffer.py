@@ -69,86 +69,6 @@ class BufferStats:
         )
 
 
-class LruPolicy:
-    """Least-recently-used replacement (the default)."""
-
-    def __init__(self):
-        self._order = OrderedDict()  # page_id -> None, oldest first
-
-    def admitted(self, page_id):
-        self._order[page_id] = None
-
-    def touched(self, page_id):
-        self._order.move_to_end(page_id)
-
-    def removed(self, page_id):
-        self._order.pop(page_id, None)
-
-    def choose_victim(self, frames):
-        for page_id in self._order:
-            if frames[page_id].pin_count == 0:
-                return page_id
-        return None
-
-
-class ClockPolicy:
-    """Second-chance (clock) replacement.
-
-    A reference bit per frame is set on every touch; the hand sweeps the
-    ring, clearing bits and evicting the first unpinned frame whose bit is
-    already clear.  Cheaper bookkeeping than LRU at the cost of coarser
-    recency — the classic engine trade-off, ablatable via
-    ``BufferPool(..., policy="clock")``.
-    """
-
-    def __init__(self):
-        self._ring = []
-        self._position = {}   # page_id -> ring index
-        self._referenced = {}
-        self._hand = 0
-
-    def admitted(self, page_id):
-        self._position[page_id] = len(self._ring)
-        self._ring.append(page_id)
-        self._referenced[page_id] = True
-
-    def touched(self, page_id):
-        self._referenced[page_id] = True
-
-    def removed(self, page_id):
-        index = self._position.pop(page_id)
-        self._referenced.pop(page_id, None)
-        last = self._ring.pop()
-        if index < len(self._ring):
-            self._ring[index] = last
-            self._position[last] = index
-        if self._hand >= len(self._ring):
-            self._hand = 0
-
-    def choose_victim(self, frames):
-        if not self._ring:
-            return None
-        for _ in range(2 * len(self._ring)):
-            page_id = self._ring[self._hand]
-            self._hand = (self._hand + 1) % len(self._ring)
-            if frames[page_id].pin_count:
-                continue
-            if self._referenced.get(page_id, False):
-                self._referenced[page_id] = False
-                continue
-            return page_id
-        # Everything unpinned was referenced twice around: fall back to the
-        # first unpinned frame under the hand.
-        for offset in range(len(self._ring)):
-            page_id = self._ring[(self._hand + offset) % len(self._ring)]
-            if frames[page_id].pin_count == 0:
-                return page_id
-        return None
-
-
-_POLICIES = {"lru": LruPolicy, "clock": ClockPolicy}
-
-
 class _Latch:
     """Re-entrant pool latch that counts contended acquisitions.
 
@@ -194,8 +114,9 @@ class BufferPool:
 
     Pages are pinned while in use and must be unpinned by the caller; only
     unpinned frames are eviction candidates.  Dirty frames are written back to
-    disk on eviction and on :meth:`flush_all`.  The replacement policy is
-    pluggable (``"lru"`` default, ``"clock"`` second-chance).
+    disk on eviction and on :meth:`flush_all`.  Replacement is LRU: the frame
+    table is kept in recency order and the victim is its first unpinned
+    frame.
 
     With ``latching=True`` (the default) every pool operation runs under a
     single re-entrant latch, making the pool safe for concurrent callers
@@ -205,22 +126,17 @@ class BufferPool:
     and skip the latch entirely.
     """
 
-    def __init__(self, disk, capacity=DEFAULT_POOL_PAGES, policy="lru",
-                 latching=True):
+    def __init__(self, disk, capacity=DEFAULT_POOL_PAGES, latching=True):
         if capacity < 1:
             raise BufferPoolError("buffer pool needs at least one frame")
-        if policy not in _POLICIES:
-            raise BufferPoolError("unknown replacement policy %r" % policy)
         self.disk = disk
         self.capacity = capacity
-        self.policy_name = policy
         self.stats = BufferStats()
         #: Optional :class:`~repro.obs.trace.Tracer`; when attached and
         #: enabled, every fetch emits a ``page-fetch`` event.  The default
         #: (None) keeps the hot path at a single predicate check.
         self.tracer = None
-        self._policy = _POLICIES[policy]()
-        self._frames = {}  # page_id -> Page
+        self._frames = OrderedDict()  # page_id -> Page, least recent first
         self._pinned = 0   # frames with pin_count > 0 (kept incrementally)
         self._latch = _Latch() if latching else _NullLatch()
 
@@ -250,7 +166,7 @@ class BufferPool:
                 self.stats.hits += 1
                 if tracer is not None and tracer.enabled:
                     tracer.event("page-fetch", page=page_id, hit=True)
-                self._policy.touched(page_id)
+                self._frames.move_to_end(page_id)
             else:
                 self.stats.misses += 1
                 if tracer is not None and tracer.enabled:
@@ -264,7 +180,6 @@ class BufferPool:
                                         page_id=page_id) from exc
                 page.page_id = page_id
                 self._frames[page_id] = page
-                self._policy.admitted(page_id)
             if page.pin_count == 0:
                 self._note_pinned()
             page.pin_count += 1
@@ -281,7 +196,6 @@ class BufferPool:
             page.pin_count = 1
             self._note_pinned()
             self._frames[page.page_id] = page
-            self._policy.admitted(page.page_id)
             return page
 
     def unpin(self, page, dirty=False):
@@ -317,7 +231,6 @@ class BufferPool:
                     % (page.page_id, page.pin_count)
                 )
             del self._frames[page.page_id]
-            self._policy.removed(page.page_id)
             self.disk.free(page.page_id)
             page.page_id = None
             page.pin_count = 0
@@ -350,8 +263,6 @@ class BufferPool:
                         "clear with page %r still pinned" % (page.page_id,)
                     )
             self.flush_all()
-            for page_id in list(self._frames):
-                self._policy.removed(page_id)
             self._frames.clear()
 
     def reset_stats(self):
@@ -382,12 +293,12 @@ class BufferPool:
     def _make_room(self):
         if len(self._frames) < self.capacity:
             return
-        victim_id = self._policy.choose_victim(self._frames)
-        if victim_id is None:
+        for victim in self._frames.values():
+            if victim.pin_count == 0:
+                break
+        else:
             raise BufferPoolError("all %d frames are pinned" % self.capacity)
-        victim = self._frames[victim_id]
         if victim.dirty:
             self._writeback(victim)
         self.stats.evictions += 1
-        del self._frames[victim_id]
-        self._policy.removed(victim_id)
+        del self._frames[victim.page_id]

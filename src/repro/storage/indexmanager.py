@@ -1,37 +1,30 @@
-"""Cached, write-back lifecycle management for catalogued index handles.
+"""Live, write-back handles for the catalogued XR-trees.
 
 The catalog (:mod:`repro.storage.catalog`) makes index structures
 *reopenable*: tree metadata (root page, height, size, capacities) lives in
 catalog entries, and ``load_xrtree``/``save_xrtree`` reconstruct or persist
-one structure at a time.  What it does not provide is a *lifecycle*: every
+one tree at a time.  What it does not provide is a *lifecycle*: every
 ``load_`` call scans catalog pages and builds a fresh Python object, and
-every mutation forces an immediate ``save_`` — write-through at tree
-granularity.  Under a query-plus-update workload that means the hot path
-re-deserializes the same handful of trees over and over.
+every mutation would force an immediate ``save_``.
 
-:class:`IndexManager` adds the missing layer, the same shape a buffer
-manager gives pages but at whole-structure granularity:
+:class:`IndexManager` is that lifecycle — a ``{name: handle}`` map under one
+lock:
 
-* **handle cache** — live ``XRTree`` / ``BPlusTree`` / ``PagedElementList``
-  objects keyed by catalog name, LRU-ordered, bounded by ``capacity``;
-* **dirty tracking** — callers :meth:`mark_dirty` a handle before mutating
-  the structure; clean handles are dropped on eviction, dirty ones have
-  their metadata written back to the catalog first;
-* **batched write-back** — catalog saves happen on eviction, on
-  :meth:`flush` and on :meth:`close`, not once per mutation;
+* **one live tree per name** — the first request loads (or creates) the
+  ``XRTree``, every later one returns the same object.  A handle is a
+  handful of integers and its pages belong to the buffer pool, so handles
+  stay until :meth:`discard`, :meth:`drop` or :meth:`close`;
+* **dirty tracking** — callers :meth:`mark_dirty` a handle they mutate, which
+  decides whose catalog entry the next flush rewrites;
+* **batched write-back** — catalog saves happen on :meth:`flush` and
+  :meth:`close`, not once per mutation;
 * **instrumentation** — :class:`IndexManagerStats` counts handle hits and
-  misses, catalog loads, creations, evictions, write-backs and
-  invalidations, surfaced through ``StorageContext.index_stats``.
-
-Contract for mutators: fetch the handle and call :meth:`mark_dirty` *before*
-mutating the structure, then mutate without interleaving other manager
-calls.  Eviction can only happen inside a manager call, so a handle marked
-dirty up front is guaranteed to have its post-mutation metadata written
-back whenever it is evicted later.
+  misses, catalog loads, creations, write-backs and invalidations, surfaced
+  through ``StorageContext.index_stats``.
 
 Usage::
 
-    manager = IndexManager(catalog, capacity=64)
+    manager = IndexManager(catalog, pool)
     tree = manager.get_or_create_xrtree("tag:employee")
     manager.mark_dirty("tag:employee")
     tree.insert(entry)
@@ -41,21 +34,10 @@ Usage::
 """
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.storage.catalog import CatalogError
 from repro.storage.errors import StorageError
-
-DEFAULT_HANDLE_BUDGET = 64
-
-#: Structure kinds a manager can cache, mapped to the catalog's typed
-#: load/save method names.
-_KINDS = {
-    "xr-tree": ("load_xrtree", "save_xrtree"),
-    "b+tree": ("load_bptree", "save_bptree"),
-    "element-list": ("load_element_list", "save_element_list"),
-}
 
 
 class IndexManagerError(StorageError):
@@ -66,13 +48,12 @@ class IndexManagerError(StorageError):
 class IndexManagerStats:
     """Counters for handle requests served by an :class:`IndexManager`.
 
-    ``hits``/``misses`` count :meth:`IndexManager.get` style requests served
-    from the handle cache versus not; ``loads`` counts catalog
-    deserializations (the expensive path the cache exists to avoid);
-    ``creations`` counts fresh structures registered through
-    ``get_or_create_*``; ``evictions``/``writebacks`` count LRU evictions
-    and catalog metadata saves; ``invalidations`` counts handles discarded
-    or dropped without write-back.
+    ``hits``/``misses`` count requests served from the handle map versus
+    not; ``loads`` counts catalog deserializations (the expensive path the
+    map exists to avoid); ``creations`` counts fresh trees registered through
+    ``get_or_create_xrtree``; ``writebacks`` counts catalog metadata saves;
+    ``invalidations`` counts handles discarded or dropped without
+    write-back.
 
     ``max_pinned`` is not a manager counter: owners that expose both
     layers through one stats object (``XmlDatabase.index_stats``) stamp
@@ -83,7 +64,6 @@ class IndexManagerStats:
     misses: int = 0
     loads: int = 0
     creations: int = 0
-    evictions: int = 0
     writebacks: int = 0
     invalidations: int = 0
     max_pinned: int = 0
@@ -103,147 +83,89 @@ class IndexManagerStats:
         self.misses = 0
         self.loads = 0
         self.creations = 0
-        self.evictions = 0
         self.writebacks = 0
         self.invalidations = 0
         self.max_pinned = 0
 
     def snapshot(self):
         return IndexManagerStats(self.hits, self.misses, self.loads,
-                                 self.creations, self.evictions,
-                                 self.writebacks, self.invalidations,
-                                 self.max_pinned)
+                                 self.creations, self.writebacks,
+                                 self.invalidations, self.max_pinned)
 
 
 class IndexHandle:
-    """One cached live structure plus its write-back state."""
+    """One live tree plus its write-back state."""
 
-    __slots__ = ("name", "kind", "structure", "dirty", "persisted")
+    __slots__ = ("name", "structure", "dirty", "persisted")
 
-    def __init__(self, name, kind, structure, dirty, persisted):
+    def __init__(self, name, structure, dirty, persisted):
         self.name = name
-        self.kind = kind
         self.structure = structure
         self.dirty = dirty
         self.persisted = persisted  # has a catalog entry on disk
 
 
 class IndexManager:
-    """LRU-cached, write-back handles over one catalog.
+    """Write-back XR-tree handles over one catalog, one per name."""
 
-    ``capacity`` bounds the number of resident handles (the *handle
-    budget*); the pages behind each structure are still governed by the
-    buffer pool, so a tiny budget stresses the manager without starving
-    the trees.
-    """
-
-    def __init__(self, catalog, pool=None, capacity=DEFAULT_HANDLE_BUDGET):
-        if capacity < 1:
-            raise IndexManagerError("handle budget must be at least 1")
+    def __init__(self, catalog, pool):
         self._catalog = catalog
-        self._pool = pool if pool is not None else catalog._pool
-        self.capacity = capacity
+        self._pool = pool
         self.stats = IndexManagerStats()
-        self._handles = OrderedDict()  # name -> IndexHandle, LRU order
+        self._handles = {}  # name -> IndexHandle
         self._closed = False
-        # Concurrent lookups are safe: the manager lock guards the cache
-        # map, and a per-name lock serializes the load path so two threads
-        # missing on the same tag cannot deserialize the catalog entry
-        # twice (double-checked under the name lock).
+        # One lock guards the map and the load path, so two threads missing
+        # on the same tag cannot deserialize its catalog entry twice.
         self._lock = threading.RLock()
-        self._name_locks = {}
 
-    # -- generic handle access -------------------------------------------------
+    # -- handle access ---------------------------------------------------------
 
     def _check_open(self):
         if self._closed:
             raise IndexManagerError("index manager is closed")
 
-    def _get(self, name, kind, factory=None):
-        """The cached handle for ``name``, loading or creating on miss.
+    def _get(self, name, factory=None):
+        """The handle for ``name``, loading or creating it on a miss.
 
         Returns None when the name is not catalogued and no ``factory``
         was given.
         """
         self._check_open()
-        if kind not in _KINDS:
-            raise IndexManagerError("unknown structure kind %r" % kind)
         with self._lock:
-            handle = self._cached(name, kind)
+            handle = self._handles.get(name)
             if handle is not None:
+                self.stats.hits += 1
                 return handle
-            name_lock = self._name_locks.setdefault(name, threading.Lock())
-        with name_lock:
-            with self._lock:
-                # A racer may have loaded it while we waited on the
-                # name lock.
-                handle = self._cached(name, kind)
-                if handle is not None:
-                    return handle
-                self.stats.misses += 1
-            loader = getattr(self._catalog, _KINDS[kind][0])
+            self.stats.misses += 1
             try:
-                structure = loader(name)
+                structure = self._catalog.load_xrtree(name)
             except CatalogError:
                 if name in self._catalog.names():
                     # Catalogued, but as another kind: surface the conflict
                     # instead of shadowing the entry with a fresh structure.
                     raise IndexManagerError(
-                        "catalogued structure %r is not a %s" % (name, kind)
-                    )
+                        "catalogued structure %r is not an xr-tree" % name)
                 if factory is None:
                     return None
-                structure = factory()
-                handle = IndexHandle(name, kind, structure,
+                handle = IndexHandle(name, factory(),
                                      dirty=True, persisted=False)
+                self.stats.creations += 1
             else:
-                handle = IndexHandle(name, kind, structure,
+                handle = IndexHandle(name, structure,
                                      dirty=False, persisted=True)
-            with self._lock:
-                if handle.persisted:
-                    self.stats.loads += 1
-                else:
-                    self.stats.creations += 1
-                self._admit(handle)
+                self.stats.loads += 1
+            self._handles[name] = handle
             return handle
 
-    def _cached(self, name, kind):
-        """The resident handle for ``name`` (counted as a hit), or None.
-
-        Caller holds the manager lock.
-        """
-        handle = self._handles.get(name)
-        if handle is None:
-            return None
-        if handle.kind != kind:
-            raise IndexManagerError(
-                "cached handle %r is a %s, not a %s"
-                % (name, handle.kind, kind)
-            )
-        self.stats.hits += 1
-        self._handles.move_to_end(name)
-        return handle
-
-    def _admit(self, handle):
-        while len(self._handles) >= self.capacity:
-            _name, victim = self._handles.popitem(last=False)
-            self.stats.evictions += 1
-            if victim.dirty:
-                self._writeback(victim)
-        self._handles[handle.name] = handle
-
     def _writeback(self, handle):
-        saver = getattr(self._catalog, _KINDS[handle.kind][1])
-        saver(handle.name, handle.structure)
+        self._catalog.save_xrtree(handle.name, handle.structure)
         handle.dirty = False
         handle.persisted = True
         self.stats.writebacks += 1
 
-    # -- typed access ----------------------------------------------------------
-
     def get_xrtree(self, name):
         """The live XR-tree catalogued as ``name``, or None."""
-        handle = self._get(name, "xr-tree")
+        handle = self._get(name)
         return handle.structure if handle is not None else None
 
     def get_or_create_xrtree(self, name, **tree_options):
@@ -257,42 +179,19 @@ class IndexManager:
 
             return XRTree(self._pool, **tree_options)
 
-        return self._get(name, "xr-tree", factory).structure
-
-    def get_bptree(self, name):
-        """The live B+-tree catalogued as ``name``, or None."""
-        handle = self._get(name, "b+tree")
-        return handle.structure if handle is not None else None
-
-    def get_or_create_bptree(self, name, **tree_options):
-        def factory():
-            from repro.indexes.bptree import BPlusTree
-
-            return BPlusTree(self._pool, **tree_options)
-
-        return self._get(name, "b+tree", factory).structure
-
-    def get_element_list(self, name):
-        """The paged element list catalogued as ``name``, or None."""
-        handle = self._get(name, "element-list")
-        return handle.structure if handle is not None else None
+        return self._get(name, factory).structure
 
     # -- lifecycle -------------------------------------------------------------
 
     def mark_dirty(self, name):
-        """Record that ``name``'s structure is about to be mutated.
-
-        Must be called while the handle is resident (i.e. right after the
-        ``get`` that returned it); raises if the handle is not cached.
-        """
+        """Record that ``name``'s tree is being mutated, so the next flush
+        rewrites its catalog entry; raises if there is no such handle."""
         self._check_open()
         with self._lock:
             handle = self._handles.get(name)
             if handle is None:
                 raise IndexManagerError(
-                    "mark_dirty(%r): handle not resident; fetch it first"
-                    % name
-                )
+                    "mark_dirty(%r): no such handle; fetch it first" % name)
             handle.dirty = True
 
     def is_dirty(self, name):
@@ -300,12 +199,10 @@ class IndexManager:
             handle = self._handles.get(name)
             return bool(handle and handle.dirty)
 
-    def flush(self, name=None):
-        """Write dirty handle metadata back to the catalog.
+    def flush(self):
+        """Write every dirty handle's metadata back to the catalog.
 
-        Flushes one handle when ``name`` is given, every dirty handle
-        otherwise.  Handles stay resident.  Returns the number of
-        write-backs performed.
+        Handles stay live.  Returns the number of write-backs performed.
 
         A write-back that fails does not abandon the rest: every dirty
         handle is attempted, failed ones stay dirty, and one
@@ -316,11 +213,7 @@ class IndexManager:
         """
         self._check_open()
         with self._lock:
-            if name is not None:
-                handles = ([self._handles[name]]
-                           if name in self._handles else [])
-            else:
-                handles = list(self._handles.values())
+            handles = list(self._handles.values())
         written = 0
         failures = []
         for handle in handles:
@@ -342,7 +235,7 @@ class IndexManager:
         return written
 
     def discard(self, name):
-        """Drop a cached handle *without* write-back (cache invalidation).
+        """Drop a live handle *without* write-back (invalidation).
 
         The catalog entry, if any, is untouched; a later ``get`` reloads
         from the catalog.  Unknown names are ignored.
@@ -353,7 +246,7 @@ class IndexManager:
                 self.stats.invalidations += 1
 
     def drop(self, name):
-        """Remove ``name`` entirely: the cached handle and the catalog entry.
+        """Remove ``name`` entirely: the live handle and the catalog entry.
 
         Used to tombstone structures that became empty (e.g. a tag whose
         last element was deleted).  Tolerates handles that were created but
@@ -372,7 +265,7 @@ class IndexManager:
                     raise
 
     def close(self):
-        """Flush every dirty handle and release the cache (idempotent)."""
+        """Flush every dirty handle and release them all (idempotent)."""
         if self._closed:
             return
         self.flush()
@@ -399,7 +292,7 @@ class IndexManager:
         return len(self._handles)
 
     def resident(self):
-        """Cached names in LRU order (oldest first), with dirty flags."""
+        """Live handle names, oldest first, with dirty flags."""
         with self._lock:
             return [(handle.name, handle.dirty)
                     for handle in self._handles.values()]

@@ -146,9 +146,9 @@ class PagedElementList:
                     yield record
             page_id = next_id
 
-    def cursor(self):
-        """Return a forward :class:`ElementListCursor` over this list."""
-        return ElementListCursor(self._pool, self.head_id)
+    def first(self):
+        """Cursor at the head of the list."""
+        return RecordCursor(self._pool, self.head_id)
 
     def pages(self):
         """Yield page ids of the chain in order (for space accounting)."""
@@ -159,56 +159,58 @@ class PagedElementList:
                 page_id = page.next_id
 
 
-class ElementListCursor:
-    """Forward cursor over a paged element list.
+class RecordCursor:
+    """Forward cursor over a ``next_id`` chain of :class:`RecordPage` pages.
 
-    Exposes the minimal protocol the merge joins need: the current entry,
-    ``advance`` by one, and ``at_end``.  Every page transition goes through
-    the buffer pool so sequential scans are charged faithfully.
+    The one cursor over pages: a paged element list and the leaf level of a
+    B+-tree or an XR-tree are the same start-sorted chain, and each hands
+    this class out from ``first()`` / ``seek(k)`` / ``seek_after(k)``.  The
+    join kernels read ``at_end`` and ``current`` and call ``advance()``.
+    Every page transition goes through the buffer pool and pins one page for
+    the length of the read, so scans are charged faithfully and a cursor
+    holds no pin between calls.
     """
 
-    def __init__(self, pool, head_id):
+    def __init__(self, pool, page_id, slot=0):
         self._pool = pool
-        self._page_id = head_id
-        self._records = []
+        self.page_id = page_id
+        self._slot = slot
+        self._records = ()
         self._next_id = 0
-        self._slot = 0
-        self._exhausted = head_id == 0
-        if not self._exhausted:
-            self._load(head_id)
-            self._skip_empty_pages()
+        self.at_end = not page_id
+        if page_id:
+            self._load(page_id)
+            self._settle()
 
     def _load(self, page_id):
         with self._pool.pinned(page_id) as page:
             self._records = page.records
             self._next_id = page.next_id
-        self._page_id = page_id
-        self._slot = 0
+        self.page_id = page_id
 
-    def _skip_empty_pages(self):
+    def _settle(self):
+        """Move right until the slot names a record or the chain ends."""
         while self._slot >= len(self._records):
             if not self._next_id:
-                self._exhausted = True
+                self.at_end = True
                 return
             self._load(self._next_id)
-
-    @property
-    def at_end(self):
-        return self._exhausted
+            self._slot = 0
 
     @property
     def current(self):
-        if self._exhausted:
-            raise StopIteration("cursor is exhausted")
+        """The entry under the cursor; ``IndexError`` past the end."""
+        if self.at_end:
+            raise IndexError("cursor is exhausted")
         return self._records[self._slot]
 
     def advance(self):
-        """Move to the next entry; returns False when the list is exhausted."""
-        if self._exhausted:
+        """Move to the next entry; returns False when the chain is exhausted."""
+        if self.at_end:
             return False
         self._slot += 1
-        self._skip_empty_pages()
-        return not self._exhausted
+        self._settle()
+        return not self.at_end
 
     def clone(self):
         """An independent cursor at the same position.
@@ -218,15 +220,5 @@ class ElementListCursor:
         what makes the MPMGJN baseline's repeated scans visible in the I/O
         counters.
         """
-        copy = ElementListCursor.__new__(ElementListCursor)
-        copy._pool = self._pool
-        copy._page_id = self._page_id
-        copy._records = []
-        copy._next_id = 0
-        copy._slot = self._slot
-        copy._exhausted = self._exhausted
-        if not copy._exhausted:
-            copy._load(self._page_id)
-            copy._slot = self._slot
-            copy._skip_empty_pages()
-        return copy
+        return RecordCursor(self._pool, 0 if self.at_end else self.page_id,
+                            self._slot)

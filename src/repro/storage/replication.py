@@ -46,7 +46,7 @@ from repro.storage.errors import (
     TransientIOError,
 )
 from repro.storage.journal import Archive, decode_group
-from repro.storage.timemodel import SystemClock
+from repro.storage.timemodel import SystemClock, backoff_delay
 
 #: Retry policy defaults for transient ship/apply failures.
 DEFAULT_MAX_RETRIES = 4
@@ -380,11 +380,10 @@ class StandbyReplica:
     def _with_retry(self, what, fn):
         """Run ``fn`` retrying TransientIOError with jittered backoff.
 
-        The per-attempt sleep is ``backoff_seconds * 2**n`` capped at
-        ``max_backoff_seconds``, then jittered *downward* by up to
-        ``backoff_jitter`` of itself (the cap stays a hard ceiling; a
-        fleet of standbys hit by one shared fault spreads its retries
-        out).  Sleeps run on the replica's injectable clock,
+        The per-attempt sleep is
+        :func:`~repro.storage.timemodel.backoff_delay` of
+        ``backoff_seconds``, ``max_backoff_seconds`` and
+        ``backoff_jitter``.  Sleeps run on the replica's injectable clock,
         interruptible through :meth:`interrupt` — a promotion or close
         never waits out a backoff window.  Exhaustion raises
         :class:`~repro.storage.errors.ReplicationError` *from* the last
@@ -409,12 +408,11 @@ class StandbyReplica:
                         % (what, self.max_retries, exc)
                     ) from exc
                 if self.backoff_seconds:
-                    delay = self.backoff_seconds * (2 ** (attempts - 1))
-                    if self.max_backoff_seconds is not None:
-                        delay = min(delay, self.max_backoff_seconds)
-                    if self.backoff_jitter:
-                        delay *= 1.0 - self.backoff_jitter * self.rng.random()
-                    self.clock.sleep(delay, interrupt=self._stop_tailing)
+                    self.clock.sleep(
+                        backoff_delay(attempts, self.backoff_seconds,
+                                      self.max_backoff_seconds,
+                                      self.backoff_jitter, self.rng),
+                        interrupt=self._stop_tailing)
                 if self._stop_tailing.is_set():
                     raise _TailInterrupted()
 
@@ -585,56 +583,31 @@ class StandbyReplica:
             return registry
         self._bound_registries = getattr(self, "_bound_registries", [])
         self._bound_registries.append(registry)
-        gauges = {}
-        for name, help_text in (
-            ("repro_replication_lag_segments",
+        registry.mirror(self.stats, (
+            ("repro_replication_lag_segments", "lag_segments",
              "Commit groups the standby is behind the shipped head"),
-            ("repro_replication_segments_shipped",
+            ("repro_replication_segments_shipped", "segments_shipped",
              "Segments fetched from the log shipper (lifetime)"),
-            ("repro_replication_segments_applied",
+            ("repro_replication_segments_applied", "segments_applied",
              "Segments applied to the standby (lifetime)"),
-            ("repro_replication_pages_applied",
+            ("repro_replication_pages_applied", "pages_applied",
              "Page images applied to the standby (lifetime)"),
-            ("repro_replication_transient_errors",
+            ("repro_replication_transient_errors", "transient_errors",
              "Transient ship/apply failures absorbed by retry"),
-            ("repro_replication_apply_retries",
+            ("repro_replication_apply_retries", "apply_retries",
              "Ship/apply calls that needed at least one retry"),
-            ("repro_replication_torn_segments",
+            ("repro_replication_torn_segments", "torn_segments_seen",
              "Torn head segments skipped while tailing"),
-            ("repro_replication_divergence_refusals",
+            ("repro_replication_divergence_refusals", "divergence_refusals",
              "Promotions refused on sequence gap or checksum mismatch"),
-            ("repro_replication_failovers",
+            ("repro_replication_failovers", "failovers",
              "Successful standby promotions"),
-            ("repro_replication_pruned_at_source",
+            ("repro_replication_pruned_at_source", "pruned_at_source",
              "Fetches answered by a source that pruned the segment"),
-            ("repro_replication_reseeds",
+            ("repro_replication_reseeds", "reseeds",
              "Snapshot re-seeds completed after retention outran tailing"),
             ("repro_replication_last_applied_sequence",
+             "last_applied_sequence",
              "Commit sequence of the last applied group"),
-        ):
-            gauges[name] = registry.gauge(name, help_text)
-
-        def refresh(_registry):
-            s = self.stats
-            gauges["repro_replication_lag_segments"].set(s.lag_segments)
-            gauges["repro_replication_segments_shipped"].set(
-                s.segments_shipped)
-            gauges["repro_replication_segments_applied"].set(
-                s.segments_applied)
-            gauges["repro_replication_pages_applied"].set(s.pages_applied)
-            gauges["repro_replication_transient_errors"].set(
-                s.transient_errors)
-            gauges["repro_replication_apply_retries"].set(s.apply_retries)
-            gauges["repro_replication_torn_segments"].set(
-                s.torn_segments_seen)
-            gauges["repro_replication_divergence_refusals"].set(
-                s.divergence_refusals)
-            gauges["repro_replication_failovers"].set(s.failovers)
-            gauges["repro_replication_pruned_at_source"].set(
-                s.pruned_at_source)
-            gauges["repro_replication_reseeds"].set(s.reseeds)
-            gauges["repro_replication_last_applied_sequence"].set(
-                s.last_applied_sequence)
-
-        registry.register_collector(refresh)
+        ), name="replication")
         return registry

@@ -47,6 +47,22 @@ class DiskTimeModel:
         return (io_ms + cpu_ms) / 1000.0
 
 
+def backoff_delay(attempt, base, ceiling, jitter, rng):
+    """Seconds to wait before retry number ``attempt`` (1-based).
+
+    ``base * 2**(attempt - 1)`` capped at ``ceiling`` (None: uncapped),
+    then jittered *downward* by up to ``jitter`` of itself: the cap stays a
+    hard ceiling and a fleet hit by one shared fault spreads its retries
+    out.  ``rng`` is drawn from only when there is jitter to apply.
+    """
+    delay = base * (2 ** (attempt - 1))
+    if ceiling is not None:
+        delay = min(delay, ceiling)
+    if jitter:
+        delay *= 1.0 - jitter * rng.random()
+    return delay
+
+
 class SystemClock:
     """The real monotonic clock; sleeps are interruptible through an event.
 

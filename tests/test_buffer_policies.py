@@ -1,8 +1,8 @@
-"""Tests for the pluggable replacement policies (LRU vs CLOCK)."""
+"""Tests for the buffer pool's replacement: LRU over the one frame table."""
 
 import pytest
 
-from repro.storage.buffer import BufferPool, ClockPolicy, LruPolicy
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.storage.errors import BufferPoolError
 from repro.storage.pages import RawPage
@@ -17,120 +17,63 @@ def fill(pool, count):
     return ids
 
 
+# The ids keep the "[lru]" they had while a second policy existed.
+@pytest.mark.parametrize("policy", ["lru"])
 class TestPolicySelection:
-    def test_default_is_lru(self, disk):
-        assert BufferPool(disk).policy_name == "lru"
-
-    def test_unknown_policy_rejected(self, disk):
-        with pytest.raises(BufferPoolError):
-            BufferPool(disk, policy="fifo")
-
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_basic_operation(self, policy):
-        pool = BufferPool(InMemoryDisk(256), capacity=3, policy=policy)
+        pool = BufferPool(InMemoryDisk(256), capacity=3)
         ids = fill(pool, 10)  # 7 evictions
         assert pool.stats.evictions == 7
         for page_id in ids:   # everything still readable
             page = pool.fetch(page_id)
             pool.unpin(page)
 
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_pinned_frames_never_evicted(self, policy):
-        pool = BufferPool(InMemoryDisk(256), capacity=3, policy=policy)
+        pool = BufferPool(InMemoryDisk(256), capacity=3)
         held = pool.new_page(RawPage(b"held"))
         fill(pool, 8)
         assert held.page_id in pool._frames
         pool.unpin(held, dirty=True)
 
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_all_pinned_raises(self, policy):
-        pool = BufferPool(InMemoryDisk(256), capacity=2, policy=policy)
+        pool = BufferPool(InMemoryDisk(256), capacity=2)
         pool.new_page(RawPage(b"a"))
         pool.new_page(RawPage(b"b"))
         with pytest.raises(BufferPoolError):
             pool.new_page(RawPage(b"c"))
 
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_clear_resets_policy_state(self, policy):
-        pool = BufferPool(InMemoryDisk(256), capacity=4, policy=policy)
+        pool = BufferPool(InMemoryDisk(256), capacity=4)
         ids = fill(pool, 4)
+        pool.unpin(pool.fetch(ids[0]))  # recency the clear must forget
         pool.clear()
         assert pool.resident_count == 0
-        fill(pool, 6)  # must not trip over stale policy entries
+        new_ids = fill(pool, 5)  # one eviction, of the oldest new frame
+        assert list(pool._frames) == new_ids[1:]
         page = pool.fetch(ids[0])
         pool.unpin(page)
 
 
-class TestClockSemantics:
-    def test_second_chance(self):
-        pool = BufferPool(InMemoryDisk(256), capacity=3, policy="clock")
-        a, b, c = fill(pool, 3)
-        # One eviction sweeps the ring and clears every reference bit.
-        fill(pool, 1)
-        assert a not in pool._frames  # first under the hand, bit cleared
-        # Now b and c have clear bits; touching b grants it a second
-        # chance, so the next eviction must take c.
-        pool.unpin(pool.fetch(b))
-        fill(pool, 1)
-        assert b in pool._frames
-        assert c not in pool._frames
-
-    def test_removed_keeps_ring_consistent(self):
-        policy = ClockPolicy()
-
-        class _Frame:
-            pin_count = 0
-
-        frames = {}
-        for page_id in (1, 2, 3, 4, 5):
-            policy.admitted(page_id)
-            frames[page_id] = _Frame()
-        policy.removed(3)
-        policy.removed(1)
-        victims = set()
-        for _ in range(3):
-            victim = policy.choose_victim(frames)
-            victims.add(victim)
-            policy.removed(victim)
-        assert victims == {2, 4, 5}
-
-    def test_empty_ring(self):
-        assert ClockPolicy().choose_victim({}) is None
-
-
 class TestLruSemantics:
     def test_exact_lru_order(self):
-        policy = LruPolicy()
+        pool = BufferPool(InMemoryDisk(256), capacity=3)
+        a, b, c = fill(pool, 3)
+        pool.unpin(pool.fetch(a))       # recency order is now b, c, a
+        victims = []
+        for _ in range(3):
+            before = set(pool._frames)
+            fill(pool, 1)
+            victims.extend(before - set(pool._frames))
+        assert victims == [b, c, a]
 
-        class _Frame:
-            pin_count = 0
-
-        frames = {}
-        for page_id in (1, 2, 3):
-            policy.admitted(page_id)
-            frames[page_id] = _Frame()
-        policy.touched(1)
-        assert policy.choose_victim(frames) == 2
-
-
-class TestWorkloadEquivalence:
-    def test_join_results_identical_across_policies(self, dept_data):
-        from repro.core.api import StorageContext, structural_join
-
-        outcomes = {}
-        for policy in ("lru", "clock"):
-            context = StorageContext(page_size=1024, buffer_pages=20)
-            context.pool._policy = \
-                {"lru": LruPolicy, "clock": ClockPolicy}[policy]()
-            context.pool.policy_name = policy
-            outcome = structural_join(dept_data.ancestors,
-                                      dept_data.descendants,
-                                      algorithm="xr-stack",
-                                      context=context, collect=False)
-            outcomes[policy] = outcome
-        assert outcomes["lru"].pair_count == outcomes["clock"].pair_count
-        # Miss counts may differ slightly, but not wildly, on this ordered
-        # access pattern.
-        lru, clock = (outcomes["lru"].page_misses,
-                      outcomes["clock"].page_misses)
-        assert clock <= lru * 2 + 10
+    def test_pinned_frame_is_skipped_and_keeps_its_place(self):
+        pool = BufferPool(InMemoryDisk(256), capacity=3)
+        a, b, c = fill(pool, 3)
+        held = pool.fetch(a)
+        pool.unpin(pool.fetch(b))
+        pool.unpin(pool.fetch(c))       # recency order a, b, c; a pinned
+        fill(pool, 1)
+        assert b not in pool._frames    # a skipped: the next oldest goes
+        pool.unpin(held)
+        fill(pool, 1)
+        assert a not in pool._frames    # ...and a was still the oldest

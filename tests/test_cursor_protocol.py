@@ -1,0 +1,181 @@
+"""The one cursor protocol under every join kernel.
+
+Four access methods — paged element list, B+-tree, XR-tree and
+``MemoryElementList`` — answer ``first()`` (and, where offered, ``seek(k)`` /
+``seek_after(k)``) with a cursor exposing ``at_end``, ``current`` and
+``advance()``.  Over pages that cursor is always
+:class:`~repro.storage.pagedlist.RecordCursor`.
+"""
+
+from operator import attrgetter
+
+import pytest
+
+from repro.core.api import (
+    build_bplus_tree,
+    build_element_list,
+    build_xr_tree,
+)
+from repro.joins import MemoryElementList, nested_loop_join, stack_tree_join
+from repro.joins.base import sort_pairs
+from repro.joins.memory import MemoryCursor
+from repro.storage.pagedlist import RecordCursor
+from tests.conftest import entry
+
+#: 60 disjoint elements, starts 1, 11, 21, … — several pages of 512 bytes.
+ENTRIES = [entry(i * 10 + 1, i * 10 + 5) for i in range(60)]
+
+
+BUILDERS = {
+    "paged-list": build_element_list,
+    "b+tree": build_bplus_tree,
+    "xr-tree": build_xr_tree,
+    "memory": lambda entries, pool: MemoryElementList(list(entries)),
+}
+#: The paged list is the sequential file: it has no ``seek``.
+SEEKABLE = ["b+tree", "xr-tree", "memory"]
+
+
+def drain(cursor):
+    seen = []
+    while not cursor.at_end:
+        seen.append(cursor.current)
+        cursor.advance()
+    return seen
+
+
+@pytest.mark.parametrize("method", BUILDERS)
+class TestEveryAccessMethod:
+    def test_first_walks_the_entries_in_order(self, pool, method):
+        source = BUILDERS[method](ENTRIES, pool)
+        assert drain(source.first()) == ENTRIES
+        assert pool.pinned_count == 0
+
+    def test_cursor_class(self, pool, method):
+        cursor = BUILDERS[method](ENTRIES, pool).first()
+        assert type(cursor) is (MemoryCursor if method == "memory"
+                                else RecordCursor)
+
+    def test_advance_returns_false_at_the_end(self, pool, method):
+        cursor = BUILDERS[method](ENTRIES[:2], pool).first()
+        assert cursor.advance() is True
+        assert cursor.advance() is False
+        assert cursor.at_end
+        assert cursor.advance() is False
+
+    def test_current_past_the_end_is_index_error(self, pool, method):
+        cursor = BUILDERS[method](ENTRIES[:1], pool).first()
+        cursor.advance()
+        with pytest.raises(IndexError):
+            cursor.current
+
+    def test_empty_source(self, pool, method):
+        cursor = BUILDERS[method]([], pool).first()
+        assert cursor.at_end
+        with pytest.raises(IndexError):
+            cursor.current
+
+    def test_exhausted_read_is_not_silently_truncated(self, pool, method):
+        """``StopIteration`` from ``current`` was control flow to ``map``
+        and ``list``: reading an exhausted cursor returned ``[]``."""
+        cursor = BUILDERS[method](ENTRIES[:1], pool).first()
+        cursor.advance()
+        with pytest.raises(IndexError):
+            list(map(attrgetter("current"), [cursor]))
+
+        def reads():
+            yield cursor.current
+
+        with pytest.raises(IndexError):
+            next(reads())
+
+
+@pytest.mark.parametrize("method", SEEKABLE)
+class TestSeek:
+    @pytest.mark.parametrize("key, expected", [
+        (-5, 1),        # before everything
+        (1, 1),         # on the first key
+        (2, 11),        # between keys
+        (291, 291),     # on a key in a later page
+        (295, 301),
+        (591, 591),     # on the last key
+    ])
+    def test_seek_lands_on_first_start_at_or_after(self, pool, method, key,
+                                                   expected):
+        cursor = BUILDERS[method](ENTRIES, pool).seek(key)
+        assert cursor.current.start == expected
+        assert pool.pinned_count == 0
+
+    @pytest.mark.parametrize("key, expected", [
+        (-5, 1), (1, 11), (2, 11), (291, 301), (581, 591),
+    ])
+    def test_seek_after_lands_on_first_start_after(self, pool, method, key,
+                                                   expected):
+        cursor = BUILDERS[method](ENTRIES, pool).seek_after(key)
+        assert cursor.current.start == expected
+        assert pool.pinned_count == 0
+
+    def test_seeks_past_the_end(self, pool, method):
+        source = BUILDERS[method](ENTRIES, pool)
+        for cursor in (source.seek(592), source.seek_after(591),
+                       source.seek(10 ** 9)):
+            assert cursor.at_end
+            with pytest.raises(IndexError):
+                cursor.current
+
+    def test_seek_then_scan_reaches_the_tail(self, pool, method):
+        cursor = BUILDERS[method](ENTRIES, pool).seek(300)
+        assert drain(cursor) == ENTRIES[30:]
+
+
+class TestRecordCursor:
+    def test_a_slot_at_a_pages_end_settles_on_the_next_page(self, pool):
+        """A slot at a page's end settles on the next page's first
+        record — what ``seek`` hands over when the key is past a leaf."""
+        lst = build_element_list(ENTRIES, pool)
+        first_page, second_page = list(lst.pages())[:2]
+        with pool.pinned(first_page) as page:
+            count = len(page.records)
+        cursor = RecordCursor(pool, first_page, count)
+        assert cursor.page_id == second_page
+        assert cursor.current == ENTRIES[count]
+
+    def test_clone_rereads_its_page(self, pool):
+        cursor = build_element_list(ENTRIES, pool).first()
+        before = pool.stats.requests
+        copy = cursor.clone()
+        assert pool.stats.requests == before + 1
+        assert copy.current is cursor.current
+        copy.advance()
+        assert cursor.current == ENTRIES[0]
+
+    def test_clone_of_an_exhausted_cursor_reads_nothing(self, pool):
+        cursor = build_element_list(ENTRIES[:1], pool).first()
+        cursor.advance()
+        before = pool.stats.requests
+        assert cursor.clone().at_end
+        assert pool.stats.requests == before
+
+
+class TestStackTreeOverAnyAccessMethod:
+    """Stack-Tree-Desc only scans, so any two access methods will do."""
+
+    @pytest.mark.parametrize("a_method, d_method", [
+        ("xr-tree", "xr-tree"),
+        ("b+tree", "paged-list"),
+        ("memory", "paged-list"),
+    ])
+    def test_pairs_and_scan_count_match_the_paged_lists(
+            self, pool, dept_data, a_method, d_method):
+        ancestors = dept_data.ancestors[:300]
+        descendants = dept_data.descendants[:600]
+        expected = nested_loop_join(ancestors, descendants)
+        _pairs, reference = stack_tree_join(
+            build_element_list(ancestors, pool),
+            build_element_list(descendants, pool))
+        pairs, stats = stack_tree_join(
+            BUILDERS[a_method](ancestors, pool),
+            BUILDERS[d_method](descendants, pool))
+        assert sort_pairs(pairs) == expected
+        assert stats.elements_scanned == reference.elements_scanned
+        assert pool.pinned_count == 0

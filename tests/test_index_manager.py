@@ -20,7 +20,7 @@ def catalog(pool):
 
 @pytest.fixture
 def manager(catalog, pool):
-    return IndexManager(catalog, pool=pool, capacity=4)
+    return IndexManager(catalog, pool)
 
 
 def seeded_tree(manager, name, starts=(1, 5)):
@@ -64,50 +64,15 @@ class TestHandleCache:
         assert manager.flush() == 1
         assert catalog.names()["fresh"] == "xr-tree"
         # A second manager loads what the first wrote back.
-        other = IndexManager(catalog, pool=pool)
+        other = IndexManager(catalog, pool)
         reloaded = other.get_xrtree("fresh")
         assert [e.start for e in reloaded.items()] == [3, 9]
-
-    def test_eviction_writes_back_dirty_handle(self, catalog, pool):
-        manager = IndexManager(catalog, pool=pool, capacity=1)
-        seeded_tree(manager, "a", starts=(1, 7))
-        seeded_tree(manager, "b")       # evicts 'a', which must write back
-        assert manager.stats.evictions == 1
-        assert manager.stats.writebacks == 1
-        assert catalog.names()["a"] == "xr-tree"
-        reloaded = manager.get_xrtree("a")   # evicts 'b' the same way
-        assert [e.start for e in reloaded.items()] == [1, 7]
-
-    def test_eviction_skips_clean_handles(self, catalog, pool):
-        from repro.indexes.xrtree import XRTree
-
-        for name in ("a", "b"):
-            catalog.save_xrtree(name, XRTree(pool))
-        manager = IndexManager(catalog, pool=pool, capacity=1)
-        manager.get_xrtree("a")
-        manager.get_xrtree("b")
-        assert manager.stats.evictions == 1
-        assert manager.stats.writebacks == 0
-
-    def test_lru_order(self, catalog, pool):
-        manager = IndexManager(catalog, pool=pool, capacity=2)
-        seeded_tree(manager, "a")
-        seeded_tree(manager, "b")
-        manager.get_xrtree("a")          # 'b' becomes the LRU victim
-        seeded_tree(manager, "c")
-        assert "b" not in manager
-        assert "a" in manager and "c" in manager
 
 
 class TestLifecycle:
     def test_mark_dirty_requires_resident_handle(self, manager):
         with pytest.raises(IndexManagerError):
             manager.mark_dirty("ghost")
-
-    def test_kind_mismatch_cached(self, manager):
-        seeded_tree(manager, "t")
-        with pytest.raises(IndexManagerError):
-            manager.get_bptree("t")
 
     def test_kind_mismatch_catalogued(self, manager, catalog, pool):
         from repro.indexes.bptree import BPlusTree
@@ -147,14 +112,10 @@ class TestLifecycle:
             manager.get_xrtree("t")
 
     def test_context_manager(self, catalog, pool):
-        with IndexManager(catalog, pool=pool) as manager:
+        with IndexManager(catalog, pool) as manager:
             seeded_tree(manager, "t")
         assert manager.closed
         assert "t" in catalog.names()
-
-    def test_capacity_validated(self, catalog, pool):
-        with pytest.raises(IndexManagerError):
-            IndexManager(catalog, pool=pool, capacity=0)
 
 
 class TestFlushFailures:
@@ -233,7 +194,7 @@ class TestContextManagers:
         with StorageContext(page_size=512, path=path) as context:
             catalog = Catalog.create(context.pool)
             manager = context.attach_index_manager(
-                IndexManager(catalog, pool=context.pool)
+                IndexManager(catalog, context.pool)
             )
             tree = manager.get_or_create_xrtree("t")
             manager.mark_dirty("t")
@@ -299,27 +260,44 @@ class TestDatabaseThroughManager:
         db.add_document(self.DOC_B)
         assert len(db.query("//dept//*")) > count
 
-    def test_tiny_handle_budget_still_correct(self):
-        db = XmlDatabase.create(handle_budget=1)
-        db.add_document(self.DOC_A, name="alpha")
-        db.add_document(self.DOC_B, name="beta")
-        assert len(db.query("//emp//name")) == 3
-        assert db.verify() == len(db.tags())
-        db.remove_document(1)
-        assert all(m.doc_id == 2 for m in db.query("//emp//name").matches)
-        assert db.index_stats.evictions > 0
-        assert db.index_stats.writebacks > 0
+    # 150 tags: more trees than the handle budget of 64 that eviction used
+    # to enforce — every handle now simply stays live.
+    MANY_TAGS = "<r>%s</r>" % "".join(
+        "<t%d><leaf/></t%d>" % (n, n) for n in range(150))
 
-    def test_tiny_budget_persistence(self, tmp_path):
-        path = str(tmp_path / "tiny.db")
-        with XmlDatabase.create(path, page_size=1024,
-                                handle_budget=1) as db:
+    def test_more_tags_than_the_old_budget_correct(self):
+        db = XmlDatabase.create()
+        db.add_document(self.MANY_TAGS, name="wide")
+        db.add_document(self.DOC_A, name="alpha")
+        assert len(db.tags()) == 155
+        assert len(db.query("//t149/leaf")) == 1
+        assert len(db.query("//r//leaf")) == 150
+        assert db.verify() == len(db.tags())
+        assert len(db._indexes) == len(db.tags())
+        db.remove_document(1)
+        assert db.tags() == ["dept", "emp", "name"]
+        assert len(db._indexes) == 3
+        assert len(db.query("//emp//name")) == 2
+
+    def test_more_tags_than_the_old_budget_persist(self, tmp_path):
+        path = str(tmp_path / "wide.db")
+        with XmlDatabase.create(path, page_size=1024) as db:
+            db.add_document(self.MANY_TAGS, name="wide")
             db.add_document(self.DOC_A, name="alpha")
-            db.add_document(self.DOC_B, name="beta")
-            expected = db.query("//emp//name").starts()
-        with XmlDatabase.open(path, page_size=1024, handle_budget=1) as db:
-            assert db.query("//emp//name").starts() == expected
-            assert db.verify() == len(db.tags())
+            db.flush()
+            assert db.index_stats.writebacks == len(db.tags())
+        with XmlDatabase.open(path, page_size=1024) as db:
+            assert len(db.query("//r//leaf")) == 150
+            assert len(db.query("//t0/leaf")) == 1
+            assert db.verify() == len(db.tags()) == 155
+            assert db.index_stats.loads == 155
+            db.remove_document(1)
+            assert db.verify() == 3
+        with XmlDatabase.open(path, page_size=1024) as db:
+            assert db.tags() == ["dept", "emp", "name"]
+            assert all(name in ("__documents__", "tag:dept", "tag:emp",
+                                "tag:name")
+                       for name in db._catalog.names())
 
     def test_full_lifecycle_roundtrip(self, tmp_path):
         """create -> add -> query -> remove -> flush -> close -> open."""

@@ -15,6 +15,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -170,6 +171,10 @@ class TestServerRobustness:
         shipper = make_shipper(server.address)
         assert shipper.latest_sequence() == 21   # still alive
         shipper.close()
+        # The handler thread that got the garbage races this one.
+        give_up_at = time.monotonic() + 5.0
+        while not server.stats.bad_frames and time.monotonic() < give_up_at:
+            time.sleep(0.01)
         assert server.stats.bad_frames >= 1
 
     def test_server_keeps_serving_a_dead_writers_archive(self, archive):

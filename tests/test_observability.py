@@ -172,10 +172,32 @@ def test_database_stats_covers_every_subsystem():
         assert stats["queries"]["rows"] == 2
 
 
+#: Every metric a fresh database exposes — the parent's list minus
+#: ``repro_index_handle_evictions`` (handles are no longer evicted).
+DATABASE_METRICS = [
+    "repro_admission_admitted", "repro_admission_peak_active",
+    "repro_admission_rejected", "repro_buffer_evictions",
+    "repro_buffer_hits", "repro_buffer_max_pinned", "repro_buffer_misses",
+    "repro_buffer_writebacks", "repro_disk_full_commit_failures",
+    "repro_disk_full_degraded", "repro_disk_full_recoveries",
+    "repro_index_handle_hits", "repro_index_handle_loads",
+    "repro_index_handle_misses", "repro_index_handle_writebacks",
+    "repro_journal_torn_groups", "repro_queries_degraded_total",
+    "repro_queries_total", "repro_query_errors_total", "repro_query_pages",
+    "repro_query_rows_total", "repro_query_seconds",
+    "repro_recovery_discarded_groups", "repro_recovery_replayed_groups",
+    "repro_scrub_corrupt", "repro_scrub_entries_checked",
+    "repro_scrub_pages_read", "repro_scrub_quarantined",
+    "repro_sessions_active", "repro_slow_queries_total",
+    "repro_snapshot_lag",
+]
+
+
 def test_database_metrics_and_prometheus_exposition():
     with _tiny_db() as db:
         db.query("//emp//name")
         snap = db.metrics()
+        assert sorted(snap) == DATABASE_METRICS
         assert snap["repro_queries_total"] == 1
         assert snap["repro_query_seconds"]["count"] == 1
         assert snap["repro_query_pages"]["count"] == 1

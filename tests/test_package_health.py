@@ -1,6 +1,8 @@
 """Package-level health checks: imports, exports, and API consistency."""
 
 import importlib
+import importlib.util
+import os
 import pkgutil
 
 import pytest
@@ -75,3 +77,31 @@ class TestApiConsistency:
             if not (module.__doc__ or "").strip():
                 missing.append(name)
         assert not missing, "modules without docstrings: %s" % missing
+
+
+class TestBenchmarkPatchPoints:
+    """``benchmarks/perf/tracing.py`` installs its proxies with
+    ``owner.__dict__[attribute]``: a traced method moved to a base class is
+    a ``KeyError`` in every traced run, so it has to fail here first."""
+
+    @staticmethod
+    def _tracing():
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "benchmarks", "perf", "tracing.py")
+        spec = importlib.util.spec_from_file_location("perf_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_patch_point_is_defined_on_its_owner(self):
+        missing = [(getattr(owner, "__name__", owner), attribute)
+                   for owner, attribute, _kind, _span
+                   in self._tracing()._patch_points()
+                   if attribute not in owner.__dict__]
+        assert not missing
+
+    def test_join_runner_names_resolve(self):
+        from repro.joins.registry import get_algorithm
+
+        for algorithm in self._tracing().JOIN_RUNNERS:
+            assert callable(get_algorithm(algorithm).runner)

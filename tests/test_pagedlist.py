@@ -56,7 +56,7 @@ class TestBuild:
 class TestCursor:
     def test_forward_iteration(self, pool):
         entries = sample_entries(25)
-        cursor = PagedElementList.build(pool, entries).cursor()
+        cursor = PagedElementList.build(pool, entries).first()
         seen = []
         while not cursor.at_end:
             seen.append(cursor.current)
@@ -64,20 +64,20 @@ class TestCursor:
         assert seen == entries
 
     def test_empty_cursor(self, pool):
-        cursor = PagedElementList.build(pool, []).cursor()
+        cursor = PagedElementList.build(pool, []).first()
         assert cursor.at_end
         assert cursor.advance() is False
-        with pytest.raises(StopIteration):
+        with pytest.raises(IndexError):
             cursor.current
 
     def test_advance_returns_false_at_end(self, pool):
-        cursor = PagedElementList.build(pool, sample_entries(1)).cursor()
+        cursor = PagedElementList.build(pool, sample_entries(1)).first()
         assert cursor.advance() is False
         assert cursor.at_end
 
     def test_clone_is_independent(self, pool):
         entries = sample_entries(40)
-        cursor = PagedElementList.build(pool, entries).cursor()
+        cursor = PagedElementList.build(pool, entries).first()
         for _ in range(5):
             cursor.advance()
         copy = cursor.clone()
@@ -87,7 +87,7 @@ class TestCursor:
         assert cursor.current == entries[6]
 
     def test_clone_at_end(self, pool):
-        cursor = PagedElementList.build(pool, sample_entries(2)).cursor()
+        cursor = PagedElementList.build(pool, sample_entries(2)).first()
         cursor.advance()
         cursor.advance()
         assert cursor.clone().at_end
@@ -98,7 +98,7 @@ class TestCursor:
         pool.flush_all()
         pool.clear()
         pool.reset_stats()
-        cursor = lst.cursor()
+        cursor = lst.first()
         while not cursor.at_end:
             cursor.advance()
         assert pool.stats.misses == 3

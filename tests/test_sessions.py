@@ -1,4 +1,4 @@
-"""The redesigned client API: sessions, DatabaseConfig, the shared
+"""The redesigned client API: sessions, constructor defaults, the shared
 ``(runtime, profile)`` trio, warm joins, and the serving front end."""
 
 import os
@@ -6,15 +6,13 @@ import threading
 
 import pytest
 
-from repro import DatabaseConfig, Session, XmlDatabase
+from repro import Session, XmlDatabase
 from repro.core.api import StorageContext, structural_join
 from repro.core.session import SessionError
 from repro.obs.profile import QueryProfile
 from repro.query.admission import AdmissionController, QueryRejected
 from repro.server import Server, ServerError
-from repro.storage.disk import InMemoryDisk
 from repro.storage.errors import StorageError
-from repro.storage.timemodel import DiskTimeModel
 
 XML_ONE = ("<department><employee><name>ada</name>"
            "<email>a@x</email></employee></department>")
@@ -201,45 +199,6 @@ class TestExplainParity:
 
 
 class TestDatabaseConfig:
-    def test_config_reaches_the_disk(self):
-        config = DatabaseConfig(page_size=1024, buffer_pages=16)
-        database = XmlDatabase.create(config=config)
-        try:
-            assert database._context.disk.page_size == 1024
-            assert database._context.pool.capacity == 16
-        finally:
-            database.close()
-
-    def test_explicit_kwarg_wins_over_config(self):
-        config = DatabaseConfig(page_size=1024)
-        database = XmlDatabase.create(page_size=512, config=config)
-        try:
-            assert database._context.disk.page_size == 512
-        finally:
-            database.close()
-
-    def test_unknown_option_raises(self):
-        with pytest.raises(TypeError):
-            DatabaseConfig().merged(page_siez=512)
-
-    def test_storage_context_accepts_config(self):
-        model = DiskTimeModel()
-        config = DatabaseConfig(page_size=1024, buffer_pages=8,
-                                time_model=model)
-        context = StorageContext(config=config)
-        assert context.disk.page_size == 1024
-        assert context.pool.capacity == 8
-        assert context.time_model is model
-
-    def test_from_pool_accepts_config(self):
-        from repro.storage.buffer import BufferPool
-
-        model = DiskTimeModel()
-        pool = BufferPool(InMemoryDisk(page_size=512), capacity=4)
-        context = StorageContext.from_pool(
-            pool, config=DatabaseConfig(time_model=model))
-        assert context.time_model is model
-
     def test_defaults_unchanged_without_config(self):
         database = XmlDatabase.create()
         try:

@@ -134,7 +134,7 @@ class TestDefinitionInvariants:
     def test_checker_catches_corrupt_flag(self, pool):
         tree = small_tree(pool)
         cursor = tree.first()
-        leaf = pool.fetch(cursor._leaf_id)
+        leaf = pool.fetch(cursor.page_id)
         # Flip a flag without touching any stab list.
         leaf.records[0] = leaf.records[0].with_flag(
             not leaf.records[0].in_stab_list
