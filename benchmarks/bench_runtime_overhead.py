@@ -35,7 +35,9 @@ from repro.query.runtime import QueryContext
 from repro.workloads.datasets import department_dataset
 
 OVERHEAD_CEILING = 1.10
-ROUNDS = 7
+#: A 5 ms join needs this many interleaved samples per arm before best-of
+#: finds its floor on a busy two-core host.
+ROUNDS = 41
 ELEMENTS = 4000
 #: Absolute slack for timer granularity on very fast joins.
 EPSILON_SECONDS = 5e-4

@@ -1,8 +1,9 @@
 """Benchmark harness regenerating every table and figure of Section 6,
 plus the stab-list size study (Section 3.3), the update-cost study
-(Theorems 1-2) and design ablations.
+(Theorems 1-2) and design ablations, and asserting the paper's shapes on
+what it measured (:mod:`repro.bench.shapes`).
 
-Run everything from the command line::
+Run everything from the command line; the exit status is the gate::
 
     python -m repro.bench --scale 20000 --out results.md
 """

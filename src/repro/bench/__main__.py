@@ -5,8 +5,9 @@ Usage::
     python -m repro.bench --scale 20000 --out results.md
 
 Writes a markdown report with one section per table/figure, measured values
-side by side with the paper's reported numbers (tables) or qualitative
-expectations (figures).
+side by side with the paper's reported numbers (tables), and under each
+artefact one ``shape ✓/✗`` line per row of :data:`repro.bench.shapes.SHAPES`.
+Exits 1 if a shape does not hold.
 """
 
 import argparse
@@ -14,16 +15,22 @@ import sys
 import time
 
 from repro.bench.figures import ascii_chart
-from repro.bench.harness import ExperimentConfig, run_selectivity_sweep
-from repro.bench.paper_numbers import FIGURE_8_SHAPE
+from repro.bench.harness import (
+    ALGORITHM_LABELS,
+    ExperimentConfig,
+    run_selectivity_sweep,
+)
 from repro.bench.report import (
     format_elapsed_table,
     format_scanned_table,
     format_series,
 )
+from repro.bench.shapes import SHAPES
 from repro.bench.studies import (
     ablation_buffer_sizes,
     ablation_split_keys,
+    join_study,
+    scale_study,
     stab_list_study,
     update_cost_study,
 )
@@ -45,92 +52,87 @@ def main(argv=None):
                         help="approximate generated elements per document")
     parser.add_argument("--out", default=None,
                         help="write the markdown report here (default stdout)")
-    parser.add_argument("--csv", default=None,
-                        help="also write every sweep cell as CSV here")
-    parser.add_argument("--json", default=None,
-                        help="also write every sweep as a JSON report "
-                             "(with logical page_requests counters) here")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--skip-studies", action="store_true",
-                        help="only run the six sweeps")
+                        help="only run the six sweeps and the JOIN section")
     args = parser.parse_args(argv)
 
     config = ExperimentConfig(target_elements=args.scale, seed=args.seed)
     sections = []
-    csv_chunks = []
-    json_sweeps = []
     datasets = {
         "employee_name": department_dataset(args.scale, seed=args.seed),
         "paper_author": conference_dataset(args.scale, seed=args.seed),
     }
-    for title, dataset, protocol, paper_key, figure_key in _SWEEPS:
+    for title, dataset, protocol, table_key, figure_key in _SWEEPS:
         started = time.perf_counter()
         result = run_selectivity_sweep(dataset, protocol, config,
                                        base_dataset=datasets[dataset])
         took = time.perf_counter() - started
         body = ["## %s — %s, vary %s" % (title, dataset, protocol), ""]
-        if paper_key:
+        if table_key:
             body += ["Elements scanned (ours, with paper thousands):", "",
-                     "```", format_scanned_table(result, paper_key), "```", ""]
+                     "```", format_scanned_table(result, table_key), "```", ""]
+            body += _shape_lines(table_key, result) + [""]
         body += ["Derived elapsed time and page misses:", "",
                  "```", format_elapsed_table(result), "```", "",
                  "Series (for plotting):", "",
-                 "```", format_series(result), "```", ""]
-        if figure_key:
-            body += ["```",
-                     ascii_chart(result,
-                                 title="Figure 8 analogue (%s)" % figure_key),
-                     "```", "",
-                     "Paper expectation: %s" % FIGURE_8_SHAPE[figure_key], ""]
-        body.append("_sweep wall time: %.1fs_" % took)
+                 "```", format_series(result), "```", "",
+                 "```",
+                 ascii_chart(result,
+                             title="Figure 8 analogue (%s)" % figure_key),
+                 "```", ""]
+        body += _shape_lines(figure_key, result)
+        body += ["", "_sweep wall time: %.1fs_" % took]
         sections.append("\n".join(body))
-        if args.csv:
-            from repro.bench.report import sweep_to_csv
-
-            csv_chunks.append(sweep_to_csv(result))
-        if args.json:
-            import json as _json
-
-            from repro.bench.report import sweep_to_json
-
-            json_sweeps.append(_json.loads(sweep_to_json(result)))
         print("finished %s in %.1fs" % (title, took), file=sys.stderr)
 
+    sections.append(_join_section(datasets["employee_name"], config))
     if not args.skip_studies:
         sections.append(_studies_section())
 
     report = "# XR-tree reproduction results (scale=%d)\n\n%s\n" % (
         args.scale, "\n\n".join(sections)
     )
-    if args.csv and csv_chunks:
-        header, _, _ = csv_chunks[0].partition("\n")
-        body = [header]
-        for chunk in csv_chunks:
-            body.extend(chunk.splitlines()[1:])
-        with open(args.csv, "w") as handle:
-            handle.write("\n".join(body) + "\n")
-        print("wrote %s" % args.csv, file=sys.stderr)
-    if args.json and json_sweeps:
-        import json as _json
-
-        with open(args.json, "w") as handle:
-            _json.dump({"scale": args.scale, "sweeps": json_sweeps},
-                       handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.json, file=sys.stderr)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report)
         print("wrote %s" % args.out, file=sys.stderr)
     else:
         print(report)
+    failed = [line for line in report.splitlines()
+              if line.startswith("- shape ✗")]
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _shape_lines(artefact, measurement):
+    return ["- shape %s %s: %s" % ("✓" if holds(measurement) else "✗",
+                                   artefact, description)
+            for description, holds in SHAPES[artefact].items()]
+
+
+def _join_section(dataset, config):
+    outcomes = join_study(dataset, config)
+    lines = ["## JOIN — merge baselines and parent-child joins "
+             "(Sections 2.2, 5.3), employee_name", ""]
+    for (algorithm, parent_child), outcome in outcomes.items():
+        lines.append(
+            "- %s %s: %d pairs, %d scanned, %d misses"
+            % (ALGORITHM_LABELS[algorithm], "parent-child" if parent_child
+               else "ancestor-descendant", outcome.pair_count,
+               outcome.stats.elements_scanned, outcome.page_misses)
+        )
+    return "\n".join(lines + [""] + _shape_lines("JOIN", outcomes))
 
 
 def _studies_section():
     lines = ["## S33 — stab-list size study (Section 3.3)", ""]
-    for profile in ("department", "auction"):
+    stab_lists = {profile: stab_list_study(profile=profile)
+                  for profile in ("department", "auction")}
+    for profile, reports in stab_lists.items():
         lines.append("Profile: %s" % profile)
-        for report in stab_list_study(profile=profile):
+        for report in reports:
             lines.append(
                 "- nesting=%d: %d elements, %d stabbed, stab/leaf pages = "
                 "%d/%d (%.1f%%), avg %.2f max %d pages per node, "
@@ -142,23 +144,41 @@ def _studies_section():
                    report.max_stab_pages_per_node, report.directory_pages)
             )
         lines.append("")
+    lines += _shape_lines("S33", stab_lists)
     lines += ["", "## UPD — amortized update cost (Theorems 1-2)", ""]
-    for report in update_cost_study():
+    update_costs = update_cost_study()
+    for report in update_costs:
         lines.append(
             "- %s %s: %.3f transfers/op, %.3f misses/op over %d ops"
             % (report.structure, report.operation, report.transfers_per_op,
                report.misses_per_op, report.operations)
         )
+    lines += [""] + _shape_lines("UPD", update_costs)
     lines += ["", "## ABL — ablations", ""]
-    for cell in ablation_split_keys():
+    ablation = {"split keys": ablation_split_keys(),
+                "buffer": ablation_buffer_sizes()}
+    for cell in ablation["split keys"]:
         lines.append("- split keys %s: %d stabbed elements"
                      % (cell.setting, cell.stabbed_elements))
-    for cell in ablation_buffer_sizes():
+    for cell in ablation["buffer"]:
         lines.append("- %s: %d misses, %d scanned"
                      % (cell.setting, cell.page_misses,
                         cell.elements_scanned))
-    return "\n".join(lines)
+    lines += [""] + _shape_lines("ABL", ablation)
+    lines += ["", "## SCALE — scale stability of the headline cell "
+              "(employee_name, Join-A = 5 %)", ""]
+    scales = scale_study()
+    for scale, sweep in scales.items():
+        nidx, xr = sweep.cells
+        lines.append(
+            "- scale %d: NIDX scans %d (%d misses), XR scans %d (%d misses), "
+            "scan ratio %.1fx"
+            % (scale, nidx.elements_scanned, nidx.page_misses,
+               xr.elements_scanned, xr.page_misses,
+               nidx.elements_scanned / max(1, xr.elements_scanned))
+        )
+    return "\n".join(lines + [""] + _shape_lines("SCALE", scales))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,7 +7,7 @@ One sweep reproduces one paper artifact:
 * protocol ``"both"``        → Figure 8(e)(f)
 
 Each cell measures a cold-buffer join run and records elements scanned, page
-misses, derived elapsed time (disk-time model) and wall time.
+misses and derived elapsed time (disk-time model).
 """
 
 from dataclasses import dataclass, field
@@ -65,43 +65,26 @@ class ExperimentConfig:
 
 @dataclass
 class SweepCell:
-    """One (selectivity, algorithm) measurement.
-
-    ``page_requests`` is the *logical* I/O count (buffer hits + misses) —
-    deterministic across pool sizes, unlike ``page_misses``; ``skips``
-    counts the XR-stack/B+ index skip probes the join issued.
-    """
+    """One (selectivity, algorithm) measurement."""
 
     selectivity: float
     algorithm: str
     elements_scanned: int
     page_misses: int
-    writebacks: int
     derived_seconds: float
-    wall_seconds: float
     pairs: int
     join_a: float
-    join_d: float
     list_sizes: tuple
-    page_requests: int = 0
-    skips: int = 0
 
 
 @dataclass
 class SweepResult:
-    """All cells of one sweep, grouped for table/series rendering.
-
-    ``metrics`` is one flat snapshot of the sweep-level counters
-    (queries run, logical/physical I/O totals), taken when the sweep
-    finishes — what :func:`repro.bench.report.sweep_to_json` embeds in
-    the emitted report.
-    """
+    """All cells of one sweep, grouped for table/series rendering."""
 
     dataset: str
     protocol: str
     config: ExperimentConfig
     cells: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
 
     def cell(self, selectivity, algorithm):
         for cell in self.cells:
@@ -122,7 +105,7 @@ class SweepResult:
 
 
 def run_selectivity_sweep(dataset="employee_name", protocol="ancestors",
-                          config=None, collect=False, base_dataset=None):
+                          config=None, base_dataset=None):
     """Run one full sweep; returns a :class:`SweepResult`.
 
     ``base_dataset`` lets callers reuse an already-generated dataset (the
@@ -142,32 +125,17 @@ def run_selectivity_sweep(dataset="employee_name", protocol="ancestors",
             context = config.make_context()
             outcome = structural_join(
                 workload.ancestors, workload.descendants,
-                algorithm=algorithm, context=context, collect=collect,
+                algorithm=algorithm, context=context, collect=False,
             )
             result.cells.append(SweepCell(
                 selectivity=step,
                 algorithm=algorithm,
                 elements_scanned=outcome.stats.elements_scanned,
                 page_misses=outcome.page_misses,
-                writebacks=outcome.writebacks,
                 derived_seconds=outcome.derived_seconds,
-                wall_seconds=outcome.wall_seconds,
                 pairs=outcome.stats.pairs,
                 join_a=workload.join_a,
-                join_d=workload.join_d,
                 list_sizes=(len(workload.ancestors),
                             len(workload.descendants)),
-                page_requests=outcome.page_requests,
-                skips=(outcome.stats.ancestor_skips
-                       + outcome.stats.descendant_skips),
             ))
-    result.metrics = {
-        "cells": len(result.cells),
-        "page_requests": sum(c.page_requests for c in result.cells),
-        "page_misses": sum(c.page_misses for c in result.cells),
-        "elements_scanned": sum(c.elements_scanned for c in result.cells),
-        "pairs": sum(c.pairs for c in result.cells),
-        "skip_probes": sum(c.skips for c in result.cells),
-        "wall_seconds": sum(c.wall_seconds for c in result.cells),
-    }
     return result

@@ -2,7 +2,7 @@
 
 Tables 2 and 3 report elements scanned in thousands; Figure 8 is read
 qualitatively (elapsed-time orderings and trends), so only the tables are
-transcribed verbatim.
+transcribed — its shapes are rows of :data:`repro.bench.shapes.SHAPES`.
 """
 
 #: Table 2(a): employee vs name, 99 % of descendants join, Join-A varies.
@@ -58,16 +58,4 @@ PAPER_TABLES = {
     "table2b": TABLE_2B,
     "table3a": TABLE_3A,
     "table3b": TABLE_3B,
-}
-
-#: Qualitative Figure 8 expectations used as bench acceptance criteria.
-FIGURE_8_SHAPE = {
-    "fig8a": "XR fastest, margin grows as Join-A falls; B+ ~ NIDX elapsed "
-             "despite scanning fewer elements (skips rarely save pages)",
-    "fig8b": "same as (a) but B+ == NIDX scans exactly (flat ancestors)",
-    "fig8c": "B+ slightly ahead of XR (bigger XR key entries, more index "
-             "pages); both well ahead of NIDX at low Join-D",
-    "fig8d": "as (c)",
-    "fig8e": "ordering NIDX > B+ > XR throughout, gap widening",
-    "fig8f": "as (e)",
 }

@@ -1,7 +1,5 @@
 """Rendering of sweep results in the paper's table/figure formats."""
 
-import json
-
 from repro.bench.paper_numbers import PAPER_TABLES
 
 _LABELS = {"stack-tree": "NIDX", "b+": "B+", "xr-stack": "XR",
@@ -69,94 +67,7 @@ def format_series(result, metric="derived_seconds"):
     return "\n".join(lines)
 
 
-def sweep_to_csv(result):
-    """Flatten a sweep into CSV text (one row per cell) for external
-    plotting tools."""
-    header = ("dataset,protocol,selectivity,algorithm,elements_scanned,"
-              "page_misses,page_requests,writebacks,derived_seconds,"
-              "wall_seconds,pairs,skips,join_a,join_d,ancestors,descendants")
-    rows = [header]
-    for cell in result.cells:
-        rows.append(",".join(str(v) for v in (
-            result.dataset, result.protocol, cell.selectivity,
-            cell.algorithm, cell.elements_scanned, cell.page_misses,
-            cell.page_requests, cell.writebacks,
-            round(cell.derived_seconds, 6),
-            round(cell.wall_seconds, 6), cell.pairs, cell.skips,
-            round(cell.join_a, 4), round(cell.join_d, 4),
-            cell.list_sizes[0], cell.list_sizes[1],
-        )))
-    return "\n".join(rows) + "\n"
-
-
-def sweep_to_json(result):
-    """Serialize a sweep as a JSON report with per-cell logical I/O.
-
-    The document carries the run configuration, the sweep-level
-    ``metrics`` snapshot taken by the harness, and one record per cell
-    including the deterministic ``page_requests`` counter (buffer hits +
-    misses) alongside the physical ``page_misses``.
-    """
-    return json.dumps({
-        "dataset": result.dataset,
-        "protocol": result.protocol,
-        "config": {
-            "target_elements": result.config.target_elements,
-            "page_size": result.config.page_size,
-            "buffer_pages": result.config.buffer_pages,
-            "seed": result.config.seed,
-            "steps": list(result.config.steps),
-            "algorithms": list(result.config.algorithms),
-        },
-        "metrics": result.metrics,
-        "cells": [{
-            "selectivity": cell.selectivity,
-            "algorithm": cell.algorithm,
-            "elements_scanned": cell.elements_scanned,
-            "page_misses": cell.page_misses,
-            "page_requests": cell.page_requests,
-            "writebacks": cell.writebacks,
-            "derived_seconds": cell.derived_seconds,
-            "wall_seconds": cell.wall_seconds,
-            "pairs": cell.pairs,
-            "skips": cell.skips,
-            "join_a": cell.join_a,
-            "join_d": cell.join_d,
-            "ancestors": cell.list_sizes[0],
-            "descendants": cell.list_sizes[1],
-        } for cell in result.cells],
-    }, indent=1, sort_keys=True) + "\n"
-
-
 def _thousands(value):
     if value >= 1000:
         return "%.1fk" % (value / 1000.0)
     return str(value)
-
-
-def shape_checks(result):
-    """Assertable shape properties the paper's artifacts exhibit.
-
-    Returns a dict of named booleans used by the benchmark suite:
-
-    * ``xr_scans_least`` — XR-stack scans no more elements than either
-      baseline at every selectivity;
-    * ``nidx_flat`` — the no-index scan count is insensitive to selectivity
-      relative to list sizes (it always scans everything);
-    * ``gap_grows`` — the NIDX/XR scan ratio grows as selectivity falls.
-    """
-    steps = list(result.config.steps)
-    nidx = result.column("stack-tree")
-    xr = result.column("xr-stack")
-    bplus = result.column("b+")
-    checks = {}
-    checks["xr_scans_least"] = all(
-        x <= n and x <= b + max(2, b // 20)
-        for x, n, b in zip(xr, nidx, bplus)
-    )
-    ratios = [n / max(x, 1) for n, x in zip(nidx, xr)]
-    checks["gap_grows"] = ratios[-1] > ratios[0]
-    checks["monotone_xr"] = all(
-        earlier >= later for earlier, later in zip(xr, xr[1:])
-    ) or xr[0] > xr[-1]
-    return checks

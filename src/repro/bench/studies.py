@@ -1,9 +1,11 @@
 """Secondary studies: stab-list sizes (Section 3.3), update costs
-(Theorems 1-2) and design ablations."""
+(Theorems 1-2), design ablations, the merge-baseline / parent-child joins
+(Sections 2.2, 5.3) and scale stability."""
 
 from dataclasses import dataclass
 from random import Random
 
+from repro.bench.harness import ExperimentConfig, run_selectivity_sweep
 from repro.core.api import StorageContext, build_xr_tree, structural_join
 from repro.indexes.bptree import BPlusTree
 from repro.indexes.xrtree import XRTree, XRLeafPage
@@ -222,3 +224,39 @@ def ablation_buffer_sizes(target_elements=12000, seed=4,
             page_misses=outcome.page_misses,
         ))
     return cells
+
+
+def join_study(dataset, config):
+    """Every merge and indexed join over one unmodified dataset, as an
+    ancestor-descendant and as a parent-child join (Section 5.3: the
+    ``level`` filter), each from a cold buffer.
+
+    Returns ``{(algorithm, parent_child): JoinOutcome}``; MPMGJN is the
+    re-scanning merge Section 2.2 criticizes.
+    """
+    return {
+        (algorithm, parent_child): structural_join(
+            dataset.ancestors, dataset.descendants, algorithm=algorithm,
+            parent_child=parent_child, context=config.make_context(),
+            collect=False,
+        )
+        for algorithm in ("mpmgjn", "stack-tree", "b+", "xr-stack")
+        for parent_child in (False, True)
+    }
+
+
+def scale_study(scales=(4000, 8000, 16000)):
+    """The headline cell (employee vs name, Join-A = 5 %) at several data
+    scales: DESIGN.md's substitution argument rests on the paper's metrics
+    being ratio/ordering-based and therefore scale-stable.
+
+    Returns ``{scale: SweepResult}`` of that one step, NIDX and XR only.
+    """
+    return {
+        scale: run_selectivity_sweep(
+            "employee_name", "ancestors",
+            ExperimentConfig(target_elements=scale, steps=(0.05,),
+                             algorithms=("stack-tree", "xr-stack")),
+        )
+        for scale in scales
+    }

@@ -74,11 +74,6 @@ class ChaosConfig:
     stall_rate: float = 0.0
     stall_seconds: float = 0.5
 
-    def any_frame_faults(self):
-        return any((self.drop_rate, self.duplicate_rate,
-                    self.reorder_rate, self.corrupt_rate,
-                    self.stall_rate))
-
 
 class ProxyStats:
     """Lifetime counters for one :class:`ChaosProxy`."""

@@ -180,12 +180,6 @@ class PathQueryEngine:
             cache.pop("*", None)
         self._all_tags = None
 
-    def invalidate_all(self):
-        """Drop every cached element set and index."""
-        self._tag_entries.clear()
-        self._tag_indexes.clear()
-        self._all_tags = None
-
     # -- evaluation -----------------------------------------------------------------
 
     def evaluate(self, path, runtime=None, profile=None):
@@ -492,8 +486,10 @@ class PathQueryEngine:
         from repro.query.estimate import estimate_join
 
         expression = parse_path(path) if isinstance(path, str) else path
-        lines = ["plan for %s (strategy=%s)" % (expression, self.strategy)]
         steps = list(expression.steps)
+        if steps[0].axis.is_reverse:
+            raise QueryError("a path cannot start with a reverse axis")
+        lines = ["plan for %s (strategy=%s)" % (expression, self.strategy)]
         size = len(self.entries_for(steps[0].tag))
         lines.append("  scan %-20s -> %d elements"
                      % (steps[0].tag, size))

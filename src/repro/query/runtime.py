@@ -248,10 +248,6 @@ class QueryContext:
         return self._ticks
 
     @property
-    def rows_emitted(self):
-        return self._rows
-
-    @property
     def pages_used(self):
         """Logical page requests charged since the last (re)base."""
         if self._pool is None:

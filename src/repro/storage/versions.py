@@ -130,12 +130,6 @@ class PageVersionStore:
             del self._versions[page_id]
 
     @property
-    def versioned_pages(self):
-        """Pages with at least one retained pre-image (gauge fodder)."""
-        with self._lock:
-            return len(self._versions)
-
-    @property
     def retained_images(self):
         with self._lock:
             return sum(len(chain) for chain in self._versions.values())

@@ -12,8 +12,8 @@ from repro.bench.report import (
     format_elapsed_table,
     format_scanned_table,
     format_series,
-    shape_checks,
 )
+from repro.bench.shapes import SHAPES
 from repro.bench.studies import (
     ablation_buffer_sizes,
     ablation_split_keys,
@@ -90,9 +90,36 @@ class TestReport:
         assert "XR:" in text and "(70%" in text
 
     def test_shape_checks_hold_on_real_sweep(self, small_sweep):
-        checks = shape_checks(small_sweep)
-        assert checks["xr_scans_least"]
-        assert checks["gap_grows"]
+        rows = SHAPES["table2a"]
+        assert rows["XR scans least at every step"](small_sweep)
+        assert rows["the NIDX/XR scan ratio grows as Join-A falls"](
+            small_sweep)
+
+
+class TestEveryShapeHolds:
+    """The tier-1 gate behind every ✓ in EXPERIMENTS.md: the whole report,
+    every row of the shape table, at the smallest scale the rows hold on
+    (2 000 elements barely exceed the 100-page pool)."""
+
+    def test_report_exits_zero_with_every_row_ticked(self, tmp_path):
+        from repro.bench.__main__ import main
+
+        out = tmp_path / "report.md"
+        assert main(["--scale", "4000", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.count("shape ✓") == sum(map(len, SHAPES.values())) >= 43
+        assert "shape ✗" not in text
+
+    def test_a_row_that_does_not_hold_fails_the_run(self, tmp_path,
+                                                    monkeypatch):
+        from repro.bench.__main__ import main
+
+        monkeypatch.setitem(SHAPES, "fig8b",
+                            {"forced false": lambda sweep: False})
+        out = tmp_path / "report.md"
+        assert main(["--scale", "900", "--skip-studies",
+                     "--out", str(out)]) == 1
+        assert "shape ✗ fig8b: forced false" in out.read_text()
 
 
 class TestPaperNumbers:

@@ -18,7 +18,6 @@ from repro.core.api import (
     oracle_join,
     structural_join,
 )
-from repro.indexes.rtree import RTree, rtree_sync_join
 from repro.joins import (
     bplus_psp_join,
     bplus_sp_join,
@@ -86,16 +85,7 @@ def test_every_component_agrees(trial):
         pairs, _ = variant(a_tree, d_tree)
         assert sort_pairs(pairs) == expected, variant.__name__
 
-    # 3. The R-tree synchronized traversal.
-    r_context = StorageContext(page_size=1024, buffer_pages=64)
-    ar = RTree(r_context.pool)
-    ar.bulk_load(ancestors)
-    dr = RTree(r_context.pool)
-    dr.bulk_load(descendants)
-    pairs, _ = rtree_sync_join(ar, dr)
-    assert sort_pairs(pairs) == expected
-
-    # 4. Query executors over the source document.
+    # 3. Query executors over the source document.
     document = dataset.document
     engine = PathQueryEngine(document)
     fallback = PathQueryEngine(document, strategy="stack-tree")

@@ -1,12 +1,13 @@
-"""Tests for the in-memory interval tree (repro.indexes.intervaltree)."""
+"""Tests for the in-memory interval tree, the stabbing-query oracle
+(tests/intervaltree.py)."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.indexes.intervaltree import IntervalTree
 from tests.conftest import entry
+from tests.intervaltree import IntervalTree
 from tests.test_xrtree_property import tree_shape_to_entries
 
 

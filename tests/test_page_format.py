@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.indexes.bptree import BPlusInternalPage, BPlusLeafPage
-from repro.indexes.rtree import RTreeLeafPage
 from repro.indexes.xrtree.pages import (
     StabDirectoryPage,
     StabListPage,
@@ -41,8 +40,7 @@ UINT32_MAX = 2 ** 32 - 1
 #: Every field at the far end of its range.
 EDGE = ElementEntry(-1, INT32_MAX, INT32_MAX, 65535, True, 2 ** 63 - 1)
 
-RECORD_PAGES = (ElementListPage, BPlusLeafPage, XRLeafPage, StabListPage,
-                RTreeLeafPage)
+RECORD_PAGES = (ElementListPage, BPlusLeafPage, XRLeafPage, StabListPage)
 #: Types 2-8 — the seven decoders a database file is made of.
 ON_DISK_PAGES = (ElementListPage, BPlusLeafPage, BPlusInternalPage,
                  XRLeafPage, StabListPage, StabDirectoryPage, XRInternalPage)
@@ -68,7 +66,7 @@ def _keys(count):
 def golden_pages():
     """One empty, one single-entry and one full page of types 2-8."""
     pages = {}
-    for cls in RECORD_PAGES[:4]:
+    for cls in RECORD_PAGES:
         full = cls.capacity(PAGE_SIZE)
         pages[cls.__name__ + "/empty"] = cls()
         pages[cls.__name__ + "/one"] = cls(

@@ -133,6 +133,10 @@ class TestApi:
             pipeline = engine.evaluate(path)
             assert [e.start for e in holistic.last_elements()] == \
                 pipeline.starts()
+            # One synchronized pass: no stream element is scanned twice.
+            streams = sum(len(doc.entries_for_tag(step.tag))
+                          for step in parse_path(path).steps)
+            assert holistic.stats.elements_scanned <= streams + 1
 
     def test_predicates_rejected(self, document):
         with pytest.raises(ValueError):

@@ -107,6 +107,17 @@ class TestEvaluation:
         with pytest.raises(QueryError):
             engine.evaluate("/parent::emp")
 
+    def test_explain_rejects_what_evaluate_rejects(self, engine):
+        from repro.core.database import XmlDatabase
+
+        db = XmlDatabase.create()
+        db.add_document(SOURCE)
+        with db.session() as session:
+            for explain in (engine.explain, db.explain, session.explain):
+                for analyze in (False, True):
+                    with pytest.raises(QueryError, match="reverse axis"):
+                        explain("parent::emp", analyze=analyze)
+
     def test_reverse_axis_in_predicate_rejected(self, engine):
         with pytest.raises(QueryError):
             engine.evaluate("//name[parent::emp]")
