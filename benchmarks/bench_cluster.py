@@ -106,9 +106,7 @@ def build_cluster(tmp_dir, rng):
         if index == flaky_index:
             wrappers[0].fail_next(rng.randrange(1, 3), "physical-write")
         replicas.append(replica)
-    scratch = os.path.join(tmp_dir, "scratch")
-    os.makedirs(scratch, exist_ok=True)
-    replica_set = ReplicaSet(db, replicas, scratch_dir=scratch,
+    replica_set = ReplicaSet(db, replicas,
                              staleness_bound=STALENESS_BOUND,
                              down_after=2, cooldown_seconds=0.02)
     return replica_set, ClusterClient(replica_set), disk
@@ -175,9 +173,10 @@ def run_schedule(tmp_dir, rng, schedule_id):
         lost = [name for name in acked if name not in names]
         failover = rs.last_failover
         if failover is not None:
-            # The surviving standby is rebuilt after writes re-point;
-            # give the supervisor a beat to finish healing the set.
-            while (failover["rebuilt"] + failover["dropped"] < 1
+            # The surviving standby is re-seeded after writes re-point
+            # (a failed re-seed is retried by the next tick); give the
+            # supervisor a beat to finish healing the set.
+            while (failover["rebuilt"] < 1
                     and time.monotonic() < give_up):
                 time.sleep(0.001)
         down_at = None

@@ -131,9 +131,7 @@ def build_cluster(tmp_dir, rng, lossy):
             backoff_seconds=0.001, max_backoff_seconds=0.01,
             rng=random.Random(rng.randrange(1 << 30)))
         replicas.append(replica)
-    scratch = os.path.join(tmp_dir, "scratch")
-    os.makedirs(scratch, exist_ok=True)
-    replica_set = ReplicaSet(db, replicas, scratch_dir=scratch,
+    replica_set = ReplicaSet(db, replicas,
                              staleness_bound=STALENESS_BOUND,
                              down_after=2, network_down_after=6,
                              cooldown_seconds=0.02,

@@ -87,11 +87,9 @@ def build_cluster(tmp_dir, policy, standbys=2, **set_options):
             LocalDirShipper(archive_dir, PAGE_SIZE), page_size=PAGE_SIZE,
             buffer_pages=BUFFER_PAGES, backoff_seconds=0.001,
             max_backoff_seconds=0.01))
-    scratch = os.path.join(tmp_dir, "scratch")
-    os.makedirs(scratch, exist_ok=True)
     set_options.setdefault("cooldown_seconds", 0.02)
-    replica_set = ReplicaSet(db, replicas, scratch_dir=scratch,
-                             retention_policy=policy, **set_options)
+    replica_set = ReplicaSet(db, replicas, retention_policy=policy,
+                             **set_options)
     return replica_set, ClusterClient(replica_set), db, disk
 
 

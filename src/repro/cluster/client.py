@@ -180,11 +180,6 @@ class ClusterClient:
         self._m_read_errors = metrics.counter(
             "repro_cluster_read_errors_total",
             "Reads that exhausted every backend or their deadline")
-        self._m_hedges = metrics.counter(
-            "repro_cluster_hedged_reads_total", "Hedge attempts launched")
-        self._m_hedge_wins = metrics.counter(
-            "repro_cluster_hedge_wins_total",
-            "Reads answered by the hedge instead of the first attempt")
         self._m_hedge_launched = metrics.counter(
             "repro_cluster_hedge_launched_total",
             "Hedge requests launched after hedge_after of silence")
@@ -365,7 +360,6 @@ class ClusterClient:
             outcome = first.result()  # raises to the retry loop on error
             return self._finish(outcome, node, started, attempts,
                                 hedged=False)
-        self._m_hedges.inc()
         self._m_hedge_launched.inc()
         hedge_settled = False   # has the hedge been counted won or lost?
         tried_ids.add(hedge_node.id)
@@ -399,7 +393,6 @@ class ClusterClient:
                 if not hedge_settled:
                     hedge_settled = True
                     if winner is hedge_node:
-                        self._m_hedge_wins.inc()
                         self._m_hedge_won.inc()
                     else:
                         self._m_hedge_lost.inc()

@@ -5,7 +5,7 @@ primary and each standby — owns one :class:`BackendHealth` driven by
 probe outcomes:
 
 * ``healthy``: serving traffic; one probe failure moves it to
-  ``suspect`` (after ``suspect_after`` consecutive failures, default 1);
+  ``suspect``;
 * ``suspect``: still serving (ranked behind healthy peers) — one probe
   success heals it back to ``healthy``, ``down_after`` consecutive
   failures in total take it ``down``;
@@ -49,21 +49,17 @@ TRANSITION_LOG_CAPACITY = 32
 class BackendHealth:
     """The ``healthy → suspect → down`` state machine for one backend."""
 
-    def __init__(self, backend_id, suspect_after=1, down_after=3,
-                 cooldown_seconds=0.25, network_down_after=None,
-                 clock=None):
-        if suspect_after < 1:
-            raise ValueError("suspect_after must be at least 1")
-        if down_after < suspect_after:
-            raise ValueError("down_after must be >= suspect_after")
+    def __init__(self, backend_id, down_after=3, cooldown_seconds=0.25,
+                 network_down_after=None, clock=None):
+        if down_after < 1:
+            raise ValueError("down_after must be at least 1")
         if network_down_after is None:
             # Default: tolerate twice as many network failures as plain
             # ones before declaring death — partitions heal, disks don't.
             network_down_after = down_after * 2
-        if network_down_after < suspect_after:
-            raise ValueError("network_down_after must be >= suspect_after")
+        if network_down_after < 1:
+            raise ValueError("network_down_after must be at least 1")
         self.backend_id = backend_id
-        self.suspect_after = suspect_after
         self.down_after = down_after
         self.network_down_after = network_down_after
         self.cooldown_seconds = cooldown_seconds
@@ -100,8 +96,8 @@ class BackendHealth:
         """A probe or request against this backend failed.
 
         ``fatal=True`` (dead disk, crash) goes straight to ``down`` and
-        opens the circuit breaker; otherwise failures walk the
-        ``suspect_after``/``down_after`` ladder.  ``kind="network"``
+        opens the circuit breaker; otherwise the first failure makes a
+        healthy backend suspect and ``down_after`` in a row take it down.  ``kind="network"``
         marks a transport-level failure: it counts toward the (larger)
         ``network_down_after`` threshold for as long as the run of
         consecutive failures is network-only, so a short partition makes
@@ -127,8 +123,7 @@ class BackendHealth:
                     self._transition(DOWN, reason)
                 self._breaker_open_until = (
                     self.clock.now() + self.cooldown_seconds)
-            elif (self.state == HEALTHY
-                    and self.consecutive_failures >= self.suspect_after):
+            elif self.state == HEALTHY:
                 self._transition(SUSPECT, reason)
             elif self.state == DOWN:
                 # A failed half-open probe re-opens the breaker.

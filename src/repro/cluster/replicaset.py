@@ -23,9 +23,9 @@ tailing the primary's segment archive.  The replica set owns
   drives :meth:`~repro.storage.replication.StandbyReplica.promote`
   (reusing its divergence detection), fronts the promoted database with
   a fresh server, re-points writes by swapping the topology view and
-  bumping the **epoch**, and finally rebuilds the surviving standbys
-  from a hot backup of the new primary so the set returns to full
-  strength.
+  bumping the **epoch**, and finally re-seeds the surviving standbys
+  from a hot backup of the new primary — the same snapshot re-seed
+  retention uses — so the set returns to full strength.
 
 * **read candidates** — :meth:`read_candidates` is the routing surface
   :class:`~repro.cluster.client.ClusterClient` consumes: backends whose
@@ -56,7 +56,7 @@ from repro.server import Server
 from repro.storage.errors import (DiskFullError, StorageError,
                                   TransientIOError, is_disk_full_error)
 from repro.storage.faults import CrashPoint
-from repro.storage.replication import LocalDirShipper, StandbyReplica
+from repro.storage.replication import LocalDirShipper
 from repro.storage.retention import CheckpointManager
 from repro.storage.timemodel import SystemClock
 
@@ -66,6 +66,10 @@ DEFAULT_STALENESS_BOUND = 1
 
 #: Default heartbeat interval for the background monitor thread.
 DEFAULT_TICK_INTERVAL = 0.02
+
+#: Segments one heartbeat applies per standby, so a far-behind standby
+#: cannot hold the monitor for its whole backlog.
+TAIL_LIMIT = 16
 
 
 class ClusterError(Exception):
@@ -98,14 +102,6 @@ def is_fatal_backend_error(exc, disk=None):
     if disk is not None and getattr(disk, "dead", False):
         return True
     return isinstance(exc, StorageError) and "dead" in str(exc)
-
-
-def failure_kind(exc):
-    """Classify a backend failure for the health machine: ``"network"``
-    for transport-level faults (directly, or as the cause of a
-    :class:`~repro.storage.errors.ReplicationError` whose retries were
-    exhausted), else None."""
-    return "network" if is_network_error(exc) else None
 
 
 class PrimaryNode:
@@ -193,43 +189,33 @@ class ReplicaSet:
     ``primary`` is an open (archive-durability, file-backed)
     :class:`~repro.core.database.XmlDatabase`; ``standbys`` are
     :class:`~repro.storage.replication.StandbyReplica` instances tailing
-    its archive.  ``scratch_dir`` is where post-failover rebuilds place
-    backups and rebuilt standby files — without one, surviving standbys
-    of the old timeline are dropped from the set instead of rebuilt.
+    its archive.
 
     The replica set owns the primary's :class:`~repro.server.Server`
     (created and started here) and, on :meth:`close`, every database and
     replica it still holds.
     """
 
-    def __init__(self, primary, standbys=(), workers=2, queue_depth=128,
-                 staleness_bound=DEFAULT_STALENESS_BOUND,
-                 suspect_after=1, down_after=3, cooldown_seconds=0.25,
-                 network_down_after=None, tail_limit=16, scratch_dir=None,
-                 allow_divergent_failover=False, probe_path=None,
+    def __init__(self, primary, standbys=(), workers=2,
+                 staleness_bound=DEFAULT_STALENESS_BOUND, down_after=3,
+                 cooldown_seconds=0.25, network_down_after=None,
                  shipper_factory=None, observability=None, clock=None,
-                 flight_dir=None, retention_policy=None,
-                 checkpoint_dir=None):
+                 flight_dir=None, retention_policy=None):
         self.staleness_bound = staleness_bound
-        self.suspect_after = suspect_after
         self.down_after = down_after
         self.cooldown_seconds = cooldown_seconds
         #: Consecutive *network* failures before a backend goes down —
         #: larger than ``down_after`` so a partition blip stays a blip.
         #: None picks the BackendHealth default (2 × down_after).
         self.network_down_after = network_down_after
-        self.tail_limit = tail_limit
-        self.scratch_dir = scratch_dir
-        #: (primary_database, page_size) -> LogShipper, used when
-        #: re-bootstrapping survivors after failover.  None keeps the
-        #: local-directory transport; pass one to rebuild standbys over
-        #: a :class:`~repro.net.shipper.SocketShipper` (or any other
+        #: (primary_database, page_size) -> shipper over that primary's
+        #: archive, used when a failover moves the survivors onto the new
+        #: primary.  None ships from the archive directory itself
+        #: (LocalDirShipper); pass one to re-seed standbys onto a
+        #: :class:`~repro.net.shipper.SocketShipper` (or any other
         #: transport) instead.
         self.shipper_factory = shipper_factory
-        self.allow_divergent_failover = allow_divergent_failover
-        self.probe_path = probe_path
         self.workers = workers
-        self.queue_depth = queue_depth
         self.clock = clock if clock is not None else SystemClock()
         self.observability = (observability if observability is not None
                               else Observability())
@@ -239,8 +225,7 @@ class ReplicaSet:
         self._hubs = {"cluster": self.observability}
         self._recorders = {}
         self._bundle_counter = 0
-        server = Server(primary, workers=workers,
-                        queue_depth=queue_depth).start()
+        server = Server(primary, workers=workers).start()
         nodes = [PrimaryNode("node-0", primary, server)]
         self._adopt_hub("node-0", primary.observability)
         for index, replica in enumerate(standbys):
@@ -268,12 +253,14 @@ class ReplicaSet:
         #: checkpointed archive pruning on the primary (None = retention
         #: off: the archive grows without bound, as before).
         self.retention_policy = retention_policy
-        self.checkpoint_dir = checkpoint_dir
         self._retention = None
         self._degrade_handled = False
+        #: Survivors of the last failover whose shipper still points at
+        #: the dead primary's archive (cleared by their re-seed).
+        self._rehome = set()
         self._init_metrics()
         if retention_policy is not None:
-            self._attach_retention(primary, checkpoint_dir=checkpoint_dir)
+            self._attach_retention(primary)
         if flight_dir is not None:
             for recorder_id, hub in list(self._hubs.items()):
                 self._start_recorder(recorder_id, hub)
@@ -297,7 +284,7 @@ class ReplicaSet:
         self._recorders[recorder_id] = FlightRecorder(
             self.flight_dir, recorder_id, hub)
 
-    def _attach_retention(self, database, checkpoint_dir=None):
+    def _attach_retention(self, database):
         """Build and attach a :class:`CheckpointManager` over
         ``database``'s archive (re-run per failover: the promoted
         primary's archive is a new stream needing its own checkpoints)."""
@@ -307,15 +294,13 @@ class ReplicaSet:
             return None
         manager = CheckpointManager(
             archive, policy=self.retention_policy,
-            checkpoint_dir=checkpoint_dir,
             observability=database.observability)
         self._retention = database.attach_retention(manager)
         return manager
 
     def _new_health(self, node_id):
         return BackendHealth(
-            node_id, suspect_after=self.suspect_after,
-            down_after=self.down_after,
+            node_id, down_after=self.down_after,
             cooldown_seconds=self.cooldown_seconds,
             network_down_after=self.network_down_after, clock=self.clock)
 
@@ -338,12 +323,6 @@ class ReplicaSet:
             "repro_cluster_network_flaps_total",
             "Backend failures classified as network faults (transport "
             "errors that walk the network ladder, not straight to down)")
-        self._m_rebuilds = m.counter(
-            "repro_cluster_rebuilds_total",
-            "Standbys rebuilt onto the new timeline after failover")
-        self._m_dropped = m.counter(
-            "repro_cluster_dropped_standbys_total",
-            "Standbys dropped (no scratch_dir to rebuild into)")
         self._m_epoch = m.gauge(
             "repro_cluster_epoch", "Topology epoch (bumped per failover)")
         self._m_epoch.set(1)
@@ -366,8 +345,8 @@ class ReplicaSet:
             "Failover duration: detection to writes re-pointed")
         self._m_reseeds = m.counter(
             "repro_cluster_reseeds_total",
-            "Standbys re-seeded from a primary snapshot after the "
-            "retention horizon outran their tail")
+            "Standbys re-seeded from a primary snapshot (retention "
+            "outran their tail, or a failover moved the stream)")
         self._m_reseed_failures = m.counter(
             "repro_cluster_reseed_failures_total",
             "Snapshot re-seed attempts that failed (retried next tick)")
@@ -459,8 +438,7 @@ class ReplicaSet:
         """A client saw ``exc`` talking to ``node_id``; feed the health
         machine and wake the monitor (fast detection beats waiting one
         heartbeat)."""
-        health = self._health.get(node_id)
-        if health is None:
+        if node_id not in self._health:
             return
         if is_disk_full_error(exc):
             # Degradation, not failure: the backend still serves reads
@@ -474,13 +452,7 @@ class ReplicaSet:
             return
         if fatal is None:
             fatal = is_fatal_backend_error(exc)
-        kind = failure_kind(exc)
-        if kind == "network":
-            self._m_network_flaps.inc()
-        health.record_failure(exc, fatal=fatal, kind=kind)
-        self.observability.tracer.event(
-            "cluster.backend-failure", backend=node_id, error=str(exc),
-            fatal=bool(fatal), failure_kind=kind)
+        self._record_failure(node_id, exc, fatal, "cluster.backend-failure")
         if fatal and self._recorders:
             # A dead disk/process is exactly the moment the on-disk ring
             # exists for: freeze the evidence before healing overwrites it.
@@ -526,24 +498,18 @@ class ReplicaSet:
         try:
             with node.lock:
                 sequence = node.probe()
-            if self.probe_path is not None:
-                node.query(self.probe_path, timeout=1.0)
-            health.record_success(lag_segments=0)
-            if sequence is not None:
-                # Everything at or below the primary's commit sequence is
-                # durable, whether or not it came through a ClusterClient.
-                self.ack(sequence)
         except BaseException as exc:
             self._m_probe_failures.inc()
-            fatal = is_fatal_backend_error(
-                exc, disk=node.database._context.disk)
-            kind = failure_kind(exc)
-            if kind == "network":
-                self._m_network_flaps.inc()
-            health.record_failure(exc, fatal=fatal, kind=kind)
-            self.observability.tracer.event(
-                "cluster.probe-failure", backend=node.id, error=str(exc),
-                fatal=bool(fatal), failure_kind=kind)
+            self._record_failure(
+                node.id, exc, is_fatal_backend_error(
+                    exc, disk=node.database._context.disk),
+                "cluster.probe-failure")
+            return
+        health.record_success(lag_segments=0)
+        if sequence is not None:
+            # Everything at or below the primary's commit sequence is
+            # durable, whether or not it came through a ClusterClient.
+            self.ack(sequence)
 
     def _tail_and_probe(self, node):
         health = self._health[node.id]
@@ -552,59 +518,67 @@ class ReplicaSet:
         self._m_probes.inc()
         try:
             with node.lock:
-                node.replica.catch_up(limit=self.tail_limit)
-            lag = max(0, self._acked - node.applied_sequence)
-            health.record_success(lag_segments=lag)
+                node.replica.catch_up(limit=TAIL_LIMIT)
         except BaseException as exc:
             self._m_probe_failures.inc()
-            kind = failure_kind(exc)
-            if kind == "network":
-                self._m_network_flaps.inc()
-            health.record_failure(
-                exc, fatal=isinstance(exc, CrashPoint), kind=kind)
-            self.observability.tracer.event(
-                "cluster.probe-failure", backend=node.id, error=str(exc),
-                failure_kind=kind)
+            self._record_failure(node.id, exc, isinstance(exc, CrashPoint),
+                                 "cluster.probe-failure")
+            return
+        health.record_success(
+            lag_segments=max(0, self._acked - node.applied_sequence))
+
+    def _record_failure(self, node_id, exc, fatal, event):
+        """Classify one backend failure, feed its health machine and
+        emit ``event`` (a probe's, or one a client reported).  A
+        transport fault — directly, or as the cause of a
+        :class:`~repro.storage.errors.ReplicationError` whose retries ran
+        out — is kind ``"network"``."""
+        kind = "network" if is_network_error(exc) else None
+        if kind == "network":
+            self._m_network_flaps.inc()
+        self._health[node_id].record_failure(exc, fatal=fatal, kind=kind)
+        self.observability.tracer.event(
+            event, backend=node_id, error=str(exc), fatal=bool(fatal),
+            failure_kind=kind)
 
     # -- retention & disk pressure --------------------------------------------
 
     def _retention_tick(self):
         """One retention round on the primary: heal disk-full, re-seed
-        outran standbys, checkpoint on cadence, prune to the shared
+        marked standbys, checkpoint on cadence, prune to the shared
         horizon.
 
         The horizon is ``min(checkpoint, standby floor, PITR window)``;
         a standby contributes its applied sequence to the floor only
         while it is inside the ``max_standby_lag`` budget — beyond it
         the standby is marked for snapshot re-seed and retention stops
-        waiting for it (bounded disks beat unbounded patience).
+        waiting for it (bounded disks beat unbounded patience).  The
+        re-seed pass runs with retention off too: it is also how a
+        failover survivor whose first re-seed failed gets its retry.
         """
         view = self._view
         primary = view.primary
         if primary is None or primary.fenced:
             return
         self._heal_disk_full(primary)
-        if self._retention is None:
-            return
         manager = self._retention
         head = primary.database.commit_sequence
-        budget = manager.policy.max_standby_lag
-        floor = None
+        budget = (manager.policy.max_standby_lag if manager is not None
+                  else None)
         for node in view.standbys:
             replica = node.replica
-            if (not getattr(replica, "needs_reseed", False)
-                    and budget is not None
+            if (not replica.needs_reseed and budget is not None
                     and head - node.applied_sequence > budget):
                 replica.needs_reseed = True
                 self._m_lag_budget_marks.inc()
                 self.observability.tracer.event(
                     "cluster.lag-budget-exceeded", backend=node.id,
                     applied=node.applied_sequence, head=head)
-            if getattr(replica, "needs_reseed", False):
+            if replica.needs_reseed:
                 self._reseed_standby(node, primary)
-            if not getattr(replica, "needs_reseed", False):
-                applied = node.applied_sequence
-                floor = applied if floor is None else min(floor, applied)
+        if manager is None:
+            return
+        floor = self._standby_floor()
         self._m_retention_floor.set(floor or 0)
         try:
             manager.maybe_checkpoint(primary.database, head=head)
@@ -621,6 +595,13 @@ class ReplicaSet:
             # monitor pass fail over.
             self.report_backend_failure(
                 primary.id, exc, fatal=is_fatal_backend_error(exc))
+
+    def _standby_floor(self):
+        """Lowest applied sequence among standbys still tailing (one
+        marked for re-seed holds nothing back); None when there is none."""
+        applied = [node.applied_sequence for node in self._view.standbys
+                   if not node.replica.needs_reseed]
+        return min(applied) if applied else None
 
     def _heal_disk_full(self, primary):
         """Drive the read-only degradation ladder on the primary.
@@ -663,25 +644,20 @@ class ReplicaSet:
         ignoring the PITR window; returns segments freed."""
         if self._retention is None:
             return 0
-        floor = None
-        for node in self._view.standbys:
-            if getattr(node.replica, "needs_reseed", False):
-                continue
-            applied = node.applied_sequence
-            floor = applied if floor is None else min(floor, applied)
-        return self._retention.emergency_prune(standby_floor=floor)
+        return self._retention.emergency_prune(
+            standby_floor=self._standby_floor())
 
     def _reseed_standby(self, node, primary):
-        """Snapshot re-seed one standby the retention horizon outran:
-        hot-backup the primary, restore it over the replica, resume
-        tailing from the backup's sequence.  Failure leaves
-        ``needs_reseed`` set and the next tick retries."""
+        """Snapshot re-seed one standby: hot-backup the primary, restore
+        it over the replica, resume tailing from the backup's sequence.
+
+        The one way a standby rejoins the stream — after retention
+        outran its tail, and after a failover moved the stream to a new
+        timeline (a survivor's shipper is first pointed at the new
+        primary's archive).  Failure leaves ``needs_reseed`` set and the
+        next tick retries."""
         replica = node.replica
-        if self.scratch_dir is not None:
-            backup_dir = os.path.join(self.scratch_dir,
-                                      "%s-reseed" % node.id)
-        else:
-            backup_dir = replica.path + ".reseed"
+        backup_dir = replica.path + ".reseed"
         tracer = self.observability.tracer
         with tracer.span("cluster.reseed", backend=node.id):
             try:
@@ -689,19 +665,32 @@ class ReplicaSet:
                     shutil.rmtree(backup_dir)
                 primary.database.hot_backup(backup_dir)
                 with node.lock:
+                    if node.id in self._rehome:
+                        shipper = self._shipper_for(primary.database,
+                                                    replica.page_size)
+                        replica.shipper, old = shipper, replica.shipper
+                        old.close()
                     result = replica.reseed_from(backup_dir)
             except BaseException as exc:
                 self._m_reseed_failures.inc()
                 tracer.event("cluster.reseed-failed", backend=node.id,
                              error=str(exc))
-                return False
+                return
             finally:
                 shutil.rmtree(backup_dir, ignore_errors=True)
         self._health[node.id] = self._new_health(node.id)
         self._m_reseeds.inc()
+        if node.id in self._rehome:
+            self._rehome.discard(node.id)
+            self.last_failover["rebuilt"] += 1
         tracer.event("cluster.reseeded", backend=node.id,
                      sequence=result.sequence)
-        return True
+
+    def _shipper_for(self, database, page_size):
+        """A shipper over ``database``'s archive."""
+        if self.shipper_factory is not None:
+            return self.shipper_factory(database, page_size)
+        return LocalDirShipper(database.archive.directory, page_size)
 
     def _refresh_gauges(self):
         states = {HEALTHY: 0, SUSPECT: 0, DOWN: 0}
@@ -774,10 +763,8 @@ class ReplicaSet:
                     "(all down or none attached)")
             with tracer.span("cluster.promote", backend=elected.id):
                 with elected.lock:
-                    promoted_db = elected.replica.promote(
-                        allow_divergence=self.allow_divergent_failover)
-                server = Server(promoted_db, workers=self.workers,
-                                queue_depth=self.queue_depth).start()
+                    promoted_db = elected.replica.promote()
+                server = Server(promoted_db, workers=self.workers).start()
             new_primary = PrimaryNode(elected.id, promoted_db, server)
             survivors = [node for node in view.standbys
                          if node is not elected]
@@ -812,16 +799,20 @@ class ReplicaSet:
                 "duration_seconds": elapsed,
                 "trace_id": trace_id,
                 "rebuilt": 0,
-                "dropped": 0,
             }
             tracer.event("cluster.promoted", backend=elected.id,
                          epoch=new_epoch,
                          sequence=promoted_db.commit_sequence,
                          seconds=elapsed)
             # Heal the set: survivors tail the dead timeline and can
-            # only fall behind — rebuild them from the new primary.
+            # only fall behind — re-seed each from the new primary, the
+            # way retention re-seeds an outrun standby.  One whose
+            # re-seed fails stays marked, and the next tick retries it.
+            self._rehome = {node.id for node in survivors}
             with tracer.span("cluster.rebuild", epoch=new_epoch):
-                self._rebuild_survivors(new_primary, survivors, new_epoch)
+                for node in survivors:
+                    node.replica.needs_reseed = True
+                    self._reseed_standby(node, new_primary)
         return new_epoch
 
     def _fence(self, node):
@@ -842,11 +833,14 @@ class ReplicaSet:
     def _elect(self, view):
         """The least-lagged standby whose health admits traffic (or any
         standby at all when every one is down — a lagging primary beats
-        none)."""
-        candidates = [node for node in view.standbys
+        none).  A standby awaiting re-seed is never elected: it cannot
+        tail, and a failover survivor's file may be a stale timeline."""
+        standbys = [node for node in view.standbys
+                    if not node.replica.needs_reseed]
+        candidates = [node for node in standbys
                       if self._health[node.id].allows_traffic]
         if not candidates:
-            candidates = [node for node in view.standbys
+            candidates = [node for node in standbys
                           if not self._health[node.id].allows_traffic
                           and not getattr(node.replica, "promoted", False)]
             candidates = [node for node in candidates
@@ -854,84 +848,6 @@ class ReplicaSet:
         if not candidates:
             return None
         return max(candidates, key=lambda node: node.applied_sequence)
-
-    def _rebuild_survivors(self, new_primary, survivors, epoch):
-        if not survivors:
-            return
-        if self.scratch_dir is None:
-            for node in survivors:
-                self._drop_standby(node, epoch)
-            return
-        backup_dir = os.path.join(self.scratch_dir,
-                                  "failover-e%d-backup" % epoch)
-        try:
-            new_primary.database.hot_backup(backup_dir)
-        except BaseException as exc:
-            self.observability.tracer.event(
-                "cluster.rebuild-failed", error=str(exc), epoch=epoch)
-            return
-        for node in survivors:
-            self._rebuild_standby(node, new_primary, backup_dir, epoch)
-
-    def _rebuild_standby(self, node, new_primary, backup_dir, epoch):
-        """Re-bootstrap one survivor from the new primary's backup."""
-        old = node.replica
-        path = os.path.join(self.scratch_dir,
-                            "%s-e%d.db" % (node.id, epoch))
-        if os.path.exists(path):
-            os.remove(path)
-        try:
-            if self.shipper_factory is not None:
-                shipper = self.shipper_factory(new_primary.database,
-                                               old.page_size)
-            else:
-                shipper = LocalDirShipper(
-                    new_primary.database.archive.directory, old.page_size)
-            replica = StandbyReplica.from_backup(
-                backup_dir, path, shipper, page_size=old.page_size,
-                buffer_pages=old.buffer_pages, max_retries=old.max_retries,
-                backoff_seconds=old.backoff_seconds,
-                max_backoff_seconds=old.max_backoff_seconds,
-                backoff_jitter=old.backoff_jitter, rng=old.rng,
-                clock=old.clock)
-        except BaseException as exc:
-            self.observability.tracer.event(
-                "cluster.rebuild-failed", backend=node.id, error=str(exc))
-            self._drop_standby(node, epoch)
-            return
-        rebuilt = StandbyNode(node.id, replica)
-        self._adopt_hub("%s-e%d" % (node.id, epoch),
-                        replica.attach_observability(Observability()))
-        self._health[node.id] = self._new_health(node.id)
-        view = self._view
-        standbys = [rebuilt if n.id == node.id else n
-                    for n in view.standbys]
-        self._view = _View(view.epoch, view.primary, standbys)
-        with node.lock:  # wait out any in-flight read on the old replica
-            try:
-                old.close()
-            except BaseException:
-                pass
-        self._m_rebuilds.inc()
-        if self.last_failover is not None:
-            self.last_failover["rebuilt"] += 1
-        self.observability.tracer.event(
-            "cluster.rebuilt", backend=node.id, epoch=epoch)
-
-    def _drop_standby(self, node, epoch):
-        view = self._view
-        self._view = _View(view.epoch, view.primary,
-                           [n for n in view.standbys if n.id != node.id])
-        with node.lock:
-            try:
-                node.replica.close()
-            except BaseException:
-                pass
-        self._m_dropped.inc()
-        if self.last_failover is not None:
-            self.last_failover["dropped"] += 1
-        self.observability.tracer.event(
-            "cluster.standby-dropped", backend=node.id, epoch=epoch)
 
     # -- background monitor ----------------------------------------------------
 
@@ -1012,8 +928,7 @@ class ReplicaSet:
                 "lag": max(0, self._acked - node.applied_sequence),
             }
             if node.role == "standby":
-                entry["needs_reseed"] = bool(
-                    getattr(node.replica, "needs_reseed", False))
+                entry["needs_reseed"] = node.replica.needs_reseed
             if health is not None:
                 entry.update(health.snapshot())
             backends.append(entry)

@@ -8,8 +8,8 @@ length-prefixed, CRC-framed segment-shipping protocol over TCP.
 * :class:`~repro.net.server.SegmentServer` — serves a primary's
   commit-group archive (latest-sequence and fetch-by-sequence) with
   bounded concurrent connections and per-request deadlines;
-* :class:`~repro.net.shipper.SocketShipper` — a drop-in
-  :class:`~repro.storage.replication.LogShipper`: connect/read
+* :class:`~repro.net.shipper.SocketShipper` — a drop-in for
+  :data:`~repro.storage.replication.LocalDirShipper`: connect/read
   timeouts, bounded jittered-backoff retries, idempotent re-fetch
   after reconnect, and rejection-with-count of frames whose checksum
   or sequence does not match what was requested;
@@ -40,7 +40,7 @@ from repro.net.frames import (
     encode_frame,
 )
 from repro.net.proxy import ChaosConfig, ChaosProxy, ProxyStats
-from repro.net.server import SegmentServer, ServerStats, serve_archive
+from repro.net.server import SegmentServer, ServerStats
 from repro.net.shipper import ShipperStats, SocketShipper
 
 __all__ = [
@@ -64,5 +64,4 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "is_network_error",
-    "serve_archive",
 ]

@@ -5,21 +5,20 @@ One frame on the wire is::
 
     u32   length      bytes that follow (header + payload + crc)
     4s    magic        b"XRN1"
-    u8    version      protocol version (1 or 2)
+    u8    version      protocol version (always 2)
     u8    type         request/response kind (REQ_*/RESP_*)
     u64   sequence     the commit sequence this frame is about
-    [v2]  u16 ctx_len  length of the trace-context blob (0 = none)
-    [v2]  ...  context  UTF-8 JSON trace context (trace/span/node)
+    u16   ctx_len      length of the trace-context blob (0 = none)
+    ...   context      UTF-8 JSON trace context (trace/span/node)
     ...   payload      type-specific bytes (segment body, error text)
     u32   crc          CRC-32 over everything between length and crc
 
-Version 2 differs from version 1 only by the **trace-context blob**
-between header and payload: a small JSON object carrying the sender's
-trace id, open span id and node name, so spans on the receiving node
-can join the sender's trace (schema v2 ``link`` records — see
-``docs/OBSERVABILITY.md``).  Both versions stay accepted on the read
-side; a v1 peer that drops the connection on a v2 frame is handled by
-the shipper's downgrade negotiation (``repro.net.shipper``).
+The **trace-context blob** between header and payload is a small JSON
+object carrying the sender's trace id, open span id and node name, so
+spans on the receiving node can join the sender's trace (schema v2
+``link`` records — see ``docs/OBSERVABILITY.md``).  Both ends of the
+wire are this build, so a frame of any other version is an incompatible
+peer and is rejected (``cause="protocol"``).
 
 Design points, each load-bearing for the chaos harness:
 
@@ -54,10 +53,8 @@ from collections import namedtuple
 from repro.net.errors import FrameRejected, NetworkError
 
 MAGIC = b"XRN1"
-#: The version this build speaks by default when sending.
+#: The one protocol version this build speaks and accepts.
 VERSION = 2
-#: Versions the read side accepts.  v1 frames simply have no context.
-ACCEPTED_VERSIONS = (1, 2)
 
 #: Frame types.  Requests carry the sequence they ask about; responses
 #: echo the sequence they answer.
@@ -76,7 +73,7 @@ _FRAME_TYPES = frozenset((REQ_LATEST, REQ_FETCH, RESP_LATEST,
 
 _PREFIX = struct.Struct("<I")
 _HEADER = struct.Struct("<4sBBQ")   # magic, version, type, sequence
-_CTX_LEN = struct.Struct("<H")      # v2 only: trace-context byte count
+_CTX_LEN = struct.Struct("<H")      # trace-context byte count
 _CRC = struct.Struct("<I")
 
 #: Smallest possible frame body: header + empty payload + crc.
@@ -86,9 +83,6 @@ DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 Frame = namedtuple("Frame", ("type", "sequence", "payload", "context",
                              "version"))
-# Keep the historical 3-positional construction working: context and
-# version default for every pre-v2 call site.
-Frame.__new__.__defaults__ = (None, 1)
 
 
 def _encode_context(context):
@@ -103,34 +97,24 @@ def _encode_context(context):
     return blob
 
 
-def encode_frame(frame_type, sequence, payload=b"", context=None,
-                 version=VERSION):
+def encode_frame(frame_type, sequence, payload=b"", context=None):
     """Serialize one frame, length prefix included.
 
-    ``context`` (v2 only) is a small JSON-serializable dict carried
-    between header and payload; passing one with ``version=1`` raises,
-    since v1 has nowhere to put it.
+    ``context`` is a small JSON-serializable dict carried between header
+    and payload (None sends an empty context field).
     """
-    header = _HEADER.pack(MAGIC, version, frame_type, sequence)
-    if version >= 2:
-        blob = _encode_context(context)
-        body = header + _CTX_LEN.pack(len(blob)) + blob + payload
-    else:
-        if context is not None:
-            raise FrameRejected(
-                "protocol version 1 cannot carry a trace context",
-                cause="protocol")
-        body = header + payload
+    blob = _encode_context(context)
+    body = (_HEADER.pack(MAGIC, VERSION, frame_type, sequence)
+            + _CTX_LEN.pack(len(blob)) + blob + payload)
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return _PREFIX.pack(len(body) + _CRC.size) + body + _CRC.pack(crc)
 
 
-def decode_frame(body, accept_versions=ACCEPTED_VERSIONS):
+def decode_frame(body):
     """Decode one frame body (the bytes *after* the length prefix).
 
     Returns a :class:`Frame` (``frame.context`` is the decoded trace
-    context for a v2 frame that carried one, else None; ``frame.version``
-    is the version the peer spoke); raises :class:`FrameRejected` with
+    context when the frame carried one, else None); raises :class:`FrameRejected` with
     ``cause="protocol"`` for a malformed or wrong-version frame and
     ``cause="crc"`` when the checksum does not match the content.
     """
@@ -150,37 +134,34 @@ def decode_frame(body, accept_versions=ACCEPTED_VERSIONS):
     if magic != MAGIC:
         raise FrameRejected("bad frame magic %r" % (magic,),
                             cause="protocol")
-    if version not in accept_versions:
+    if version != VERSION:
         raise FrameRejected(
-            "unsupported protocol version %d (accepting %s)"
-            % (version, "/".join(map(str, accept_versions))),
-            cause="protocol")
+            "unsupported protocol version %d (speaking %d)"
+            % (version, VERSION), cause="protocol")
     context = None
     offset = _HEADER.size
-    if version >= 2:
-        if len(body) < offset + _CTX_LEN.size + _CRC.size:
+    if len(body) < offset + _CTX_LEN.size + _CRC.size:
+        raise FrameRejected(
+            "frame too short for its context length field",
+            cause="protocol")
+    (ctx_len,) = _CTX_LEN.unpack_from(body, offset)
+    offset += _CTX_LEN.size
+    if len(body) < offset + ctx_len + _CRC.size:
+        raise FrameRejected(
+            "frame claims a %d-byte context beyond its body" % ctx_len,
+            cause="protocol")
+    if ctx_len:
+        try:
+            context = json.loads(
+                body[offset:offset + ctx_len].decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as exc:
             raise FrameRejected(
-                "v2 frame too short for its context length field",
-                cause="protocol")
-        (ctx_len,) = _CTX_LEN.unpack_from(body, offset)
-        offset += _CTX_LEN.size
-        if len(body) < offset + ctx_len + _CRC.size:
+                "undecodable trace context: %s" % exc,
+                cause="protocol") from exc
+        if not isinstance(context, dict):
             raise FrameRejected(
-                "v2 frame claims a %d-byte context beyond its body"
-                % ctx_len, cause="protocol")
-        if ctx_len:
-            try:
-                context = json.loads(
-                    body[offset:offset + ctx_len].decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise FrameRejected(
-                    "undecodable trace context: %s" % exc,
-                    cause="protocol") from exc
-            if not isinstance(context, dict):
-                raise FrameRejected(
-                    "trace context is not a JSON object",
-                    cause="protocol")
-        offset += ctx_len
+                "trace context is not a JSON object", cause="protocol")
+    offset += ctx_len
     payload = body[offset:-_CRC.size]
     if frame_type not in _FRAME_TYPES:
         raise FrameRejected("unknown frame type %d" % frame_type,
@@ -215,8 +196,7 @@ def recv_exact(sock, count):
     return b"".join(chunks)
 
 
-def read_frame(sock, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES,
-               accept_versions=ACCEPTED_VERSIONS):
+def read_frame(sock, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES):
     """Read and decode one whole frame from ``sock``.
 
     Raises :class:`NetworkError` on timeout/close and
@@ -232,17 +212,15 @@ def read_frame(sock, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES,
         raise FrameRejected(
             "frame claims %d bytes, below the %d-byte minimum"
             % (length, MIN_FRAME_BYTES), cause="protocol")
-    return decode_frame(recv_exact(sock, length),
-                        accept_versions=accept_versions)
+    return decode_frame(recv_exact(sock, length))
 
 
-def send_frame(sock, frame_type, sequence, payload=b"", context=None,
-               version=VERSION):
+def send_frame(sock, frame_type, sequence, payload=b"", context=None):
     """Encode and send one frame; raises :class:`NetworkError` on
     failure (timeout, reset, closed peer)."""
     try:
         sock.sendall(encode_frame(frame_type, sequence, payload,
-                                  context=context, version=version))
+                                  context=context))
     except socket.timeout as exc:
         raise NetworkError("send timed out") from exc
     except OSError as exc:

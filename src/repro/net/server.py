@@ -25,14 +25,11 @@ Robustness properties:
   or dead client can hold at most one handler thread, never the archive.
 
 Stats are plain attributes; pass ``observability`` to mirror them as
-``repro_net_server_*`` gauges on its metrics registry.  A v2 request
-frame carrying a trace context makes the server's ``net.serve`` record
-join the sender's trace (``trace`` + ``link`` fields, schema v2);
-responses are sent in the version the request arrived in, so a v1 peer
-never sees v2 bytes.
+``repro_net_server_*`` gauges on its metrics registry.  A request frame
+carrying a trace context makes the server's ``net.serve`` record join
+the sender's trace (``trace`` + ``link`` fields, schema v2).
 """
 
-import os
 import socket
 import threading
 
@@ -186,9 +183,7 @@ class SegmentServer:
                 self.stats.rejected_connections += 1
                 try:
                     sock.settimeout(self.request_timeout)
-                    # No request was read, so the peer's version is
-                    # unknown — v1 is the one both sides always accept.
-                    send_frame(sock, RESP_ERROR, 0, b"busy", version=1)
+                    send_frame(sock, RESP_ERROR, 0, b"busy")
                 except NetworkError:
                     pass
                 finally:
@@ -233,7 +228,7 @@ class SegmentServer:
                 self.stats.idle_closes += 1
             return False
         self.stats.requests += 1
-        # A v2 request may carry the sender's trace context: enter it so
+        # A request may carry the sender's trace context: enter it so
         # this node's records join that trace (with a link back to the
         # remote span — the cross-node parent edge, schema v2).
         ctx = frame.context or {}
@@ -249,30 +244,26 @@ class SegmentServer:
                 if frame.type == REQ_LATEST:
                     self.stats.latest_requests += 1
                     head = self._archive.latest_sequence() or 0
-                    self._send(sock, RESP_LATEST, head, version=frame.version)
+                    self._send(sock, RESP_LATEST, head)
                 elif frame.type == REQ_OLDEST:
                     # The retention floor: what lets a standby tell a
                     # pruned segment (floor above the gap — re-seed)
                     # from one lost in transport (floor below — stall).
                     self.stats.oldest_requests += 1
                     oldest = self._archive.oldest_sequence() or 0
-                    self._send(sock, RESP_OLDEST, oldest,
-                               version=frame.version)
+                    self._send(sock, RESP_OLDEST, oldest)
                 elif frame.type == REQ_FETCH:
                     self.stats.fetch_requests += 1
-                    blob = self._archive.read_raw(frame.sequence)
+                    blob = self._archive.fetch(frame.sequence)
                     if blob is None:
                         self.stats.missing_responses += 1
-                        self._send(sock, RESP_MISSING, frame.sequence,
-                                   version=frame.version)
+                        self._send(sock, RESP_MISSING, frame.sequence)
                     else:
-                        self._send(sock, RESP_SEGMENT, frame.sequence, blob,
-                                   version=frame.version)
+                        self._send(sock, RESP_SEGMENT, frame.sequence, blob)
                 else:
                     self.stats.bad_frames += 1
                     self._send(sock, RESP_ERROR, frame.sequence,
-                               b"unexpected frame type %d" % frame.type,
-                               version=frame.version)
+                               b"unexpected frame type %d" % frame.type)
                     return False
             except NetworkError:
                 self.stats.timeouts += 1
@@ -282,11 +273,8 @@ class SegmentServer:
                                    sequence=frame.sequence)
         return True
 
-    def _send(self, sock, frame_type, sequence, payload=b"", version=None):
-        # Answer in the version the request arrived in: a v1 peer must
-        # never be handed v2 bytes it cannot parse.
-        send_frame(sock, frame_type, sequence, payload,
-                   version=version if version is not None else 1)
+    def _send(self, sock, frame_type, sequence, payload=b""):
+        send_frame(sock, frame_type, sequence, payload)
         self.stats.bytes_sent += len(payload)
 
     # -- metrics -------------------------------------------------------------
@@ -329,21 +317,6 @@ class _RecvAdapter:
         if data:
             self._flag[0] = True
         return data
-
-
-def serve_archive(db_or_dir, page_size=4096, **options):
-    """Convenience: a started :class:`SegmentServer` over a database's
-    archive directory (or a raw directory path)."""
-    archive = getattr(db_or_dir, "archive", None)
-    if archive is not None:
-        directory = archive.directory
-        page_size = archive.page_size
-    elif isinstance(db_or_dir, (str, os.PathLike)):
-        directory = os.fspath(db_or_dir)
-    else:
-        raise TypeError("serve_archive wants a database with an archive "
-                        "or an archive directory path")
-    return SegmentServer(directory, page_size, **options).start()
 
 
 # -- CLI ---------------------------------------------------------------------

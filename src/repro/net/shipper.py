@@ -1,8 +1,9 @@
-"""SocketShipper: a :class:`~repro.storage.replication.LogShipper` over
-TCP, hardened against the network.
+"""SocketShipper: the segment shipper over TCP, hardened against the
+network.
 
-The client side of the segment-shipping protocol.  It is a drop-in
-transport for :class:`~repro.storage.replication.StandbyReplica` — the
+The client side of the segment-shipping protocol.  It is a drop-in for
+:data:`~repro.storage.replication.LocalDirShipper` under
+:class:`~repro.storage.replication.StandbyReplica` — the
 replica neither knows nor cares that ``latest_sequence()``/``fetch()``
 now cross a wire — but every network failure mode is handled *here*, so
 what the replica sees is either a correct answer or a
@@ -31,14 +32,10 @@ retry:
 (done automatically when an observability hub is passed), and retries,
 timeouts and reconnects emit ``net.*`` trace events.
 
-**Version negotiation.**  The shipper speaks protocol v2 by default,
-attaching the caller's trace context (trace id, open span, node name)
-to each request so the server's spans join the same trace.  A v1-only
-server cannot parse v2 frames — it drops the connection — so the
-shipper **downgrades to v1** on a network fault seen before the first
-successful v2 exchange (``stats.version_downgrades``); once a v2
-response has been accepted the version is latched and ordinary network
-flakiness can no longer downgrade it.
+**Trace context.**  Every request carries the caller's trace context
+(trace id, open span, node name) in the frame's context field, so the
+server's spans join the same trace — on the first attempt and on every
+retry alike.
 """
 
 import random
@@ -56,12 +53,10 @@ from repro.net.frames import (
     RESP_MISSING,
     RESP_OLDEST,
     RESP_SEGMENT,
-    VERSION,
     read_frame,
     send_frame,
 )
 from repro.obs.trace import NULL_TRACER, current_trace_id
-from repro.storage.replication import LogShipper
 from repro.storage.timemodel import SystemClock, backoff_delay
 
 #: Retry policy defaults for one request (connect + send + receive).
@@ -72,12 +67,6 @@ DEFAULT_BACKOFF_SECONDS = 0.02
 DEFAULT_MAX_BACKOFF_SECONDS = 0.25
 #: Fraction of each backoff randomly shaved off (full-jitter-ish).
 DEFAULT_BACKOFF_JITTER = 0.5
-
-
-class _ServerRefused(NetworkError):
-    """A ``RESP_ERROR`` reply (server at capacity).  The server answered
-    without reading the request, so this carries no information about
-    protocol-version support and must not trigger a downgrade."""
 
 
 @dataclass
@@ -98,7 +87,6 @@ class ShipperStats:
     rejections_by_cause: dict = field(default_factory=dict)
     bytes_received: int = 0        # segment payload bytes accepted
     give_ups: int = 0              # requests that exhausted max_retries
-    version_downgrades: int = 0    # v2 -> v1 fallbacks (v1-only peer)
 
     def snapshot(self):
         out = dict(self.__dict__)
@@ -106,7 +94,7 @@ class ShipperStats:
         return out
 
 
-class SocketShipper(LogShipper):
+class SocketShipper:
     """Fetch segments from a :class:`~repro.net.server.SegmentServer`.
 
     ``address`` is the server's ``(host, port)``.  The connection is
@@ -139,20 +127,12 @@ class SocketShipper(LogShipper):
         self.clock = clock if clock is not None else SystemClock()
         self.stats = ShipperStats()
         self._sock = None
-        self.protocol_version = VERSION
-        self._v2_confirmed = False
         self._tracer = (observability.tracer if observability is not None
                         else NULL_TRACER)
         if observability is not None:
             self.bind_metrics(observability.metrics)
 
-    # -- LogShipper interface ------------------------------------------------
-
-    def connect(self):
-        return self
-
-    def close(self):
-        self._disconnect()
+    # -- shipper calls -------------------------------------------------------
 
     def latest_sequence(self):
         """Poll the server's head sequence (None for an empty stream)."""
@@ -202,7 +182,8 @@ class SocketShipper(LogShipper):
                            reconnect=self.stats.connects > 1)
         return sock
 
-    def _disconnect(self):
+    def close(self):
+        """Drop the connection (idempotent); the next call reconnects."""
         sock, self._sock = self._sock, None
         if sock is not None:
             try:
@@ -229,19 +210,8 @@ class SocketShipper(LogShipper):
             try:
                 return self._exchange(frame_type, sequence, expect)
             except NetworkError as exc:
-                self._disconnect()
+                self.close()
                 self._note_failure(exc)
-                if (self.protocol_version >= 2 and not self._v2_confirmed
-                        and not isinstance(exc, _ServerRefused)):
-                    # No v2 response has ever come back, so this fault
-                    # may simply be a v1-only peer dropping our v2
-                    # frame: fall back and retry in v1.  (Worst case a
-                    # flaky network costs us the trace context, never
-                    # correctness.)
-                    self.protocol_version = 1
-                    self.stats.version_downgrades += 1
-                    self._tracer.event("net.version-downgrade",
-                                       error=str(exc))
                 attempts += 1
                 if attempts > self.max_retries:
                     self.stats.give_ups += 1
@@ -254,16 +224,12 @@ class SocketShipper(LogShipper):
 
     def _exchange(self, frame_type, sequence, expect):
         sock = self._connect()
-        version = self.protocol_version
         send_frame(sock, frame_type, sequence,
-                   context=self._outgoing_context() if version >= 2
-                   else None, version=version)
+                   context=self._outgoing_context())
         frame = read_frame(sock, max_frame_bytes=self.max_frame_bytes)
-        if version >= 2 and frame.version >= 2:
-            self._v2_confirmed = True
         if frame.type == RESP_ERROR:
             self.stats.server_busy += 1
-            raise _ServerRefused(
+            raise NetworkError(
                 "server refused request: %s"
                 % frame.payload.decode("utf-8", "replace"))
         if frame.type not in expect:
@@ -284,8 +250,8 @@ class SocketShipper(LogShipper):
         return frame
 
     def _outgoing_context(self):
-        """The trace context to ride on a v2 request (None when no
-        trace is active on the calling thread)."""
+        """The trace context to ride on a request (None when no trace
+        is active on the calling thread)."""
         trace_id = current_trace_id()
         if trace_id is None:
             return None
@@ -343,8 +309,6 @@ class SocketShipper(LogShipper):
              "Segment payload bytes accepted"),
             ("repro_net_give_ups", "give_ups",
              "Requests that exhausted their retry budget"),
-            ("repro_net_version_downgrades", "version_downgrades",
-             "Protocol downgrades to v1 for a v1-only peer"),
         ), name="socket-shipper")
 
         # The per-cause rejection gauges are dynamic (a cause exists

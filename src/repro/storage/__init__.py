@@ -54,7 +54,6 @@ from repro.storage.retention import (
 )
 from repro.storage.replication import (
     LocalDirShipper,
-    LogShipper,
     ReplicationStats,
     StandbyReplica,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "InMemoryDisk",
     "IOStats",
     "LocalDirShipper",
-    "LogShipper",
     "PAGE_HEADER_SIZE",
     "Page",
     "PageDecodeError",

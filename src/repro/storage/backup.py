@@ -39,8 +39,9 @@ from dataclasses import asdict, dataclass
 
 from repro.storage.disk import decode_superblock
 from repro.storage.errors import BackupError
-from repro.storage.journal import (Archive, _apply_records, fsync_directory,
-                                   segment_name)
+from repro.storage.journal import (APPLY, CORRUPT, MISSING, PRUNED, TORN_HEAD,
+                                   Archive, _apply_records, classify_segment,
+                                   fsync_directory, segment_name)
 
 MANIFEST_NAME = "MANIFEST.json"
 DATA_NAME = "data.db"
@@ -173,9 +174,10 @@ def restore(backup_dir, dest_path, archive_dir=None, upto_sequence=None):
     means "all the way to the head": point-in-time recovery picks the
     sequence just before the mistake).  Returns a :class:`RestoreResult`.
 
-    Divergence rules: a torn or corrupt segment at the *head* of the
-    stream is skipped (it was never acknowledged); a sequence gap or a
-    corrupt segment with valid segments beyond it raises
+    Divergence rules (:func:`~repro.storage.journal.classify_segment`): a
+    torn segment at the *head* of the stream is skipped (it was never
+    acknowledged); a pruned or missing segment, or a corrupt one below
+    the head, raises
     :class:`~repro.storage.errors.BackupError` — those commits cannot be
     reconstructed and must not be silently dropped.
     """
@@ -216,42 +218,38 @@ def restore(backup_dir, dest_path, archive_dir=None, upto_sequence=None):
 def _replay_segments(result, manifest, archive_dir, dest_path,
                      upto_sequence):
     archive = Archive(archive_dir, manifest.page_size)
-    sequences = [seq for seq in archive.sequences()
-                 if seq > manifest.sequence
-                 and (upto_sequence is None or seq <= upto_sequence)]
-    if not sequences:
+    head = archive.latest_sequence()
+    if head is None:
         return
-    expected = manifest.sequence + 1
-    if sequences[0] != expected:
-        raise BackupError(
-            "archive %s starts at sequence %d but the backup ends at %d: "
-            "the intervening segments were pruned or lost"
-            % (archive_dir, sequences[0], manifest.sequence)
-        )
+    oldest = archive.oldest_sequence()
+    stop = head if upto_sequence is None else min(head, upto_sequence)
     fd = os.open(dest_path, os.O_RDWR)
     try:
-        for index, seq in enumerate(sequences):
-            if seq != expected:
+        for seq in range(manifest.sequence + 1, stop + 1):
+            verdict, group = classify_segment(
+                seq, archive.fetch(seq), manifest.page_size, head, oldest)
+            if verdict == TORN_HEAD:
+                # Never acknowledged: safe to stop short of it.
+                result.torn_segments_skipped += 1
+                return
+            if verdict == PRUNED:
                 raise BackupError(
-                    "archive %s has a sequence gap: expected %d, found %d"
-                    % (archive_dir, expected, seq)
-                )
-            group = archive.read(seq)
-            if group is None:
-                if index == len(sequences) - 1:
-                    # Torn head segment: never acknowledged, safe to stop.
-                    result.torn_segments_skipped += 1
-                    return
+                    "archive %s starts at sequence %d but the backup ends "
+                    "at %d: the intervening segments were pruned or lost"
+                    % (archive_dir, oldest, manifest.sequence))
+            if verdict == MISSING:
+                raise BackupError(
+                    "archive %s has a sequence gap: segment %d is missing"
+                    % (archive_dir, seq))
+            if verdict == CORRUPT:
                 raise BackupError(
                     "archive segment %s is corrupt with valid segments "
                     "beyond it — cannot replay past it without losing "
-                    "commits" % segment_name(seq)
-                )
+                    "commits" % segment_name(seq))
             result.pages_applied += _apply_records(fd, group[1],
                                                    manifest.page_size)
             result.segments_applied += 1
             result.sequence = seq
-            expected = seq + 1
     finally:
         os.close(fd)
 
@@ -306,7 +304,10 @@ def _cmd_segments(args):
     archive = Archive(args.archive, args.page_size)
     sequences = archive.sequences()
     for seq in sequences:
-        status = "ok" if archive.read(seq) is not None else "CORRUPT"
+        verdict, _group = classify_segment(
+            seq, archive.fetch(seq), args.page_size, sequences[-1],
+            sequences[0])
+        status = "ok" if verdict == APPLY else "CORRUPT"
         print("%s  %s" % (segment_name(seq), status))
     print("%d segment(s)" % len(sequences))
     _print_replay_window(archive)

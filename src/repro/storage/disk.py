@@ -30,7 +30,8 @@ from repro.storage.errors import (
     StorageError,
     TransientIOError,
 )
-from repro.storage.journal import Archive, _apply_records, decode_group
+from repro.storage.journal import (Archive, _apply_records, classify_segment,
+                                   decode_group)
 from repro.storage.versions import PageVersionStore
 
 DEFAULT_PAGE_SIZE = 4096
@@ -695,7 +696,9 @@ class FileDisk(SimulatedDisk):
         latest = store.latest_sequence()
         if latest is None:
             return
-        if not self._recover_group(store.read(latest)):
+        _verdict, group = classify_segment(
+            latest, store.fetch(latest), self.page_size, latest, latest)
+        if not self._recover_group(group):
             store.remove(latest)
 
     def _recover_group(self, group):

@@ -124,6 +124,37 @@ def decode_group(blob, page_size):
     return sequence, records
 
 
+#: Verdicts of :func:`classify_segment`, one per thing a segment stream
+#: position can mean to whoever replays it.
+APPLY = "apply"            # decodes, checksums and is filed where it belongs
+TORN_HEAD = "torn-head"    # the undecodable newest segment: never acked
+CORRUPT = "corrupt"        # undecodable below the head, or mis-filed
+MISSING = "missing"        # absent at or above the retention floor: lost
+PRUNED = "pruned"          # absent below the retention floor: retention
+
+
+def classify_segment(sequence, blob, page_size, head, oldest):
+    """``(verdict, group)`` for segment ``sequence`` of a stream whose
+    newest sequence is ``head`` and retention floor ``oldest``.
+
+    ``blob`` is the fetched bytes (None: the source has no such segment);
+    ``group`` is the decoded ``(sequence, records)`` for :data:`APPLY`,
+    else None.  Only the newest segment can be torn, so an undecodable
+    one below the head — or one filed under the wrong sequence — is
+    :data:`CORRUPT`.  Callers keep only their reaction to the verdict.
+    """
+    if blob is None:
+        if oldest is None or oldest > sequence:
+            return PRUNED, None
+        return MISSING, None
+    group = decode_group(blob, page_size)
+    if group is None:
+        return (TORN_HEAD if sequence == head else CORRUPT), None
+    if group[0] != sequence:
+        return CORRUPT, None
+    return APPLY, group
+
+
 def fsync_directory(path):
     """fsync a directory so entries created inside it are durable."""
     fd = os.open(path, os.O_RDONLY)
@@ -171,6 +202,9 @@ class Archive:
     A torn trailing segment (crash while writing it) is detected by the
     group CRC; it was never acknowledged, so recovery deletes it and
     counts it.
+
+    An archive is also the shipper a standby on the same filesystem
+    tails (:data:`repro.storage.replication.LocalDirShipper`).
     """
 
     def __init__(self, directory, page_size, fault_filter=None):
@@ -243,26 +277,17 @@ class Archive:
     def segment_path(self, sequence):
         return os.path.join(self.directory, segment_name(sequence))
 
-    def read(self, sequence):
-        """Decode segment ``sequence``; returns ``(sequence, records)``.
-
-        Returns None when the segment is missing, torn or corrupt.
-        """
-        blob = self.read_raw(sequence)
-        if blob is None:
-            return None
-        group = decode_group(blob, self.page_size)
-        if group is not None and group[0] != sequence:
-            return None  # mis-filed segment: treat as corrupt
-        return group
-
-    def read_raw(self, sequence):
-        """The raw segment bytes (shipping payload), or None if missing."""
+    def fetch(self, sequence):
+        """The raw segment bytes (shipping payload), or None if missing;
+        what they mean is :func:`classify_segment`'s call."""
         try:
             with open(self.segment_path(sequence), "rb") as fh:
                 return fh.read()
         except FileNotFoundError:
             return None
+
+    def close(self):
+        """Nothing to release: every read opens and closes its own file."""
 
     def latest_sequence(self):
         sequences = self.sequences()

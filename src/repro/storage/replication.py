@@ -2,15 +2,16 @@
 
 With ``durability="archive"`` every committed group survives as a
 sequence-numbered segment file (:class:`~repro.storage.journal.Archive`).
-A :class:`StandbyReplica` *tails* that stream through a pluggable
-:class:`LogShipper` transport, applies each group to its own copy of the
+A :class:`StandbyReplica` *tails* that stream through a shipper, applies
+each group to its own copy of the
 data file through the same idempotent apply path crash recovery uses
 (:meth:`~repro.storage.disk.FileDisk.apply_group`), serves read-only
 queries through the normal engine, and — when the primary dies —
 :meth:`~StandbyReplica.promote`\\ s to a writable primary after catching
 up.
 
-Safety rules, enforced rather than assumed:
+Safety rules, enforced rather than assumed
+(:func:`~repro.storage.journal.classify_segment` gives the verdict):
 
 * a segment is applied only if it decodes and passes its group CRC, and
   only in sequence order — the standby's file is always byte-identical to
@@ -18,20 +19,23 @@ Safety rules, enforced rather than assumed:
 * a **torn head** segment (primary crashed mid-archive; the commit was
   never acknowledged) is skipped and re-polled — a restarted primary
   deletes and rewrites it;
-* a **sequence gap** or a corrupt segment *with valid segments beyond
-  it* is divergence: those commits cannot be reconstructed, so
-  ``promote()`` refuses with
-  :class:`~repro.storage.errors.DivergenceError` unless the caller
-  explicitly accepts failing over to the last-known-good sequence;
+* a **sequence gap** or a corrupt segment *below the head* is
+  divergence: those commits cannot be reconstructed, so ``promote()``
+  refuses with :class:`~repro.storage.errors.DivergenceError` unless the
+  caller explicitly accepts failing over to the last-known-good sequence;
+* a segment **pruned at the source** marks the replica for a snapshot
+  re-seed (:meth:`StandbyReplica.reseed_from`) instead;
 * transient apply/ship failures
   (:class:`~repro.storage.errors.TransientIOError`) are retried with
   exponential backoff before giving up with
   :class:`~repro.storage.errors.ReplicationError`.
 
-The built-in transport is :class:`LocalDirShipper` (a shared local
-directory).  The interface is deliberately socket-shaped —
-``connect() / latest_sequence() / fetch(seq) / close()`` — so a network
-transport slots in without touching the replica.
+A shipper is any object answering ``latest_sequence()``,
+``oldest_sequence()``, ``fetch(sequence)`` (raw bytes, or None for a
+segment it does not have) and ``close()``.  Two exist: the archive
+directory itself (:data:`LocalDirShipper`, a shared filesystem) and
+:class:`~repro.net.shipper.SocketShipper` (TCP); one conformance suite
+holds both to the same contract.
 """
 
 import random
@@ -45,7 +49,8 @@ from repro.storage.errors import (
     ReplicationError,
     TransientIOError,
 )
-from repro.storage.journal import Archive, decode_group
+from repro.storage.journal import (APPLY, CORRUPT, MISSING, PRUNED, TORN_HEAD,
+                                   Archive, classify_segment)
 from repro.storage.timemodel import SystemClock, backoff_delay
 
 #: Retry policy defaults for transient ship/apply failures.
@@ -66,71 +71,11 @@ class _TailInterrupted(Exception):
     close).  Never escapes the replica."""
 
 
-class LogShipper:
-    """Transport interface a standby tails segments through.
-
-    Implementations deliver raw segment bytes by commit sequence.  The
-    shape mirrors a network client: ``connect``/``close`` bracket the
-    session, ``latest_sequence`` is the poll, ``fetch`` the transfer.
-    ``fetch`` returns None for a sequence the transport cannot produce
-    (missing segment) — validity of the *bytes* is the replica's job.
-    """
-
-    def connect(self):
-        return self
-
-    def close(self):
-        pass
-
-    def latest_sequence(self):
-        """Highest sequence available, or None for an empty stream."""
-        raise NotImplementedError
-
-    def oldest_sequence(self):
-        """Lowest sequence still available, or None for an empty stream.
-
-        The source's retention floor: a fetch below it returning None
-        means *pruned at the source* (the standby must re-seed from a
-        snapshot), while a missing segment at or above it means the
-        stream itself has a hole (divergence — the standby must stall).
-        Transports predating this call may leave it unimplemented; the
-        replica then conservatively treats every missing-below-head
-        segment as lost.
-        """
-        raise NotImplementedError
-
-    def fetch(self, sequence):
-        """Raw bytes of one segment, or None if it does not exist."""
-        raise NotImplementedError
-
-    def __enter__(self):
-        return self.connect()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-
-
-class LocalDirShipper(LogShipper):
-    """Ship segments out of a local archive directory.
-
-    The degenerate transport: primary and standby share a filesystem (or
-    the archive directory is rsynced/mounted).  Reads never block the
-    primary — segments are immutable once written.
-    """
-
-    def __init__(self, archive_dir, page_size):
-        self.archive_dir = archive_dir
-        self.page_size = page_size
-        self._archive = Archive(archive_dir, page_size)
-
-    def latest_sequence(self):
-        return self._archive.latest_sequence()
-
-    def oldest_sequence(self):
-        return self._archive.oldest_sequence()
-
-    def fetch(self, sequence):
-        return self._archive.read_raw(sequence)
+#: Ship segments out of a local archive directory: ``LocalDirShipper(
+#: archive_dir, page_size)`` is the archive read in place (primary and
+#: standby share a filesystem, or the directory is mounted).  Reads never
+#: block the primary — segments are immutable once written.
+LocalDirShipper = Archive
 
 
 @dataclass
@@ -181,7 +126,7 @@ class StandbyReplica:
                  backoff_jitter=DEFAULT_BACKOFF_JITTER, rng=None,
                  disk_factory=None, observability=None, clock=None):
         self.path = path
-        self.shipper = shipper.connect()
+        self.shipper = shipper
         self.page_size = page_size
         self.buffer_pages = buffer_pages
         self.max_retries = max_retries
@@ -207,9 +152,9 @@ class StandbyReplica:
             disk_factory = lambda p, ps: FileDisk(p, ps, durability="none")
         self._disk_factory = disk_factory
         self._disk = disk_factory(path, page_size)
-        #: Set when the source pruned segments this replica still needs:
-        #: tailing cannot continue, but unlike divergence the cure is
-        #: known — re-seed from a fresh snapshot (:meth:`reseed_from`).
+        #: Set when tailing cannot continue from here — the source pruned
+        #: what this replica still needs, or a ReplicaSet moved the stream
+        #: — but unlike divergence the cure is known: :meth:`reseed_from`.
         self.needs_reseed = False
         self._db = None            # lazily opened read-only query engine
         self.stats.last_applied_sequence = self._disk.commit_sequence
@@ -299,46 +244,46 @@ class StandbyReplica:
         return head
 
     def _ship_and_apply_one(self, sequence, head):
-        """Fetch, validate and apply one segment; False means stop."""
+        """Fetch, classify and apply one segment; False means stop."""
         blob = self._with_retry("ship",
                                 lambda: self.shipper.fetch(sequence))
+        oldest = None
         if blob is None:
-            if self._missing_because_pruned(sequence):
-                # Raft-InstallSnapshot situation: the source's retention
-                # ran past this replica.  The segments cannot be shipped
-                # ever again, but nothing diverged — a snapshot re-seed
-                # (reseed_from) resumes tailing from a newer base.
-                self.stats.pruned_at_source += 1
-                self.needs_reseed = True
-                self._stall(
-                    "segment %d was pruned at the source (oldest "
-                    "retained is newer); snapshot re-seed required"
-                    % sequence)
-                self._tracer.event("replica.pruned-at-source",
-                                   sequence=sequence, head=head)
-            else:
-                self._stall("segment %d is missing below head %d "
-                            "(lost in transport or corrupt at the source)"
-                            % (sequence, head))
-            return False
-        self.stats.segments_shipped += 1
-        self.stats.bytes_shipped += len(blob)
-        group = decode_group(blob, self.page_size)
-        if group is None:
-            if sequence == head:
-                # Torn head: the primary died mid-archive and never
-                # acknowledged this commit.  A restarted primary deletes
-                # and rewrites it, so re-poll rather than stall.
-                self.stats.torn_segments_seen += 1
-                return False
-            self._stall("segment %d is corrupt with valid segments "
-                        "beyond it" % sequence)
+            # Only a missing segment needs the source's retention floor.
+            oldest = self._with_retry("poll", self.shipper.oldest_sequence)
+        else:
+            self.stats.segments_shipped += 1
+            self.stats.bytes_shipped += len(blob)
+        verdict, group = classify_segment(sequence, blob, self.page_size,
+                                          head, oldest)
+        if verdict == PRUNED:
+            # Raft-InstallSnapshot situation: the source's retention ran
+            # past this replica.  The segments cannot be shipped ever
+            # again, but nothing diverged — a snapshot re-seed
+            # (reseed_from) resumes tailing from a newer base.
+            self.stats.pruned_at_source += 1
+            self.needs_reseed = True
+            self.stall_reason = (
+                "segment %d was pruned at the source (oldest retained is "
+                "newer); snapshot re-seed required" % sequence)
+            self._tracer.event("replica.pruned-at-source",
+                               sequence=sequence, head=head)
+        elif verdict == MISSING:
+            self.stall_reason = (
+                "segment %d is missing below head %d (lost in transport "
+                "or corrupt at the source)" % (sequence, head))
+        elif verdict == TORN_HEAD:
+            # The primary died mid-archive and never acknowledged this
+            # commit.  A restarted primary deletes and rewrites it, so
+            # re-poll rather than stall.
+            self.stats.torn_segments_seen += 1
+        elif verdict == CORRUPT:
+            self.stall_reason = (
+                "segment %d is corrupt or mis-filed below head %d"
+                % (sequence, head))
+        if verdict != APPLY:
             return False
         seq, records = group
-        if seq != sequence:
-            self._stall("segment %d decodes to sequence %d (mis-shipped)"
-                        % (sequence, seq))
-            return False
         self._with_retry(
             "apply", lambda: self._disk.apply_group(seq, records))
         self.stats.segments_applied += 1
@@ -349,33 +294,6 @@ class StandbyReplica:
         self._tracer.event("replica.apply", sequence=seq,
                            pages=len(records))
         return True
-
-    def _missing_because_pruned(self, sequence):
-        """Was a missing-below-head segment pruned at the source?
-
-        True when the source's oldest retained sequence is *above* the
-        one we asked for (retention removed it — every lower segment is
-        gone too, by construction of ``prune_upto``).  A hole at or
-        above the floor is genuine loss/corruption and must keep
-        stalling: re-seeding over it would paper over divergence.
-        Transports without :meth:`LogShipper.oldest_sequence` (or whose
-        probe itself fails) answer conservatively: not pruned.
-        """
-        probe = getattr(self.shipper, "oldest_sequence", None)
-        if probe is None:
-            return False
-        try:
-            oldest = self._with_retry("poll", probe)
-        except (NotImplementedError, ReplicationError):
-            return False
-        if oldest is None:
-            # The source archive is empty but its head was non-zero a
-            # moment ago: everything was pruned out from under us.
-            return True
-        return oldest > sequence
-
-    def _stall(self, reason):
-        self.stall_reason = reason
 
     def _with_retry(self, what, fn):
         """Run ``fn`` retrying TransientIOError with jittered backoff.
@@ -431,26 +349,6 @@ class StandbyReplica:
         the latest applied commit.  Treat it as read-only: mutating a
         standby forks its history from the primary's.
         """
-        self._ensure_query_db()
-        return self._db
-
-    def query(self, path, **options):
-        """Evaluate a path/twig query against the standby's applied state."""
-        return self.database.query(path, **options)
-
-    def explain(self, path, **options):
-        return self.database.explain(path, **options)
-
-    def documents(self):
-        return self.database.documents()
-
-    def tags(self):
-        return self.database.tags()
-
-    def entries_for_tag(self, tag):
-        return self.database.entries_for_tag(tag)
-
-    def _ensure_query_db(self):
         if self._db is None:
             from repro.core.database import XmlDatabase
 
@@ -458,6 +356,14 @@ class StandbyReplica:
             self._db = XmlDatabase.open(disk=disk,
                                         page_size=self.page_size,
                                         buffer_pages=self.buffer_pages)
+        return self._db
+
+    def query(self, path, **options):
+        """Evaluate a path/twig query against the standby's applied state."""
+        return self.database.query(path, **options)
+
+    def documents(self):
+        return self.database.documents()
 
     def _close_query_db(self):
         if self._db is not None:

@@ -128,12 +128,9 @@ def make_cluster(tmp_path, standbys=2, kill_after=None, torn_bytes=None,
             wrappers[0].fail_next(faults[index], "physical-write")
         replicas.append(replica)
         standby_disks.append(wrappers[0])
-    scratch = str(tmp_path / "scratch")
-    os.makedirs(scratch, exist_ok=True)
     set_options.setdefault("down_after", 2)
     set_options.setdefault("cooldown_seconds", 0.02)
-    replica_set = ReplicaSet(db, replicas, scratch_dir=scratch,
-                             **set_options)
+    replica_set = ReplicaSet(db, replicas, **set_options)
     replica_set.test_proxy = proxy
     if net_resources:
         original_close = replica_set.close
@@ -150,8 +147,8 @@ def make_cluster(tmp_path, standbys=2, kill_after=None, torn_bytes=None,
 class TestBackendHealth:
     def test_failure_ladder_heal_and_breaker(self):
         clock = VirtualClock()
-        health = BackendHealth("b", suspect_after=1, down_after=3,
-                               cooldown_seconds=1.0, clock=clock)
+        health = BackendHealth("b", down_after=3, cooldown_seconds=1.0,
+                               clock=clock)
         assert health.state == HEALTHY and health.allows_traffic
         health.record_failure("blip")
         assert health.state == SUSPECT and health.allows_traffic
@@ -179,19 +176,19 @@ class TestBackendHealth:
         assert not health.allows_probe
 
     def test_success_resets_consecutive_failures(self):
-        health = BackendHealth("b", suspect_after=2, down_after=3,
-                               clock=VirtualClock())
+        health = BackendHealth("b", down_after=2, clock=VirtualClock())
         health.record_failure("x")
+        assert health.state == SUSPECT          # one failure is enough
         health.record_success()
+        assert health.state == HEALTHY
         health.record_failure("x")
-        assert health.state == HEALTHY          # never reached suspect_after
+        assert health.state == SUSPECT          # not DOWN: the run restarted
         assert health.consecutive_failures == 1
 
     def test_network_failures_walk_a_longer_ladder(self):
         """A run of network-kind failures needs ``network_down_after``
         (not ``down_after``) to take the backend down: flap != death."""
-        health = BackendHealth("b", suspect_after=1, down_after=2,
-                               network_down_after=5,
+        health = BackendHealth("b", down_after=2, network_down_after=5,
                                clock=VirtualClock())
         for _ in range(4):
             health.record_failure("connect refused", kind="network")
@@ -203,8 +200,7 @@ class TestBackendHealth:
         assert health.state == HEALTHY
 
     def test_non_network_failure_snaps_back_to_the_plain_threshold(self):
-        health = BackendHealth("b", suspect_after=1, down_after=2,
-                               network_down_after=6,
+        health = BackendHealth("b", down_after=2, network_down_after=6,
                                clock=VirtualClock())
         health.record_failure("read timed out", kind="network")
         assert health.state == SUSPECT
@@ -212,8 +208,7 @@ class TestBackendHealth:
         assert health.state == DOWN             # plain down_after=2 applies
 
     def test_network_failures_are_never_fatal(self):
-        health = BackendHealth("b", suspect_after=1, down_after=2,
-                               network_down_after=6,
+        health = BackendHealth("b", down_after=2, network_down_after=6,
                                clock=VirtualClock())
         health.record_failure("partition", fatal=True, kind="network")
         assert health.state == SUSPECT          # fatal was overridden
@@ -301,8 +296,8 @@ class TestReadRouting:
             finally:
                 standby.replica.query = original
             snap = rs.observability.metrics.snapshot()
-            assert snap["repro_cluster_hedged_reads_total"] >= 1
-            assert snap["repro_cluster_hedge_wins_total"] >= 1
+            assert snap["repro_cluster_hedge_launched_total"] >= 1
+            assert snap["repro_cluster_hedge_won_total"] >= 1
         finally:
             client.close()
             rs.close()
@@ -384,6 +379,60 @@ class TestFailover:
                 node.replica.stats.retries_by_cause.get("apply", 0)
                 for node in rs.view.standbys)
             assert retries >= 3
+        finally:
+            client.close()
+            rs.close()
+
+    def test_standby_awaiting_reseed_is_never_elected(self, tmp_path):
+        """A standby marked ``needs_reseed`` cannot tail (and a failover
+        survivor's file may hold a stale timeline): promoting it would
+        lose acked commits, so the election passes it over."""
+        rs, client, disk, _sd = make_cluster(tmp_path, standbys=2)
+        try:
+            client.add_document(XML, name="b")
+            rs.tick()
+            rs.view.standbys[0].replica.needs_reseed = True
+            disk.crash_now()
+            rs.failover("test: primary killed")
+            assert rs.last_failover["elected"] == "node-2"
+        finally:
+            client.close()
+            rs.close()
+
+    def test_failed_survivor_reseed_is_retried_not_dropped(self, tmp_path):
+        """A survivor whose post-failover re-seed fails stays in the set,
+        marked ``needs_reseed``; the next tick re-seeds it and it tails
+        the new primary to the acked head."""
+        calls = []
+
+        def flaky_factory(database, page_size):
+            calls.append(database)
+            if len(calls) == 1:
+                raise TransientIOError("injected: new archive unreachable")
+            return LocalDirShipper(database.archive.directory, page_size)
+
+        rs, client, disk, _sd = make_cluster(
+            tmp_path, standbys=2, shipper_factory=flaky_factory)
+        try:
+            client.add_document(XML, name="b")
+            rs.tick()
+            disk.crash_now()
+            rs.failover("test: primary killed")
+            assert rs.epoch == 2
+            [survivor] = rs.view.standbys
+            assert survivor.replica.needs_reseed
+            assert rs.last_failover["rebuilt"] == 0
+            client.add_document(XML, name="c")
+            for _ in range(3):
+                rs.tick()
+            assert not survivor.replica.needs_reseed
+            assert rs.last_failover["rebuilt"] == 1
+            assert survivor.applied_sequence == rs.acked_sequence
+            names = [n for _i, n in survivor.replica.documents()]
+            assert names == ["seed", "b", "c"]
+            snap = rs.observability.metrics.snapshot()
+            assert snap["repro_cluster_reseed_failures_total"] == 1
+            assert snap["repro_cluster_reseeds_total"] == 1
         finally:
             client.close()
             rs.close()

@@ -23,7 +23,6 @@ from repro.net import (
     is_network_error,
 )
 from repro.net.frames import (
-    ACCEPTED_VERSIONS,
     MAGIC,
     MIN_FRAME_BYTES,
     VERSION,
@@ -101,8 +100,21 @@ class TestTraceContextV2:
     """The v2 trace-context blob between header and payload."""
 
     def test_default_version_is_2_and_both_are_accepted(self):
+        # One version: what is sent is what is accepted.
         assert VERSION == 2
-        assert ACCEPTED_VERSIONS == (1, 2)
+        assert decode_frame(body_of(encode_frame(REQ_LATEST, 0))).version \
+            == 2
+
+    def test_v1_frame_is_rejected_as_an_incompatible_peer(self):
+        # A CRC-valid frame in the retired v1 layout (no context field).
+        import zlib
+
+        body = struct.pack("<4sBBQ", MAGIC, 1, RESP_SEGMENT, 5) + b"seg"
+        crc = zlib.crc32(body) & 0xFFFFFFFF
+        with pytest.raises(FrameRejected) as info:
+            decode_frame(body + struct.pack("<I", crc))
+        assert info.value.cause == "protocol"
+        assert "version 1" in str(info.value)
 
     def test_context_roundtrips(self):
         ctx = {"trace": "ab12cd34ef56ab78", "span": 7, "node": "node-1"}
@@ -118,27 +130,6 @@ class TestTraceContextV2:
         frame = decode_frame(body_of(encode_frame(REQ_LATEST, 0)))
         assert frame.version == 2
         assert frame.context is None
-
-    def test_v1_frames_still_decode(self):
-        wire = encode_frame(RESP_SEGMENT, 5, b"seg", version=1)
-        frame = decode_frame(body_of(wire))
-        assert frame.version == 1
-        assert frame.context is None
-        assert frame.payload == b"seg"
-
-    def test_v1_cannot_carry_a_context(self):
-        with pytest.raises(FrameRejected) as info:
-            encode_frame(REQ_FETCH, 1, context={"trace": "x"}, version=1)
-        assert info.value.cause == "protocol"
-
-    def test_accept_versions_restriction(self):
-        # A strict-v1 reader (the downgrade path) rejects v2 frames as
-        # an incompatible peer, not as line noise.
-        wire = encode_frame(REQ_LATEST, 0)
-        with pytest.raises(FrameRejected) as info:
-            decode_frame(body_of(wire), accept_versions=(1,))
-        assert info.value.cause == "protocol"
-        assert "version" in str(info.value)
 
     def test_context_flipped_bytes_still_caught_by_crc(self):
         ctx = {"trace": "deadbeefdeadbeef", "span": 3}

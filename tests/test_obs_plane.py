@@ -301,6 +301,44 @@ class TestSocketTraceJoin:
         assert links and links[0]["node"] == "client-node"
         assert all(r.get("node") == "server-node" for r in joined)
 
+    def test_a_failed_first_request_keeps_the_trace_context(self,
+                                                             tmp_path):
+        """A fault before the shipper's first response must not cost the
+        context on every later request."""
+        from repro.net import (ChaosProxy, NetworkError, SegmentServer,
+                               SocketShipper)
+        from repro.storage.journal import Archive
+
+        archive_dir = str(tmp_path / "archive")
+        Archive(archive_dir, 512).append(1, {1: b"x" * 512})
+        server_hub = Observability(node_id="server-node")
+        server_hub.tracer.enable()
+        shipper_hub = Observability(node_id="client-node")
+        shipper_hub.tracer.enable()
+        server = SegmentServer(archive_dir, 512,
+                               observability=server_hub).start()
+        proxy = ChaosProxy(server.address, seed=1).start()
+        shipper = SocketShipper(proxy.address, page_size=512,
+                                max_retries=0, observability=shipper_hub)
+        trace_id = new_trace_id()
+        try:
+            proxy.partition(mode="refuse")
+            with pytest.raises(NetworkError):
+                shipper.latest_sequence()
+            proxy.heal()
+            with trace_context(trace_id), \
+                    shipper_hub.tracer.span("standby.catch-up"):
+                assert shipper.fetch(1) is not None
+        finally:
+            shipper.close()
+            proxy.stop()
+            server.stop()
+        records = [json.loads(line) for line in
+                   server_hub.tracer.export_jsonl().splitlines()[1:]]
+        joined = [r for r in records if r.get("trace") == trace_id]
+        assert joined, "server records did not join the shipper's trace"
+        assert [r["link"]["node"] for r in joined] == ["client-node"]
+
 
 # -- flight recorder + postmortem ----------------------------------------------
 

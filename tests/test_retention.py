@@ -35,7 +35,7 @@ from repro.storage.disk import FileDisk
 from repro.storage.errors import (DiskFullError, ReadOnlyError,
                                   is_disk_full_error)
 from repro.storage.faults import FaultInjectingDisk
-from repro.storage.journal import Archive
+from repro.storage.journal import Archive, decode_group
 from repro.storage.replication import LocalDirShipper, StandbyReplica
 from repro.storage.retention import (CheckpointManager, RetentionError,
                                      RetentionPolicy)
@@ -301,7 +301,8 @@ class TestEnospcInjection:
             db.flush()
         archive = Archive(archive_dir, PAGE_SIZE)
         for sequence in archive.sequences():
-            assert archive.read(sequence) is not None   # all decodable
+            assert decode_group(archive.fetch(sequence),
+                                PAGE_SIZE) is not None   # all decodable
         disk.free_space()
         db.close()
 
@@ -366,10 +367,8 @@ def make_cluster(tmp_path, standbys=2, retention_policy=None,
             LocalDirShipper(archive_dir, PAGE_SIZE), page_size=PAGE_SIZE,
             buffer_pages=BUFFER_PAGES, backoff_seconds=0.001,
             max_backoff_seconds=0.01))
-    scratch = str(tmp_path / "scratch")
-    os.makedirs(scratch, exist_ok=True)
     set_options.setdefault("cooldown_seconds", 0.02)
-    replica_set = ReplicaSet(db, replicas, scratch_dir=scratch,
+    replica_set = ReplicaSet(db, replicas,
                              retention_policy=retention_policy,
                              **set_options)
     return replica_set, ClusterClient(replica_set), db, disk, replicas

@@ -121,8 +121,7 @@ class ShipperContract:
                                                               archive):
         append_segment(archive, 1)
         with self.shipper_for(archive) as shipper:
-            with shipper as connected:
-                assert connected.latest_sequence() == 1
+            assert shipper.latest_sequence() == 1
             shipper.close()
             shipper.close()   # double close must be safe
 
@@ -130,7 +129,7 @@ class ShipperContract:
 class TestLocalDirShipperContract(ShipperContract):
     @contextlib.contextmanager
     def shipper_for(self, archive):
-        yield LocalDirShipper(archive.directory, PAGE_SIZE).connect()
+        yield LocalDirShipper(archive.directory, PAGE_SIZE)
 
 
 class TestSocketShipperContract(ShipperContract):
@@ -139,7 +138,7 @@ class TestSocketShipperContract(ShipperContract):
         server = SegmentServer(archive.directory, PAGE_SIZE).start()
         shipper = SocketShipper(server.address, page_size=PAGE_SIZE)
         try:
-            yield shipper.connect()
+            yield shipper
         finally:
             shipper.close()
             server.stop()
