@@ -11,8 +11,10 @@ and repeat bit-for-bit for a seed.  This script runs every workload of
     python3 benchmarks/exact_counters.py            # exit 1 if any cell moved
     python3 benchmarks/exact_counters.py --update   # after a change *meant* to move work
 
-A change that claims only time must leave the file as it is; a change
-that claims work regenerates it and says which cells moved and why.
+Both print one ``workload  metric  old -> new`` line per moved cell;
+``--update`` then rewrites the file.  A change that claims only time must
+leave the file as it is; a change that claims work regenerates it and
+says which cells moved and why.
 """
 
 import argparse
@@ -76,12 +78,6 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         workloads = [entry["name"] for entry in json.load(handle)["workloads"]]
     measured = {workload: measure(workload) for workload in workloads}
-    if args.update:
-        with open(COMMITTED, "w") as handle:
-            json.dump(measured, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % os.path.relpath(COMMITTED, ROOT))
-        return 0
     with open(COMMITTED) as handle:
         committed = json.load(handle)
     moved = 0
@@ -95,6 +91,12 @@ def main(argv=None):
                 moved += 1
     print("%d exact cells on %d workloads, %d moved"
           % (len(EXACT) * len(workloads), len(workloads), moved))
+    if args.update:
+        with open(COMMITTED, "w") as handle:
+            json.dump(measured, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("wrote %s" % os.path.relpath(COMMITTED, ROOT))
+        return 0
     return 1 if moved else 0
 
 

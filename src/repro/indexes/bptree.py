@@ -81,6 +81,84 @@ class BPlusInternalPage(Page):
         return bisect_right(self.keys, key)
 
 
+#: Below every start: the key that descends to the leftmost leaf.
+MIN_KEY = -(2 ** 31)
+#: The key range ``[low, high)`` under a root: every key.
+_ROOT_RANGE = (float("-inf"), float("inf"))
+
+
+def descend(pool, root_id, key, finger, pin_leaf=False):
+    """The leaf covering ``key`` in the tree rooted at ``root_id``.
+
+    The one root-to-leaf descent of :class:`BPlusTree` and
+    :class:`~repro.indexes.xrtree.XRTree`.  ``finger`` is a list of
+    ``(page, low, high)`` from the root down — the last path a caller read,
+    ``[low, high)`` the key range under ``page`` — and is updated in place
+    to end at the returned leaf.  The entries whose range misses ``key``
+    are dropped, the deepest one covering it is kept, and only the pages
+    below it are requested, each fetched and unpinned in turn: a finger
+    holds decoded pages but no pin.  An empty finger is a descent from the
+    root, so a caller with no finger passes ``[]``.
+
+    ``pin_leaf`` (with an empty finger: the write paths) leaves the leaf
+    pinned for the caller to release.
+    """
+    while finger and not finger[-1][1] <= key < finger[-1][2]:
+        finger.pop()
+    fetched = None
+    if finger:
+        page, low, high = finger[-1]
+    else:
+        fetched = page = pool.fetch(root_id)
+        low, high = _ROOT_RANGE
+        finger.append((page, low, high))
+    while not isinstance(page, RecordPage):
+        index = page.child_index_for(key)
+        if index:
+            low = page.keys[index - 1]
+        if index < len(page.keys):
+            high = page.keys[index]
+        child_id = page.children[index]
+        if fetched is not None:
+            pool.unpin(fetched)
+        fetched = page = pool.fetch(child_id)
+        finger.append((page, low, high))
+    if fetched is not None and not pin_leaf:
+        pool.unpin(fetched)
+    return page
+
+
+def descend_path(pool, root_id, key):
+    """``(path, leaf)`` for the write paths: the leaf covering ``key``,
+    pinned, and ``(page_id, child_index)`` of each internal node above it,
+    root first (those pages are left unpinned)."""
+    finger = []
+    leaf = descend(pool, root_id, key, finger, pin_leaf=True)
+    return [(node.page_id, node.child_index_for(key))
+            for node, _low, _high in finger[:-1]], leaf
+
+
+def cursor_at(pool, root_id, key, finger=None, after=False):
+    """Cursor at the first entry with ``start >= key`` (``start > key``
+    with ``after``), reached through ``finger`` (see :func:`descend`)."""
+    if not root_id:
+        return RecordCursor(pool, 0)
+    leaf = descend(pool, root_id, key, [] if finger is None else finger)
+    slot = leaf.slot_after(key) if after else leaf.slot_of(key)
+    return RecordCursor(pool, leaf.page_id, slot)
+
+
+def search_entry(pool, root_id, key):
+    """The entry whose start equals ``key``, or None."""
+    if not root_id:
+        return None
+    leaf = descend(pool, root_id, key, [])
+    slot = leaf.slot_of(key)
+    if slot < len(leaf.records) and leaf.records[slot].start == key:
+        return leaf.records[slot]
+    return None
+
+
 def _balanced_chunks(items, per_chunk, minimum):
     """Split ``items`` into runs of ``per_chunk``, balancing the last two
     runs so that no run falls below ``minimum`` (except a lone run)."""
@@ -154,79 +232,38 @@ class BPlusTree:
 
     # -- searching ---------------------------------------------------------------
 
-    def _descend(self, key):
-        """Return (path, leaf_page) with the leaf pinned.
-
-        ``path`` is a list of ``(page_id, child_index)`` for the internal
-        nodes on the root-to-leaf route (pages themselves are unpinned).
-        """
-        if not self.root_id:
-            return [], None
-        path = []
-        page = self.pool.fetch(self.root_id)
-        while isinstance(page, BPlusInternalPage):
-            index = page.child_index_for(key)
-            child_id = page.children[index]
-            path.append((page.page_id, index))
-            self.pool.unpin(page)
-            page = self.pool.fetch(child_id)
-        return path, page
-
     def search(self, key):
         """Return the entry with ``start == key`` or None."""
-        path, leaf = self._descend(key)
-        if leaf is None:
-            return None
-        try:
-            slot = leaf.slot_of(key)
-            if slot < len(leaf.records) and leaf.records[slot].start == key:
-                return leaf.records[slot]
-            return None
-        finally:
-            self.pool.unpin(leaf)
+        return search_entry(self.pool, self.root_id, key)
 
-    def seek(self, key):
-        """Cursor positioned at the first entry with ``start >= key``."""
-        path, leaf = self._descend(key)
-        if leaf is None:
-            return RecordCursor(self.pool, 0)
-        slot = leaf.slot_of(key)
-        leaf_id = leaf.page_id
-        self.pool.unpin(leaf)
-        return RecordCursor(self.pool, leaf_id, slot)
+    def seek(self, key, finger=None):
+        """Cursor positioned at the first entry with ``start >= key``.
 
-    def seek_after(self, key):
+        ``finger`` — a list a join starts empty and passes to each of its
+        probes on this tree — keeps the last root-to-leaf path, so a probe
+        requests only the pages below its deepest node still covering
+        ``key`` (:func:`descend`).
+        """
+        return cursor_at(self.pool, self.root_id, key, finger)
+
+    def seek_after(self, key, finger=None):
         """Cursor at the first entry with ``start > key`` (open-ended probe).
 
         This is the primitive both skipping joins use: "locate the element
         having the smallest start value that is larger than" a bound.
+        ``finger`` as for :meth:`seek`.
         """
-        path, leaf = self._descend(key)
-        if leaf is None:
-            return RecordCursor(self.pool, 0)
-        slot = leaf.slot_after(key)
-        leaf_id = leaf.page_id
-        self.pool.unpin(leaf)
-        return RecordCursor(self.pool, leaf_id, slot)
+        return cursor_at(self.pool, self.root_id, key, finger, after=True)
 
     def first(self):
         """Cursor at the smallest key."""
-        if not self.root_id:
-            return RecordCursor(self.pool, 0)
-        page = self.pool.fetch(self.root_id)
-        while isinstance(page, BPlusInternalPage):
-            child_id = page.children[0]
-            self.pool.unpin(page)
-            page = self.pool.fetch(child_id)
-        leaf_id = page.page_id
-        self.pool.unpin(page)
-        return RecordCursor(self.pool, leaf_id)
+        return cursor_at(self.pool, self.root_id, MIN_KEY)
 
     def predecessor(self, key):
         """The entry with the largest ``start < key``, or None."""
-        path, leaf = self._descend(key)
-        if leaf is None:
+        if not self.root_id:
             return None
+        path, leaf = descend_path(self.pool, self.root_id, key)
         try:
             slot = leaf.slot_of(key)
             if slot > 0:
@@ -280,7 +317,7 @@ class BPlusTree:
             self.pool.unpin(page, dirty=True)
             self.size = 1
             return
-        path, leaf = self._descend(entry.start)
+        path, leaf = descend_path(self.pool, self.root_id, entry.start)
         slot = leaf.slot_of(entry.start)
         if slot < len(leaf.records) \
                 and leaf.records[slot].start == entry.start:
@@ -338,7 +375,7 @@ class BPlusTree:
         """Delete the entry with ``start == key``; returns it, or None."""
         if not self.root_id:
             return None
-        path, leaf = self._descend(key)
+        path, leaf = descend_path(self.pool, self.root_id, key)
         slot = leaf.slot_of(key)
         if slot >= len(leaf.records) or leaf.records[slot].start != key:
             self.pool.unpin(leaf)

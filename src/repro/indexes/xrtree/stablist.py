@@ -17,13 +17,14 @@ insertions (PSL membership is derived from the node's keys, never stored).
 """
 
 from bisect import bisect_right
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from repro.indexes.xrtree.pages import NIL, StabDirectoryPage, StabListPage
 from repro.storage.errors import StorageError
 
 _NEG_INF = -(2 ** 31)
 _FIRST_START = itemgetter(0)  # of a ``(first_start, page_id)`` directory entry
+_START = attrgetter("start")
 
 
 class StabListError(StorageError):
@@ -125,13 +126,15 @@ class StabList:
             directory = self._load_directory()
         if not directory:
             return
+        pool = self._pool
         page_id = directory[self._route(directory, low + 1)][1]
         while page_id:
             if charge is not None:
                 charge(1)
-            with self._pool.pinned(page_id) as page:
-                records = list(page.records)
-                page_id = page.next_id
+            page = pool.fetch(page_id)
+            records = page.records
+            page_id = page.next_id
+            pool.unpin(page)
             for record in records:
                 if record.start <= low:
                     continue
@@ -156,19 +159,29 @@ class StabList:
 
         ``after_start`` implements the FindAncestors variation XR-stack uses:
         records with ``start <= after_start`` are already on the caller's
-        stack and are neither returned nor charged to the scan counter.
+        stack, so none of them is read.  ``PSL_c`` holds the starts in
+        ``(k_{c-1}, k_c]``, so the candidates begin at the first key past
+        ``after_start``, and each candidate's walk begins at the first start
+        past it.  Skipping a PSL's records at or before ``after_start``
+        changes no answer: PSL members nest, so if one of them is not
+        stabbed, neither is any record after it, and the walk from
+        ``after_start`` stops where the walk from the head would have.
 
         Counters exposing ``count_stab_page`` (:class:`~repro.joins.base.\
         JoinStats` does) are additionally charged one unit per stab-list
         page read — the directory page plus every chain page fetched —
         which is the observable ``R`` term of Theorem 4.
+
+        Only reads the node: a caller searching it needs no pin on it.
         """
         node = self.node
         if not node.sl_head:
             return []
-        upper = bisect_right(node.keys, point)  # keys[upper-1] <= point
+        keys = node.keys
+        upper = bisect_right(keys, point)  # keys[upper-1] <= point
+        lowest = 0 if after_start is None else bisect_right(keys, after_start)
         candidates = [
-            c for c in range(min(upper + 1, len(node.keys)) - 1, -1, -1)
+            c for c in range(min(upper + 1, len(keys)) - 1, lowest - 1, -1)
             if node.ps[c] != NIL and node.ps[c] < point < node.pe[c]
         ]
         if not candidates:
@@ -180,15 +193,16 @@ class StabList:
         directory = self._load_directory()
         results = []
         for c in candidates:
-            for record in self.iter_psl(c, directory, charge):
-                if record.start < point < record.end:
-                    if after_start is None or record.start > after_start:
-                        if counter is not None:
-                            counter.count(1)
-                        results.append(record)
-                else:
+            low, high = node.psl_bounds(c)
+            if after_start is not None and after_start > low:
+                low = after_start
+            for record in self.iter_range(low, high, directory, charge):
+                if not record.start < point < record.end:
                     break
-        results.sort(key=lambda r: r.start)
+                if counter is not None:
+                    counter.count(1)
+                results.append(record)
+        results.sort(key=_START)
         return results
 
     # -- point updates -----------------------------------------------------------

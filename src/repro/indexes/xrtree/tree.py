@@ -12,11 +12,20 @@ ranges).
 """
 
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
+from repro.indexes.bptree import (
+    MIN_KEY,
+    cursor_at,
+    descend,
+    descend_path,
+    search_entry,
+)
 from repro.indexes.xrtree.pages import NIL, XRInternalPage, XRLeafPage
 from repro.indexes.xrtree.stablist import StabList
 from repro.storage.errors import StorageError
-from repro.storage.pagedlist import RecordCursor
+
+_START = attrgetter("start")
 
 
 class XRTreeError(StorageError):
@@ -60,71 +69,32 @@ class XRTree:
 
     # ------------------------------------------------------------------ descent
 
-    def _descend(self, key):
-        """Return ``(path, leaf)`` with the leaf pinned.
-
-        ``path`` holds ``(page_id, child_index)`` pairs for the internal
-        nodes on the route (those pages are left unpinned).
-        """
-        if not self.root_id:
-            return [], None
-        path = []
-        page = self.pool.fetch(self.root_id)
-        while isinstance(page, XRInternalPage):
-            index = page.child_index_for(key)
-            child_id = page.children[index]
-            path.append((page.page_id, index))
-            self.pool.unpin(page)
-            page = self.pool.fetch(child_id)
-        return path, page
-
     def search(self, key):
         """Return the entry whose start equals ``key``, or None."""
-        _path, leaf = self._descend(key)
-        if leaf is None:
-            return None
-        try:
-            slot = leaf.slot_of(key)
-            if slot < len(leaf.records) and leaf.records[slot].start == key:
-                return leaf.records[slot]
-            return None
-        finally:
-            self.pool.unpin(leaf)
+        return search_entry(self.pool, self.root_id, key)
 
-    def seek(self, key):
-        """Cursor at the first entry with ``start >= key``."""
-        _path, leaf = self._descend(key)
-        if leaf is None:
-            return RecordCursor(self.pool, 0)
-        slot = leaf.slot_of(key)
-        leaf_id = leaf.page_id
-        self.pool.unpin(leaf)
-        return RecordCursor(self.pool, leaf_id, slot)
+    def seek(self, key, finger=None):
+        """Cursor at the first entry with ``start >= key``.
 
-    def seek_after(self, key):
+        ``finger`` — a list a join starts empty and passes to each of its
+        probes on this tree — keeps the last root-to-leaf path, so a probe
+        requests only the pages below its deepest node still covering
+        ``key`` (:func:`repro.indexes.bptree.descend`).  After
+        ``find_ancestors(key, finger=f)`` the path ends at ``key``'s leaf
+        already, and ``seek(key, finger=f)`` costs only the cursor's read
+        of that leaf.
+        """
+        return cursor_at(self.pool, self.root_id, key, finger)
+
+    def seek_after(self, key, finger=None):
         """Cursor at the first entry with ``start > key`` — the open-ended
         range-probe variant of FindDescendants used by XR-stack to skip
-        descendants (Section 5.2)."""
-        _path, leaf = self._descend(key)
-        if leaf is None:
-            return RecordCursor(self.pool, 0)
-        slot = leaf.slot_after(key)
-        leaf_id = leaf.page_id
-        self.pool.unpin(leaf)
-        return RecordCursor(self.pool, leaf_id, slot)
+        descendants (Section 5.2).  ``finger`` as for :meth:`seek`."""
+        return cursor_at(self.pool, self.root_id, key, finger, after=True)
 
     def first(self):
         """Cursor at the smallest key."""
-        if not self.root_id:
-            return RecordCursor(self.pool, 0)
-        page = self.pool.fetch(self.root_id)
-        while isinstance(page, XRInternalPage):
-            child_id = page.children[0]
-            self.pool.unpin(page)
-            page = self.pool.fetch(child_id)
-        leaf_id = page.page_id
-        self.pool.unpin(page)
-        return RecordCursor(self.pool, leaf_id)
+        return cursor_at(self.pool, self.root_id, MIN_KEY)
 
     def items(self):
         """Yield every indexed entry in start order."""
@@ -162,47 +132,47 @@ class XRTree:
         return results
 
     def find_ancestors(self, point, counter=None, after_start=None,
-                       required_level=None):
+                       required_level=None, finger=None):
         """Algorithm 4: all indexed elements stabbed by ``point``.
 
-        During the single root-to-leaf descent the stab list of every
-        internal node on the path is searched (Algorithm 5, via the stored
-        ``(ps, pe)`` guards and the ps directory); at the leaf, elements
-        stabbed by ``point`` whose ``InStabList`` flag is off are output.
-        Worst-case I/O is ``O(log_F N + R)`` (Theorem 4).
+        The stab list of every internal node on the root-to-leaf path is
+        searched (Algorithm 5, via the stored ``(ps, pe)`` guards and the
+        ps directory); at the leaf, elements stabbed by ``point`` whose
+        ``InStabList`` flag is off are output.  Worst-case I/O is
+        ``O(log_F N + R)`` (Theorem 4).
 
         ``after_start`` keeps only ancestors with ``start > after_start`` —
-        the variant XR-stack uses to fetch "ancestors after the stack top".
+        the variant XR-stack uses to fetch "ancestors after the stack top";
+        it reads nothing at or before ``after_start``.
         ``required_level`` restricts to the parent (FindParent, Section 5.3).
+        ``finger`` as for :meth:`seek`: the path's pages kept on it are not
+        requested again, but their stab lists are searched all the same, so
+        the answer and the scan-counter charges do not depend on it.
         """
         tracer = self.pool.tracer
         if tracer is not None and tracer.enabled:
             tracer.event("index-op", op="find_ancestors", point=point)
         if not self.root_id:
             return []
+        finger = [] if finger is None else finger
+        leaf = descend(self.pool, self.root_id, point, finger)
         results = []
-        page = self.pool.fetch(self.root_id)
-        while isinstance(page, XRInternalPage):
-            stab = StabList(self.pool, page)
-            results.extend(stab.collect_stabbed(point, counter, after_start))
-            index = page.child_index_for(point)
-            child_id = page.children[index]
-            self.pool.unpin(page)
-            page = self.pool.fetch(child_id)
-        # S2: only records before the query point can be stabbed.  The slot
-        # is located by binary search within the (already fetched) page; the
-        # scan counter charges each produced ancestor, not the in-page
-        # filtering — in-page work is CPU, not a list scan, which is how the
-        # paper's XR counts stay below the merge baselines'.
-        for entry in page.records[:page.slot_of(point)]:
-            if not entry.in_stab_list and entry.start < point < entry.end:
-                if after_start is not None and entry.start <= after_start:
-                    continue
+        for node, _low, _high in finger[:-1]:
+            results.extend(StabList(self.pool, node).collect_stabbed(
+                point, counter, after_start))
+        # S2: only records before the query point can be stabbed, and only
+        # those after ``after_start`` are wanted.  Both slots are located by
+        # binary search within the leaf; the scan counter charges each
+        # produced ancestor, not the in-page filtering — in-page work is
+        # CPU, not a list scan, which is how the paper's XR counts stay
+        # below the merge baselines'.
+        first = 0 if after_start is None else leaf.slot_after(after_start)
+        for entry in leaf.records[first:leaf.slot_of(point)]:
+            if not entry.in_stab_list and point < entry.end:
                 if counter is not None:
                     counter.count(1)
                 results.append(entry)
-        self.pool.unpin(page)
-        results.sort(key=lambda r: r.start)
+        results.sort(key=_START)
         if required_level is not None:
             results = [r for r in results if r.level == required_level]
         return results
@@ -387,7 +357,7 @@ class XRTree:
         which the run may continue in the next leaf, or None when it ends
         here (or was finished from here).
         """
-        path, leaf = self._descend(low)
+        path, leaf = descend_path(self.pool, self.root_id, low)
         first = leaf.slot_of(low)
         stop = leaf.slot_after(high)
         next_id = leaf.next_id if stop == len(leaf.records) else 0
@@ -415,7 +385,7 @@ class XRTree:
             survivor = leaf.records[-1].start
             self.pool.unpin(leaf, dirty=True)
             self._delete_run(run[-1].start + 1, high, removed)
-            path, leaf = self._descend(survivor)
+            path, leaf = descend_path(self.pool, self.root_id, survivor)
             self._rebalance_leaf(path, leaf)
             return None
         self._rebalance_leaf(path, leaf)

@@ -26,6 +26,9 @@ def bplus_join(atree, dtree, parent_child=False, collect=True, stats=None):
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
     a_cur = atree.first()
     d_cur = dtree.first()
+    # One finger per input, as XR-stack keeps: a probe re-reads only the
+    # pages below the last path's deepest node covering its key.
+    a_finger, d_finger = [], []
     stack = []
     while not d_cur.at_end and (not a_cur.at_end or stack):
         # Guardrail checkpoint at a pin-free point (see JoinStats).
@@ -44,7 +47,7 @@ def bplus_join(atree, dtree, parent_child=False, collect=True, stats=None):
                 # CurD is not inside this ancestor, hence not inside any of
                 # its descendants either: skip them all with one probe.
                 stats.ancestor_skips += 1
-                a_cur = atree.seek_after(ancestor.end)
+                a_cur = atree.seek_after(ancestor.end, finger=a_finger)
         else:
             stats.count(1)
             if stack:
@@ -54,7 +57,7 @@ def bplus_join(atree, dtree, parent_child=False, collect=True, stats=None):
                 # No open ancestors: descendants before the next candidate
                 # ancestor cannot match anything — skip them with a probe.
                 stats.descendant_skips += 1
-                d_cur = dtree.seek(a_cur.current.start)
+                d_cur = dtree.seek(a_cur.current.start, finger=d_finger)
             else:
                 break
     return (sink.pairs if collect else None), stats

@@ -55,19 +55,23 @@ class MemoryElementList:
         """Cursor at the smallest start."""
         return MemoryCursor(self._entries, 0)
 
-    def seek(self, key):
-        """Cursor at the first entry with ``start >= key``."""
+    def seek(self, key, finger=None):
+        """Cursor at the first entry with ``start >= key``.  ``finger`` is
+        the trees' probe argument, accepted and ignored: a list has no
+        path to keep."""
         return MemoryCursor(self._entries, bisect_left(self._starts, key))
 
-    def seek_after(self, key):
-        """Cursor at the first entry with ``start > key``."""
+    def seek_after(self, key, finger=None):
+        """Cursor at the first entry with ``start > key`` (``finger`` as
+        for :meth:`seek`)."""
         return MemoryCursor(self._entries, bisect_right(self._starts, key))
 
     def find_ancestors(self, point, counter=None, after_start=None,
-                       required_level=None):
+                       required_level=None, finger=None):
         """All entries stabbed by ``point``, in start order — the contract
         and the charges of ``XRTree.find_ancestors``: one unit per ancestor
-        with ``start > after_start``, before the ``required_level`` filter."""
+        with ``start > after_start``, before the ``required_level`` filter
+        (``finger`` as for :meth:`seek`)."""
         entries, parents, found = self._entries, self._parents, []
         # A stabbed entry is, or encloses, the last one starting before point.
         slot = bisect_left(self._starts, point) - 1

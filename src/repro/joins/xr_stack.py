@@ -12,6 +12,11 @@ primitives to skip in *both* directions:
 
 Descendants can never be skipped while the stack is non-empty: the open
 ancestors could join descendants between CurD and CurA (lines 15-17).
+
+Each input's probes share one *finger* — the last root-to-leaf path, kept
+for this call only — so a probe re-reads only what lies below the deepest
+node still covering its key, and the ``seek(d.start)`` after
+``FindAncestors(d.start)`` starts in the leaf the latter already read.
 """
 
 from repro.joins.base import JoinSink, JoinStats
@@ -26,6 +31,7 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None):
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
     a_cur = atree.first()
     d_cur = dtree.first()
+    a_finger, d_finger = [], []
     stack = []
     while not d_cur.at_end and (not a_cur.at_end or stack):
         # Guardrail checkpoint: cursors hold no pins between iterations,
@@ -43,7 +49,8 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None):
             stats.count(1)
             after = stack[-1].start if stack else None
             for ancestor in atree.find_ancestors(d.start, counter=stats,
-                                                 after_start=after):
+                                                 after_start=after,
+                                                 finger=a_finger):
                 stack.append(ancestor)
             # Leap CurA past CurD.  With overlapping input sets the ancestor
             # side may hold CurD's own element (start equality): it is not
@@ -52,7 +59,7 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None):
             # must ride the stack rather than be leapt over.  The sink never
             # pairs it with its own element.
             stats.ancestor_skips += 1
-            a_cur = atree.seek(d.start)
+            a_cur = atree.seek(d.start, finger=a_finger)
             if not a_cur.at_end and a_cur.current.start == d.start:
                 stack.append(a_cur.current)
                 a_cur.advance()
@@ -69,7 +76,8 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None):
                 # Line 19: leap CurD to the first start after CurA.start via
                 # an open-ended FindDescendants range probe.
                 stats.descendant_skips += 1
-                d_cur = dtree.seek_after(a_cur.current.start)
+                d_cur = dtree.seek_after(a_cur.current.start,
+                                         finger=d_finger)
             else:
                 break
     return (sink.pairs if collect else None), stats

@@ -361,7 +361,8 @@ class PathQueryEngine:
     def _reverse_step(self, context, step, stats):
         """``parent::`` / ``ancestor::`` steps: one FindAncestors probe per
         context element against the target tag's XR-tree — the Section 5.1
-        primitives driving navigation *up* the tree."""
+        primitives driving navigation *up* the tree.  The context is in
+        start order, so the probes share one finger, as a join's do."""
         tree = self.index_for(step.tag)
         axis_name = "parent" if step.axis is Axis.PARENT else "ancestor"
         with self._operator("%s-probe //%s" % (axis_name, step.tag),
@@ -370,12 +371,14 @@ class PathQueryEngine:
                             input_d=len(context)) as op:
             seen = set()
             out = []
+            finger = []
             for element in context:
                 stats.checkpoint()
                 required = (element.level - 1 if step.axis is Axis.PARENT
                             else None)
                 found = tree.find_ancestors(element.start, counter=stats,
-                                            required_level=required)
+                                            required_level=required,
+                                            finger=finger)
                 for ancestor in found:
                     if ancestor.start not in seen:
                         seen.add(ancestor.start)

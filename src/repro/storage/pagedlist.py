@@ -166,9 +166,9 @@ class RecordCursor:
     B+-tree or an XR-tree are the same start-sorted chain, and each hands
     this class out from ``first()`` / ``seek(k)`` / ``seek_after(k)``.  The
     join kernels read ``at_end`` and ``current`` and call ``advance()``.
-    Every page transition goes through the buffer pool and pins one page for
-    the length of the read, so scans are charged faithfully and a cursor
-    holds no pin between calls.
+    Every page transition is one fetch and one unpin through the buffer
+    pool, so scans are charged faithfully and a cursor holds no pin between
+    calls.
     """
 
     def __init__(self, pool, page_id, slot=0):
@@ -183,9 +183,10 @@ class RecordCursor:
             self._settle()
 
     def _load(self, page_id):
-        with self._pool.pinned(page_id) as page:
-            self._records = page.records
-            self._next_id = page.next_id
+        page = self._pool.fetch(page_id)
+        self._records = page.records
+        self._next_id = page.next_id
+        self._pool.unpin(page)
         self.page_id = page_id
 
     def _settle(self):

@@ -127,6 +127,28 @@ class TestSeek:
         cursor = BUILDERS[method](ENTRIES, pool).seek(300)
         assert drain(cursor) == ENTRIES[30:]
 
+    def test_a_finger_changes_no_answer(self, pool, method):
+        """Every seekable method takes the join's ``finger`` argument."""
+        source = BUILDERS[method](ENTRIES, pool)
+        finger = []
+        for key in (295, 1, 591, 300, 300, -5, 10 ** 9, 2):
+            for seek in ("seek", "seek_after"):
+                assert drain(getattr(source, seek)(key, finger=finger)) == \
+                    drain(getattr(source, seek)(key))
+        assert pool.pinned_count == 0
+
+
+def test_memory_find_ancestors_accepts_and_ignores_a_finger():
+    source = MemoryElementList(
+        [entry(1, 100), entry(2, 50), entry(3, 10), entry(60, 90)])
+    finger = []
+    for point in (5, 70, 4, 95, 5):
+        for after in (None, 1, 2):
+            assert source.find_ancestors(point, after_start=after,
+                                         finger=finger) \
+                == source.find_ancestors(point, after_start=after)
+    assert finger == []
+
 
 class TestRecordCursor:
     def test_a_slot_at_a_pages_end_settles_on_the_next_page(self, pool):

@@ -7,7 +7,8 @@ The paper's headline guarantees are worst-case I/O bounds:
 
 These tests measure actual cold-pool page misses per operation and assert
 them against the formulas with explicit constants (height for the log term,
-leaf capacity for ``B``), on both bulk-loaded and dynamically built trees.
+leaf capacity for ``B``), on both bulk-loaded and dynamically built trees,
+and the page requests a probe saves by sharing a finger with the last one.
 """
 
 import random
@@ -15,7 +16,12 @@ import random
 import pytest
 
 from repro.core.api import StorageContext, build_xr_tree
-from repro.indexes.xrtree import XRTree
+from repro.indexes.xrtree import (
+    StabDirectoryPage,
+    StabListPage,
+    XRInternalPage,
+    XRTree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +69,76 @@ class TestTheorem4FindAncestors:
         results = tree.find_ancestors(top + 100)
         assert results == []
         assert context.pool.stats.misses <= tree.height + 1
+
+
+def _requested(pool, call):
+    """The pages ``call()`` requests from ``pool``, in order."""
+    pages = []
+    fetch = pool.fetch
+
+    def spy(page_id):
+        page = fetch(page_id)
+        pages.append(page)
+        return page
+
+    pool.fetch = spy
+    try:
+        call()
+    finally:
+        del pool.fetch
+    return pages
+
+
+def _tree_pages(pages):
+    """``pages`` without the stab-list pages (the ``R`` term)."""
+    return [p for p in pages
+            if not isinstance(p, (StabListPage, StabDirectoryPage))]
+
+
+class TestFinger:
+    """Probes sharing a finger pay a descent only where the key leaves the
+    last root-to-leaf path."""
+
+    def test_rising_probes_in_one_leaf_request_no_internal_page(self, loaded):
+        context, tree, entries = loaded
+        assert tree.height >= 3
+        pool = context.pool
+        finger = []
+        tree.find_ancestors(entries[len(entries) // 2].start, finger=finger)
+        _leaf, low, high = finger[-1]
+        finger = []
+        first = _requested(pool, lambda: tree.find_ancestors(low,
+                                                             finger=finger))
+        assert sum(isinstance(p, XRInternalPage) for p in first) \
+            == tree.height - 1
+        assert high - low > 10
+        for point in range(low, high):
+            pages = _requested(pool, lambda: tree.find_ancestors(
+                point, finger=finger))
+            assert pool.pinned_count == 0
+            pages += _requested(pool, lambda: tree.seek(point, finger=finger))
+            assert pool.pinned_count == 0
+            assert not any(isinstance(p, XRInternalPage) for p in pages)
+
+    def test_find_ancestors_then_seek_costs_one_descent(self, loaded):
+        context, tree, entries = loaded
+        pool = context.pool
+        rng = random.Random(5)
+        for _ in range(30):
+            point = rng.choice(entries).start + rng.randrange(3)
+            finger = []
+            shared = _requested(pool, lambda: tree.find_ancestors(
+                point, finger=finger))
+            shared += _requested(pool, lambda: tree.seek(point,
+                                                         finger=finger))
+            alone = _requested(pool, lambda: tree.seek(point))
+            unshared = _requested(pool, lambda: tree.find_ancestors(point))
+            unshared += alone
+            # A lone seek is one descent plus the cursor's read of the leaf.
+            assert len(alone) == tree.height + 1
+            assert len(_tree_pages(shared)) == len(alone)
+            assert len(_tree_pages(unshared)) == 2 * tree.height + 1
+            assert pool.pinned_count == 0
 
 
 class TestTheorem3FindDescendants:

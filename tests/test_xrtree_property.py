@@ -6,10 +6,12 @@ deletes, validating Definition 4's invariants and query answers after every
 step.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.indexes.bptree import BPlusTree
 from repro.indexes.xrtree import XRTree, check_xrtree
 from repro.joins import JoinStats, MemoryElementList
 from repro.storage.buffer import BufferPool
@@ -104,6 +106,106 @@ class TestBulkLoadProperties:
         for probe in entries[:: max(1, len(entries) // 10)]:
             assert [a.start for a in bulk.find_ancestors(probe.start)] == \
                 [a.start for a in dynamic.find_ancestors(probe.start)]
+
+
+def built_tree(kind, entries, build, rng):
+    """An XR-tree (``"xr"``) or B+-tree (``"b+"``) over ``entries``, bulk
+    loaded or built by shuffled inserts with a third deleted again;
+    returns the tree and the entries it holds."""
+    if kind == "xr":
+        tree = fresh_tree()
+    else:
+        tree = BPlusTree(BufferPool(InMemoryDisk(512), capacity=48),
+                         leaf_capacity=4, internal_capacity=3)
+    if build == "bulk":
+        tree.bulk_load(entries)
+        return tree, entries
+    order = list(entries)
+    rng.shuffle(order)
+    for e in order:
+        tree.insert(e)
+    doomed = {e.start for e in order[: len(order) // 3]}
+    for start in doomed:
+        tree.delete(start)
+    return tree, [e for e in entries if e.start not in doomed]
+
+
+def probe_sequence(points, live=()):
+    """The drawn points rising, falling back, as drawn and repeated; with
+    ``live`` entries, each point also picks one of them and probes at or
+    just after its start, so that probes have ancestors to find."""
+    if live:
+        points = points + [live[p % len(live)].start + p % 2 for p in points]
+    return sorted(points) + sorted(points, reverse=True) + points + points
+
+
+def assert_same_position(fingered, plain):
+    assert fingered.at_end == plain.at_end
+    assert fingered.at_end or fingered.current == plain.current
+
+
+builds = st.sampled_from(["bulk", "insert-delete"])
+points = st.lists(st.integers(min_value=0, max_value=600), min_size=1,
+                  max_size=12)
+
+
+class TestFingerDifferential:
+    """A probe through a finger shared with earlier probes returns, and
+    charges, exactly what the same probe without a finger does."""
+
+    @given(shapes, builds, points, st.randoms(use_true_random=False),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_xrtree_probes(self, shape, build, drawn, rng, data):
+        tree, live = built_tree("xr", tree_shape_to_entries(shape), build,
+                                rng)
+        finger = []
+        for point in probe_sequence(drawn, live):
+            ancestors = [e.start for e in live if e.start < point < e.end]
+            after = data.draw(st.sampled_from([None] + ancestors))
+            fingered, plain = JoinStats(), JoinStats()
+            got = tree.find_ancestors(point, fingered, after_start=after,
+                                      finger=finger)
+            assert got == tree.find_ancestors(point, plain,
+                                              after_start=after)
+            assert [a.start for a in got] == \
+                [s for s in ancestors if after is None or s > after]
+            assert fingered.elements_scanned == plain.elements_scanned
+            for seek in ("seek", "seek_after"):
+                assert_same_position(getattr(tree, seek)(point, finger=finger),
+                                     getattr(tree, seek)(point))
+            assert tree.pool.pinned_count == 0
+
+    @given(shapes, builds, points, st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_bptree_seeks(self, shape, build, drawn, rng):
+        tree, _live = built_tree("b+", tree_shape_to_entries(shape), build,
+                                 rng)
+        finger = []
+        for point in probe_sequence(drawn):
+            for seek in ("seek", "seek_after"):
+                assert_same_position(getattr(tree, seek)(point, finger=finger),
+                                     getattr(tree, seek)(point))
+            assert tree.pool.pinned_count == 0
+
+    @pytest.mark.parametrize("kind", ["xr", "b+"])
+    @pytest.mark.parametrize("entries", [
+        [],                                                   # empty
+        [entry(1, 10)],                                       # one entry
+        [entry(1, 10), entry(2, 4), entry(5, 9), entry(6, 7)],  # one leaf
+    ], ids=["empty", "one-entry", "one-leaf"])
+    def test_empty_and_one_leaf_trees(self, kind, entries):
+        tree, _live = built_tree(kind, entries, "bulk", None)
+        assert tree.height <= 1
+        finger = []
+        for point in probe_sequence(list(range(12))):
+            for seek in ("seek", "seek_after"):
+                assert_same_position(getattr(tree, seek)(point, finger=finger),
+                                     getattr(tree, seek)(point))
+            if kind == "xr":
+                assert tree.find_ancestors(point, finger=finger) == \
+                    tree.find_ancestors(point)
+            assert tree.pool.pinned_count == 0
 
 
 class TestInsertionOrderIndependence:
