@@ -194,8 +194,9 @@ class XRTreeIndex:
     def __len__(self):
         return self.tree.size
 
-    def insert(self, entry):
-        self.tree.insert(entry)
+    def insert(self, entries):
+        """Insert one entry or a start-sorted run (:meth:`XRTree.insert`)."""
+        self.tree.insert(entries)
 
     def delete(self, start, end=None):
         """Remove the entry starting at ``start``, or with ``end`` every

@@ -273,11 +273,14 @@ class XmlDatabase:
     def add_document(self, source, name=None):
         """Add an XML document (text or a parsed Document); returns doc id.
 
-        Elements are inserted into the per-tag XR-trees one by one —
-        dynamic maintenance, not a rebuild.  The document owns the start
-        range ``[offset, offset + span]`` of the corpus numbering; no other
-        document's element ever falls inside it, which is what lets
-        :meth:`remove_document` address its entries by region.
+        Under each tag the document's elements are one start-sorted run,
+        inserted with a single :meth:`XRTree.insert(entries)
+        <repro.indexes.xrtree.XRTree.insert>` — dynamic maintenance a leaf
+        at a time, not a rebuild.  The document owns the start range
+        ``[offset, offset + span]`` of the corpus numbering; no other
+        document's element ever falls inside it, so each run lands past
+        every stored start, and :meth:`remove_document` can address the
+        document's entries by region.
         """
         self._require_writable()
         document = (parse_document(source) if isinstance(source, str)
@@ -319,11 +322,7 @@ class XmlDatabase:
         for tag, entries in per_tag.items():
             tree = self._indexes.get_or_create_xrtree(names[tag])
             self._indexes.mark_dirty(names[tag])
-            if tree.size == 0:
-                tree.bulk_load(sorted(entries, key=lambda e: e.start))
-            else:
-                for entry in entries:
-                    tree.insert(entry)
+            tree.insert(entries)
             self._invalidate_tag(tag)
         self._tags = sorted(set(self._tags).union(per_tag))
         return doc_id

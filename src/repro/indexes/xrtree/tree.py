@@ -24,6 +24,7 @@ from repro.indexes.bptree import (
 from repro.indexes.xrtree.pages import NIL, XRInternalPage, XRLeafPage
 from repro.indexes.xrtree.stablist import StabList
 from repro.storage.errors import StorageError
+from repro.storage.pages import ElementEntry
 
 _START = attrgetter("start")
 
@@ -179,52 +180,104 @@ class XRTree:
 
     # --------------------------------------------------- Algorithm 1: insertion
 
-    def insert(self, entry):
-        """Insert one element entry (Algorithm 1)."""
-        entry = entry.with_flag(False)
-        if not self.root_id:
-            page = self.pool.new_page(XRLeafPage([entry]))
-            self.root_id = page.page_id
+    def insert(self, entries):
+        """Insert one element entry, or a start-sorted run, a leaf at a
+        time (Algorithm 1).
+
+        A single entry is a run of one.  Each pass descends once to the leaf
+        covering the run's next key and takes the run entries below that
+        leaf's upper bound, up to the first overflow; see
+        :meth:`_insert_leaf_run`.  A run that is not strictly ascending
+        raises :class:`XRTreeError` with nothing changed; so does a key
+        already stored, except that the entries placed in earlier leaves of
+        the run stay (the tree is valid either way).
+        """
+        run = [entries] if isinstance(entries, ElementEntry) else list(entries)
+        starts = [entry.start for entry in run]
+        if any(right <= left for left, right in zip(starts, starts[1:])):
+            raise XRTreeError("insert run must be strictly ascending on start")
+        position = 0
+        while position < len(run):
+            position = self._insert_leaf_run(run, starts, position)
+
+    def _insert_leaf_run(self, run, starts, position):
+        """Place run entries from ``position`` on in the one leaf covering
+        ``starts[position]``; returns the position the run goes on from.
+
+        The entries are checked for duplicates before the leaf changes.  I1:
+        each belongs to the first path node that stabs it — provably the
+        top-most — and joins that node's stab list flagged.  The rest are
+        spliced in at once.  I22 on overflow: a leaf whose last record is
+        the run's, with at least ``d - 1`` more of the run still to come
+        below its bound, is cut full and the next pass fills the new right
+        leaf; any other leaf splits in the middle.  So the last cut of a
+        run is balanced, every leaf keeps d..2d records, and a run of one
+        splits exactly as a lone insert always has.
+        """
+        key = starts[position]
+        if self.root_id:
+            finger = []
+            leaf = descend(self.pool, self.root_id, key, finger, pin_leaf=True)
+            path = [node for node, _low, _high in finger[:-1]]
+            low, high = finger[-1][1:]
+        else:
+            leaf = self.pool.new_page(XRLeafPage([]))
+            self.root_id = leaf.page_id
             self.height = 1
-            self.size = 1
-            self.pool.unpin(page, dirty=True)
-            return
-        # I1: navigate down, remembering the highest internal node that
-        # stabs E.  The stab-list insertion itself is deferred until the
-        # duplicate-key check at the leaf succeeds, so a rejected insert
-        # leaves no trace (the owner node is still buffer-resident then).
-        path = []
-        owner_id = None
-        page = self.pool.fetch(self.root_id)
-        while isinstance(page, XRInternalPage):
-            if owner_id is None and page.stabs(entry.start, entry.end):
-                owner_id = page.page_id
-            index = page.child_index_for(entry.start)
-            child_id = page.children[index]
-            path.append((page.page_id, index))
-            self.pool.unpin(page)
-            page = self.pool.fetch(child_id)
-        leaf = page
-        entry = entry.with_flag(owner_id is not None)
-        slot = leaf.slot_of(entry.start)
-        if slot < len(leaf.records) \
-                and leaf.records[slot].start == entry.start:
-            self.pool.unpin(leaf)
-            raise XRTreeError("duplicate key %d" % entry.start)
-        if owner_id is not None:
+            path, low, high = [], float("-inf"), float("inf")
+        records = leaf.records
+        # Up to the first overflow only: a split changes the path.
+        stop = bisect_left(starts, high, position)
+        taken = run[position : min(stop, position + self.leaf_capacity + 1
+                                   - len(records))]
+        appended = not records or records[-1].start < key
+        if not appended:
+            for entry in taken:
+                slot = leaf.slot_of(entry.start)
+                if slot < len(records) and records[slot].start == entry.start:
+                    self.pool.unpin(leaf)
+                    raise XRTreeError("duplicate key %d" % entry.start)
+        owned = {}
+        for index, entry in enumerate(taken):
+            # Of the path's keys only the two bounding the leaf's range
+            # [low, high) can stab an entry in it: most need no path walk.
+            owner = None
+            if entry.end >= high or entry.start == low:
+                owner = next(node for node in path
+                             if node.stabs(entry.start, entry.end))
+            if entry.in_stab_list != (owner is not None):
+                taken[index] = entry = entry.with_flag(owner is not None)
+            if owner is not None:
+                owned.setdefault(owner.page_id, []).append(entry)
+        for owner_id, flagged in owned.items():
             owner = self.pool.fetch(owner_id)
-            StabList(self.pool, owner).insert(entry)
+            stab = StabList(self.pool, owner)
+            for entry in flagged:
+                stab.insert(entry)
             self.pool.unpin(owner, dirty=True)
-        leaf.records.insert(slot, entry)
-        self.size += 1
-        if len(leaf.records) <= self.leaf_capacity:
+        if appended:
+            records.extend(taken)
+        else:
+            for entry in taken:
+                records.insert(leaf.slot_of(entry.start), entry)
+        self.size += len(taken)
+        position += len(taken)
+        if len(records) <= self.leaf_capacity:
             self.pool.unpin(leaf, dirty=True)
-            return
-        # I22: split the leaf and give up a new key together with StabSet'.
+            return position
         self._tick("leaf_splits")
-        separator, right_id, stab_set = self._split_leaf(leaf)
+        to_come = stop - position
+        if records[-1] is taken[-1] \
+                and to_come >= max(self._min_leaf() - 1, 1):
+            cut = self.leaf_capacity
+        else:
+            cut = len(records) // 2
+        separator, right_id, stab_set = self._split_leaf(leaf, cut)
         self.pool.unpin(leaf, dirty=True)
-        self._insert_into_parent(path, separator, right_id, stab_set)
+        self._insert_into_parent(
+            [(node.page_id, node.child_index_for(key)) for node in path],
+            separator, right_id, stab_set)
+        return position
 
     def _choose_separator(self, left_last_start, right_first_start):
         """Split-key choice between two leaf runs (Section 3.2)."""
@@ -233,16 +286,16 @@ class XRTree:
             return right_first_start - 1
         return right_first_start
 
-    def _split_leaf(self, leaf):
-        """Split an overfull leaf; returns ``(separator, right_id, StabSet')``.
+    def _split_leaf(self, leaf, cut):
+        """Split an overfull leaf before slot ``cut``; returns
+        ``(separator, right_id, StabSet')``.
 
         Elements of either half that the new separator newly stabs get their
         ``InStabList`` flags turned on and are collected into ``StabSet'``
         for insertion into the parent's stab list (step I22).
         """
-        mid = len(leaf.records) // 2
-        right_records = leaf.records[mid:]
-        leaf.records = leaf.records[:mid]
+        right_records = leaf.records[cut:]
+        leaf.records = leaf.records[:cut]
         separator = self._choose_separator(
             leaf.records[-1].start, right_records[0].start
         )

@@ -233,23 +233,28 @@ class TestRemovalCostsTheDocument:
         for _ in range(documents):
             db.add_document(document)
         db.flush()
+        levels = sum(db._tree_for(tag).height for tag in db.tags())
         stats = db._context.pool.stats
         before = stats.requests
         db.remove_document(victim)
         requests = stats.requests - before
         assert db.verify() == len(db.tags())
         assert db.element_count() == (documents - 1) * elements
-        return requests, elements
+        return requests, elements, levels
 
     @pytest.mark.parametrize("victim", [1, 10])
     def test_page_requests_follow_the_document_not_the_corpus(self, victim):
-        requests, elements = self.removal_requests(20, victim)
-        # Measured 0.5 (oldest document) and 1.5 (one in the middle) per
+        requests, elements, levels = self.removal_requests(20, victim)
+        # Measured 0.35 (oldest document) and 0.5 (one in the middle) per
         # element; scanning every leaf of every tree and then descending
         # once per element made 6 and 14.
         assert requests <= 3 * elements
-        doubled, _ = self.removal_requests(40, victim)
-        assert doubled <= 1.25 * requests
+        # A doubled corpus may make a tree one level taller, and each
+        # descent then reads one page more: allow for the levels the
+        # trees gained, whatever the leaf fill that decided when they
+        # gained them, but not for a removal that reads the corpus.
+        doubled, _, more_levels = self.removal_requests(40, victim)
+        assert doubled <= 1.25 * requests * more_levels / levels
 
 
 class TestRegistry:
