@@ -87,31 +87,48 @@ MIN_KEY = -(2 ** 31)
 _ROOT_RANGE = (float("-inf"), float("inf"))
 
 
+class Finger:
+    """The last root-to-leaf path of one tree, shared by a join's probes.
+
+    ``path`` holds ``(page, low, high, memo)`` from the root down: a
+    decoded page, the key range ``[low, high)`` under it, and a dict in
+    which a search through that node keeps the other pages it read for
+    it, by page id — the XR-tree's stab-list pages
+    (:func:`~repro.indexes.xrtree.stablist.collect_stabbed`).  A memo is
+    dropped with its node when :func:`descend` leaves that node.  The
+    finger holds no pin, and its pages are read once: it lives for one
+    join, over a tree that does not change meanwhile.
+    """
+
+    __slots__ = ("path",)
+
+    def __init__(self):
+        self.path = []
+
+
 def descend(pool, root_id, key, finger, pin_leaf=False):
     """The leaf covering ``key`` in the tree rooted at ``root_id``.
 
     The one root-to-leaf descent of :class:`BPlusTree` and
-    :class:`~repro.indexes.xrtree.XRTree`.  ``finger`` is a list of
-    ``(page, low, high)`` from the root down — the last path a caller read,
-    ``[low, high)`` the key range under ``page`` — and is updated in place
-    to end at the returned leaf.  The entries whose range misses ``key``
-    are dropped, the deepest one covering it is kept, and only the pages
-    below it are requested, each fetched and unpinned in turn: a finger
-    holds decoded pages but no pin.  An empty finger is a descent from the
-    root, so a caller with no finger passes ``[]``.
+    :class:`~repro.indexes.xrtree.XRTree`, through a :class:`Finger`
+    updated in place to end at the returned leaf.  The path entries whose
+    range misses ``key`` are dropped, the deepest one covering it is kept,
+    and only the pages below it are requested, each fetched and unpinned
+    in turn.  A new finger is a descent from the root.
 
-    ``pin_leaf`` (with an empty finger: the write paths) leaves the leaf
+    ``pin_leaf`` (with a new finger: the write paths) leaves the leaf
     pinned for the caller to release.
     """
-    while finger and not finger[-1][1] <= key < finger[-1][2]:
-        finger.pop()
+    path = finger.path
+    while path and not path[-1][1] <= key < path[-1][2]:
+        path.pop()
     fetched = None
-    if finger:
-        page, low, high = finger[-1]
+    if path:
+        page, low, high, _memo = path[-1]
     else:
         fetched = page = pool.fetch(root_id)
         low, high = _ROOT_RANGE
-        finger.append((page, low, high))
+        path.append((page, low, high, {}))
     while not isinstance(page, RecordPage):
         index = page.child_index_for(key)
         if index:
@@ -122,7 +139,7 @@ def descend(pool, root_id, key, finger, pin_leaf=False):
         if fetched is not None:
             pool.unpin(fetched)
         fetched = page = pool.fetch(child_id)
-        finger.append((page, low, high))
+        path.append((page, low, high, {}))
     if fetched is not None and not pin_leaf:
         pool.unpin(fetched)
     return page
@@ -132,27 +149,29 @@ def descend_path(pool, root_id, key):
     """``(path, leaf)`` for the write paths: the leaf covering ``key``,
     pinned, and ``(page_id, child_index)`` of each internal node above it,
     root first (those pages are left unpinned)."""
-    finger = []
+    finger = Finger()
     leaf = descend(pool, root_id, key, finger, pin_leaf=True)
     return [(node.page_id, node.child_index_for(key))
-            for node, _low, _high in finger[:-1]], leaf
+            for node, _low, _high, _memo in finger.path[:-1]], leaf
 
 
 def cursor_at(pool, root_id, key, finger=None, after=False):
     """Cursor at the first entry with ``start >= key`` (``start > key``
-    with ``after``), reached through ``finger`` (see :func:`descend`)."""
+    with ``after``), reached through ``finger`` (see :func:`descend`).
+    The cursor starts on the leaf the descent returned: the seek requests
+    no page but the descent's."""
     if not root_id:
         return RecordCursor(pool, 0)
-    leaf = descend(pool, root_id, key, [] if finger is None else finger)
+    leaf = descend(pool, root_id, key, Finger() if finger is None else finger)
     slot = leaf.slot_after(key) if after else leaf.slot_of(key)
-    return RecordCursor(pool, leaf.page_id, slot)
+    return RecordCursor(pool, leaf.page_id, slot, leaf)
 
 
 def search_entry(pool, root_id, key):
     """The entry whose start equals ``key``, or None."""
     if not root_id:
         return None
-    leaf = descend(pool, root_id, key, [])
+    leaf = descend(pool, root_id, key, Finger())
     slot = leaf.slot_of(key)
     if slot < len(leaf.records) and leaf.records[slot].start == key:
         return leaf.records[slot]
@@ -239,10 +258,10 @@ class BPlusTree:
     def seek(self, key, finger=None):
         """Cursor positioned at the first entry with ``start >= key``.
 
-        ``finger`` — a list a join starts empty and passes to each of its
-        probes on this tree — keeps the last root-to-leaf path, so a probe
-        requests only the pages below its deepest node still covering
-        ``key`` (:func:`descend`).
+        ``finger`` — a :class:`Finger` a join starts new and passes to
+        each of its probes on this tree — keeps the last root-to-leaf path,
+        so a probe requests only the pages below its deepest node still
+        covering ``key`` (:func:`descend`).
         """
         return cursor_at(self.pool, self.root_id, key, finger)
 

@@ -17,6 +17,8 @@ insertions (PSL membership is derived from the node's keys, never stored).
 """
 
 from bisect import bisect_right
+from functools import partial
+from itertools import islice
 from operator import attrgetter, itemgetter
 
 from repro.indexes.xrtree.pages import NIL, StabDirectoryPage, StabListPage
@@ -29,6 +31,124 @@ _START = attrgetter("start")
 
 class StabListError(StorageError):
     """Stab-list corruption or protocol violation."""
+
+
+def _fetch(pool, page_id):
+    """Read one page: a fetch and an unpin."""
+    page = pool.fetch(page_id)
+    pool.unpin(page)
+    return page
+
+
+def _read_once(pool, pages, charge, page_id):
+    """Read a stab-list page unless ``pages`` holds it already; a read
+    page joins ``pages`` and is charged to ``charge``."""
+    page = pages.get(page_id)
+    if page is None:
+        if charge is not None:
+            charge(1)
+        page = pages[page_id] = _fetch(pool, page_id)
+    return page
+
+
+def _directory(node, read):
+    """``node``'s chain directory, its page read through ``read``."""
+    if not node.sl_head:
+        return []
+    if node.sl_dir:
+        return read(node.sl_dir).entries
+    return [(_NEG_INF, node.sl_head)]
+
+
+def _route(directory, start):
+    """Index into ``directory`` of the page that should hold ``start``."""
+    return max(bisect_right(directory, start, key=_FIRST_START) - 1, 0)
+
+
+def _walk(read, directory, low, high):
+    """Yield the chain records with ``low < start <= high``, reading the
+    pages from the one that should hold ``low + 1`` on, through ``read``."""
+    page_id = directory[_route(directory, low + 1)][1]
+    while page_id:
+        page = read(page_id)
+        records = page.records
+        for record in islice(records, bisect_right(records, low, key=_START),
+                             None):
+            if record.start > high:
+                return
+            yield record
+        page_id = page.next_id
+
+
+def collect_stabbed(pool, node, point, counter=None, after_start=None,
+                    pages=None):
+    """Algorithm 5: the records of ``node``'s stab list stabbed by
+    ``point``, sorted by start.
+
+    Only PSLs whose first element's stored region ``(ps_c, pe_c)``
+    strictly contains ``point`` are touched, each scanned from its head
+    until the first record not stabbed — the nesting of PSL members
+    guarantees stabbed records form a prefix.
+
+    ``after_start`` implements the FindAncestors variation XR-stack uses:
+    records with ``start <= after_start`` are already on the caller's
+    stack, so none of them is read.  ``PSL_c`` holds the starts in
+    ``(k_{c-1}, k_c]``, so the candidates begin at the first key past
+    ``after_start``, and each candidate's walk begins at the first start
+    past it.  Skipping a PSL's records at or before ``after_start``
+    changes no answer: PSL members nest, so if one of them is not stabbed,
+    neither is any record after it, and the walk from ``after_start``
+    stops where the walk from the head would have.
+
+    ``pages`` maps the id of each stab-list page (directory or chain)
+    already read for this node to the decoded page — the memo a join's
+    :class:`~repro.indexes.bptree.Finger` keeps beside the node — and
+    gains the pages this search reads.  A page found there is not
+    requested again.  The walk is the same either way, so the answer and
+    the ``counter.count`` charges do not depend on it.
+
+    Counters exposing ``count_stab_page`` (:class:`~repro.joins.base.\
+    JoinStats` does) are additionally charged one unit per stab-list page
+    requested — the directory page plus every chain page fetched — which
+    is the observable ``R`` term of Theorem 4.
+
+    Only reads the node: a caller searching it needs no pin on it.
+    """
+    if not node.sl_head:
+        return []
+    keys = node.keys
+    # PSL_c holds the starts in (k_{c-1}, k_c]: past the first key above
+    # ``point`` no start lies before it.
+    c = bisect_right(keys, point)
+    if c == len(keys):
+        c -= 1
+    lowest = 0 if after_start is None else bisect_right(keys, after_start)
+    if c < lowest:
+        return []
+    ps, pe = node.ps, node.pe
+    results = []
+    read = None
+    while c >= lowest:
+        head = ps[c]
+        if head != NIL and head < point < pe[c]:
+            if read is None:
+                read = partial(_read_once, pool,
+                               {} if pages is None else pages,
+                               getattr(counter, "count_stab_page", None))
+                directory = _directory(node, read)
+            low = keys[c - 1] if c else _NEG_INF
+            if after_start is not None and after_start > low:
+                low = after_start
+            for record in _walk(read, directory, low, keys[c]):
+                if not record.start < point < record.end:
+                    break
+                results.append(record)
+        c -= 1
+    if results:
+        if counter is not None:
+            counter.count(len(results))
+        results.sort(key=_START)
+    return results
 
 
 class StabList:
@@ -50,18 +170,13 @@ class StabList:
     # -- directory ------------------------------------------------------------
 
     def _load_directory(self):
-        """Return the in-memory page directory: [(first_start, page_id)].
+        """Return the page directory: [(first_start, page_id)].
 
         A single-page chain has no directory page; a one-entry placeholder
-        with an unknown (-inf) first start is returned instead.
+        with an unknown (-inf) first start is returned instead.  The list
+        is the directory page's own: a caller that edits it copies it.
         """
-        node = self.node
-        if not node.sl_head:
-            return []
-        if node.sl_dir:
-            with self._pool.pinned(node.sl_dir) as dir_page:
-                return list(dir_page.entries)
-        return [(_NEG_INF, node.sl_head)]
+        return _directory(self.node, partial(_fetch, self._pool))
 
     def _store_directory(self, entries):
         """Persist the directory, creating/freeing the page as needed."""
@@ -82,11 +197,6 @@ class StabList:
             dir_page = self._pool.new_page(StabDirectoryPage(list(entries)))
             node.sl_dir = dir_page.page_id
             self._pool.unpin(dir_page, dirty=True)
-
-    def _route(self, directory, start):
-        """Index into ``directory`` of the page that should hold ``start``."""
-        index = bisect_right(directory, start, key=_FIRST_START) - 1
-        return max(index, 0)
 
     # -- iteration --------------------------------------------------------------
 
@@ -113,97 +223,20 @@ class StabList:
                 page_id = page.next_id
         return count
 
-    def iter_range(self, low, high, directory=None, charge=None):
+    def iter_range(self, low, high):
         """Yield the records with ``low < start <= high`` in start order.
 
         Only the chain pages that can hold such records are read: the
-        directory (loaded unless the caller passes one in) routes to the
-        first, and the walk stops at the first record past ``high``.
-        ``charge`` (optional) is called with 1 per chain page fetched —
-        stab-list page accounting for the caller's counter.
+        directory routes to the first, and the walk stops at the first
+        record past ``high``.
         """
-        if directory is None:
-            directory = self._load_directory()
-        if not directory:
-            return
-        pool = self._pool
-        page_id = directory[self._route(directory, low + 1)][1]
-        while page_id:
-            if charge is not None:
-                charge(1)
-            page = pool.fetch(page_id)
-            records = page.records
-            page_id = page.next_id
-            pool.unpin(page)
-            for record in records:
-                if record.start <= low:
-                    continue
-                if record.start > high:
-                    return
-                yield record
+        read = partial(_fetch, self._pool)
+        directory = _directory(self.node, read)
+        return _walk(read, directory, low, high) if directory else iter(())
 
-    def iter_psl(self, key_index, directory=None, charge=None):
+    def iter_psl(self, key_index):
         """Yield the records of ``PSL_{key_index}`` in outermost-first order."""
-        low, high = self.node.psl_bounds(key_index)
-        return self.iter_range(low, high, directory, charge)
-
-    # -- Algorithm 5: SearchStabList ----------------------------------------------
-
-    def collect_stabbed(self, point, counter=None, after_start=None):
-        """All stab-list records stabbed by ``point``, sorted by start.
-
-        Follows Algorithm 5: only PSLs whose first element's stored region
-        ``(ps_c, pe_c)`` strictly contains ``point`` are touched, each scanned
-        from its head until the first record not stabbed — the nesting of PSL
-        members guarantees stabbed records form a prefix.
-
-        ``after_start`` implements the FindAncestors variation XR-stack uses:
-        records with ``start <= after_start`` are already on the caller's
-        stack, so none of them is read.  ``PSL_c`` holds the starts in
-        ``(k_{c-1}, k_c]``, so the candidates begin at the first key past
-        ``after_start``, and each candidate's walk begins at the first start
-        past it.  Skipping a PSL's records at or before ``after_start``
-        changes no answer: PSL members nest, so if one of them is not
-        stabbed, neither is any record after it, and the walk from
-        ``after_start`` stops where the walk from the head would have.
-
-        Counters exposing ``count_stab_page`` (:class:`~repro.joins.base.\
-        JoinStats` does) are additionally charged one unit per stab-list
-        page read — the directory page plus every chain page fetched —
-        which is the observable ``R`` term of Theorem 4.
-
-        Only reads the node: a caller searching it needs no pin on it.
-        """
-        node = self.node
-        if not node.sl_head:
-            return []
-        keys = node.keys
-        upper = bisect_right(keys, point)  # keys[upper-1] <= point
-        lowest = 0 if after_start is None else bisect_right(keys, after_start)
-        candidates = [
-            c for c in range(min(upper + 1, len(keys)) - 1, lowest - 1, -1)
-            if node.ps[c] != NIL and node.ps[c] < point < node.pe[c]
-        ]
-        if not candidates:
-            return []
-        charge = (getattr(counter, "count_stab_page", None)
-                  if counter is not None else None)
-        if charge is not None and node.sl_dir:
-            charge(1)  # the ps-directory page read by _load_directory
-        directory = self._load_directory()
-        results = []
-        for c in candidates:
-            low, high = node.psl_bounds(c)
-            if after_start is not None and after_start > low:
-                low = after_start
-            for record in self.iter_range(low, high, directory, charge):
-                if not record.start < point < record.end:
-                    break
-                if counter is not None:
-                    counter.count(1)
-                results.append(record)
-        results.sort(key=_START)
-        return results
+        return self.iter_range(*self.node.psl_bounds(key_index))
 
     # -- point updates -----------------------------------------------------------
 
@@ -215,13 +248,13 @@ class StabList:
         """
         node = self.node
         capacity = StabListPage.capacity(self._pool.page_size)
-        directory = self._load_directory()
+        directory = list(self._load_directory())
         if not directory:
             page = self._pool.new_page(StabListPage([entry]))
             node.sl_head = page.page_id
             self._pool.unpin(page, dirty=True)
         else:
-            index = self._route(directory, entry.start)
+            index = _route(directory, entry.start)
             page = self._pool.fetch(directory[index][1])
             slot = page.slot_of(entry.start)
             if slot < len(page.records) \
@@ -270,10 +303,10 @@ class StabList:
         head of its PSL.
         """
         node = self.node
-        directory = self._load_directory()
+        directory = list(self._load_directory())
         if not directory:
             return None
-        index = self._route(directory, start)
+        index = _route(directory, start)
         page = self._pool.fetch(directory[index][1])
         slot = page.slot_of(start)
         if slot >= len(page.records) or page.records[slot].start != start:

@@ -16,13 +16,14 @@ from operator import attrgetter
 
 from repro.indexes.bptree import (
     MIN_KEY,
+    Finger,
     cursor_at,
     descend,
     descend_path,
     search_entry,
 )
 from repro.indexes.xrtree.pages import NIL, XRInternalPage, XRLeafPage
-from repro.indexes.xrtree.stablist import StabList
+from repro.indexes.xrtree.stablist import StabList, collect_stabbed
 from repro.storage.errors import StorageError
 from repro.storage.pages import ElementEntry
 
@@ -77,13 +78,14 @@ class XRTree:
     def seek(self, key, finger=None):
         """Cursor at the first entry with ``start >= key``.
 
-        ``finger`` — a list a join starts empty and passes to each of its
-        probes on this tree — keeps the last root-to-leaf path, so a probe
-        requests only the pages below its deepest node still covering
-        ``key`` (:func:`repro.indexes.bptree.descend`).  After
-        ``find_ancestors(key, finger=f)`` the path ends at ``key``'s leaf
-        already, and ``seek(key, finger=f)`` costs only the cursor's read
-        of that leaf.
+        ``finger`` — a :class:`~repro.indexes.bptree.Finger` a join starts
+        new and passes to each of its probes on this tree — keeps the last
+        root-to-leaf path, so a probe requests only the pages below its
+        deepest node still covering ``key``
+        (:func:`repro.indexes.bptree.descend`), and the cursor starts on the
+        leaf the descent returned.  After ``find_ancestors(key, finger=f)``
+        the path ends at ``key``'s leaf already, and ``seek(key, finger=f)``
+        requests no page.
         """
         return cursor_at(self.pool, self.root_id, key, finger)
 
@@ -146,21 +148,22 @@ class XRTree:
         the variant XR-stack uses to fetch "ancestors after the stack top";
         it reads nothing at or before ``after_start``.
         ``required_level`` restricts to the parent (FindParent, Section 5.3).
-        ``finger`` as for :meth:`seek`: the path's pages kept on it are not
-        requested again, but their stab lists are searched all the same, so
-        the answer and the scan-counter charges do not depend on it.
+        ``finger`` as for :meth:`seek`: neither the path's pages kept on it
+        nor the stab-list pages its nodes' memos hold are requested again,
+        but every stab list is searched all the same, so the answer and the
+        scan-counter charges do not depend on it.
         """
         tracer = self.pool.tracer
         if tracer is not None and tracer.enabled:
             tracer.event("index-op", op="find_ancestors", point=point)
         if not self.root_id:
             return []
-        finger = [] if finger is None else finger
+        finger = Finger() if finger is None else finger
         leaf = descend(self.pool, self.root_id, point, finger)
         results = []
-        for node, _low, _high in finger[:-1]:
-            results.extend(StabList(self.pool, node).collect_stabbed(
-                point, counter, after_start))
+        for node, _low, _high, memo in finger.path[:-1]:
+            results += collect_stabbed(self.pool, node, point, counter,
+                                       after_start, memo)
         # S2: only records before the query point can be stabbed, and only
         # those after ``after_start`` are wanted.  Both slots are located by
         # binary search within the leaf; the scan counter charges each
@@ -168,11 +171,11 @@ class XRTree:
         # CPU, not a list scan, which is how the paper's XR counts stay
         # below the merge baselines'.
         first = 0 if after_start is None else leaf.slot_after(after_start)
-        for entry in leaf.records[first:leaf.slot_of(point)]:
-            if not entry.in_stab_list and point < entry.end:
-                if counter is not None:
-                    counter.count(1)
-                results.append(entry)
+        found = [entry for entry in leaf.records[first:leaf.slot_of(point)]
+                 if not entry.in_stab_list and point < entry.end]
+        if counter is not None and found:
+            counter.count(len(found))
+        results += found
         results.sort(key=_START)
         if required_level is not None:
             results = [r for r in results if r.level == required_level]
@@ -216,10 +219,10 @@ class XRTree:
         """
         key = starts[position]
         if self.root_id:
-            finger = []
+            finger = Finger()
             leaf = descend(self.pool, self.root_id, key, finger, pin_leaf=True)
-            path = [node for node, _low, _high in finger[:-1]]
-            low, high = finger[-1][1:]
+            path = [node for node, _low, _high, _memo in finger.path[:-1]]
+            low, high = finger.path[-1][1:3]
         else:
             leaf = self.pool.new_page(XRLeafPage([]))
             self.root_id = leaf.page_id

@@ -14,6 +14,7 @@ sets the algorithm degenerates to a full scan of the ancestor list — the
 asymmetry XR-trees remove.
 """
 
+from repro.indexes.bptree import Finger
 from repro.joins.base import JoinSink, JoinStats
 
 
@@ -28,7 +29,7 @@ def bplus_join(atree, dtree, parent_child=False, collect=True, stats=None):
     d_cur = dtree.first()
     # One finger per input, as XR-stack keeps: a probe re-reads only the
     # pages below the last path's deepest node covering its key.
-    a_finger, d_finger = [], []
+    a_finger, d_finger = Finger(), Finger()
     stack = []
     while not d_cur.at_end and (not a_cur.at_end or stack):
         # Guardrail checkpoint at a pin-free point (see JoinStats).

@@ -13,12 +13,15 @@ primitives to skip in *both* directions:
 Descendants can never be skipped while the stack is non-empty: the open
 ancestors could join descendants between CurD and CurA (lines 15-17).
 
-Each input's probes share one *finger* — the last root-to-leaf path, kept
-for this call only — so a probe re-reads only what lies below the deepest
-node still covering its key, and the ``seek(d.start)`` after
-``FindAncestors(d.start)`` starts in the leaf the latter already read.
+Each input's probes share one *finger* — the last root-to-leaf path and
+the stab-list pages searched through it, kept for this call only — so a
+probe requests only what lies below the deepest node still covering its
+key and the stab-list pages no earlier probe through that node read, and
+the ``seek(d.start)`` after ``FindAncestors(d.start)`` starts on the leaf
+the latter already holds.
 """
 
+from repro.indexes.bptree import Finger
 from repro.joins.base import JoinSink, JoinStats
 
 
@@ -31,7 +34,7 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None):
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
     a_cur = atree.first()
     d_cur = dtree.first()
-    a_finger, d_finger = [], []
+    a_finger, d_finger = Finger(), Finger()
     stack = []
     while not d_cur.at_end and (not a_cur.at_end or stack):
         # Guardrail checkpoint: cursors hold no pins between iterations,

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.api import StorageContext, build_xr_tree
+from repro.indexes.bptree import Finger
 from repro.joins import MemoryElementList, stack_tree_join, xr_stack_join
 from repro.joins.base import JoinStats
 from repro.obs.profile import QueryProfile
@@ -371,7 +372,7 @@ class PathQueryEngine:
                             input_d=len(context)) as op:
             seen = set()
             out = []
-            finger = []
+            finger = Finger()
             for element in context:
                 stats.checkpoint()
                 required = (element.level - 1 if step.axis is Axis.PARENT

@@ -168,10 +168,12 @@ class RecordCursor:
     join kernels read ``at_end`` and ``current`` and call ``advance()``.
     Every page transition is one fetch and one unpin through the buffer
     pool, so scans are charged faithfully and a cursor holds no pin between
-    calls.
+    calls.  A caller that has just read the first page (a tree's descent
+    to its leaf) hands it in as ``page`` and the cursor starts on it
+    without requesting it again.
     """
 
-    def __init__(self, pool, page_id, slot=0):
+    def __init__(self, pool, page_id, slot=0, page=None):
         self._pool = pool
         self.page_id = page_id
         self._slot = slot
@@ -179,7 +181,11 @@ class RecordCursor:
         self._next_id = 0
         self.at_end = not page_id
         if page_id:
-            self._load(page_id)
+            if page is None:
+                self._load(page_id)
+            else:
+                self._records = page.records
+                self._next_id = page.next_id
             self._settle()
 
     def _load(self, page_id):

@@ -16,6 +16,7 @@ from repro.core.api import (
     build_element_list,
     build_xr_tree,
 )
+from repro.indexes.bptree import Finger
 from repro.joins import MemoryElementList, nested_loop_join, stack_tree_join
 from repro.joins.base import sort_pairs
 from repro.joins.memory import MemoryCursor
@@ -130,7 +131,7 @@ class TestSeek:
     def test_a_finger_changes_no_answer(self, pool, method):
         """Every seekable method takes the join's ``finger`` argument."""
         source = BUILDERS[method](ENTRIES, pool)
-        finger = []
+        finger = Finger()
         for key in (295, 1, 591, 300, 300, -5, 10 ** 9, 2):
             for seek in ("seek", "seek_after"):
                 assert drain(getattr(source, seek)(key, finger=finger)) == \
@@ -141,13 +142,13 @@ class TestSeek:
 def test_memory_find_ancestors_accepts_and_ignores_a_finger():
     source = MemoryElementList(
         [entry(1, 100), entry(2, 50), entry(3, 10), entry(60, 90)])
-    finger = []
+    finger = Finger()
     for point in (5, 70, 4, 95, 5):
         for after in (None, 1, 2):
             assert source.find_ancestors(point, after_start=after,
                                          finger=finger) \
                 == source.find_ancestors(point, after_start=after)
-    assert finger == []
+    assert finger.path == []
 
 
 class TestRecordCursor:

@@ -12,16 +12,25 @@ and the page requests a probe saves by sharing a finger with the last one.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from repro.core.api import StorageContext, build_xr_tree
+import repro.indexes.xrtree.tree as xrtree_module
+from repro.core.api import StorageContext, build_xr_tree, oracle_join
+from repro.indexes.bptree import Finger
 from repro.indexes.xrtree import (
     StabDirectoryPage,
     StabListPage,
     XRInternalPage,
     XRTree,
 )
+from repro.indexes.xrtree.stablist import collect_stabbed
+from repro.joins import JoinStats, xr_stack_join
+from repro.workloads import JoinDataset, vary_both_selectivity
+from repro.xmldata import GeneratorConfig, XmlGenerator
+from repro.xmldata.dtd import DEPARTMENT_DTD
+from tests.test_xrtree_property import fresh_tree, nested_towers, stab_chains
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +112,10 @@ class TestFinger:
         context, tree, entries = loaded
         assert tree.height >= 3
         pool = context.pool
-        finger = []
+        finger = Finger()
         tree.find_ancestors(entries[len(entries) // 2].start, finger=finger)
-        _leaf, low, high = finger[-1]
-        finger = []
+        _leaf, low, high, _memo = finger.path[-1]
+        finger = Finger()
         first = _requested(pool, lambda: tree.find_ancestors(low,
                                                              finger=finger))
         assert sum(isinstance(p, XRInternalPage) for p in first) \
@@ -126,7 +135,7 @@ class TestFinger:
         rng = random.Random(5)
         for _ in range(30):
             point = rng.choice(entries).start + rng.randrange(3)
-            finger = []
+            finger = Finger()
             shared = _requested(pool, lambda: tree.find_ancestors(
                 point, finger=finger))
             shared += _requested(pool, lambda: tree.seek(point,
@@ -134,11 +143,80 @@ class TestFinger:
             alone = _requested(pool, lambda: tree.seek(point))
             unshared = _requested(pool, lambda: tree.find_ancestors(point))
             unshared += alone
-            # A lone seek is one descent plus the cursor's read of the leaf.
-            assert len(alone) == tree.height + 1
+            # A lone seek is one descent: the cursor starts on its leaf.
+            assert len(alone) == tree.height
             assert len(_tree_pages(shared)) == len(alone)
-            assert len(_tree_pages(unshared)) == 2 * tree.height + 1
+            assert len(_tree_pages(unshared)) == 2 * tree.height
             assert pool.pinned_count == 0
+
+    def test_join_requests_each_stab_page_once(self):
+        """During one XR-stack join no stab-list page is requested twice
+        while its node stays on the finger: the node's memo holds every
+        stab page read through it until the node is fetched again."""
+        entries = nested_towers(4, 60)
+        atree, dtree = fresh_tree(4, 4), fresh_tree(4, 4)
+        atree.bulk_load(entries)
+        dtree.bulk_load(entries)
+        chains = stab_chains(atree)
+        assert any(directory and len(pages) >= 3
+                   for directory, pages in chains.values())
+        owner = {page_id: node_id
+                 for node_id, (directory, pages) in chains.items()
+                 for page_id in pages + [directory] if page_id}
+        stats = JoinStats()
+        pairs = []
+        requested = _requested(atree.pool, lambda: pairs.extend(
+            xr_stack_join(atree, dtree, stats=stats)[0]))
+        assert len(pairs) == sum(
+            1 for a in entries for d in entries if a.start < d.start < a.end)
+        entered = Counter()  # fetches of each node: arrivals on the finger
+        visits = []
+        for page in requested:
+            if isinstance(page, XRInternalPage):
+                entered[page.page_id] += 1
+            elif isinstance(page, (StabListPage, StabDirectoryPage)):
+                visits.append((page.page_id,
+                               entered[owner[page.page_id]]))
+        assert len(visits) == len(set(visits)) == stats.stab_pages
+        # Some walk went through a ps directory and across chain pages.
+        read = {page_id for page_id, _entered in visits}
+        assert any(directory in read and len(read.intersection(pages)) >= 2
+                   for directory, pages in chains.values())
+        assert atree.pool.pinned_count == 0
+
+    def test_a_search_that_reads_a_stab_page_finds_an_ancestor(
+            self, monkeypatch):
+        """On ``join_dense``-shaped data (department documents, 90 % of
+        both sides joining, 512-byte pages) every stab-list search that
+        requests a page returns an ancestor: no page is read just to meet
+        a record that is on the stack already or not stabbed."""
+        generator = XmlGenerator(DEPARTMENT_DTD, GeneratorConfig(
+            mean_repeat=2.2, recursion_decay=0.72, max_depth=28), seed=1)
+        document = generator.generate(2600, doc_id=1)
+        data = vary_both_selectivity(JoinDataset(
+            "employee_name", document.entries_for_tag("employee"),
+            document.entries_for_tag("name"), document), 0.9, seed=1)
+        context = StorageContext(page_size=512, buffer_pages=32)
+        atree = build_xr_tree(data.ancestors, context.pool)
+        dtree = build_xr_tree(data.descendants, context.pool)
+        searches = []
+
+        def search(pool, node, point, counter=None, after_start=None,
+                   pages=None):
+            before = counter.stab_pages
+            found = collect_stabbed(pool, node, point, counter, after_start,
+                                    pages)
+            searches.append((counter.stab_pages - before, len(found)))
+            return found
+
+        monkeypatch.setattr(xrtree_module, "collect_stabbed", search)
+        pairs, stats = xr_stack_join(atree, dtree)
+        assert len(pairs) == len(oracle_join(data.ancestors,
+                                             data.descendants))
+        reading = [found for pages, found in searches if pages]
+        assert len(searches) > 10 * len(reading) > 0
+        assert all(reading)
+        assert sum(pages for pages, _found in searches) == stats.stab_pages
 
 
 class TestTheorem3FindDescendants:

@@ -214,9 +214,11 @@ def test_row_cap_trips_through_join_sink():
 
 
 def _nested_db():
+    # 240 titles: the title tree has two levels, so the xr-stack plan
+    # requests at least 3 pages even with its caches warm.
     xml = ("<lib>"
            + "".join("<shelf>" + "<book><title/></book>" * 6 + "</shelf>"
-                     for _ in range(8))
+                     for _ in range(40))
            + "</lib>")
     db = XmlDatabase.create()
     db.add_document(xml)

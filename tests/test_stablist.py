@@ -3,7 +3,11 @@
 import pytest
 
 from repro.indexes.xrtree.pages import NIL, StabListPage, XRInternalPage
-from repro.indexes.xrtree.stablist import StabList, StabListError
+from repro.indexes.xrtree.stablist import (
+    StabList,
+    StabListError,
+    collect_stabbed,
+)
 from tests.conftest import entry
 
 
@@ -142,7 +146,7 @@ class TestPslIteration:
         lst, node = stab(pool, [10, 30, 50])
         for s, e in self.LAYOUT:
             lst.insert(entry(s, e, flag=True))
-        got = [r.start for r in lst.collect_stabbed(29)]
+        got = [r.start for r in collect_stabbed(pool, node, 29)]
         assert got == [2, 15, 28]
 
     def test_collect_stabbed_uses_pspe_guards(self, pool):
@@ -150,15 +154,15 @@ class TestPslIteration:
         lst.insert(entry(5, 12, flag=True))
         # Point 20 stabs nothing; the (ps, pe) guard must answer without
         # touching the chain.
-        assert lst.collect_stabbed(20) == []
+        assert collect_stabbed(pool, node, 20) == []
 
     def test_collect_stabbed_after_start(self, pool):
         lst, node = stab(pool, [10])
         for s, e in [(2, 50), (4, 40), (6, 30)]:
             lst.insert(entry(s, e, flag=True))
-        assert [r.start for r in lst.collect_stabbed(20)] == [2, 4, 6]
-        assert [r.start for r in lst.collect_stabbed(20, after_start=4)] \
-            == [6]
+        assert [r.start for r in collect_stabbed(pool, node, 20)] == [2, 4, 6]
+        assert [r.start for r in collect_stabbed(pool, node, 20,
+                                                 after_start=4)] == [6]
 
     def test_collect_stabbed_counts(self, pool):
         from repro.joins.base import JoinStats
@@ -167,7 +171,7 @@ class TestPslIteration:
         for s, e in [(2, 50), (4, 40), (6, 30)]:
             lst.insert(entry(s, e, flag=True))
         stats = JoinStats()
-        lst.collect_stabbed(20, counter=stats)
+        collect_stabbed(pool, node, 20, counter=stats)
         assert stats.elements_scanned == 3
 
 

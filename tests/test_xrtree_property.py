@@ -6,13 +6,15 @@ deletes, validating Definition 4's invariants and query answers after every
 step.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.indexes.bptree import BPlusTree
-from repro.indexes.xrtree import XRTree, check_xrtree
+from repro.indexes.bptree import BPlusTree, Finger
+from repro.indexes.xrtree import XRInternalPage, XRTree, check_xrtree
 from repro.joins import JoinStats, MemoryElementList
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
@@ -42,6 +44,44 @@ shapes = st.lists(st.integers(min_value=0, max_value=3),
 def fresh_tree(leaf=4, internal=3):
     pool = BufferPool(InMemoryDisk(512), capacity=48)
     return XRTree(pool, leaf_capacity=leaf, internal_capacity=internal)
+
+
+def nested_towers(count, depth, leaves=2):
+    """``count`` side-by-side chains of ``depth`` nested elements, each
+    with ``leaves`` childless children: at small capacities the upper
+    separators stab a tower's outer elements by the dozen, so the top
+    nodes' stab lists run over several pages with a ps directory."""
+    root = Element("r")
+    for _ in range(count):
+        node = root
+        for _ in range(depth):
+            node = node.add_child(Element("c"))
+            for _ in range(leaves):
+                node.add_child(Element("c"))
+    annotate_regions(root)
+    return [entry(n.start, n.end, n.level) for n in Document(root)]
+
+
+def stab_chains(tree):
+    """``{node page id: (ps directory page id or 0, [chain page ids])}``
+    for every internal node of ``tree`` with a stab list."""
+    chains, pending = {}, [tree.root_id] if tree.height > 1 else []
+    pool = tree.pool
+    while pending:
+        node = pool.fetch(pending.pop())
+        pool.unpin(node)
+        if not isinstance(node, XRInternalPage):
+            continue
+        pending.extend(node.children)
+        pages, page_id = [], node.sl_head
+        while page_id:
+            pages.append(page_id)
+            page = pool.fetch(page_id)
+            pool.unpin(page)
+            page_id = page.next_id
+        if pages:
+            chains[node.page_id] = (node.sl_dir, pages)
+    return chains
 
 
 class TestBulkLoadProperties:
@@ -144,6 +184,33 @@ def assert_same_position(fingered, plain):
     assert fingered.at_end or fingered.current == plain.current
 
 
+def assert_fingered_probes_agree(tree, live, points, choose):
+    """Probe ``tree`` at each of ``points`` through one shared finger, with
+    ``after_start`` picked by ``choose`` from None and the point's
+    ancestors: each answer, ``elements_scanned`` charge and seek position
+    equals the finger-less probe's, and no frame stays pinned.  Returns the
+    stab pages charged with the finger and without it."""
+    finger = Finger()
+    read = [0, 0]
+    for point in points:
+        ancestors = [e.start for e in live if e.start < point < e.end]
+        after = choose([None] + ancestors)
+        fingered, plain = JoinStats(), JoinStats()
+        got = tree.find_ancestors(point, fingered, after_start=after,
+                                  finger=finger)
+        assert got == tree.find_ancestors(point, plain, after_start=after)
+        assert [a.start for a in got] == \
+            [s for s in ancestors if after is None or s > after]
+        assert fingered.elements_scanned == plain.elements_scanned
+        read[0] += fingered.stab_pages
+        read[1] += plain.stab_pages
+        for seek in ("seek", "seek_after"):
+            assert_same_position(getattr(tree, seek)(point, finger=finger),
+                                 getattr(tree, seek)(point))
+        assert tree.pool.pinned_count == 0
+    return read
+
+
 builds = st.sampled_from(["bulk", "insert-delete"])
 points = st.lists(st.integers(min_value=0, max_value=600), min_size=1,
                   max_size=12)
@@ -159,29 +226,16 @@ class TestFingerDifferential:
     def test_xrtree_probes(self, shape, build, drawn, rng, data):
         tree, live = built_tree("xr", tree_shape_to_entries(shape), build,
                                 rng)
-        finger = []
-        for point in probe_sequence(drawn, live):
-            ancestors = [e.start for e in live if e.start < point < e.end]
-            after = data.draw(st.sampled_from([None] + ancestors))
-            fingered, plain = JoinStats(), JoinStats()
-            got = tree.find_ancestors(point, fingered, after_start=after,
-                                      finger=finger)
-            assert got == tree.find_ancestors(point, plain,
-                                              after_start=after)
-            assert [a.start for a in got] == \
-                [s for s in ancestors if after is None or s > after]
-            assert fingered.elements_scanned == plain.elements_scanned
-            for seek in ("seek", "seek_after"):
-                assert_same_position(getattr(tree, seek)(point, finger=finger),
-                                     getattr(tree, seek)(point))
-            assert tree.pool.pinned_count == 0
+        assert_fingered_probes_agree(
+            tree, live, probe_sequence(drawn, live),
+            lambda options: data.draw(st.sampled_from(options)))
 
     @given(shapes, builds, points, st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_bptree_seeks(self, shape, build, drawn, rng):
         tree, _live = built_tree("b+", tree_shape_to_entries(shape), build,
                                  rng)
-        finger = []
+        finger = Finger()
         for point in probe_sequence(drawn):
             for seek in ("seek", "seek_after"):
                 assert_same_position(getattr(tree, seek)(point, finger=finger),
@@ -197,7 +251,7 @@ class TestFingerDifferential:
     def test_empty_and_one_leaf_trees(self, kind, entries):
         tree, _live = built_tree(kind, entries, "bulk", None)
         assert tree.height <= 1
-        finger = []
+        finger = Finger()
         for point in probe_sequence(list(range(12))):
             for seek in ("seek", "seek_after"):
                 assert_same_position(getattr(tree, seek)(point, finger=finger),
@@ -206,6 +260,24 @@ class TestFingerDifferential:
                 assert tree.find_ancestors(point, finger=finger) == \
                     tree.find_ancestors(point)
             assert tree.pool.pinned_count == 0
+
+
+    def test_memo_over_multi_page_stab_lists(self):
+        """Deep nesting at small capacities: the finger's memo serves walks
+        over stab lists with a ps directory and several chain pages, for
+        rising, falling and repeated points with random ``after_start``."""
+        entries = nested_towers(3, 60)
+        tree = fresh_tree(4, 4)
+        tree.bulk_load(entries)
+        assert any(directory and len(pages) >= 2
+                   for directory, pages in stab_chains(tree).values())
+        rng = random.Random(28)
+        top = max(e.end for e in entries)
+        drawn = [rng.randrange(top + 2) for _ in range(60)]
+        fingered, plain = assert_fingered_probes_agree(
+            tree, entries, probe_sequence(drawn, entries), rng.choice)
+        # The memo was reached: the finger read fewer stab pages.
+        assert fingered < plain
 
 
 class TestInsertionOrderIndependence:
