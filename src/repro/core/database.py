@@ -24,10 +24,9 @@ elements across documents.
 Index handles are owned by an :class:`~repro.storage.indexmanager.\
 IndexManager`: repeated queries reuse live trees instead of
 re-deserializing them from the catalog, mutations mark handles dirty and
-catalog metadata writes back in batches (on ``flush()`` and ``close()``),
-and a mutation invalidates only the touched tags' query caches instead of
-discarding the whole engine.  ``db.index_stats`` exposes the handle
-counters.
+catalog metadata writes back in batches (on ``flush()`` and ``close()``).
+Queries read those trees directly and keep nothing, so a mutation has no
+cache to tell.  ``db.index_stats`` exposes the handle counters.
 """
 
 import json
@@ -36,7 +35,6 @@ import struct
 from repro.core.api import StorageContext
 from repro.core.session import Session
 from repro.obs import Observability
-from repro.query.engine import PathQueryEngine
 from repro.storage.catalog import Catalog
 from repro.storage.errors import DiskFullError, ReadOnlyError
 from repro.storage.indexmanager import IndexManager
@@ -64,7 +62,6 @@ class XmlDatabase:
         self._load_registry()
         self._sessions = set()
         self._live_session = None
-        self._engine = None
         self._scrubber = None
         self._admission = None
         self._replication = None
@@ -323,7 +320,6 @@ class XmlDatabase:
             tree = self._indexes.get_or_create_xrtree(names[tag])
             self._indexes.mark_dirty(names[tag])
             tree.insert(entries)
-            self._invalidate_tag(tag)
         self._tags = sorted(set(self._tags).union(per_tag))
         return doc_id
 
@@ -371,7 +367,6 @@ class XmlDatabase:
                 continue
             if tree.delete(low, high):
                 self._indexes.mark_dirty(name)
-                self._invalidate_tag(tag)
             if tree.size == 0:
                 # An emptied tag must not linger in the catalog: drop the
                 # handle and tombstone the ``tag:<name>`` entry so the
@@ -406,15 +401,6 @@ class XmlDatabase:
             return []
         return list(tree.items())
 
-    def _ensure_engine(self):
-        if self._engine is None:
-            self._engine = PathQueryEngine(
-                self, context=self._context,
-                index_loader=lambda tag: self._tree_for(tag),
-                observability=self.observability,
-            )
-        return self._engine
-
     def session(self, snapshot=True):
         """Open a :class:`~repro.core.session.Session` — the query surface.
 
@@ -422,8 +408,8 @@ class XmlDatabase:
         the session keeps answering from that frozen state while writers
         commit past it, and releases its pinned page versions on
         ``close()`` (sessions are context managers).  ``snapshot=False``
-        returns a live session sharing this database's engine — it sees
-        staged writes, like :meth:`query` always has.
+        returns a live session over this database's own pool and trees —
+        it sees staged writes, like :meth:`query` always has.
 
         A fresh database that has never committed is flushed once first,
         so the snapshot has a committed catalog to read.
@@ -662,7 +648,6 @@ class XmlDatabase:
         queries = {
             "total": snap["repro_queries_total"],
             "errors": snap["repro_query_errors_total"],
-            "degraded": snap["repro_queries_degraded_total"],
             "rows": snap["repro_query_rows_total"],
             "slow": snap["repro_slow_queries_total"],
         }
@@ -795,11 +780,7 @@ class XmlDatabase:
         they are rebuilt (:meth:`rebuild_index`).
         """
         self._stage_registry()  # the scrubber's sync is a commit
-        report = self.scrubber.step(io_budget=io_budget)
-        for name in report.quarantined:
-            if name.startswith("tag:"):
-                self._invalidate_tag(name[len("tag:"):])
-        return report
+        return self.scrubber.step(io_budget=io_budget)
 
     def rebuild_index(self, tag):
         """Rebuild ``tag``'s XR-tree from its surviving leaf records.
@@ -807,9 +788,7 @@ class XmlDatabase:
         Clears the quarantine on success; returns a ``RebuildResult``.
         """
         self._stage_registry()  # the scrubber's sync is a commit
-        result = self.scrubber.rebuild(_tree_name(tag))
-        self._invalidate_tag(tag)
-        return result
+        return self.scrubber.rebuild(_tree_name(tag))
 
     def find_ancestors(self, tag, point):
         """All stored ``tag`` elements containing the corpus position."""
@@ -824,25 +803,19 @@ class XmlDatabase:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _tree_for(self, tag, create=False):
-        """The live XR-tree handle for ``tag`` (cached by the manager).
+    def _tree_for(self, tag):
+        """The live XR-tree handle for ``tag`` (cached by the manager), or
+        None when it has none.
 
         Fails fast with :class:`~repro.storage.scrub.\
         IndexQuarantinedError` when the scrubber has quarantined the tag's
         tree — before any join starts, instead of mid-join on a checksum.
         """
-        name = _tree_name(tag)
+        name = "tag:%s" % tag
         if self._scrubber is not None and self._scrubber.is_quarantined(name):
             raise IndexQuarantinedError(
                 name, self._scrubber.quarantined[name])
-        if create:
-            return self._indexes.get_or_create_xrtree(name)
-        return self._indexes.get_xrtree(name)
-
-    def _invalidate_tag(self, tag):
-        """Drop only the touched tag's query-engine caches."""
-        if self._engine is not None:
-            self._engine.invalidate_tag(tag)
+        return _stored_tree(self._indexes, tag)
 
     def _forget_session(self, session):
         self._sessions.discard(session)
@@ -897,3 +870,14 @@ def _tree_name(tag):
     if len(name.encode("utf-8")) > 32:
         raise XmlDatabaseError("tag name too long to catalogue: %r" % tag)
     return name
+
+
+def _stored_tree(manager, tag):
+    """``tag``'s XR-tree in ``manager``, or None when it has none — as a
+    tag too long to catalogue never has: no document holding one is
+    ever stored, so a read that names one answers empty."""
+    try:
+        name = _tree_name(tag)
+    except XmlDatabaseError:
+        return None
+    return manager.get_xrtree(name)

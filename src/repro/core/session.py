@@ -1,19 +1,25 @@
 """Session — the query surface of :class:`~repro.core.database.XmlDatabase`.
 
-A session is where reads happen.  Two kinds exist behind one interface:
+A session is where reads happen.  Two kinds exist behind one interface,
+and both build their query engine the same way — over a pool and a tree
+loader — differing only in which pool and which trees:
 
 * **snapshot sessions** (``db.session()``) pin the last committed
   sequence and serve every query from that frozen state: their own
   :class:`~repro.storage.snapshot.SnapshotDisk`, their own (unlatched)
-  buffer pool, their own catalog and index handles, their own query
-  engine.  Writers keep committing; the session keeps seeing its pinned
-  sequence until released.  Many snapshot sessions run concurrently, one
-  per server worker thread.
-* **live sessions** (``db.session(snapshot=False)``) share the
-  database's own engine and pool and therefore see staged, not-yet-
-  committed writes — the single-threaded behavior every pre-session
-  caller expects.  ``XmlDatabase.query``/``explain`` are thin shims over
-  one cached live session.
+  buffer pool, their own catalog and index handles.  Writers keep
+  committing; the session keeps seeing its pinned sequence until
+  released.  Many snapshot sessions run concurrently, one per server
+  worker thread.
+* **live sessions** (``db.session(snapshot=False)``) read the database's
+  own pool and trees and therefore see staged, not-yet-committed writes —
+  the single-threaded behavior every pre-session caller expects.
+  ``XmlDatabase.query``/``explain`` are one-line delegates to one cached
+  live session.
+
+The engine keeps no state between queries and no copy of an element set:
+every query reads the trees it joins, so nothing needs invalidating when a
+write changes them, and one session may serve concurrent callers.
 
 A query through either kind allocates no page and commits nothing (a
 snapshot's disk refuses to).  Both kinds route queries through the database's
@@ -32,6 +38,7 @@ versions::
 import json
 
 from repro.core.api import StorageContext
+from repro.indexes.bptree import items
 from repro.obs.trace import NULL_SPAN
 from repro.query.engine import PathQueryEngine
 from repro.storage.buffer import BufferPool
@@ -58,16 +65,22 @@ class Session:
         self._closed = False
         self._disk = None
         self._manager = None
-        self._engine = None
         self._registry = None
         self.queries_run = 0
         if snapshot:
-            self._open_snapshot(database)
+            context = self._open_snapshot(database)
+            loader = self._load_tree
             self.sequence = self._disk.sequence
         else:
+            context = database._context
+            loader = database._tree_for
             self.sequence = None
+        self._engine = PathQueryEngine(
+            self, context=context, index_loader=loader,
+            observability=database.observability)
 
     def _open_snapshot(self, database):
+        """Pin the last commit; returns the storage context over it."""
         base_context = database._context
         self._disk = SnapshotDisk(base_context.disk)
         try:
@@ -84,19 +97,15 @@ class Session:
             except CatalogError:
                 self._registry = {"documents": [], "tags": [],
                                   "next_base": 0}
-            self._engine = PathQueryEngine(
-                self, context=context,
-                index_loader=self._load_tree,
-                observability=database.observability,
-            )
         except BaseException:
             self._disk.close()  # release the pin; a broken pin leaks COW
             raise
+        return context
 
     def _load_tree(self, tag):
-        from repro.core.database import _tree_name
+        from repro.core.database import _stored_tree
 
-        return self._manager.get_xrtree(_tree_name(tag))
+        return _stored_tree(self._manager, tag)
 
     # -- the query surface -----------------------------------------------------
 
@@ -128,12 +137,8 @@ class Session:
     def entries_for_tag(self, tag):
         """The corpus-wide element set for ``tag`` in this view."""
         self._check_open()
-        if not self._snapshot:
-            return self._db.entries_for_tag(tag)
-        tree = self._load_tree(tag)
-        if tree is None:
-            return []
-        return list(tree.items())
+        tree = self._engine.index_for(tag)
+        return [] if tree is None else list(items(tree))
 
     def tags(self):
         """Tags visible in this view."""
@@ -144,8 +149,7 @@ class Session:
 
     def _run(self, kind, path, runtime, profile, call):
         self._check_open()
-        engine = (self._engine if self._snapshot
-                  else self._db._ensure_engine())
+        engine = self._engine
         tracer = self._db.observability.tracer
         span = (tracer.span("session-%s" % kind, path=str(path),
                             sequence=self.sequence,

@@ -178,6 +178,16 @@ def search_entry(pool, root_id, key):
     return None
 
 
+def items(tree):
+    """Yield every entry of ``tree`` in key order — a B+-tree, an XR-tree
+    or any other input with a ``first()`` cursor.  Both trees also bind it
+    as their ``items`` method."""
+    cursor = tree.first()
+    while not cursor.at_end:
+        yield cursor.current
+        cursor.advance()
+
+
 def _balanced_chunks(items, per_chunk, minimum):
     """Split ``items`` into runs of ``per_chunk``, balancing the last two
     runs so that no run falls below ``minimum`` (except a lone run)."""
@@ -318,12 +328,7 @@ class BPlusTree:
             yield entry
             cursor.advance()
 
-    def items(self):
-        """Yield all entries in key order."""
-        cursor = self.first()
-        while not cursor.at_end:
-            yield cursor.current
-            cursor.advance()
+    items = items
 
     # -- insertion ---------------------------------------------------------------
 

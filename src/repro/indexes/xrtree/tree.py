@@ -20,6 +20,7 @@ from repro.indexes.bptree import (
     cursor_at,
     descend,
     descend_path,
+    items,
     search_entry,
 )
 from repro.indexes.xrtree.pages import NIL, XRInternalPage, XRLeafPage
@@ -99,12 +100,7 @@ class XRTree:
         """Cursor at the smallest key."""
         return cursor_at(self.pool, self.root_id, MIN_KEY)
 
-    def items(self):
-        """Yield every indexed entry in start order."""
-        cursor = self.first()
-        while not cursor.at_end:
-            yield cursor.current
-            cursor.advance()
+    items = items
 
     # ----------------------------------------------- Section 5.1 search operations
 

@@ -95,6 +95,34 @@ class JoinSink:
             self.emit(frame, descendant)
 
 
+@dataclass
+class MatchSink(JoinSink):
+    """Records what a semi-join needs instead of the pairs: the distinct
+    matched descendants in document order and, when ``ancestor_starts`` is
+    a set, the starts of the matched ancestors.
+
+    Every pair still goes through :meth:`JoinSink.emit` — the same match
+    predicate, ``stats.pairs`` and row-cap charge — only nothing is kept
+    of it.  The kernels emit each descendant once, with its whole stack,
+    in start order, so a descendant is recorded the first time it pairs.
+    """
+
+    collect: bool = False
+    descendants: list = field(default_factory=list)
+    ancestor_starts: set = None
+
+    def emit_stack(self, stack, descendant):
+        stats, emit, starts = self.stats, self.emit, self.ancestor_starts
+        before = stats.pairs
+        for frame in stack:
+            counted = stats.pairs
+            emit(frame, descendant)
+            if starts is not None and stats.pairs != counted:
+                starts.add(frame.start)
+        if stats.pairs != before:
+            self.descendants.append(descendant)
+
+
 def contains(ancestor, descendant):
     """Region containment: ``a.start < d.start`` and ``d.end < a.end``."""
     return (

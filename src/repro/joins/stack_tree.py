@@ -12,14 +12,16 @@ _INF = float("inf")
 
 
 def stack_tree_join(alist, dlist, parent_child=False, collect=True,
-                    stats=None):
+                    stats=None, sink=None):
     """Join two start-sorted inputs scanned from ``first()`` — paged
     element lists, or any other access method's leaf level.
 
     Returns ``(pairs, stats)``; ``pairs`` is None when ``collect`` is off.
+    ``sink`` as for :func:`~repro.joins.xr_stack.xr_stack_join`.
     """
     stats = stats or JoinStats()
-    sink = JoinSink(stats, parent_child=parent_child, collect=collect)
+    if sink is None:
+        sink = JoinSink(stats, parent_child=parent_child, collect=collect)
     a_cur = alist.first()
     d_cur = dlist.first()
     stack = []

@@ -25,13 +25,19 @@ from repro.indexes.bptree import Finger
 from repro.joins.base import JoinSink, JoinStats
 
 
-def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None):
+def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
+                  sink=None):
     """Join two :class:`~repro.indexes.xrtree.XRTree` indexed sets.
 
     Returns ``(pairs, stats)``; ``pairs`` is None when ``collect`` is off.
+    ``sink`` is what the pairs are emitted into, by default a
+    pair-collecting :class:`~repro.joins.base.JoinSink`; build one over
+    the same ``stats`` (its own ``parent_child`` then decides which pairs
+    match).
     """
     stats = stats or JoinStats()
-    sink = JoinSink(stats, parent_child=parent_child, collect=collect)
+    if sink is None:
+        sink = JoinSink(stats, parent_child=parent_child, collect=collect)
     a_cur = atree.first()
     d_cur = dtree.first()
     a_finger, d_finger = Finger(), Finger()

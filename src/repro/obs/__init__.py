@@ -84,9 +84,6 @@ class Observability:
             "repro_queries_total", "Queries evaluated")
         self._errors = m.counter(
             "repro_query_errors_total", "Queries that raised")
-        self._degraded = m.counter(
-            "repro_queries_degraded_total",
-            "Queries completed on the degraded (stack-tree) plan")
         self._rows = m.counter(
             "repro_query_rows_total", "Result rows returned")
         self._slow = m.counter(
@@ -101,14 +98,11 @@ class Observability:
 
     # -- feeding ---------------------------------------------------------------
 
-    def observe_query(self, path, seconds, pages, rows, degraded=False,
-                      error=None):
+    def observe_query(self, path, seconds, pages, rows, error=None):
         """Record one finished (or failed) query evaluation."""
         self._queries.inc()
         if error is not None:
             self._errors.inc()
-        if degraded:
-            self._degraded.inc()
         self._rows.inc(rows)
         self._seconds.observe(seconds)
         self._pages.observe(pages)
@@ -120,7 +114,6 @@ class Observability:
                 "seconds": seconds,
                 "pages": pages,
                 "rows": rows,
-                "degraded": degraded,
                 "error": error,
                 "p99_seconds": self._seconds.quantile(0.99),
                 "logged_at": time.time(),

@@ -125,8 +125,6 @@ class QueryProfile:
 
     Created empty, filled by instrumented join drivers via
     :meth:`operator`, stamped with query-level totals by the engine.
-    Accumulates across a degradation retry (the retried operators simply
-    append; ``degraded`` marks the profile).
     """
 
     def __init__(self, path="", strategy=""):
@@ -138,7 +136,6 @@ class QueryProfile:
         self.page_hits = 0
         self.page_misses = 0
         self.rows = 0
-        self.degraded = False
 
     # -- recording -------------------------------------------------------------
 
@@ -194,7 +191,6 @@ class QueryProfile:
         return {
             "path": self.path,
             "strategy": self.strategy,
-            "degraded": self.degraded,
             "wall_seconds": self.wall_seconds,
             "page_requests": self.page_requests,
             "page_hits": self.page_hits,
@@ -209,11 +205,7 @@ class QueryProfile:
 
     def render(self):
         """A human-readable actuals report (the ANALYZE half of EXPLAIN)."""
-        header = "profile for %s (strategy=%s%s)" % (
-            self.path, self.strategy,
-            ", degraded" if self.degraded else "",
-        )
-        lines = [header]
+        lines = ["profile for %s (strategy=%s)" % (self.path, self.strategy)]
         for op in self.operators:
             actual = op.describe()
             if op.est_pairs is not None:

@@ -1,47 +1,64 @@
 """Evaluating path expressions as pipelines of structural joins.
 
-The engine indexes each queried element set with an XR-tree (built lazily and
-cached), then evaluates a path left to right: the current matched set plays
-the ancestor role in a structural join against the next step's element set,
-and the matched descendants become the new current set.  This is precisely
-the "combination of multiple structural joins" execution model the paper
-leaves as future work, built on the primitives it provides.
+A path is evaluated left to right: the current matched set plays the
+ancestor role in a structural join against the next step's element set, and
+the matched descendants become the new current set.  This is precisely the
+"combination of multiple structural joins" execution model the paper leaves
+as future work, built on the primitives it provides.
+
+Every element set a query reads comes from the stored per-tag XR-tree, per
+query: a join's descendant side is the tree itself under either strategy
+(XR-stack probes it, ``strategy="stack-tree"`` scans its leaves), and a
+list is read from it only where a kernel needs one — the first step's
+context, a predicate's candidates and ``explain``'s samples.  The engine
+keeps no copy of a set and no state between calls, so it needs no word
+from its owner when a set changes, and one engine serves concurrent and
+re-entrant callers.  An engine over an in-memory document (no loader)
+builds and keeps its own trees.
 
 Evaluation never writes: an intermediate result, already a start-sorted
-list, enters XR-stack as a :class:`~repro.joins.MemoryElementList` against
-the step's per-tag XR-tree (:func:`semi_join`).  ``strategy="stack-tree"``
-merges the element lists instead (plan comparison; the page-quota fallback).
+list, enters the kernel as a :class:`~repro.joins.MemoryElementList`
+(:func:`semi_join`), and the kernel emits into a
+:class:`~repro.joins.base.MatchSink` that keeps the matches, not the pairs.
 """
 
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.api import StorageContext, build_xr_tree
-from repro.indexes.bptree import Finger
+from repro.indexes.bptree import Finger, items
 from repro.joins import MemoryElementList, stack_tree_join, xr_stack_join
-from repro.joins.base import JoinStats
+from repro.joins.base import JoinStats, MatchSink
 from repro.obs.profile import QueryProfile
 from repro.obs.trace import NULL_SPAN
 from repro.query.path import AttributePredicate, Axis, parse_path
-from repro.query.runtime import PageQuotaExceeded, QueryContext
+from repro.query.runtime import QueryContext
 from repro.storage.errors import ChecksumError
+
+_START = attrgetter("start")
 
 
 def semi_join(ancestors, descendants, parent_child=False, stats=None,
-              algorithm="xr-stack"):
+              algorithm="xr-stack", matched_ancestors=True):
     """One structural join's distinct matched ancestors and descendants,
-    each in document order.  ``ancestors`` is a start-sorted entry list;
-    ``descendants`` is another, or a built index (a per-tag XR-tree)."""
+    each in document order, with no pair list.  ``ancestors`` is a
+    start-sorted entry list; ``descendants`` is another, or a stored index
+    (a per-tag XR-tree).  With ``matched_ancestors`` off only the
+    descendants are kept and the ancestors come back None."""
     if isinstance(descendants, list):
         descendants = MemoryElementList(descendants)
+    stats = stats or JoinStats()
+    sink = MatchSink(stats, parent_child=parent_child,
+                     ancestor_starts=set() if matched_ancestors else None)
     join = xr_stack_join if algorithm == "xr-stack" else stack_tree_join
-    pairs, _ = join(MemoryElementList(ancestors), descendants,
-                    parent_child=parent_child, stats=stats)
-    matched_a = {a.start: a for a, _ in pairs}
-    matched_d = {d.start: d for _, d in pairs}
-    return ([matched_a[start] for start in sorted(matched_a)],
-            [matched_d[start] for start in sorted(matched_d)])
+    join(MemoryElementList(ancestors), descendants, stats=stats, sink=sink)
+    if not matched_ancestors:
+        return None, sink.descendants
+    matched = sink.ancestor_starts
+    return ([a for a in ancestors if a.start in matched],
+            sink.descendants)
 
 
 class QueryError(Exception):
@@ -64,20 +81,15 @@ class QueryError(Exception):
 class QueryResult:
     """Matched elements plus the run's accumulated join statistics.
 
-    ``degraded`` is True when the page quota tripped mid-evaluation and
-    the engine completed the query on the streaming stack-tree plan
-    instead (``degrade_reason`` names the trigger); ``runtime`` is the
-    governing :class:`~repro.query.runtime.QueryContext`, if any;
-    ``profile`` is the :class:`~repro.obs.profile.QueryProfile` with
-    per-operator actuals, when one was attached.
+    ``runtime`` is the governing :class:`~repro.query.runtime.\
+    QueryContext`, if any; ``profile`` is the :class:`~repro.obs.profile.\
+    QueryProfile` with per-operator actuals, when one was attached.
     """
 
     path: str
     matches: list
     stats: JoinStats = field(default_factory=JoinStats)
     joins_run: int = 0
-    degraded: bool = False
-    degrade_reason: str = None
     runtime: object = None
     profile: object = None
 
@@ -86,6 +98,18 @@ class QueryResult:
 
     def starts(self):
         return [entry.start for entry in self.matches]
+
+
+@dataclass
+class _Run:
+    """One evaluation's state, passed down the call chain — the engine
+    itself keeps none."""
+
+    stats: JoinStats
+    profile: object = None
+    joins: int = 0
+    #: The tag whose set is being read, for checksum-failure attribution.
+    tag: str = None
 
 
 class PathQueryEngine:
@@ -100,9 +124,11 @@ class PathQueryEngine:
 
     def __init__(self, document, context=None, strategy="xr-stack",
                  index_loader=None, observability=None):
-        """``index_loader(tag)`` supplies the persisted XR-tree for a tag
+        """``index_loader(tag)`` supplies the stored XR-tree for a tag
         (e.g. from a catalog), or None when it has none; without a loader
         the engine builds and owns one XR-tree per tag in ``context``.
+        ``document`` answers ``tags()`` (for ``*``) and, without a loader,
+        ``entries_for_tag``.
 
         ``observability`` optionally attaches an
         :class:`~repro.obs.Observability` hub: its tracer is wired to the
@@ -118,68 +144,50 @@ class PathQueryEngine:
         if observability is not None and self.context.pool.tracer is None:
             self.context.pool.tracer = observability.tracer
         self._index_loader = index_loader
-        self._tag_entries = {}
-        self._tag_indexes = {}
-        self._all_tags = None
-        self._strategy_override = None
-        self._active_tag = None
-        self._profile = None
+        self._own_trees = {}
 
     # -- element-set access -----------------------------------------------------
 
-    def entries_for(self, tag):
-        """The start-sorted element set for ``tag`` (cached)."""
-        self._active_tag = tag  # checksum-failure attribution
-        if tag not in self._tag_entries:
-            if tag == "*":
-                if self._all_tags is None:
-                    self._all_tags = sorted(self.document.tags())
-                entries = []
-                for known in self._all_tags:
-                    entries.extend(self.entries_for(known))
-                entries.sort(key=lambda e: e.start)
-                self._tag_entries[tag] = entries
-            else:
-                self._tag_entries[tag] = self.document.entries_for_tag(tag)
-        return self._tag_entries[tag]
-
     def index_for(self, tag):
-        """The index over ``tag``'s element set.
+        """The XR-tree over ``tag``'s element set, or None when it has none.
 
-        Loader-provided trees are *not* cached here: the loader (typically
-        an :class:`~repro.storage.indexmanager.IndexManager` behind an
-        :class:`~repro.core.database.XmlDatabase`) owns their lifecycle,
-        and double-caching would let this engine serve a handle the manager
-        already discarded or dropped.  Its owner owns the pages too: a tag
-        it has no tree for (``"*"``) is served from memory, and only an
-        engine without a loader builds trees (``_tag_indexes`` keeps both).
+        A loader's trees belong to the loader (typically the index manager
+        behind a database or session), so they are fetched on every call
+        and never kept here.  Only an engine without a loader builds trees,
+        once per tag, and keeps them.
         """
-        self._active_tag = tag  # checksum-failure attribution
         if self._index_loader is not None:
-            tree = self._index_loader(tag)
-            if tree is not None:
-                return tree
-        if tag not in self._tag_indexes:
-            entries = self.entries_for(tag)
-            self._tag_indexes[tag] = (
-                build_xr_tree(entries, self.context.pool)
-                if self._index_loader is None
-                else MemoryElementList(entries))
-        return self._tag_indexes[tag]
+            return self._index_loader(tag)
+        if tag not in self._own_trees:
+            entries = self.document.entries_for_tag(tag)
+            self._own_trees[tag] = (build_xr_tree(entries, self.context.pool)
+                                    if entries else None)
+        return self._own_trees[tag]
 
-    # -- cache invalidation ---------------------------------------------------
+    def entries_for(self, tag):
+        """``tag``'s element set as a start-sorted list, read from its tree
+        on every call (``*``: every visible tag's, merged)."""
+        if tag == "*":
+            merged = [entry for known in self.document.tags()
+                      for entry in self.entries_for(known)]
+            merged.sort(key=_START)
+            return merged
+        tree = self.index_for(tag)
+        return [] if tree is None else list(items(tree))
 
-    def invalidate_tag(self, tag):
-        """Drop cached state for one tag (after its element set mutated).
+    def _entries(self, run, tag):
+        run.tag = tag
+        return self.entries_for(tag)
 
-        The ``"*"`` wildcard set aggregates every tag, so it is dropped
-        alongside, as is the known-tag list (the mutation may have
-        introduced or removed a tag).
-        """
-        for cache in (self._tag_entries, self._tag_indexes):
-            cache.pop(tag, None)
-            cache.pop("*", None)
-        self._all_tags = None
+    def _source(self, run, tag):
+        """``tag``'s set as a join input: its tree, or for ``*`` the merged
+        list; None when the set is empty."""
+        run.tag = tag
+        if tag == "*":
+            merged = self.entries_for(tag)
+            return MemoryElementList(merged) if merged else None
+        tree = self.index_for(tag)
+        return tree if tree is not None and tree.size else None
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -190,13 +198,8 @@ class PathQueryEngine:
         to the path's *last* step, in document order.
 
         ``runtime`` optionally attaches a :class:`~repro.query.runtime.\
-        QueryContext` governing the run.  Deadlines, cancellation and row
-        caps raise their typed errors; a tripped *page quota* instead
-        walks the degradation ladder: an xr-stack evaluation is retried
-        once as a streaming stack-tree plan (sequential scans of the
-        element lists, no index probes) with the quota rebased, and the
-        result is marked ``degraded``.  If the streaming plan exhausts the
-        quota too, :class:`~repro.query.runtime.PageQuotaExceeded` surfaces.
+        QueryContext` governing the run: a tripped deadline, cancellation,
+        page quota or row cap raises its typed error.
 
         ``profile`` optionally attaches a :class:`~repro.obs.profile.\
         QueryProfile` recording per-operator actuals (it may also ride in
@@ -224,37 +227,18 @@ class PathQueryEngine:
             runtime.start(pool)
         try:
             with span:
-                try:
-                    result = self._evaluate_once(expression, runtime,
-                                                 profile=profile)
-                except PageQuotaExceeded:
-                    if (runtime is None or not runtime.allow_degraded
-                            or runtime.degraded
-                            or self.strategy != "xr-stack"):
-                        raise
-                    runtime.enter_degraded("page-quota")
-                    if tracer is not None and tracer.enabled:
-                        tracer.event("degrade", reason="page-quota",
-                                     fallback="stack-tree")
-                    if profile is not None:
-                        profile.degraded = True
-                    result = self._evaluate_once(expression, runtime,
-                                                 strategy="stack-tree",
-                                                 profile=profile)
-                    result.degraded = True
-                    result.degrade_reason = "page-quota"
+                result = self._evaluate_once(expression, runtime, profile)
         except Exception as exc:
             self._finish_query(expression, profile, started, base_hits,
-                               base_misses, rows=0, degraded=False,
+                               base_misses, rows=0,
                                error=type(exc).__name__)
             raise
         self._finish_query(expression, profile, started, base_hits,
-                           base_misses, rows=len(result),
-                           degraded=result.degraded, error=None)
+                           base_misses, rows=len(result), error=None)
         return result
 
     def _finish_query(self, expression, profile, started, base_hits,
-                      base_misses, rows, degraded, error):
+                      base_misses, rows, error):
         """Stamp query-level totals on the profile and feed the metrics."""
         seconds = time.perf_counter() - started
         stats = self.context.pool.stats
@@ -266,77 +250,61 @@ class PathQueryEngine:
             profile.page_misses += misses
             profile.page_requests += hits + misses
             profile.rows = rows
-            profile.degraded = profile.degraded or degraded
         obs = self.observability
         if obs is not None:
             obs.observe_query(str(expression), seconds, hits + misses,
-                              rows, degraded=degraded, error=error)
+                              rows, error=error)
 
-    def _evaluate_once(self, expression, runtime=None, strategy=None,
-                       profile=None):
-        """One evaluation pass under an optional forced strategy.
+    def _evaluate_once(self, expression, runtime, profile):
+        """One evaluation pass.
 
         A :class:`~repro.storage.errors.ChecksumError` escaping from deep
         inside a join loop (a corrupt index page read mid-query) is
         wrapped into :class:`QueryError` carrying the query text and the
         failing index's tag, chaining the original error.
         """
-        stats = JoinStats()
-        stats.runtime = runtime
-        self._joins_run = 0
-        self._strategy_override = strategy
-        self._active_tag = None
-        self._profile = profile
+        run = _Run(JoinStats(), profile)
+        run.stats.runtime = runtime
         obs = self.observability
         tracer = obs.tracer if obs is not None else None
         try:
             steps = list(expression.steps)
             if tracer is not None and tracer.enabled:
-                tracer.event("plan", strategy=self._current_strategy(),
+                tracer.event("plan", strategy=self.strategy,
                              steps=len(steps), path=str(expression))
             first = steps[0]
             if first.axis.is_reverse:
                 raise QueryError("a path cannot start with a reverse axis")
-            self._active_tag = first.tag
-            with self._operator("scan //%s" % first.tag, "scan",
-                                "element-list", stats,
-                                tag=first.tag) as op:
-                current = list(self.entries_for(first.tag))
+            with self._operator(run, "scan //%s" % first.tag, "scan",
+                                "element-list", tag=first.tag) as op:
+                current = self._entries(run, first.tag)
                 if first.axis is Axis.CHILD:
                     # An absolute /tag step binds only root-level elements.
                     current = [e for e in current if e.level == 0]
                 if op is not None:
                     op.input_d = len(current)
                     op.rows_out = len(current)
-            current = self._apply_predicates(current, first, stats)
+            current = self._apply_predicates(run, current, first)
             for step in steps[1:]:
                 if not current:
                     break
                 if runtime is not None:
                     runtime.check()
-                self._active_tag = step.tag
-                current = self._join_step(current, step, stats)
-                self._joins_run += 1
-                current = self._apply_predicates(current, step, stats)
+                current = self._join_step(run, current, step)
+                run.joins += 1
+                current = self._apply_predicates(run, current, step)
         except ChecksumError as exc:
             raise QueryError(
                 "query %s failed: %s (index for tag %r is corrupt)"
-                % (expression, exc, self._active_tag),
-                query=str(expression), index_name=self._active_tag,
+                % (expression, exc, run.tag),
+                query=str(expression), index_name=run.tag,
             ) from exc
-        finally:
-            self._strategy_override = None
-            self._profile = None
-        return QueryResult(str(expression), current, stats, self._joins_run,
+        return QueryResult(str(expression), current, run.stats, run.joins,
                            runtime=runtime, profile=profile)
 
-    def _current_strategy(self):
-        """The strategy in force: a degradation override, else the default."""
-        return self._strategy_override or self.strategy
-
     @contextmanager
-    def _operator(self, name, kind, algorithm, stats, tag="",
-                  input_a=0, input_d=0):
+    def _operator(self, run, name, kind, algorithm, tag="", input_a=0,
+                  input_d=0):
         """Record one executed operator: a profiler entry (when a profile
         is armed) plus a tracer span (when tracing is enabled).  Yields the
         :class:`~repro.obs.profile.OperatorProfile` — or None when no
@@ -346,28 +314,50 @@ class PathQueryEngine:
         span = (tracer.span("operator", name=name, op=kind,
                             algorithm=algorithm)
                 if tracer is not None else NULL_SPAN)
-        profile = self._profile
+        profile = run.profile
         with span:
             if profile is None:
                 yield None
                 return
             with profile.operator(name, kind=kind, algorithm=algorithm,
                                   tag=tag, input_a=input_a, input_d=input_d,
-                                  stats=stats,
+                                  stats=run.stats,
                                   pool=self.context.pool) as op:
                 yield op
             span.note(rows=op.rows_out, pairs=op.pairs,
                       pages=op.page_requests)
 
-    def _reverse_step(self, context, step, stats):
+    def _join_step(self, run, ancestors, step):
+        if step.axis.is_reverse:
+            return self._reverse_step(run, ancestors, step)
+        descendants = self._source(run, step.tag)
+        if descendants is None:
+            return []
+        parent_child = step.axis is Axis.CHILD
+        name = "%s-join //%s" % ("child" if parent_child else "descendant",
+                                 step.tag)
+        with self._operator(run, name, "join", self.strategy, tag=step.tag,
+                            input_a=len(ancestors),
+                            input_d=descendants.size) as op:
+            _, matched = semi_join(ancestors, descendants, parent_child,
+                                   run.stats, self.strategy,
+                                   matched_ancestors=False)
+            if op is not None:
+                op.rows_out = len(matched)
+        return matched
+
+    def _reverse_step(self, run, context, step):
         """``parent::`` / ``ancestor::`` steps: one FindAncestors probe per
         context element against the target tag's XR-tree — the Section 5.1
         primitives driving navigation *up* the tree.  The context is in
         start order, so the probes share one finger, as a join's do."""
-        tree = self.index_for(step.tag)
+        tree = self._source(run, step.tag)
+        if tree is None:
+            return []
+        stats = run.stats
         axis_name = "parent" if step.axis is Axis.PARENT else "ancestor"
-        with self._operator("%s-probe //%s" % (axis_name, step.tag),
-                            "probe", "find-ancestors", stats, tag=step.tag,
+        with self._operator(run, "%s-probe //%s" % (axis_name, step.tag),
+                            "probe", "find-ancestors", tag=step.tag,
                             input_a=tree.size,
                             input_d=len(context)) as op:
             seen = set()
@@ -384,26 +374,26 @@ class PathQueryEngine:
                     if ancestor.start not in seen:
                         seen.add(ancestor.start)
                         out.append(ancestor)
-            out.sort(key=lambda e: e.start)
+            out.sort(key=_START)
             if op is not None:
                 op.rows_out = len(out)
         return out
 
     # -- predicates (twig filters) ------------------------------------------------
 
-    def _apply_predicates(self, matches, step, stats):
+    def _apply_predicates(self, run, matches, step):
         """Keep only elements satisfying every ``[...]`` predicate —
         structural (``[rel-path]``) or value (``[@attr=...]``)."""
         for predicate in step.predicates:
             if not matches:
                 break
             if isinstance(predicate, AttributePredicate):
-                matches = self._filter_attribute(matches, predicate, stats)
+                matches = self._filter_attribute(run, matches, predicate)
             else:
-                matches = self._filter_exists(matches, predicate, stats)
+                matches = self._filter_exists(run, matches, predicate)
         return matches
 
-    def _filter_attribute(self, matches, predicate, stats):
+    def _filter_attribute(self, run, matches, predicate):
         """Value search: keep elements whose source node carries the
         attribute (and value, when given).  Requires a document exposing
         ``node_at`` — entry ``ptr`` fields are document ordinals."""
@@ -413,9 +403,9 @@ class PathQueryEngine:
                 "attribute predicates need node access; this document "
                 "view does not provide node_at()"
             )
-        with self._operator("filter [@%s]" % predicate.name, "filter",
-                            "value-lookup", stats,
-                            input_d=len(matches)) as op:
+        stats = run.stats
+        with self._operator(run, "filter [@%s]" % predicate.name, "filter",
+                            "value-lookup", input_d=len(matches)) as op:
             survivors = []
             for element in matches:
                 stats.checkpoint()
@@ -430,7 +420,7 @@ class PathQueryEngine:
                 op.rows_out = len(survivors)
         return survivors
 
-    def _filter_exists(self, context, predicate, stats):
+    def _filter_exists(self, run, context, predicate):
         """Existential twig filter, evaluated as semi-joins right to left.
 
         For a predicate ``t1 / t2 // t3`` the qualifying ``t2`` elements are
@@ -442,28 +432,27 @@ class PathQueryEngine:
         if any(step.axis.is_reverse for step in steps):
             raise QueryError("reverse axes are not supported inside "
                              "predicates")
-        current = list(self.entries_for(steps[-1].tag))
-        current = self._apply_predicates(current, steps[-1], stats)
+        current = self._apply_predicates(
+            run, self._entries(run, steps[-1].tag), steps[-1])
         for earlier, later in zip(reversed(steps[:-1]), reversed(steps[1:])):
-            candidates = list(self.entries_for(earlier.tag))
-            candidates = self._apply_predicates(candidates, earlier, stats)
-            current = self._semi_join(candidates, current, later.axis, stats)
-        return self._semi_join(context, current, steps[0].axis, stats)
+            candidates = self._apply_predicates(
+                run, self._entries(run, earlier.tag), earlier)
+            current = self._semi_join(run, candidates, current, later.axis)
+        return self._semi_join(run, context, current, steps[0].axis)
 
-    def _semi_join(self, ancestors, descendants, axis, stats):
+    def _semi_join(self, run, ancestors, descendants, axis):
         """Distinct ancestors with at least one match among descendants."""
         if not ancestors or not descendants:
             return []
-        self._joins_run += 1
+        run.joins += 1
         parent_child = axis is Axis.CHILD
-        algorithm = self._current_strategy()
         name = "semi-join (%s)" % ("child" if parent_child
                                    else "descendant")
-        with self._operator(name, "semi-join", algorithm, stats,
+        with self._operator(run, name, "semi-join", self.strategy,
                             input_a=len(ancestors),
                             input_d=len(descendants)) as op:
             survivors, _ = semi_join(ancestors, descendants, parent_child,
-                                     stats, algorithm)
+                                     run.stats, self.strategy)
             if op is not None:
                 op.rows_out = len(survivors)
         return survivors
@@ -494,12 +483,11 @@ class PathQueryEngine:
         if steps[0].axis.is_reverse:
             raise QueryError("a path cannot start with a reverse axis")
         lines = ["plan for %s (strategy=%s)" % (expression, self.strategy)]
-        size = len(self.entries_for(steps[0].tag))
-        lines.append("  scan %-20s -> %d elements"
-                     % (steps[0].tag, size))
-        lines.extend(self._explain_predicates(steps[0], indent="  "))
         previous_tag = steps[0].tag
-        previous_entries = self.entries_for(steps[0].tag)
+        previous_entries = self.entries_for(previous_tag)
+        lines.append("  scan %-20s -> %d elements"
+                     % (previous_tag, len(previous_entries)))
+        lines.extend(self._explain_predicates(steps[0], indent="  "))
         step_estimates = []  # one entry per non-first step; None for probes
         for step in steps[1:]:
             entries = self.entries_for(step.tag)
@@ -560,24 +548,3 @@ class PathQueryEngine:
                 lines.append("%s  semi-join filter [%s]"
                              % (indent, render_predicate(predicate)))
         return lines
-
-    def _join_step(self, ancestors, step, stats):
-        if step.axis.is_reverse:
-            return self._reverse_step(ancestors, step, stats)
-        parent_child = step.axis is Axis.CHILD
-        descendants = self.entries_for(step.tag)
-        if not descendants:
-            return []
-        algorithm = self._current_strategy()
-        name = "%s-join //%s" % ("child" if parent_child else "descendant",
-                                 step.tag)
-        with self._operator(name, "join", algorithm, stats, tag=step.tag,
-                            input_a=len(ancestors),
-                            input_d=len(descendants)) as op:
-            if algorithm == "xr-stack":
-                descendants = self.index_for(step.tag)
-            _, matched = semi_join(ancestors, descendants, parent_child,
-                                   stats, algorithm)
-            if op is not None:
-                op.rows_out = len(matched)
-        return matched

@@ -19,11 +19,9 @@ Trip semantics:
 
 * a trip raises a typed subclass of :class:`QueryRuntimeError` —
   :class:`QueryCancelled`, :class:`DeadlineExceeded`,
-  :class:`PageQuotaExceeded` or :class:`RowCapExceeded`;
-* :class:`PageQuotaExceeded` is special: the query engine catches it and
-  retries once on the streaming stack-tree plan (the *degradation ladder*,
-  see :meth:`PathQueryEngine.evaluate`), with the quota rebased for the
-  retry but the deadline left running;
+  :class:`PageQuotaExceeded` or :class:`RowCapExceeded` — out of the
+  query: a page quota of B is a bound of B requests, not a signal to try
+  another plan;
 * cancellation and budget checks are O(1) integer comparisons on every
   tick; the deadline reads the clock only every ``check_every`` ticks, so
   an idle context adds almost nothing to a join's per-element cost
@@ -52,12 +50,7 @@ class DeadlineExceeded(QueryRuntimeError):
 
 
 class PageQuotaExceeded(QueryRuntimeError):
-    """The query used more buffer-pool page requests than its quota.
-
-    The query engine treats this trip as a *degradation* signal, not a
-    failure: an xr-stack plan is retried once as a streaming stack-tree
-    plan before the error is allowed to surface.
-    """
+    """The query used more buffer-pool page requests than its quota."""
 
     reason = "page-quota"
 
@@ -123,9 +116,7 @@ class QueryContext:
     ``page_budget`` bounds *logical* page requests (buffer-pool hits plus
     misses) — the deterministic superset of the paper's page-miss cost
     unit, so tests and quotas behave identically whatever the pool size.
-    ``row_cap`` bounds emitted join output pairs.  ``allow_degraded``
-    permits the engine's one-shot fallback to a streaming plan when the
-    page quota trips.
+    ``row_cap`` bounds emitted join output pairs.
 
     ``profile`` optionally attaches a :class:`~repro.obs.profile.\
     QueryProfile`: every join driver governed by this context records its
@@ -137,7 +128,7 @@ class QueryContext:
 
     def __init__(self, deadline=None, page_budget=None, row_cap=None,
                  token=None, check_every=DEFAULT_CHECK_EVERY,
-                 allow_degraded=True, profile=None):
+                 profile=None):
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive")
         if page_budget is not None and page_budget < 1:
@@ -151,10 +142,7 @@ class QueryContext:
         self.row_cap = row_cap
         self.token = token
         self.check_every = check_every
-        self.allow_degraded = allow_degraded
         self.profile = profile
-        self.degraded = False
-        self.degrade_reason = None
         self._pool = None
         self._base_requests = 0
         self._deadline_at = None
@@ -178,8 +166,6 @@ class QueryContext:
         self._ticks = 0
         self._since_clock = 0
         self._rows = 0
-        self.degraded = False
-        self.degrade_reason = None
         if pool is not None:
             self.bind_pool(pool)
         return self
@@ -188,19 +174,6 @@ class QueryContext:
         """Charge this pool's page requests against the quota from now on."""
         self._pool = pool
         self._base_requests = pool.stats.requests
-
-    def enter_degraded(self, reason):
-        """Record a plan downgrade and rebase the page quota for the retry.
-
-        The wall-clock deadline keeps running — degradation buys a cheaper
-        plan, not more time.  Row accounting restarts because the retry
-        re-emits its output from scratch.
-        """
-        self.degraded = True
-        self.degrade_reason = reason
-        self._rows = 0
-        if self._pool is not None:
-            self._base_requests = self._pool.stats.requests
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -244,12 +217,12 @@ class QueryContext:
 
     @property
     def ticks(self):
-        """Checkpoints passed so far (accumulates across a degraded retry)."""
+        """Checkpoints passed so far."""
         return self._ticks
 
     @property
     def pages_used(self):
-        """Logical page requests charged since the last (re)base."""
+        """Logical page requests charged so far."""
         if self._pool is None:
             return 0
         return self._pool.stats.requests - self._base_requests
@@ -272,9 +245,7 @@ class QueryContext:
         if self.token is not None:
             limits.append("token=%s"
                           % ("cancelled" if self.token.cancelled else "armed"))
-        state = "degraded(%s)" % self.degrade_reason if self.degraded \
-            else "normal"
-        return "QueryContext(%s; %s; pages=%d rows=%d elapsed=%.3fs)" % (
-            ", ".join(limits) or "unlimited", state, self.pages_used,
+        return "QueryContext(%s; pages=%d rows=%d elapsed=%.3fs)" % (
+            ", ".join(limits) or "unlimited", self.pages_used,
             self._rows, self.elapsed_seconds,
         )

@@ -116,6 +116,21 @@ class TestInMemoryDatabase:
         with pytest.raises(XmlDatabaseError):
             database.add_document("<%s/>" % ("x" * 40))
 
+    def test_read_naming_an_uncataloguable_tag_answers_empty(self, db):
+        """No stored tag can be too long to catalogue, so a read naming one
+        has an empty answer — it used to raise the writer's error."""
+        long_tag = "x" * 40
+        db.flush()
+        with db.session() as session:
+            for surface in (db, session):
+                assert surface.query("//dept//%s" % long_tag).matches == []
+                assert surface.query("//%s//name" % long_tag).matches == []
+                assert surface.entries_for_tag(long_tag) == []
+        assert db.element_count(long_tag) == 0
+        assert db.find_ancestors(long_tag, 3) == []
+        with pytest.raises(XmlDatabaseError):
+            db.add_document("<%s/>" % long_tag)
+
     def test_rejected_document_leaves_no_trace(self, db):
         """A tag too long to catalogue is found before the registry or any
         tree is touched — even when it comes last in the document."""

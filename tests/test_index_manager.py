@@ -243,16 +243,6 @@ class TestDatabaseThroughManager:
         final = db.query("//emp//name")
         assert all(m.doc_id == 2 for m in final.matches)
 
-    def test_mutation_keeps_engine_instance(self):
-        db = XmlDatabase.create()
-        db.add_document(self.DOC_A)
-        db.query("//emp")
-        engine = db._engine
-        assert engine is not None
-        db.add_document(self.DOC_B)
-        assert db._engine is engine      # invalidated, not discarded
-        assert len(db.query("//emp")) == 3
-
     def test_wildcard_invalidated_on_mutation(self):
         db = XmlDatabase.create()
         db.add_document(self.DOC_A)

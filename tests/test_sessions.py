@@ -2,6 +2,7 @@
 ``(runtime, profile)`` trio, warm joins, and the serving front end."""
 
 import os
+import sys
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.api import StorageContext, structural_join
 from repro.core.session import SessionError
 from repro.obs.profile import QueryProfile
 from repro.query.admission import AdmissionController, QueryRejected
+from repro.query.runtime import QueryContext
 from repro.server import Server, ServerError
 from repro.storage.errors import StorageError
 
@@ -173,6 +175,74 @@ class TestReadsWriteNothing:
             assert footprint() == before
         finally:
             database.close()
+
+
+class TestReentrantQueries:
+    def test_query_inside_a_query_keeps_the_outer_runs_state(self, db):
+        """A live session's engine is shared: server workers serving
+        ``snapshot=False`` requests call it concurrently, and a guardrail
+        tick may run a query of its own.  The inner run must not reset the
+        outer one's join count or profile."""
+        db.add_document("<r><a><b/><c/></a><a><b/></a></r>")
+        inner = []
+
+        class QueryingContext(QueryContext):
+            def tick(self):
+                if not inner:
+                    inner.append(db.query("//a/c"))
+                super().tick()
+
+        profile = QueryProfile()
+        result = db.query("//r//a/b", runtime=QueryingContext(),
+                          profile=profile)
+        assert len(inner) == 1 and len(inner[0]) == 1
+        assert len(result) == 2
+        assert result.joins_run == 2
+        assert [op.name for op in profile.operators] == [
+            "scan //r", "descendant-join //a", "child-join //b"]
+
+    def test_concurrent_live_queries_keep_their_own_runs(self, db):
+        """More threads than cores share the live engine with a short
+        switch interval; every run must report its own joins and
+        operators, which a per-engine run field would mix up."""
+        db.add_document("<r>%s</r>" % ("<a><b/><c><b/></c></a>" * 40))
+        paths = {"//r//a/b": 2, "//r/a//c/b": 3, "//a[c]/b": 2}
+        expected = {path: (len(db.query(path)),
+                           [op.name for op in self._profiled(db, path)[1]
+                            .operators])
+                    for path in paths}
+        errors = []
+
+        def worker(seed):
+            try:
+                for turn in range(20):
+                    path = sorted(paths)[(seed + turn) % len(paths)]
+                    result, profile = self._profiled(db, path)
+                    assert result.joins_run == paths[path]
+                    assert (len(result), [op.name for op in
+                                          profile.operators]) \
+                        == expected[path]
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range((os.cpu_count() or 1) + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+    @staticmethod
+    def _profiled(db, path):
+        profile = QueryProfile()
+        return db.query(path, profile=profile), profile
 
 
 class TestExplainParity:
