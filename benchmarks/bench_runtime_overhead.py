@@ -2,10 +2,12 @@
 
 Attaching a :class:`~repro.query.runtime.QueryContext` with no limits set
 ("guardrails on but idle") must cost at most ``OVERHEAD_CEILING`` (1.10x)
-versus running the same join bare.  Every join loop calls
-``stats.checkpoint()`` once per iteration in both arms; the idle arm
-additionally pays one ``QueryContext.tick()`` — a few None checks — so the
-measured ratio is exactly the price of arming the guardrails.
+versus running the same join bare.  Every join loop binds the runtime's
+``tick`` once, before it starts: the bare arm then pays one None test per
+iteration and calls nothing (no ``stats.checkpoint()``), the idle arm pays
+one ``QueryContext.tick()`` — a few None checks — per iteration and one
+uncapped row charge per matched descendant, so the measured ratio is still
+exactly the price of arming the guardrails.
 
 The same ceiling bounds *disabled observability*: a disabled
 :class:`~repro.obs.trace.Tracer` attached to the buffer pool costs one

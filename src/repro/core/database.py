@@ -348,11 +348,11 @@ class XmlDatabase:
             tree = self._indexes.get_xrtree(_tree_name(tag))
             if tree is None:
                 continue
-            cursor = tree.seek(low)
-            while not cursor.at_end and cursor.current.start <= high:
+            for entry in tree.seek(low):
+                if entry.start > high:
+                    break
                 held += 1
-                own += cursor.current.doc_id == doc_id
-                cursor.advance()
+                own += entry.doc_id == doc_id
         # Documents stored before counts were kept skip that half.
         if own != held or held != info.get("elements", held):
             raise XmlDatabaseError(

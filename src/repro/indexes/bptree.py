@@ -179,13 +179,10 @@ def search_entry(pool, root_id, key):
 
 
 def items(tree):
-    """Yield every entry of ``tree`` in key order — a B+-tree, an XR-tree
-    or any other input with a ``first()`` cursor.  Both trees also bind it
-    as their ``items`` method."""
-    cursor = tree.first()
-    while not cursor.at_end:
-        yield cursor.current
-        cursor.advance()
+    """An iterator over every entry of ``tree`` in key order — a B+-tree,
+    an XR-tree or any other input with a ``first()`` cursor.  Both trees
+    also bind it as their ``items`` method."""
+    return iter(tree.first())
 
 
 def _balanced_chunks(items, per_chunk, minimum):
@@ -320,13 +317,10 @@ class BPlusTree:
 
     def range_scan(self, low, high):
         """Yield entries with ``low <= start <= high`` in key order."""
-        cursor = self.seek(low)
-        while not cursor.at_end:
-            entry = cursor.current
+        for entry in self.seek(low):
             if entry.start > high:
                 return
             yield entry
-            cursor.advance()
 
     items = items
 

@@ -118,16 +118,13 @@ class XRTree:
             tracer.event("index-op", op="find_descendants",
                          start=ancestor_start, end=ancestor_end)
         results = []
-        cursor = self.seek_after(ancestor_start)
-        while not cursor.at_end:
-            entry = cursor.current
+        for entry in self.seek_after(ancestor_start):
             if counter is not None:
                 counter.count(1)
             if entry.start >= ancestor_end:
                 break
             if required_level is None or entry.level == required_level:
                 results.append(entry)
-            cursor.advance()
         return results
 
     def find_ancestors(self, point, counter=None, after_start=None,

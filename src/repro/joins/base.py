@@ -14,11 +14,13 @@ class JoinStats:
     scan counter handed to index operations (it exposes ``count``).
 
     ``runtime`` optionally attaches a :class:`~repro.query.runtime.\
-    QueryContext`: every join algorithm calls :meth:`checkpoint` once per
-    hot-loop iteration at a *pin-free* point, which is where deadlines,
-    cancellation and page quotas fire.  ``count`` itself never raises — it
-    runs inside index operations while pages are pinned, where an
-    exception would leak buffer-pool pins.
+    QueryContext`: when one is armed, every join algorithm ticks it once
+    per hot-loop iteration at a *pin-free* point, which is where
+    deadlines, cancellation and page quotas fire.  ``count`` itself never
+    raises — it runs inside index operations while pages are pinned, where
+    an exception would leak buffer-pool pins.  A kernel keeps its own scan
+    count in a local and adds it here when it returns or raises; the
+    runtime never reads it mid-join.
 
     Skip accounting (the flip side of the headline metric):
     ``ancestor_skips``/``descendant_skips`` count the *skip probes* the
@@ -72,27 +74,53 @@ class JoinSink:
     collect: bool = True
     pairs: list = field(default_factory=list)
 
+    #: What a :class:`MatchSink` records besides the pairs; None here.
+    descendants = None
+    ancestor_starts = None
+
     def emit(self, ancestor, descendant):
-        if ancestor.doc_id != descendant.doc_id:
-            return
-        if ancestor.start >= descendant.start:
-            # Overlapping input sets (e.g. the employee//employee self-join)
-            # put the descendant's own element on the stack as a candidate
-            # for *later* descendants; it is not its own ancestor.
-            return
-        if self.parent_child and ancestor.level != descendant.level - 1:
-            return
-        self.stats.pairs += 1
-        if self.stats.runtime is not None:
-            # Row caps are charged per output pair; emit sites hold no
-            # pinned pages, so the cap may raise here safely.
-            self.stats.runtime.note_pair()
-        if self.collect:
-            self.pairs.append((ancestor, descendant))
+        self.emit_stack((ancestor,), descendant)
 
     def emit_stack(self, stack, descendant):
-        for frame in stack:
-            self.emit(frame, descendant)
+        """Emit ``descendant`` with every frame of ``stack`` it matches.
+
+        A frame matches when it shares the document, opens before the
+        descendant and, for parent-child joins, sits one level above it.
+        Overlapping input sets (e.g. the employee//employee self-join) put
+        the descendant's own element on the stack as a candidate for
+        *later* descendants; it is not its own ancestor.
+
+        Each pair is charged to ``stats.pairs`` and to the runtime's rows.
+        A row cap trips at the pair that exceeds it, so a capped runtime
+        is charged pair by pair; an uncapped one, which cannot trip, once
+        per descendant.  Emit sites hold no pinned pages, so the cap may
+        raise here safely.
+        """
+        doc_id, start = descendant.doc_id, descendant.start
+        level = descendant.level - 1 if self.parent_child else None
+        stats = self.stats
+        runtime = stats.runtime
+        capped = runtime is not None and runtime.row_cap is not None
+        pairs = self.pairs if self.collect else None
+        starts = self.ancestor_starts
+        before = stats.pairs
+        for ancestor in stack:
+            if (ancestor.doc_id != doc_id or ancestor.start >= start
+                    or (level is not None and ancestor.level != level)):
+                continue
+            stats.pairs += 1
+            if capped:
+                runtime.note_pair()
+            if pairs is not None:
+                pairs.append((ancestor, descendant))
+            if starts is not None:
+                starts.add(ancestor.start)
+        matched = stats.pairs - before
+        if matched:
+            if runtime is not None and not capped:
+                runtime.note_pair(matched)
+            if self.descendants is not None:
+                self.descendants.append(descendant)
 
 
 @dataclass
@@ -101,26 +129,16 @@ class MatchSink(JoinSink):
     matched descendants in document order and, when ``ancestor_starts`` is
     a set, the starts of the matched ancestors.
 
-    Every pair still goes through :meth:`JoinSink.emit` — the same match
-    predicate, ``stats.pairs`` and row-cap charge — only nothing is kept
-    of it.  The kernels emit each descendant once, with its whole stack,
-    in start order, so a descendant is recorded the first time it pairs.
+    Every pair still goes through :meth:`JoinSink.emit_stack` — the same
+    match predicate, ``stats.pairs`` and row-cap charge — only nothing is
+    kept of it.  The kernels emit each descendant once, with its whole
+    stack, in start order, so a descendant is recorded the first time it
+    pairs.
     """
 
     collect: bool = False
     descendants: list = field(default_factory=list)
     ancestor_starts: set = None
-
-    def emit_stack(self, stack, descendant):
-        stats, emit, starts = self.stats, self.emit, self.ancestor_starts
-        before = stats.pairs
-        for frame in stack:
-            counted = stats.pairs
-            emit(frame, descendant)
-            if starts is not None and stats.pairs != counted:
-                starts.add(frame.start)
-        if stats.pairs != before:
-            self.descendants.append(descendant)
 
 
 def contains(ancestor, descendant):

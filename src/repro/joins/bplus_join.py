@@ -25,40 +25,50 @@ def bplus_join(atree, dtree, parent_child=False, collect=True, stats=None):
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = atree.first()
-    d_cur = dtree.first()
+    emit_stack = sink.emit_stack
+    tick = stats.runtime.tick if stats.runtime is not None else None
+    a_items, d_items = iter(atree.first()), iter(dtree.first())
+    a, d = next(a_items, None), next(d_items, None)
     # One finger per input, as XR-stack keeps: a probe re-reads only the
     # pages below the last path's deepest node covering its key.
     a_finger, d_finger = Finger(), Finger()
     stack = []
-    while not d_cur.at_end and (not a_cur.at_end or stack):
-        # Guardrail checkpoint at a pin-free point (see JoinStats).
-        stats.checkpoint()
-        d = d_cur.current
-        while stack and stack[-1].end < d.start:
-            stack.pop()
-        if not a_cur.at_end and a_cur.current.start <= d.start:
-            ancestor = a_cur.current
-            stats.count(1)
-            if ancestor.end > d.start:
-                # Opens before and closes after CurD: a live candidate.
-                stack.append(ancestor)
-                a_cur.advance()
+    scanned = 0
+    try:
+        while d is not None and (a is not None or stack):
+            # Guardrail checkpoint at a pin-free point (see JoinStats).
+            if tick is not None:
+                tick()
+            d_start = d.start
+            while stack and stack[-1].end < d_start:
+                stack.pop()
+            if a is not None and a.start <= d_start:
+                scanned += 1
+                if a.end > d_start:
+                    # Opens before and closes after CurD: a live candidate.
+                    stack.append(a)
+                    a = next(a_items, None)
+                else:
+                    # CurD is not inside this ancestor, hence not inside
+                    # any of its descendants either: skip them all with one
+                    # probe.
+                    stats.ancestor_skips += 1
+                    a_items = iter(atree.seek_after(a.end, finger=a_finger))
+                    a = next(a_items, None)
             else:
-                # CurD is not inside this ancestor, hence not inside any of
-                # its descendants either: skip them all with one probe.
-                stats.ancestor_skips += 1
-                a_cur = atree.seek_after(ancestor.end, finger=a_finger)
-        else:
-            stats.count(1)
-            if stack:
-                sink.emit_stack(stack, d)
-                d_cur.advance()
-            elif not a_cur.at_end:
-                # No open ancestors: descendants before the next candidate
-                # ancestor cannot match anything — skip them with a probe.
-                stats.descendant_skips += 1
-                d_cur = dtree.seek(a_cur.current.start, finger=d_finger)
-            else:
-                break
+                scanned += 1
+                if stack:
+                    emit_stack(stack, d)
+                    d = next(d_items, None)
+                elif a is not None:
+                    # No open ancestors: descendants before the next
+                    # candidate ancestor cannot match anything — skip them
+                    # with a probe.
+                    stats.descendant_skips += 1
+                    d_items = iter(dtree.seek(a.start, finger=d_finger))
+                    d = next(d_items, None)
+                else:
+                    break
+    finally:
+        stats.elements_scanned += scanned
     return (sink.pairs if collect else None), stats

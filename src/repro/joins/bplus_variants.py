@@ -71,34 +71,44 @@ def bplus_sp_join(atree, dtree, parent_child=False, collect=True,
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = atree.first()
-    d_cur = dtree.first()
+    emit_stack = sink.emit_stack
+    tick = stats.runtime.tick if stats.runtime is not None else None
+    a_items, d_items = iter(atree.first()), iter(dtree.first())
+    a, d = next(a_items, None), next(d_items, None)
     stack = []
-    while not d_cur.at_end and (not a_cur.at_end or stack):
-        d = d_cur.current
-        while stack and stack[-1].end < d.start:
-            stack.pop()
-        if not a_cur.at_end and a_cur.current.start <= d.start:
-            ancestor = a_cur.current
-            stats.count(1)
-            if ancestor.end > d.start:
-                stack.append(ancestor)
-                a_cur.advance()
-            else:
-                _parent, sibling = unpack_pointers(ancestor.ptr)
-                if sibling:
-                    a_cur = atree.seek(sibling)
+    scanned = 0
+    try:
+        while d is not None and (a is not None or stack):
+            # Guardrail checkpoint at a pin-free point (see JoinStats).
+            if tick is not None:
+                tick()
+            d_start = d.start
+            while stack and stack[-1].end < d_start:
+                stack.pop()
+            if a is not None and a.start <= d_start:
+                scanned += 1
+                if a.end > d_start:
+                    stack.append(a)
+                    a = next(a_items, None)
                 else:
-                    a_cur = atree.seek_after(ancestor.end)
-        else:
-            stats.count(1)
-            if stack:
-                sink.emit_stack(stack, d)
-                d_cur.advance()
-            elif not a_cur.at_end:
-                d_cur = dtree.seek(a_cur.current.start)
+                    _parent, sibling = unpack_pointers(a.ptr)
+                    if sibling:
+                        a_items = iter(atree.seek(sibling))
+                    else:
+                        a_items = iter(atree.seek_after(a.end))
+                    a = next(a_items, None)
             else:
-                break
+                scanned += 1
+                if stack:
+                    emit_stack(stack, d)
+                    d = next(d_items, None)
+                elif a is not None:
+                    d_items = iter(dtree.seek(a.start))
+                    d = next(d_items, None)
+                else:
+                    break
+    finally:
+        stats.elements_scanned += scanned
     return (sink.pairs if collect else None), stats
 
 
@@ -115,33 +125,43 @@ def bplus_psp_join(atree, dtree, parent_child=False, collect=True,
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = atree.first()
-    d_cur = dtree.first()
+    emit_stack = sink.emit_stack
+    tick = stats.runtime.tick if stats.runtime is not None else None
+    a_items, d_items = iter(atree.first()), iter(dtree.first())
+    a, d = next(a_items, None), next(d_items, None)
     stack = []
-    while not d_cur.at_end and (not a_cur.at_end or stack):
-        d = d_cur.current
-        while stack and stack[-1].end < d.start:
-            stack.pop()
-        if not a_cur.at_end and a_cur.current.start <= d.start:
-            stats.count(1)
-            after = stack[-1].start if stack else None
-            for ancestor in _climb_ancestors(atree, d.start, after, stats):
-                stack.append(ancestor)
-            a_cur = atree.seek(d.start)
-            if not a_cur.at_end and a_cur.current.start == d.start:
-                stack.append(a_cur.current)
-                a_cur.advance()
-            sink.emit_stack(stack, d)
-            d_cur.advance()
-        else:
-            stats.count(1)
-            if stack:
-                sink.emit_stack(stack, d)
-                d_cur.advance()
-            elif not a_cur.at_end:
-                d_cur = dtree.seek(a_cur.current.start)
+    scanned = 0
+    try:
+        while d is not None and (a is not None or stack):
+            # Guardrail checkpoint at a pin-free point (see JoinStats).
+            if tick is not None:
+                tick()
+            d_start = d.start
+            while stack and stack[-1].end < d_start:
+                stack.pop()
+            if a is not None and a.start <= d_start:
+                scanned += 1
+                after = stack[-1].start if stack else None
+                stack.extend(_climb_ancestors(atree, d_start, after, stats))
+                a_items = iter(atree.seek(d_start))
+                a = next(a_items, None)
+                if a is not None and a.start == d_start:
+                    stack.append(a)
+                    a = next(a_items, None)
+                emit_stack(stack, d)
+                d = next(d_items, None)
             else:
-                break
+                scanned += 1
+                if stack:
+                    emit_stack(stack, d)
+                    d = next(d_items, None)
+                elif a is not None:
+                    d_items = iter(dtree.seek(a.start))
+                    d = next(d_items, None)
+                else:
+                    break
+    finally:
+        stats.elements_scanned += scanned
     return (sink.pairs if collect else None), stats
 
 

@@ -11,13 +11,19 @@ results to the unchanged kernels, writes nothing, and moves no count.
 
 from bisect import bisect_left, bisect_right
 
+from repro.storage.pagedlist import iter_from
+
 
 class MemoryCursor:
-    """Forward cursor over a :class:`MemoryElementList`."""
+    """Forward cursor over a :class:`MemoryElementList`; iterable like
+    :class:`~repro.storage.pagedlist.RecordCursor`."""
 
     def __init__(self, entries, slot):
         self._entries = entries
         self._slot = slot
+
+    def __iter__(self):
+        return iter_from(self._entries, self._slot)
 
     @property
     def at_end(self):

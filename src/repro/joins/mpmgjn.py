@@ -17,14 +17,22 @@ def mpmgjn_join(alist, dlist, parent_child=False, collect=True, stats=None):
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
+    # Guardrail checkpoints at pin-free points (see JoinStats): once per
+    # iteration of every loop, the rescan included — a cursor, a clone
+    # too, holds no pin between calls.
+    tick = stats.runtime.tick if stats.runtime is not None else None
     a_cur = alist.first()
     anchor = dlist.first()
     while not a_cur.at_end:
+        if tick is not None:
+            tick()
         ancestor = a_cur.current
         stats.count(1)
         # Advance the anchor past descendants that precede this ancestor
         # entirely; they cannot match any later ancestor either.
         while not anchor.at_end and anchor.current.start < ancestor.start:
+            if tick is not None:
+                tick()
             stats.count(1)
             anchor.advance()
         if anchor.at_end:
@@ -32,6 +40,8 @@ def mpmgjn_join(alist, dlist, parent_child=False, collect=True, stats=None):
         # Rescan from the anchor across this ancestor's region.
         scan = anchor.clone()
         while not scan.at_end and scan.current.start < ancestor.end:
+            if tick is not None:
+                tick()
             stats.count(1)
             descendant = scan.current
             if descendant.start > ancestor.start:

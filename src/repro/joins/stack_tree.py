@@ -8,8 +8,6 @@ element is scanned whether or not it has matches.
 
 from repro.joins.base import JoinSink, JoinStats
 
-_INF = float("inf")
-
 
 def stack_tree_join(alist, dlist, parent_child=False, collect=True,
                     stats=None, sink=None):
@@ -22,28 +20,37 @@ def stack_tree_join(alist, dlist, parent_child=False, collect=True,
     stats = stats or JoinStats()
     if sink is None:
         sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = alist.first()
-    d_cur = dlist.first()
+    emit_stack = sink.emit_stack
+    tick = stats.runtime.tick if stats.runtime is not None else None
+    a_items, d_items = iter(alist.first()), iter(dlist.first())
+    a, d = next(a_items, None), next(d_items, None)
     stack = []
-    while not d_cur.at_end and (not a_cur.at_end or stack):
-        # Guardrail checkpoint at a pin-free point (see JoinStats).
-        stats.checkpoint()
-        a_start = a_cur.current.start if not a_cur.at_end else _INF
-        d = d_cur.current
-        boundary = min(a_start, d.start)
-        while stack and stack[-1].end < boundary:
-            stack.pop()
-        if a_start <= d.start:
-            # CurA opens at or before CurD: it is a candidate ancestor for
-            # later descendants; the pops above guarantee it nests in the
-            # top.  (Equality happens when the two input sets overlap, e.g.
-            # a same-tag self-join; the sink never emits such a frame for
-            # its own element.)
-            stats.count(1)
-            stack.append(a_cur.current)
-            a_cur.advance()
-        else:
-            stats.count(1)
-            sink.emit_stack(stack, d)
-            d_cur.advance()
+    scanned = 0
+    try:
+        while d is not None and (a is not None or stack):
+            # Guardrail checkpoint at a pin-free point (see JoinStats).
+            if tick is not None:
+                tick()
+            d_start = d.start
+            if a is not None and a.start <= d_start:
+                # CurA opens at or before CurD: it is a candidate ancestor
+                # for later descendants; once the frames closing before it
+                # pop, it nests in the top.  (Equality happens when the two
+                # input sets overlap, e.g. a same-tag self-join; the sink
+                # never emits such a frame for its own element.)
+                a_start = a.start
+                while stack and stack[-1].end < a_start:
+                    stack.pop()
+                scanned += 1
+                stack.append(a)
+                a = next(a_items, None)
+            else:
+                while stack and stack[-1].end < d_start:
+                    stack.pop()
+                scanned += 1
+                if stack:
+                    emit_stack(stack, d)
+                d = next(d_items, None)
+    finally:
+        stats.elements_scanned += scanned
     return (sink.pairs if collect else None), stats

@@ -22,8 +22,6 @@ is final output; otherwise the combined list is appended to the new top's
 
 from repro.joins.base import JoinSink, JoinStats
 
-_INF = float("inf")
-
 
 class _Frame:
     __slots__ = ("element", "self_list", "inherit_list")
@@ -49,8 +47,9 @@ def stack_tree_anc_join(alist, dlist, parent_child=False, collect=True,
     """
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = alist.first()
-    d_cur = dlist.first()
+    tick = stats.runtime.tick if stats.runtime is not None else None
+    a_items, d_items = iter(alist.first()), iter(dlist.first())
+    a, d = next(a_items, None), next(d_items, None)
     stack = []
 
     def pop_frame():
@@ -62,21 +61,29 @@ def stack_tree_anc_join(alist, dlist, parent_child=False, collect=True,
             for ancestor, descendant in pairs:
                 sink.emit(ancestor, descendant)
 
-    while not d_cur.at_end and (not a_cur.at_end or stack):
-        a_start = a_cur.current.start if not a_cur.at_end else _INF
-        d = d_cur.current
-        boundary = min(a_start, d.start)
-        while stack and stack[-1].element.end < boundary:
+    scanned = 0
+    try:
+        while d is not None and (a is not None or stack):
+            # Guardrail checkpoint at a pin-free point (see JoinStats).
+            if tick is not None:
+                tick()
+            d_start = d.start
+            if a is not None and a.start <= d_start:
+                a_start = a.start
+                while stack and stack[-1].element.end < a_start:
+                    pop_frame()
+                scanned += 1
+                stack.append(_Frame(a))
+                a = next(a_items, None)
+            else:
+                while stack and stack[-1].element.end < d_start:
+                    pop_frame()
+                scanned += 1
+                for frame in stack:
+                    frame.self_list.append(d)
+                d = next(d_items, None)
+        while stack:
             pop_frame()
-        if a_start <= d.start:
-            stats.count(1)
-            stack.append(_Frame(a_cur.current))
-            a_cur.advance()
-        else:
-            stats.count(1)
-            for frame in stack:
-                frame.self_list.append(d)
-            d_cur.advance()
-    while stack:
-        pop_frame()
+    finally:
+        stats.elements_scanned += scanned
     return (sink.pairs if collect else None), stats

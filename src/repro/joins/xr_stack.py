@@ -38,55 +38,67 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
     stats = stats or JoinStats()
     if sink is None:
         sink = JoinSink(stats, parent_child=parent_child, collect=collect)
-    a_cur = atree.first()
-    d_cur = dtree.first()
+    emit_stack = sink.emit_stack
+    tick = stats.runtime.tick if stats.runtime is not None else None
+    a_items, d_items = iter(atree.first()), iter(dtree.first())
+    a, d = next(a_items, None), next(d_items, None)
     a_finger, d_finger = Finger(), Finger()
     stack = []
-    while not d_cur.at_end and (not a_cur.at_end or stack):
-        # Guardrail checkpoint: cursors hold no pins between iterations,
-        # so a deadline/cancellation trip here cannot leak buffer frames.
-        stats.checkpoint()
-        d = d_cur.current
-        # Line 5-7: pop stack elements that are not ancestors of CurD; they
-        # cannot be ancestors of anything after CurD either.
-        while stack and stack[-1].end < d.start:
-            stack.pop()
-        if not a_cur.at_end and a_cur.current.start <= d.start:
-            # Lines 9-13: fetch CurD's ancestors directly from the XR-tree;
-            # only those after the stack top are new (the rest are on the
-            # stack already).
-            stats.count(1)
-            after = stack[-1].start if stack else None
-            for ancestor in atree.find_ancestors(d.start, counter=stats,
-                                                 after_start=after,
-                                                 finger=a_finger):
-                stack.append(ancestor)
-            # Leap CurA past CurD.  With overlapping input sets the ancestor
-            # side may hold CurD's own element (start equality): it is not
-            # an ancestor of CurD (FindAncestors returns strict ancestors
-            # only) but is a live candidate for *later* descendants, so it
-            # must ride the stack rather than be leapt over.  The sink never
-            # pairs it with its own element.
-            stats.ancestor_skips += 1
-            a_cur = atree.seek(d.start, finger=a_finger)
-            if not a_cur.at_end and a_cur.current.start == d.start:
-                stack.append(a_cur.current)
-                a_cur.advance()
-            sink.emit_stack(stack, d)
-            d_cur.advance()
-        else:
-            stats.count(1)
-            if stack:
-                # Lines 15-17: open ancestors may join descendants between
-                # CurD and CurA — no skipping, emit and step.
-                sink.emit_stack(stack, d)
-                d_cur.advance()
-            elif not a_cur.at_end:
-                # Line 19: leap CurD to the first start after CurA.start via
-                # an open-ended FindDescendants range probe.
-                stats.descendant_skips += 1
-                d_cur = dtree.seek_after(a_cur.current.start,
-                                         finger=d_finger)
+    scanned = 0
+    try:
+        while d is not None and (a is not None or stack):
+            # Guardrail checkpoint: cursors hold no pins between
+            # iterations, so a deadline/cancellation trip here cannot leak
+            # buffer frames.
+            if tick is not None:
+                tick()
+            d_start = d.start
+            # Line 5-7: pop stack elements that are not ancestors of CurD;
+            # they cannot be ancestors of anything after CurD either.
+            while stack and stack[-1].end < d_start:
+                stack.pop()
+            if a is not None and a.start <= d_start:
+                # Lines 9-13: fetch CurD's ancestors directly from the
+                # XR-tree; only those after the stack top are new (the rest
+                # are on the stack already).
+                scanned += 1
+                after = stack[-1].start if stack else None
+                stack.extend(atree.find_ancestors(d_start, counter=stats,
+                                                  after_start=after,
+                                                  finger=a_finger))
+                # Leap CurA past CurD.  With overlapping input sets the
+                # ancestor side may hold CurD's own element (start
+                # equality): it is not an ancestor of CurD (FindAncestors
+                # returns strict ancestors only) but is a live candidate
+                # for *later* descendants, so it must ride the stack rather
+                # than be leapt over.  The sink never pairs it with its own
+                # element.
+                stats.ancestor_skips += 1
+                a_items = iter(atree.seek(d_start, finger=a_finger))
+                a = next(a_items, None)
+                if a is not None and a.start == d_start:
+                    stack.append(a)
+                    a = next(a_items, None)
+                if stack:
+                    emit_stack(stack, d)
+                d = next(d_items, None)
             else:
-                break
+                scanned += 1
+                if stack:
+                    # Lines 15-17: open ancestors may join descendants
+                    # between CurD and CurA — no skipping, emit and step.
+                    emit_stack(stack, d)
+                    d = next(d_items, None)
+                elif a is not None:
+                    # Line 19: leap CurD to the first start after
+                    # CurA.start via an open-ended FindDescendants range
+                    # probe.
+                    stats.descendant_skips += 1
+                    d_items = iter(dtree.seek_after(a.start,
+                                                    finger=d_finger))
+                    d = next(d_items, None)
+                else:
+                    break
+    finally:
+        stats.elements_scanned += scanned
     return (sink.pairs if collect else None), stats

@@ -205,9 +205,9 @@ class QueryContext:
         self._since_clock = self.check_every
         self.tick()
 
-    def note_pair(self):
-        """Charge one emitted output row against the cap."""
-        self._rows += 1
+    def note_pair(self, count=1):
+        """Charge ``count`` emitted output rows against the cap."""
+        self._rows += count
         if self.row_cap is not None and self._rows > self.row_cap:
             raise RowCapExceeded(
                 "row cap exceeded: more than %d output pairs" % self.row_cap

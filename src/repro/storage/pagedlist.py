@@ -26,6 +26,15 @@ from repro.storage.pages import (
 _START = attrgetter("start")
 
 
+def iter_from(records, slot):
+    """An iterator over ``records[slot:]`` that neither copies the list
+    nor steps over the records before ``slot`` as ``islice`` would: a
+    seek's cursor is often read for one entry."""
+    records = iter(records)
+    records.__setstate__(slot)
+    return records
+
+
 class RecordPage(Page):
     """A page of :class:`ElementEntry` records and a next-page link.
 
@@ -137,14 +146,9 @@ class PagedElementList:
         return self.length
 
     def __iter__(self):
-        """Yield entries in order, touching one page at a time."""
-        page_id = self.head_id
-        while page_id:
-            with self._pool.pinned(page_id) as page:
-                next_id = page.next_id
-                for record in page.records:
-                    yield record
-            page_id = next_id
+        """Yield entries in order, touching one page at a time and holding
+        no pin between entries (the chain walk of :class:`RecordCursor`)."""
+        return iter(self.first())
 
     def first(self):
         """Cursor at the head of the list."""
@@ -164,13 +168,22 @@ class RecordCursor:
 
     The one cursor over pages: a paged element list and the leaf level of a
     B+-tree or an XR-tree are the same start-sorted chain, and each hands
-    this class out from ``first()`` / ``seek(k)`` / ``seek_after(k)``.  The
-    join kernels read ``at_end`` and ``current`` and call ``advance()``.
+    this class out from ``first()`` / ``seek(k)`` / ``seek_after(k)``.
     Every page transition is one fetch and one unpin through the buffer
     pool, so scans are charged faithfully and a cursor holds no pin between
     calls.  A caller that has just read the first page (a tree's descent
     to its leaf) hands it in as ``page`` and the cursor starts on it
     without requesting it again.
+
+    A cursor is iterable, and that is how the join kernels and the leaf
+    scans read it: iteration yields the entries from the cursor's position
+    to the end of the chain, and fetches the next page when the entry after
+    a page's last one is requested — the same request at the same call
+    that :meth:`advance` makes, no prefetch, no pin held across a
+    ``yield``.  Iteration consumes the cursor.  ``at_end`` / ``current`` /
+    :meth:`advance` / :meth:`clone` remain for the one reader that needs a
+    saved position, MPMGJN's rescans; PathStack and TwigStack poll
+    peekable streams of their own over lists.
     """
 
     def __init__(self, pool, page_id, slot=0, page=None):
@@ -187,6 +200,15 @@ class RecordCursor:
                 self._records = page.records
                 self._next_id = page.next_id
             self._settle()
+
+    def __iter__(self):
+        if self.at_end:
+            return
+        yield from iter_from(self._records, self._slot)
+        while self._next_id:
+            self._load(self._next_id)
+            yield from self._records
+        self.at_end = True
 
     def _load(self, page_id):
         page = self._pool.fetch(page_id)

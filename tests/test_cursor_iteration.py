@@ -1,0 +1,192 @@
+"""Iterating a cursor is advancing it: a differential test.
+
+The join kernels and leaf scans read their inputs by iterating a cursor
+instead of polling ``at_end`` / ``current`` / ``advance()``.  For random
+entry sets, page sizes, pool sizes and ``seek`` / ``seek_after`` keys over
+the four access methods, iterating must yield the entries advancing
+reaches, with the same ``pool.stats.requests`` / ``misses`` after every
+step and no pin held while the iterator is suspended.  The kernels built
+on it must give the nested-loop oracle's pairs, trip a row cap of ``k``
+at pair ``k + 1``, and flush their scan count when a page quota trips
+mid-join.
+
+Seeded: set ``CHAOS_SEED`` to reproduce a run.
+"""
+
+import os
+import random
+
+import pytest
+
+from repro.core.api import (
+    StorageContext,
+    build_bplus_tree,
+    build_element_list,
+    build_xr_tree,
+)
+from repro.joins import (
+    MemoryElementList,
+    bplus_join,
+    nested_loop_join,
+    stack_tree_join,
+    xr_stack_join,
+)
+from repro.joins.base import JoinStats, sort_pairs
+from repro.query.runtime import (
+    PageQuotaExceeded,
+    QueryContext,
+    RowCapExceeded,
+)
+from repro.workloads import department_dataset
+from repro.xmldata.corpus import Corpus
+from repro.xmldata.parser import parse_document
+
+SEED = int(os.environ.get("CHAOS_SEED", "20030307"))
+TAGS = ("a", "b", "c")
+
+BUILDERS = {
+    "paged-list": build_element_list,
+    "b+tree": build_bplus_tree,
+    "xr-tree": build_xr_tree,
+    "memory": lambda entries, pool, fill_factor: MemoryElementList(
+        list(entries)),
+}
+#: Each Table 1 kernel and the access method it reads.
+KERNELS = {
+    "stack-tree": (stack_tree_join, "paged-list"),
+    "b+": (bplus_join, "b+tree"),
+    "xr-stack": (xr_stack_join, "xr-tree"),
+}
+
+
+def _random_xml(rng, depth=0):
+    tag = rng.choice(TAGS)
+    children = ("" if depth >= 6 else
+                "".join(_random_xml(rng, depth + 1)
+                        for _ in range(rng.randrange(0, 4))))
+    return "<%s>%s</%s>" % (tag, children, tag)
+
+
+def _corpus(rng):
+    corpus = Corpus()
+    for _ in range(rng.randrange(2, 5)):
+        corpus.add(parse_document("<r>%s</r>" % "".join(
+            _random_xml(rng) for _ in range(rng.randrange(1, 6)))))
+    return corpus
+
+
+def _twins(rng, method, entries):
+    """The same source built twice, in two pools in the same state."""
+    page_size = rng.choice((256, 512, 1024))
+    frames = rng.choice((8, 16, 64))
+    fill_factor = rng.choice((0.5, 0.75, 1.0))
+    twins = []
+    for _ in range(2):
+        pool = StorageContext(page_size=page_size, buffer_pages=frames).pool
+        twins.append((pool, BUILDERS[method](entries, pool, fill_factor)))
+    return twins
+
+
+def _open(source, how, key):
+    if how == "first":
+        return source.first()
+    return getattr(source, how)(key)
+
+
+def _counters(pool):
+    return pool.stats.requests, pool.stats.misses
+
+
+@pytest.mark.parametrize("method", sorted(BUILDERS))
+@pytest.mark.parametrize("trial", range(6))
+def test_iterating_k_entries_is_advancing_k_times(method, trial):
+    rng = random.Random("%s/%s/%d" % (SEED, method, trial))
+    entries = _corpus(rng).entries_for_tag(rng.choice(TAGS))
+    (a_pool, advanced), (i_pool, iterated) = _twins(rng, method, entries)
+    hi = entries[-1].end + 2 if entries else 2
+    for _probe in range(8):
+        how = ("first" if method == "paged-list"
+               else rng.choice(("first", "seek", "seek_after")))
+        key = rng.randrange(-2, hi)
+        cursor = _open(advanced, how, key)
+        items = iter(_open(iterated, how, key))
+        for step in range(rng.randrange(1, len(entries) + 3)):
+            # Step k advances k times and calls next() k + 1 times: the
+            # k-th advance() fetches the next page where the call after
+            # it does, so the counters agree after every step.
+            if step:
+                cursor.advance()
+            expected = None if cursor.at_end else cursor.current
+            assert next(items, None) == expected
+            assert _counters(a_pool) == _counters(i_pool)
+            assert i_pool.pinned_count == 0
+            if expected is None:
+                break
+
+
+@pytest.mark.parametrize("algorithm", sorted(KERNELS))
+@pytest.mark.parametrize("trial", range(6))
+def test_kernels_give_the_oracle_pairs(algorithm, trial):
+    rng = random.Random("%s/%s/%d" % (SEED, algorithm, trial))
+    join, method = KERNELS[algorithm]
+    corpus = _corpus(rng)
+    pool = StorageContext(page_size=rng.choice((256, 512)),
+                          buffer_pages=rng.choice((8, 64))).pool
+    for a_tag in TAGS:
+        for d_tag in TAGS:
+            ancestors = corpus.entries_for_tag(a_tag)
+            descendants = corpus.entries_for_tag(d_tag)
+            a_side = BUILDERS[method](ancestors, pool, 1.0)
+            d_side = BUILDERS[method](descendants, pool, 1.0)
+            for parent_child in (False, True):
+                expected = nested_loop_join(ancestors, descendants,
+                                            parent_child)
+                pairs, stats = join(a_side, d_side, parent_child)
+                assert sort_pairs(pairs) == expected
+                assert stats.pairs == len(expected)
+                if algorithm != "b+":
+                    memory_pairs, _ = join(MemoryElementList(ancestors),
+                                           d_side, parent_child)
+                    assert sort_pairs(memory_pairs) == expected
+                assert pool.pinned_count == 0
+
+
+def _inputs(algorithm, rng):
+    join, method = KERNELS[algorithm]
+    data = department_dataset(rng.randrange(600, 1200),
+                              seed=rng.randrange(10 ** 6))
+    pool = StorageContext(page_size=512, buffer_pages=32).pool
+    return (join, pool, BUILDERS[method](data.ancestors, pool, 1.0),
+            BUILDERS[method](data.descendants, pool, 1.0))
+
+
+@pytest.mark.parametrize("algorithm", sorted(KERNELS))
+def test_a_row_cap_of_k_trips_at_pair_k_plus_one(algorithm):
+    rng = random.Random("%s/cap/%s" % (SEED, algorithm))
+    join, pool, a_side, d_side = _inputs(algorithm, rng)
+    _pairs, full = join(a_side, d_side, collect=False)
+    assert full.pairs > 2
+    cap = rng.randrange(0, full.pairs - 1)
+    stats = JoinStats(runtime=QueryContext(row_cap=cap).start(pool))
+    with pytest.raises(RowCapExceeded):
+        join(a_side, d_side, collect=False, stats=stats)
+    assert stats.pairs == cap + 1
+    assert 0 < stats.elements_scanned < full.elements_scanned
+    assert pool.pinned_count == 0
+
+
+@pytest.mark.parametrize("algorithm", sorted(KERNELS))
+def test_a_mid_join_quota_trip_flushes_the_scan_count(algorithm):
+    rng = random.Random("%s/quota/%s" % (SEED, algorithm))
+    join, pool, a_side, d_side = _inputs(algorithm, rng)
+    before = pool.stats.requests
+    _pairs, full = join(a_side, d_side, collect=False)
+    requests = pool.stats.requests - before
+    assert requests >= 16
+    # Past the two first() descents, short of the last iteration's probes.
+    budget = rng.randrange(requests // 4, requests // 2)
+    stats = JoinStats(runtime=QueryContext(page_budget=budget).start(pool))
+    with pytest.raises(PageQuotaExceeded):
+        join(a_side, d_side, collect=False, stats=stats)
+    assert 0 < stats.elements_scanned < full.elements_scanned
+    assert pool.pinned_count == 0

@@ -3,8 +3,8 @@
 Four access methods — paged element list, B+-tree, XR-tree and
 ``MemoryElementList`` — answer ``first()`` (and, where offered, ``seek(k)`` /
 ``seek_after(k)``) with a cursor exposing ``at_end``, ``current`` and
-``advance()``.  Over pages that cursor is always
-:class:`~repro.storage.pagedlist.RecordCursor`.
+``advance()``, and iterable from its position to the end.  Over pages that
+cursor is always :class:`~repro.storage.pagedlist.RecordCursor`.
 """
 
 from operator import attrgetter
@@ -50,6 +50,11 @@ class TestEveryAccessMethod:
     def test_first_walks_the_entries_in_order(self, pool, method):
         source = BUILDERS[method](ENTRIES, pool)
         assert drain(source.first()) == ENTRIES
+        assert pool.pinned_count == 0
+
+    def test_iteration_walks_the_entries_in_order(self, pool, method):
+        source = BUILDERS[method](ENTRIES, pool)
+        assert list(source.first()) == ENTRIES
         assert pool.pinned_count == 0
 
     def test_cursor_class(self, pool, method):
@@ -171,6 +176,17 @@ class TestRecordCursor:
         assert copy.current is cursor.current
         copy.advance()
         assert cursor.current == ENTRIES[0]
+
+    def test_a_suspended_list_iterator_holds_no_pin(self, pool):
+        """Iterating a paged list used to yield inside ``pool.pinned``: a
+        half-read iterator kept its page pinned and ``clear()`` failed."""
+        lst = build_element_list(ENTRIES, pool)
+        items = iter(lst)
+        assert next(items) == ENTRIES[0]
+        assert pool.pinned_count == 0
+        pool.clear()
+        assert list(items) == ENTRIES[1:]
+        assert pool.pinned_count == 0
 
     def test_clone_of_an_exhausted_cursor_reads_nothing(self, pool):
         cursor = build_element_list(ENTRIES[:1], pool).first()

@@ -24,6 +24,7 @@ import pytest
 from repro.core.api import StorageContext, build_xr_tree, oracle_join, \
     structural_join
 from repro.core.database import XmlDatabase
+from repro.joins.registry import algorithm_names
 from repro.query.admission import AdmissionController, QueryRejected
 from repro.query.runtime import (
     CancellationToken,
@@ -198,6 +199,31 @@ def test_cancellation_sweep_releases_all_pins():
         rerun = structural_join(data.ancestors, data.descendants,
                                 algorithm=algorithm, context=context)
         assert rerun.pairs == expected
+
+
+@pytest.mark.parametrize("algorithm", algorithm_names())
+class TestEveryAlgorithmHonoursGuardrails:
+    """Every registered kernel ticks its runtime: a page quota and a
+    cancellation trip mid-join and leave no frame pinned."""
+
+    @staticmethod
+    def _trips(algorithm, runtime, error):
+        data = department_dataset(800, seed=SEED)
+        context = StorageContext()
+        with pytest.raises(error):
+            structural_join(data.ancestors, data.descendants,
+                            algorithm=algorithm, context=context,
+                            runtime=runtime)
+        assert context.pool.pinned_count == 0
+
+    def test_page_quota(self, algorithm):
+        self._trips(algorithm, QueryContext(page_budget=3),
+                    PageQuotaExceeded)
+
+    def test_cancellation(self, algorithm):
+        token = CancellationToken()
+        token.cancel()
+        self._trips(algorithm, QueryContext(token=token), QueryCancelled)
 
 
 def test_row_cap_trips_through_join_sink():
