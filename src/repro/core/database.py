@@ -31,6 +31,7 @@ cache to tell.  ``db.index_stats`` exposes the handle counters.
 
 import json
 import struct
+from collections import defaultdict
 
 from repro.core.api import StorageContext
 from repro.core.session import Session
@@ -277,21 +278,20 @@ class XmlDatabase:
         ``[offset, offset + span]`` of the corpus numbering; no other
         document's element ever falls inside it, so each run lands past
         every stored start, and :meth:`remove_document` can address the
-        document's entries by region.
+        document's entries by region.  From text the runs are built as it
+        is parsed (:class:`_RunBuilder`), with no element tree; every run
+        is complete before the first tree is touched, so a malformed
+        document changes nothing.
         """
         self._require_writable()
-        document = (parse_document(source) if isinstance(source, str)
-                    else source)
         doc_id = self._next_id
         offset = self._next_base
-        per_tag = {}
-        depth = 0
-        for ordinal, node in enumerate(document):
-            per_tag.setdefault(node.tag, []).append(ElementEntry(
-                doc_id, node.start + offset, node.end + offset,
-                node.level, False, ordinal,
-            ))
-            depth = max(depth, node.level)
+        runs = _RunBuilder(doc_id, offset)
+        if isinstance(source, str):
+            parse_document(source, consumer=runs)
+        else:
+            runs.walk(source)
+        per_tag, depth, span = runs.per_tag, runs.depth, runs.span
         # Name every tree and size the document against the record before
         # anything changes: a tag too long to catalogue, or a region or
         # depth the record cannot hold (regions are never reused, so the
@@ -299,22 +299,21 @@ class XmlDatabase:
         # tail, and not every later flush from inside page write-back.
         names = {tag: _tree_name(tag) for tag in per_tag}
         try:
-            ElementEntry(doc_id, offset, offset + document.root.end,
-                         depth).pack()
+            ElementEntry(doc_id, offset, offset + span, depth).pack()
         except struct.error as exc:
             raise XmlDatabaseError(
                 "document does not fit the element record (id %d, region "
                 "%d..%d, depth %d): %s"
-                % (doc_id, offset, offset + document.root.end, depth, exc)
+                % (doc_id, offset, offset + span, depth, exc)
             ) from None
         self._documents[doc_id] = {
             "name": name or ("doc-%d" % doc_id),
             "offset": offset,
-            "span": document.root.end,
-            "elements": sum(len(entries) for entries in per_tag.values()),
+            "span": span,
+            "elements": runs.count,
         }
         self._next_id = doc_id + 1
-        self._next_base = offset + document.root.end + _DOC_GAP
+        self._next_base = offset + span + _DOC_GAP
         self._registry_dirty = True
         for tag, entries in per_tag.items():
             tree = self._indexes.get_or_create_xrtree(names[tag])
@@ -863,6 +862,61 @@ class XmlDatabase:
             "tags": self._tags,
         }).encode("utf-8"))
         self._registry_dirty = False
+
+
+class _RunBuilder:
+    """One document's per-tag runs of :class:`ElementEntry`, for
+    :meth:`XmlDatabase.add_document`.
+
+    As :func:`parse_document`'s consumer it builds them from the parse
+    events, with no element tree: an element's entry joins its tag's run
+    when the element opens (so each run is start-ordered) and gets its
+    ``end`` when it closes, before any page or cursor can hold it.
+    ``ptr`` is the element's document-order ordinal.  :meth:`walk` builds
+    the same runs from a parsed :class:`~repro.xmldata.model.Document`.
+    """
+
+    __slots__ = ("doc_id", "offset", "per_tag", "open_entries", "count",
+                 "depth", "span")
+
+    def __init__(self, doc_id, offset):
+        self.doc_id = doc_id
+        self.offset = offset
+        self.per_tag = defaultdict(list)
+        self.open_entries = []
+        self.count = 0
+        self.depth = 0
+        self.span = 0
+
+    def open(self, tag, attributes, start, level):
+        entry = ElementEntry(self.doc_id, start + self.offset, 0, level,
+                             False, self.count)
+        self.count += 1
+        self.per_tag[tag].append(entry)
+        self.open_entries.append(entry)
+        if level > self.depth:
+            self.depth = level
+
+    def close(self, end):
+        self.open_entries.pop().end = end + self.offset
+        self.span = end
+
+    def text(self, payload):
+        pass
+
+    def result(self):
+        return self
+
+    def walk(self, document):
+        offset = self.offset
+        for node in document:
+            self.per_tag[node.tag].append(ElementEntry(
+                self.doc_id, node.start + offset, node.end + offset,
+                node.level, False, self.count,
+            ))
+            self.count += 1
+            self.depth = max(self.depth, node.level)
+        self.span = document.root.end
 
 
 def _tree_name(tag):

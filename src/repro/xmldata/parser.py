@@ -2,10 +2,20 @@
 
 Supports the subset of XML the experiments and examples need: elements with
 attributes, text content, comments, processing instructions, a document type
-declaration (skipped), CDATA sections and the five predefined entities.  The
-parser assigns region codes during the single left-to-right pass, exactly as
-the paper describes region generation: "a depth-first traversal of the tree
-and sequentially assigning a number at each visit".
+declaration (skipped), CDATA sections and the five predefined entities.
+
+There is one tokenizer and one numbering loop.  :class:`_Tokenizer` matches
+the three regular constructs — a text run, an end tag, a start or empty tag —
+with one compiled pattern; comments, CDATA, processing instructions, the
+DOCTYPE and malformed markup take the slower branches.
+:func:`parse_document` assigns region codes during the single left-to-right
+pass, exactly as the paper describes region generation: "a depth-first
+traversal of the tree and sequentially assigning a number at each visit".
+It checks well-formedness and hands every element to a *consumer*.  The
+default consumer builds a :class:`Document`;
+:meth:`~repro.core.database.XmlDatabase.add_document` passes one that
+builds the index's per-tag runs, so no element tree is built to store a
+document.
 """
 
 import re
@@ -21,12 +31,20 @@ class XmlParseError(Exception):
         self.offset = offset
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w.\-:]*")
+#: A text run, an end tag, or a start/empty tag (name, then the rest).
+_TOKEN_RE = re.compile(r"([^<]+)|</([^>]*)>|<([A-Za-z_][\w.\-:]*)([^>]*)>")
+#: A numeric character reference's name; leading zeros aside, no more
+#: digits than the largest code point (U+10FFFF) has.
+_CHAR_REF_RE = re.compile(r"#(?:[xX]0*([0-9A-Fa-f]{1,6})|0*([0-9]{1,7}))")
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
 
 def _decode_text(raw, offset):
-    """Resolve predefined and numeric character references."""
+    """Resolve predefined and numeric character references.
+
+    ``offset`` is where ``raw`` starts in the source; errors report the
+    offset of the offending ``&``.
+    """
     if "&" not in raw:
         return raw
     out = []
@@ -41,10 +59,18 @@ def _decode_text(raw, offset):
         if semi == -1:
             raise XmlParseError("unterminated entity reference", offset + index)
         name = raw[index + 1 : semi]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
+        if name.startswith("#"):
+            reference = _CHAR_REF_RE.fullmatch(name)
+            if reference is None:
+                code = -1
+            elif reference.group(1):
+                code = int(reference.group(1), 16)
+            else:
+                code = int(reference.group(2))
+            if not 0 <= code <= 0x10FFFF:
+                raise XmlParseError("invalid character reference %r" % name,
+                                    offset + index)
+            out.append(chr(code))
         elif name in _ENTITIES:
             out.append(_ENTITIES[name])
         else:
@@ -54,50 +80,66 @@ def _decode_text(raw, offset):
 
 
 class _Tokenizer:
-    """Splits XML source into (kind, payload, offset) events."""
+    """Splits XML source into (kind, payload, offset) events.
+
+    Kinds are ``"start"`` and ``"empty"`` (payload ``(name, attributes)``),
+    ``"end"`` (payload the name) and ``"text"`` (payload a non-blank text
+    run, its references decoded, or a CDATA section's content).
+    """
 
     def __init__(self, source):
         self.source = source
-        self.pos = 0
 
     def events(self):
         src = self.source
         length = len(src)
-        while self.pos < length:
-            if src[self.pos] != "<":
-                start = self.pos
-                end = src.find("<", start)
-                if end == -1:
-                    end = length
-                text = src[start:end]
-                self.pos = end
-                if text.strip():
-                    yield ("text", _decode_text(text, start), start)
+        token = _TOKEN_RE.match
+        pos = 0
+        while pos < length:
+            match = token(src, pos)
+            if match is not None:
+                offset = pos
+                pos = match.end()
+                text, end_name, name, rest = match.groups()
+                if text is not None:
+                    if text.strip():
+                        yield ("text", _decode_text(text, offset), offset)
+                elif end_name is not None:
+                    yield ("end", end_name.strip(), offset)
+                else:
+                    kind = "start"
+                    if rest.endswith("/"):
+                        kind = "empty"
+                        rest = rest[:-1]
+                    attributes = (_parse_attributes(rest, match.start(4))
+                                  if rest else {})
+                    yield (kind, (name, attributes), offset)
                 continue
-            if src.startswith("<!--", self.pos):
-                end = src.find("-->", self.pos + 4)
+            # Only markup the pattern does not match gets here.
+            if src.startswith("<!--", pos):
+                end = src.find("-->", pos + 4)
                 if end == -1:
-                    raise XmlParseError("unterminated comment", self.pos)
-                self.pos = end + 3
+                    raise XmlParseError("unterminated comment", pos)
+                pos = end + 3
                 continue
-            if src.startswith("<![CDATA[", self.pos):
-                end = src.find("]]>", self.pos + 9)
+            if src.startswith("<![CDATA[", pos):
+                end = src.find("]]>", pos + 9)
                 if end == -1:
-                    raise XmlParseError("unterminated CDATA section", self.pos)
-                yield ("text", src[self.pos + 9 : end], self.pos)
-                self.pos = end + 3
+                    raise XmlParseError("unterminated CDATA section", pos)
+                yield ("text", src[pos + 9 : end], pos)
+                pos = end + 3
                 continue
-            if src.startswith("<?", self.pos):
-                end = src.find("?>", self.pos + 2)
+            if src.startswith("<?", pos):
+                end = src.find("?>", pos + 2)
                 if end == -1:
                     raise XmlParseError("unterminated processing instruction",
-                                        self.pos)
-                self.pos = end + 2
+                                        pos)
+                pos = end + 2
                 continue
-            if src.startswith("<!", self.pos):
+            if src.startswith("<!", pos):
                 # DOCTYPE (possibly with an internal subset in brackets).
                 depth = 0
-                index = self.pos
+                index = pos
                 while index < length:
                     if src[index] == "[":
                         depth += 1
@@ -107,43 +149,23 @@ class _Tokenizer:
                         break
                     index += 1
                 if index >= length:
-                    raise XmlParseError("unterminated declaration", self.pos)
-                self.pos = index + 1
+                    raise XmlParseError("unterminated declaration", pos)
+                pos = index + 1
                 continue
-            if src.startswith("</", self.pos):
-                end = src.find(">", self.pos)
-                if end == -1:
-                    raise XmlParseError("unterminated end tag", self.pos)
-                name = src[self.pos + 2 : end].strip()
-                yield ("end", name, self.pos)
-                self.pos = end + 1
-                continue
-            yield self._start_tag()
-
-    def _start_tag(self):
-        src = self.source
-        offset = self.pos
-        end = src.find(">", offset)
-        if end == -1:
-            raise XmlParseError("unterminated start tag", offset)
-        body = src[offset + 1 : end]
-        self_closing = body.endswith("/")
-        if self_closing:
-            body = body[:-1]
-        name_match = _NAME_RE.match(body)
-        if not name_match:
-            raise XmlParseError("invalid tag name", offset)
-        name = name_match.group(0)
-        attributes = _parse_attributes(body[name_match.end() :], offset)
-        self.pos = end + 1
-        kind = "empty" if self_closing else "start"
-        return (kind, (name, attributes), offset)
+            # A tag the pattern rejects has no closing ">" or a bad name.
+            if src.startswith("</", pos):
+                raise XmlParseError("unterminated end tag", pos)
+            if src.find(">", pos) == -1:
+                raise XmlParseError("unterminated start tag", pos)
+            raise XmlParseError("invalid tag name", pos)
 
 
 _ATTR_RE = re.compile(r"\s*([\w.\-:]+)\s*=\s*(\"([^\"]*)\"|'([^']*)')")
 
 
 def _parse_attributes(raw, offset):
+    """The attributes in ``raw``, the text of a tag after its name, which
+    starts at ``offset`` in the source; errors report absolute offsets."""
     attributes = {}
     pos = 0
     while pos < len(raw):
@@ -154,64 +176,101 @@ def _parse_attributes(raw, offset):
         if not match:
             raise XmlParseError("malformed attribute near %r" % raw[pos : pos + 20],
                                 offset + pos)
-        attributes[match.group(1)] = _decode_text(
-            match.group(3) if match.group(3) is not None else match.group(4),
-            offset,
-        )
+        group = 3 if match.group(3) is not None else 4
+        attributes[match.group(1)] = _decode_text(match.group(group),
+                                                  offset + match.start(group))
         pos = match.end()
     return attributes
 
 
-def parse_document(source, doc_id=1, text_numbers=True):
+class _TreeBuilder:
+    """The default consumer: builds the element tree and its
+    :class:`Document`."""
+
+    __slots__ = ("doc_id", "root", "open_nodes")
+
+    def __init__(self, doc_id):
+        self.doc_id = doc_id
+        self.root = None
+        self.open_nodes = []
+
+    def open(self, tag, attributes, start, level):
+        node = Element(tag, start, 0, level, attributes=attributes)
+        if self.open_nodes:
+            self.open_nodes[-1].add_child(node)
+        else:
+            self.root = node
+        self.open_nodes.append(node)
+
+    def close(self, end):
+        self.open_nodes.pop().end = end
+
+    def text(self, payload):
+        self.open_nodes[-1].text += payload
+
+    def result(self):
+        return Document(self.root, doc_id=self.doc_id)
+
+
+def parse_document(source, doc_id=1, text_numbers=True, consumer=None):
     """Parse XML text into a region-encoded :class:`Document`.
 
     Region numbers are assigned in a single pass: the counter advances on
     every start tag, every end tag, and (when ``text_numbers``) once per
-    non-empty text run — producing regions identical to the paper's Figure 1
-    style of numbering.
+    non-empty text run or CDATA section — producing regions identical to the
+    paper's Figure 1 style of numbering.  An empty tag ``<a/>`` is a start
+    tag and an end tag.
+
+    Every element goes to ``consumer``, in document order: ``open(tag,
+    attributes, start, level)`` when it starts, ``text(payload)`` for each
+    text run inside it, ``close(end)`` when it ends (for the innermost open
+    element).  ``consumer.result()`` is returned.  The default consumer
+    builds the :class:`Document` (with id ``doc_id``).  A malformed document
+    raises :class:`XmlParseError`; the consumer may have seen part of it.
     """
+    if consumer is None:
+        consumer = _TreeBuilder(doc_id)
+    open_element, close_element, add_text = (consumer.open, consumer.close,
+                                             consumer.text)
     counter = 1
-    stack = []
-    root = None
+    open_tags = []
+    rooted = False
     for kind, payload, offset in _Tokenizer(source).events():
-        if kind in ("start", "empty"):
-            name, attributes = payload
-            node = Element(name, level=len(stack), attributes=attributes)
-            node.start = counter
-            counter += 1
-            if stack:
-                stack[-1].add_child(node)
-            elif root is None:
-                root = node
-            else:
-                raise XmlParseError("multiple root elements", offset)
-            if kind == "empty":
-                node.end = counter
-                counter += 1
-            else:
-                stack.append(node)
-        elif kind == "end":
-            if not stack:
-                raise XmlParseError("end tag %r with no open element" % payload,
-                                    offset)
-            node = stack.pop()
-            if node.tag != payload:
-                raise XmlParseError(
-                    "mismatched end tag %r for %r" % (payload, node.tag), offset
-                )
-            node.end = counter
-            counter += 1
-        else:  # text
-            if not stack:
+        if kind == "text":
+            if not open_tags:
                 raise XmlParseError("text outside the root element", offset)
-            stack[-1].text += payload
+            add_text(payload)
             if text_numbers:
                 counter += 1
-    if stack:
-        raise XmlParseError("unclosed element %r" % stack[-1].tag, len(source))
-    if root is None:
+        elif kind == "end":
+            if not open_tags:
+                raise XmlParseError("end tag %r with no open element" % payload,
+                                    offset)
+            tag = open_tags.pop()
+            if tag != payload:
+                raise XmlParseError(
+                    "mismatched end tag %r for %r" % (payload, tag), offset
+                )
+            close_element(counter)
+            counter += 1
+        else:
+            tag, attributes = payload
+            if not open_tags:
+                if rooted:
+                    raise XmlParseError("multiple root elements", offset)
+                rooted = True
+            open_element(tag, attributes, counter, len(open_tags))
+            counter += 1
+            if kind == "empty":
+                close_element(counter)
+                counter += 1
+            else:
+                open_tags.append(tag)
+    if open_tags:
+        raise XmlParseError("unclosed element %r" % open_tags[-1], len(source))
+    if not rooted:
         raise XmlParseError("no root element", len(source))
-    return Document(root, doc_id=doc_id)
+    return consumer.result()
 
 
 def serialize_document(document, indent=False):
