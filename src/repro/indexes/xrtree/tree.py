@@ -26,6 +26,7 @@ from repro.indexes.bptree import (
 from repro.indexes.xrtree.pages import NIL, XRInternalPage, XRLeafPage
 from repro.indexes.xrtree.stablist import StabList, collect_stabbed
 from repro.storage.errors import StorageError
+from repro.storage.pagedlist import RecordCursor
 from repro.storage.pages import ElementEntry
 
 _START = attrgetter("start")
@@ -173,6 +174,24 @@ class XRTree:
         if required_level is not None:
             results = [r for r in results if r.level == required_level]
         return results
+
+    def probe(self, point, counter=None, after_start=None, finger=None):
+        """XR-stack's ancestor step (Algorithm 6 lines 9-13) as one lookup:
+        ``(find_ancestors(point, counter, after_start=after_start,
+        finger=finger), iter(seek(point, finger=finger)))``.
+
+        FindAncestors runs through :meth:`find_ancestors` itself, so its
+        answer and every charge are that method's; the iterator starts on
+        the leaf its descent ended at, with no second descent.
+        """
+        finger = Finger() if finger is None else finger
+        ancestors = self.find_ancestors(point, counter, after_start,
+                                        finger=finger)
+        if not self.root_id:
+            return ancestors, iter(())
+        leaf = finger.path[-1][0]
+        return ancestors, iter(RecordCursor(self.pool, leaf.page_id,
+                                            leaf.slot_of(point), leaf))
 
     # --------------------------------------------------- Algorithm 1: insertion
 

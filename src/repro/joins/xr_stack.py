@@ -16,9 +16,13 @@ ancestors could join descendants between CurD and CurA (lines 15-17).
 Each input's probes share one *finger* — the last root-to-leaf path and
 the stab-list pages searched through it, kept for this call only — so a
 probe requests only what lies below the deepest node still covering its
-key and the stab-list pages no earlier probe through that node read, and
-the ``seek(d.start)`` after ``FindAncestors(d.start)`` starts on the leaf
-the latter already holds.
+key and the stab-list pages no earlier probe through that node read.
+
+The ancestor input answers ``first()`` and ``probe(point)`` — FindAncestors
+and the re-seek past CurD from one lookup, the cursor starting on the leaf
+FindAncestors already holds — and the descendant input answers ``first()``
+and ``seek_after(key)``: an :class:`~repro.indexes.xrtree.XRTree` or a
+:class:`~repro.joins.memory.MemoryElementList`.
 """
 
 from repro.indexes.bptree import Finger
@@ -58,23 +62,21 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
             while stack and stack[-1].end < d_start:
                 stack.pop()
             if a is not None and a.start <= d_start:
-                # Lines 9-13: fetch CurD's ancestors directly from the
-                # XR-tree; only those after the stack top are new (the rest
-                # are on the stack already).
+                # Lines 9-13, one probe: fetch CurD's ancestors directly
+                # from the XR-tree — only those after the stack top are new
+                # (the rest are on the stack already) — and leap CurA past
+                # CurD.  With overlapping input sets the ancestor side may
+                # hold CurD's own element (start equality): it is not an
+                # ancestor of CurD (FindAncestors returns strict ancestors
+                # only) but is a live candidate for *later* descendants, so
+                # it must ride the stack rather than be leapt over.  The
+                # sink never pairs it with its own element.
                 scanned += 1
-                after = stack[-1].start if stack else None
-                stack.extend(atree.find_ancestors(d_start, counter=stats,
-                                                  after_start=after,
-                                                  finger=a_finger))
-                # Leap CurA past CurD.  With overlapping input sets the
-                # ancestor side may hold CurD's own element (start
-                # equality): it is not an ancestor of CurD (FindAncestors
-                # returns strict ancestors only) but is a live candidate
-                # for *later* descendants, so it must ride the stack rather
-                # than be leapt over.  The sink never pairs it with its own
-                # element.
+                ancestors, a_items = atree.probe(
+                    d_start, stats, stack[-1].start if stack else None,
+                    a_finger)
+                stack.extend(ancestors)
                 stats.ancestor_skips += 1
-                a_items = iter(atree.seek(d_start, finger=a_finger))
                 a = next(a_items, None)
                 if a is not None and a.start == d_start:
                     stack.append(a)

@@ -1,10 +1,11 @@
-"""The one cursor protocol under every join kernel.
+"""The one read protocol under every join kernel.
 
 Four access methods — paged element list, B+-tree, XR-tree and
 ``MemoryElementList`` — answer ``first()`` (and, where offered, ``seek(k)`` /
-``seek_after(k)``) with a cursor exposing ``at_end``, ``current`` and
-``advance()``, and iterable from its position to the end.  Over pages that
-cursor is always :class:`~repro.storage.pagedlist.RecordCursor`.
+``seek_after(k)``) with something iterable from its position to the end.
+Over pages that is always a :class:`~repro.storage.pagedlist.RecordCursor`,
+which also polls (``at_end``, ``current``, ``advance()``) for MPMGJN's
+rescans; a memory list hands out a plain list iterator.
 """
 
 from operator import attrgetter
@@ -19,7 +20,6 @@ from repro.core.api import (
 from repro.indexes.bptree import Finger
 from repro.joins import MemoryElementList, nested_loop_join, stack_tree_join
 from repro.joins.base import sort_pairs
-from repro.joins.memory import MemoryCursor
 from repro.storage.pagedlist import RecordCursor
 from tests.conftest import entry
 
@@ -33,6 +33,8 @@ BUILDERS = {
     "xr-tree": build_xr_tree,
     "memory": lambda entries, pool: MemoryElementList(list(entries)),
 }
+#: The access methods over pages, whose cursors poll.
+PAGED = ["paged-list", "b+tree", "xr-tree"]
 #: The paged list is the sequential file: it has no ``seek``.
 SEEKABLE = ["b+tree", "xr-tree", "memory"]
 
@@ -45,23 +47,53 @@ def drain(cursor):
     return seen
 
 
-@pytest.mark.parametrize("method", BUILDERS)
-class TestEveryAccessMethod:
-    def test_first_walks_the_entries_in_order(self, pool, method):
-        source = BUILDERS[method](ENTRIES, pool)
-        assert drain(source.first()) == ENTRIES
-        assert pool.pinned_count == 0
+def head(cursor):
+    """The entry a cursor stands on, or None past the end."""
+    return next(iter(cursor), None)
 
-    def test_iteration_walks_the_entries_in_order(self, pool, method):
+
+class TestEveryAccessMethod:
+    """Every method iterates; the cursors over pages also poll."""
+
+    @pytest.mark.parametrize("method", BUILDERS)
+    def test_first_walks_the_entries_in_order(self, pool, method):
         source = BUILDERS[method](ENTRIES, pool)
         assert list(source.first()) == ENTRIES
         assert pool.pinned_count == 0
 
+    @pytest.mark.parametrize("method", BUILDERS)
+    def test_iteration_walks_the_entries_in_order(self, pool, method):
+        """A suspended iteration holds no pin."""
+        items = iter(BUILDERS[method](ENTRIES, pool).first())
+        for expected in ENTRIES:
+            assert next(items) == expected
+            assert pool.pinned_count == 0
+        assert next(items, None) is None
+
+    @pytest.mark.parametrize("method", BUILDERS)
     def test_cursor_class(self, pool, method):
         cursor = BUILDERS[method](ENTRIES, pool).first()
-        assert type(cursor) is (MemoryCursor if method == "memory"
+        assert type(cursor) is (type(iter([])) if method == "memory"
                                 else RecordCursor)
 
+    @pytest.mark.parametrize("method", BUILDERS)
+    def test_empty_source(self, pool, method):
+        assert list(BUILDERS[method]([], pool).first()) == []
+
+    @pytest.mark.parametrize("method", PAGED)
+    def test_polling_walks_the_entries_in_order(self, pool, method):
+        source = BUILDERS[method](ENTRIES, pool)
+        assert drain(source.first()) == ENTRIES
+        assert pool.pinned_count == 0
+
+    @pytest.mark.parametrize("method", PAGED)
+    def test_empty_source_polls_at_end(self, pool, method):
+        cursor = BUILDERS[method]([], pool).first()
+        assert cursor.at_end
+        with pytest.raises(IndexError):
+            cursor.current
+
+    @pytest.mark.parametrize("method", PAGED)
     def test_advance_returns_false_at_the_end(self, pool, method):
         cursor = BUILDERS[method](ENTRIES[:2], pool).first()
         assert cursor.advance() is True
@@ -69,18 +101,14 @@ class TestEveryAccessMethod:
         assert cursor.at_end
         assert cursor.advance() is False
 
+    @pytest.mark.parametrize("method", PAGED)
     def test_current_past_the_end_is_index_error(self, pool, method):
         cursor = BUILDERS[method](ENTRIES[:1], pool).first()
         cursor.advance()
         with pytest.raises(IndexError):
             cursor.current
 
-    def test_empty_source(self, pool, method):
-        cursor = BUILDERS[method]([], pool).first()
-        assert cursor.at_end
-        with pytest.raises(IndexError):
-            cursor.current
-
+    @pytest.mark.parametrize("method", PAGED)
     def test_exhausted_read_is_not_silently_truncated(self, pool, method):
         """``StopIteration`` from ``current`` was control flow to ``map``
         and ``list``: reading an exhausted cursor returned ``[]``."""
@@ -96,6 +124,17 @@ class TestEveryAccessMethod:
             next(reads())
 
 
+@pytest.mark.parametrize("method", ["b+tree", "xr-tree"])
+def test_tree_seeks_poll(pool, method):
+    source = BUILDERS[method](ENTRIES, pool)
+    for cursor in (source.seek(592), source.seek_after(591)):
+        assert cursor.at_end
+        with pytest.raises(IndexError):
+            cursor.current
+    assert drain(source.seek(300)) == ENTRIES[30:]
+    assert pool.pinned_count == 0
+
+
 @pytest.mark.parametrize("method", SEEKABLE)
 class TestSeek:
     @pytest.mark.parametrize("key, expected", [
@@ -108,8 +147,8 @@ class TestSeek:
     ])
     def test_seek_lands_on_first_start_at_or_after(self, pool, method, key,
                                                    expected):
-        cursor = BUILDERS[method](ENTRIES, pool).seek(key)
-        assert cursor.current.start == expected
+        assert head(BUILDERS[method](ENTRIES, pool).seek(key)).start \
+            == expected
         assert pool.pinned_count == 0
 
     @pytest.mark.parametrize("key, expected", [
@@ -117,21 +156,19 @@ class TestSeek:
     ])
     def test_seek_after_lands_on_first_start_after(self, pool, method, key,
                                                    expected):
-        cursor = BUILDERS[method](ENTRIES, pool).seek_after(key)
-        assert cursor.current.start == expected
+        assert head(BUILDERS[method](ENTRIES, pool).seek_after(key)).start \
+            == expected
         assert pool.pinned_count == 0
 
     def test_seeks_past_the_end(self, pool, method):
         source = BUILDERS[method](ENTRIES, pool)
         for cursor in (source.seek(592), source.seek_after(591),
                        source.seek(10 ** 9)):
-            assert cursor.at_end
-            with pytest.raises(IndexError):
-                cursor.current
+            assert list(cursor) == []
 
     def test_seek_then_scan_reaches_the_tail(self, pool, method):
         cursor = BUILDERS[method](ENTRIES, pool).seek(300)
-        assert drain(cursor) == ENTRIES[30:]
+        assert list(cursor) == ENTRIES[30:]
 
     def test_a_finger_changes_no_answer(self, pool, method):
         """Every seekable method takes the join's ``finger`` argument."""
@@ -139,8 +176,8 @@ class TestSeek:
         finger = Finger()
         for key in (295, 1, 591, 300, 300, -5, 10 ** 9, 2):
             for seek in ("seek", "seek_after"):
-                assert drain(getattr(source, seek)(key, finger=finger)) == \
-                    drain(getattr(source, seek)(key))
+                assert list(getattr(source, seek)(key, finger=finger)) == \
+                    list(getattr(source, seek)(key))
         assert pool.pinned_count == 0
 
 

@@ -1,0 +1,154 @@
+"""``probe`` is FindAncestors and the re-seek past the point in one lookup.
+
+XR-stack's ancestor step (Algorithm 6 lines 9-13) asks its ancestor input
+``probe(p, stats, after, finger)`` once.  For random region sets indexed as
+XR-trees (bulk loaded or built by inserts in random order, leaf and internal
+capacities 4-8) and as ``MemoryElementList``s over the same sets, a probe
+must answer ``(find_ancestors(p, stats, after_start=after, finger=finger),
+list(seek(p)))`` — with a finger kept across probes and with none — charge
+the same ``elements_scanned`` and ``stab_pages`` as that pair, request and
+miss the same pages as the pair on a twin tree in the same pool state, and
+leave no frame pinned.  Without a finger a probe costs what the pair
+costs sharing a new one: one descent.
+
+A second check keeps the perf tracer's exact counter honest: an XR-stack
+join over two XR-trees makes one call to ``XRTree.find_ancestors``, as
+looked up on the class, per ancestor skip.
+
+The sweep is seeded: set ``CHAOS_SEED`` to reproduce.
+"""
+
+import os
+import random
+from operator import attrgetter
+
+from repro.indexes.bptree import Finger
+from repro.indexes.xrtree import XRTree
+from repro.joins import JoinStats, MemoryElementList, xr_stack_join
+from tests.test_finger_stab_memo import indexed, sides
+from tests.test_xrtree_property import fresh_tree
+from tests.test_xrtree_run_delete import region_set
+
+SEED = int(os.environ.get("CHAOS_SEED", "20030307"))
+ROUNDS = 8
+PROBES = 40
+
+
+def twins(entries, leaf, internal, order):
+    """The same XR-tree built twice, each in a pool of its own, both in
+    the same state: bulk loaded, or by inserting ``order`` one by one."""
+    trees = []
+    for _ in range(2):
+        tree = fresh_tree(leaf, internal)
+        if order is None:
+            tree.bulk_load(entries)
+        else:
+            for entry in order:
+                tree.insert(entry)
+        trees.append(tree)
+    return trees
+
+
+def charges(stats):
+    return stats.elements_scanned, stats.stab_pages
+
+
+def io(tree):
+    return tree.pool.stats.requests, tree.pool.stats.misses
+
+
+def probe_points(rng, entries):
+    """``(point, after_start)`` pairs: points on starts, inside regions and
+    past either end; ``after_start`` None or below the point, as XR-stack's
+    stack top is."""
+    hi = max(e.end for e in entries) + 2
+    for _ in range(PROBES):
+        if rng.random() < 0.5:
+            point = rng.choice(entries).start
+        else:
+            point = rng.randrange(-2, hi)
+        after = None if rng.random() < 0.4 else rng.randrange(-3, point)
+        yield point, after
+
+
+def test_probe_is_find_ancestors_then_seek():
+    rng = random.Random(SEED)
+    stab_pages = 0
+    for number in range(ROUNDS):
+        leaf, internal = rng.randrange(4, 9), rng.randrange(4, 9)
+        order = region_set(rng)
+        entries = sorted(order, key=attrgetter("start"))
+        bulk = number % 2 == 0
+        context = "CHAOS_SEED=%d round %d (leaf %d, internal %d, %s)" % (
+            SEED, number, leaf, internal, "bulk" if bulk else "inserts")
+        probed, paired = twins(entries, leaf, internal,
+                               None if bulk else order)
+        memory = MemoryElementList(entries)
+        fingers = {"kept": (Finger(), Finger()), "none": None}
+        for point, after in probe_points(rng, entries):
+            expected_seek = [e for e in entries if e.start >= point]
+            for kind, kept in fingers.items():
+                here = (context, kind, point, after)
+                if kept is None:
+                    p_finger, q_finger = None, Finger()
+                else:
+                    p_finger, q_finger = kept
+                p_stats, q_stats = JoinStats(), JoinStats()
+                ancestors, items = probed.probe(point, p_stats, after,
+                                                p_finger)
+                got = (ancestors, list(items))
+                want = (paired.find_ancestors(point, q_stats,
+                                              after_start=after,
+                                              finger=q_finger),
+                        list(paired.seek(point, finger=q_finger)))
+                assert got == want, here
+                assert got[1] == expected_seek, here
+                assert charges(p_stats) == charges(q_stats), here
+                assert io(probed) == io(paired), here
+                assert probed.pool.pinned_count == 0, here
+                stab_pages += p_stats.stab_pages
+
+                m_stats, r_stats = JoinStats(), JoinStats()
+                ancestors, items = memory.probe(point, m_stats, after,
+                                                p_finger)
+                assert (ancestors, list(items)) == (
+                    memory.find_ancestors(point, r_stats, after_start=after,
+                                          finger=p_finger),
+                    list(memory.seek(point))), here
+                assert ancestors == got[0], here
+                assert charges(m_stats) == charges(r_stats) == \
+                    (p_stats.elements_scanned, 0), here
+    assert stab_pages, "CHAOS_SEED=%d read no stab-list page" % SEED
+
+
+def test_probing_an_empty_input():
+    for source in (fresh_tree(), MemoryElementList([])):
+        stats = JoinStats()
+        ancestors, items = source.probe(5, stats)
+        assert (ancestors, list(items)) == ([], [])
+        assert charges(stats) == (0, 0)
+
+
+def test_xr_stack_traces_one_find_ancestors_call_per_ancestor_skip(
+        monkeypatch):
+    """The perf tracer wraps ``XRTree.find_ancestors`` on the class and
+    reports its calls per unit as an exact counter; ``probe`` must reach
+    FindAncestors through that attribute, once per ancestor step."""
+    calls = []
+    original = XRTree.__dict__["find_ancestors"]
+
+    def traced(tree, *args, **kwargs):
+        calls.append(args[0])
+        return original(tree, *args, **kwargs)
+
+    monkeypatch.setattr(XRTree, "find_ancestors", traced)
+    rng = random.Random("%s/traced" % SEED)
+    for _ in range(4):
+        ancestors, descendants = sides(rng, region_set(rng))
+        leaf, internal = rng.randrange(4, 9), rng.randrange(4, 9)
+        atree = indexed(rng, "xr", ancestors, leaf, internal)
+        dtree = indexed(rng, "xr", descendants, leaf, internal)
+        del calls[:]
+        _pairs, stats = xr_stack_join(atree, dtree, collect=False)
+        assert stats.ancestor_skips > 0
+        assert len(calls) == stats.ancestor_skips
