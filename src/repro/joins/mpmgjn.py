@@ -5,9 +5,16 @@ descendant list from a saved anchor, so overlapping ancestor regions cause
 repeated scans of the same descendant pages — "a lot of unnecessary
 computation and I/O" in the paper's words (Section 2.2).  Included as an
 extra baseline beyond the paper's Table 1 to make that gap measurable.
+
+Both inputs are read by iteration.  The anchor is kept as the
+``(page_id, slot)`` of the descendant it stands on, and each rescan is a
+new :class:`~repro.storage.pagedlist.RecordCursor` built there, which reads
+the anchor's page through the buffer pool again: the rescans are charged
+their page accesses.
 """
 
 from repro.joins.base import JoinSink, JoinStats
+from repro.storage.pagedlist import RecordCursor
 
 
 def mpmgjn_join(alist, dlist, parent_child=False, collect=True, stats=None):
@@ -18,34 +25,41 @@ def mpmgjn_join(alist, dlist, parent_child=False, collect=True, stats=None):
     stats = stats or JoinStats()
     sink = JoinSink(stats, parent_child=parent_child, collect=collect)
     # Guardrail checkpoints at pin-free points (see JoinStats): once per
-    # iteration of every loop, the rescan included — a cursor, a clone
-    # too, holds no pin between calls.
+    # iteration of every loop, the rescan included — a cursor holds no pin
+    # while its iteration is suspended.
     tick = stats.runtime.tick if stats.runtime is not None else None
-    a_cur = alist.first()
-    anchor = dlist.first()
-    while not a_cur.at_end:
+    # The ancestor list's head page is fetched before the descendant list's.
+    ancestors = alist.first()
+    d_cursor = dlist.first()
+    descendants = iter(d_cursor)
+    anchor = next(descendants, None)
+    # The anchor's position: first() starts at slot 0, and every page
+    # after the first is entered at slot 0.
+    page_id, slot = d_cursor.page_id, 0
+    for ancestor in ancestors:
         if tick is not None:
             tick()
-        ancestor = a_cur.current
         stats.count(1)
         # Advance the anchor past descendants that precede this ancestor
         # entirely; they cannot match any later ancestor either.
-        while not anchor.at_end and anchor.current.start < ancestor.start:
+        while anchor is not None and anchor.start < ancestor.start:
             if tick is not None:
                 tick()
             stats.count(1)
-            anchor.advance()
-        if anchor.at_end:
+            anchor = next(descendants, None)
+            if d_cursor.page_id == page_id:
+                slot += 1
+            else:
+                page_id, slot = d_cursor.page_id, 0
+        if anchor is None:
             break
         # Rescan from the anchor across this ancestor's region.
-        scan = anchor.clone()
-        while not scan.at_end and scan.current.start < ancestor.end:
+        for descendant in RecordCursor(dlist.pool, page_id, slot):
+            if descendant.start >= ancestor.end:
+                break
             if tick is not None:
                 tick()
             stats.count(1)
-            descendant = scan.current
             if descendant.start > ancestor.start:
                 sink.emit(ancestor, descendant)
-            scan.advance()
-        a_cur.advance()
     return (sink.pairs if collect else None), stats

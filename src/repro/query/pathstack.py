@@ -48,25 +48,6 @@ class PathSolutions:
         return out
 
 
-class _Stream:
-    """A peekable iterator over one query node's element list."""
-
-    def __init__(self, entries):
-        self._entries = entries
-        self._index = 0
-
-    @property
-    def exhausted(self):
-        return self._index >= len(self._entries)
-
-    @property
-    def head(self):
-        return self._entries[self._index]
-
-    def advance(self):
-        self._index += 1
-
-
 def path_stack(streams_entries, axes, collect=True, stats=None):
     """Run PathStack over per-step element lists.
 
@@ -79,7 +60,8 @@ def path_stack(streams_entries, axes, collect=True, stats=None):
     n = len(streams_entries)
     if n == 0 or any(not entries for entries in streams_entries):
         return PathSolutions("", [], 0, stats)
-    streams = [_Stream(entries) for entries in streams_entries]
+    streams = [iter(entries) for entries in streams_entries]
+    heads = [next(stream) for stream in streams]
     # stacks[i] holds (element, parent_stack_size_at_push): the second
     # component links each frame to the frames of stack i-1 it may combine
     # with (every frame at index < link is a valid ancestor candidate).
@@ -87,11 +69,11 @@ def path_stack(streams_entries, axes, collect=True, stats=None):
     result = PathSolutions("")
     result.stats = stats
 
-    while not streams[-1].exhausted:
-        q_min = _min_stream(streams)
+    while heads[-1] is not None:
+        q_min = _min_stream(heads)
         if q_min is None:
             break
-        head = streams[q_min].head
+        head = heads[q_min]
         stats.count(1)
         # Pop frames that ended before the new element from every stack.
         for stack in stacks:
@@ -103,11 +85,11 @@ def path_stack(streams_entries, axes, collect=True, stats=None):
             if q_min == n - 1:
                 _expand_solutions(stacks, axes, head, result, collect)
                 stacks[q_min].pop()
-        streams[q_min].advance()
+        heads[q_min] = next(streams[q_min], None)
     return result
 
 
-def _min_stream(streams):
+def _min_stream(heads):
     """Index of the non-exhausted stream with the smallest head start.
 
     Ties keep the shallowest query node, so for same-tag self-paths the
@@ -118,12 +100,11 @@ def _min_stream(streams):
     """
     best = None
     best_start = None
-    for index, stream in enumerate(streams):
-        if stream.exhausted:
-            continue
-        if best_start is None or stream.head.start < best_start:
+    for index, head in enumerate(heads):
+        if head is not None and (best_start is None
+                                 or head.start < best_start):
             best = index
-            best_start = stream.head.start
+            best_start = head.start
     return best
 
 

@@ -136,9 +136,9 @@ def twig_join(entry_source, root, collect=True, stats=None):
     """
     stats = stats or JoinStats()
     nodes = root.preorder()
-    streams = {node.index: _Stream(entry_source(node.tag))
-               for node in nodes}
-    if any(not streams[node.index]._entries for node in nodes):
+    streams = {node.index: iter(entry_source(node.tag)) for node in nodes}
+    heads = {index: next(stream, None) for index, stream in streams.items()}
+    if any(head is None for head in heads.values()):
         return TwigSolutions(str(root), [], 0, stats)
     stacks = {node.index: [] for node in nodes}
     # Path solutions per leaf: lists of dicts {node_index: element}.
@@ -149,10 +149,10 @@ def twig_join(entry_source, root, collect=True, stats=None):
         # Guardrail checkpoint: streams are in-memory lists, nothing is
         # pinned between iterations.
         stats.checkpoint()
-        q = _min_stream(nodes, streams)
+        q = _min_stream(nodes, heads)
         if q is None:
             break
-        head = streams[q.index].head
+        head = heads[q.index]
         stats.count(1)
         for stack in stacks.values():
             while stack and stack[-1][0].end < head.start:
@@ -164,7 +164,7 @@ def twig_join(entry_source, root, collect=True, stats=None):
             if q.is_leaf:
                 _expand_path(q, stacks, head, leaf_solutions[q.index])
                 stacks[q.index].pop()
-        streams[q.index].advance()
+        heads[q.index] = next(streams[q.index], None)
 
     matches = _merge_leaf_solutions(root, leaf_solutions, collect)
     result = TwigSolutions(str(root))
@@ -174,24 +174,7 @@ def twig_join(entry_source, root, collect=True, stats=None):
     return result
 
 
-class _Stream:
-    def __init__(self, entries):
-        self._entries = entries
-        self._index = 0
-
-    @property
-    def exhausted(self):
-        return self._index >= len(self._entries)
-
-    @property
-    def head(self):
-        return self._entries[self._index]
-
-    def advance(self):
-        self._index += 1
-
-
-def _min_stream(nodes, streams):
+def _min_stream(nodes, heads):
     """The query node whose stream head has the globally smallest start.
 
     Ties break toward the shallower query node (preorder), so for same-tag
@@ -200,12 +183,11 @@ def _min_stream(nodes, streams):
     best = None
     best_start = None
     for node in nodes:
-        stream = streams[node.index]
-        if stream.exhausted:
-            continue
-        if best_start is None or stream.head.start < best_start:
+        head = heads[node.index]
+        if head is not None and (best_start is None
+                                 or head.start < best_start):
             best = node
-            best_start = stream.head.start
+            best_start = head.start
     return best
 
 
@@ -297,27 +279,23 @@ def twig_stack_join(entry_source, root, collect=True, stats=None):
     """
     stats = stats or JoinStats()
     nodes = root.preorder()
-    streams = {node.index: _Stream(entry_source(node.tag))
-               for node in nodes}
-    if any(not streams[node.index]._entries for node in nodes):
+    streams = {node.index: iter(entry_source(node.tag)) for node in nodes}
+    heads = {index: next(stream, None) for index, stream in streams.items()}
+    if any(head is None for head in heads.values()):
         return TwigSolutions(str(root), [], 0, stats)
     stacks = {node.index: [] for node in nodes}
     leaf_solutions = {node.index: [] for node in nodes if node.is_leaf}
 
     def head_start(node):
-        stream = streams[node.index]
-        return stream.head.start if not stream.exhausted else _INF
-
-    def head_end(node):
-        stream = streams[node.index]
-        return stream.head.end if not stream.exhausted else _INF
+        head = heads[node.index]
+        return _INF if head is None else head.start
 
     def subtree_live(node):
         """Can this subtree still produce *new* path solutions?  Yes iff
         some leaf stream under it is not exhausted (already-stacked
         ancestor frames serve the rest of the path)."""
         if node.is_leaf:
-            return not streams[node.index].exhausted
+            return heads[node.index] is not None
         return any(subtree_live(child) for child in node.children)
 
     def get_next(q):
@@ -331,7 +309,7 @@ def twig_stack_join(entry_source, root, collect=True, stats=None):
         starts only.
         """
         if q.is_leaf:
-            return q if not streams[q.index].exhausted else None
+            return q if heads[q.index] is not None else None
         live = [child for child in q.children if subtree_live(child)]
         if not live:
             return None
@@ -343,10 +321,10 @@ def twig_stack_join(entry_source, root, collect=True, stats=None):
         n_max = max(live, key=head_start)
         # Elements of q that end before the largest live child head cannot
         # contain any current or future element of that child: skip them.
-        while not streams[q.index].exhausted and \
-                head_end(q) < head_start(n_max):
+        head = heads[q.index]
+        while head is not None and head.end < head_start(n_max):
             stats.count(1)  # examined and skipped
-            streams[q.index].advance()
+            head = heads[q.index] = next(streams[q.index], None)
         if head_start(q) < head_start(n_min):
             return q
         return n_min
@@ -357,10 +335,9 @@ def twig_stack_join(entry_source, root, collect=True, stats=None):
         q = get_next(root)
         if q is None:
             break
-        stream = streams[q.index]
-        if stream.exhausted:
+        head = heads[q.index]
+        if head is None:
             break
-        head = stream.head
         stats.count(1)
         parent = q.parent
         # Clean ONLY q's and its parent's stacks (Bruno et al.).  Unlike
@@ -381,7 +358,7 @@ def twig_stack_join(entry_source, root, collect=True, stats=None):
             if q.is_leaf:
                 _expand_path(q, stacks, head, leaf_solutions[q.index])
                 stacks[q.index].pop()
-        stream.advance()
+        heads[q.index] = next(streams[q.index], None)
 
     matches = _merge_leaf_solutions(root, leaf_solutions, collect)
     result = TwigSolutions(str(root))

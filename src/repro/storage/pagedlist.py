@@ -8,7 +8,8 @@ Two users in this library:
   machinery in :mod:`repro.indexes.xrtree.stablist`).
 
 Pages hold fixed-size records plus a small header (record count and the id of
-the next page in the chain).
+the next page in the chain).  :class:`RecordCursor` reads such a chain, for
+element lists and tree leaf levels alike, and is read only by iteration.
 """
 
 import struct
@@ -169,21 +170,18 @@ class RecordCursor:
     The one cursor over pages: a paged element list and the leaf level of a
     B+-tree or an XR-tree are the same start-sorted chain, and each hands
     this class out from ``first()`` / ``seek(k)`` / ``seek_after(k)``.
-    Every page transition is one fetch and one unpin through the buffer
-    pool, so scans are charged faithfully and a cursor holds no pin between
-    calls.  A caller that has just read the first page (a tree's descent
-    to its leaf) hands it in as ``page`` and the cursor starts on it
-    without requesting it again.
+    Building a cursor at ``(page_id, slot)`` reads that page through the
+    buffer pool, unless the caller has just read it (a tree's descent to
+    its leaf) and hands it in as ``page``.
 
-    A cursor is iterable, and that is how the join kernels and the leaf
-    scans read it: iteration yields the entries from the cursor's position
-    to the end of the chain, and fetches the next page when the entry after
-    a page's last one is requested — the same request at the same call
-    that :meth:`advance` makes, no prefetch, no pin held across a
-    ``yield``.  Iteration consumes the cursor.  ``at_end`` / ``current`` /
-    :meth:`advance` / :meth:`clone` remain for the one reader that needs a
-    saved position, MPMGJN's rescans; PathStack and TwigStack poll
-    peekable streams of their own over lists.
+    A cursor is read by iterating it, once: iteration yields the entries
+    from ``slot`` to the end of the chain and fetches the next page when
+    the entry after a page's last one is requested — one fetch and one
+    unpin per page, no prefetch, no pin held across a ``yield``.  A slot
+    at or past a page's end yields from the next page on.  ``page_id`` is
+    the page of the entry last yielded, so a reader that wants to come back
+    (MPMGJN's rescans) keeps ``(page_id, slot)`` and builds a new cursor
+    there, which is charged its page again.
     """
 
     def __init__(self, pool, page_id, slot=0, page=None):
@@ -192,23 +190,18 @@ class RecordCursor:
         self._slot = slot
         self._records = ()
         self._next_id = 0
-        self.at_end = not page_id
-        if page_id:
-            if page is None:
-                self._load(page_id)
-            else:
-                self._records = page.records
-                self._next_id = page.next_id
-            self._settle()
+        if page is not None:
+            self._records = page.records
+            self._next_id = page.next_id
+        elif page_id:
+            self._load(page_id)
 
     def __iter__(self):
-        if self.at_end:
-            return
         yield from iter_from(self._records, self._slot)
         while self._next_id:
             self._load(self._next_id)
             yield from self._records
-        self.at_end = True
+        self._records = ()
 
     def _load(self, page_id):
         page = self._pool.fetch(page_id)
@@ -216,38 +209,3 @@ class RecordCursor:
         self._next_id = page.next_id
         self._pool.unpin(page)
         self.page_id = page_id
-
-    def _settle(self):
-        """Move right until the slot names a record or the chain ends."""
-        while self._slot >= len(self._records):
-            if not self._next_id:
-                self.at_end = True
-                return
-            self._load(self._next_id)
-            self._slot = 0
-
-    @property
-    def current(self):
-        """The entry under the cursor; ``IndexError`` past the end."""
-        if self.at_end:
-            raise IndexError("cursor is exhausted")
-        return self._records[self._slot]
-
-    def advance(self):
-        """Move to the next entry; returns False when the chain is exhausted."""
-        if self.at_end:
-            return False
-        self._slot += 1
-        self._settle()
-        return not self.at_end
-
-    def clone(self):
-        """An independent cursor at the same position.
-
-        Cloning re-reads the current page through the buffer pool, so a
-        rescan from a saved position is charged its page accesses — this is
-        what makes the MPMGJN baseline's repeated scans visible in the I/O
-        counters.
-        """
-        return RecordCursor(self._pool, 0 if self.at_end else self.page_id,
-                            self._slot)

@@ -98,10 +98,11 @@ def annotate_dietz(document):
 
 
 def _walk_protected(root, visit):
-    """Run a recursive visitor with an explicit stack fallback.
+    """Run a recursive visitor on a tree of any depth.
 
     Generated documents can nest deeper than CPython's default recursion
-    limit; rather than raising the limit we emulate recursion iteratively.
+    limit, so for a deep tree the limit is raised to fit its height for
+    the duration of the visit and restored afterwards.
     """
     import sys
 

@@ -17,6 +17,11 @@ def make_tree(pool, keys, bulk=True, fill=1.0):
     return tree
 
 
+def head(cursor):
+    """The first entry a cursor yields, or None past the end."""
+    return next(iter(cursor), None)
+
+
 class TestBulkLoad:
     def test_empty(self, pool):
         tree = BPlusTree(pool)
@@ -72,20 +77,20 @@ class TestSearch:
 
     def test_seek_lands_on_geq(self, pool):
         tree = make_tree(pool, [10, 20, 30])
-        assert tree.seek(15).current.start == 20
-        assert tree.seek(20).current.start == 20
-        assert tree.seek(31).at_end
+        assert head(tree.seek(15)).start == 20
+        assert head(tree.seek(20)).start == 20
+        assert head(tree.seek(31)) is None
 
     def test_seek_after_strictly_greater(self, pool):
         tree = make_tree(pool, [10, 20, 30])
-        assert tree.seek_after(20).current.start == 30
-        assert tree.seek_after(9).current.start == 10
-        assert tree.seek_after(30).at_end
+        assert head(tree.seek_after(20)).start == 30
+        assert head(tree.seek_after(9)).start == 10
+        assert head(tree.seek_after(30)) is None
 
     def test_first_cursor(self, pool):
         tree = make_tree(pool, [7, 3, 9])
-        assert tree.first().current.start == 3
-        assert BPlusTree(pool).first().at_end
+        assert head(tree.first()).start == 3
+        assert head(BPlusTree(pool).first()) is None
 
     def test_range_scan(self, pool):
         tree = make_tree(pool, range(1, 101))
@@ -99,12 +104,7 @@ class TestSearch:
     def test_cursor_walks_whole_tree(self, pool):
         keys = list(range(1, 301))
         tree = make_tree(pool, keys)
-        cursor = tree.first()
-        seen = []
-        while not cursor.at_end:
-            seen.append(cursor.current.start)
-            cursor.advance()
-        assert seen == keys
+        assert [e.start for e in tree.first()] == keys
 
 
 class TestInsert:

@@ -48,18 +48,18 @@ class TestAgainstOracle:
         tree = BPlusTree(pool)
         tree.bulk_load([entry(k, k + 50000) for k in sorted(keys)])
         ordered = sorted(keys)
-        cursor = tree.seek(probe)
+        head = next(iter(tree.seek(probe)), None)
         index = bisect_left(ordered, probe)
         if index == len(ordered):
-            assert cursor.at_end
+            assert head is None
         else:
-            assert cursor.current.start == ordered[index]
-        cursor = tree.seek_after(probe)
+            assert head.start == ordered[index]
+        head = next(iter(tree.seek_after(probe)), None)
         index = bisect_right(ordered, probe)
         if index == len(ordered):
-            assert cursor.at_end
+            assert head is None
         else:
-            assert cursor.current.start == ordered[index]
+            assert head.start == ordered[index]
 
 
 class BPlusTreeMachine(RuleBasedStateMachine):

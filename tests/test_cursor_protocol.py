@@ -3,12 +3,11 @@
 Four access methods — paged element list, B+-tree, XR-tree and
 ``MemoryElementList`` — answer ``first()`` (and, where offered, ``seek(k)`` /
 ``seek_after(k)``) with something iterable from its position to the end.
-Over pages that is always a :class:`~repro.storage.pagedlist.RecordCursor`,
-which also polls (``at_end``, ``current``, ``advance()``) for MPMGJN's
-rescans; a memory list hands out a plain list iterator.
+Over pages that is always a :class:`~repro.storage.pagedlist.RecordCursor`;
+a memory list hands out a plain list iterator.  Nothing polls: a reader
+that comes back to a position (MPMGJN's rescans) builds a new cursor at a
+saved ``(page_id, slot)``.
 """
-
-from operator import attrgetter
 
 import pytest
 
@@ -33,18 +32,8 @@ BUILDERS = {
     "xr-tree": build_xr_tree,
     "memory": lambda entries, pool: MemoryElementList(list(entries)),
 }
-#: The access methods over pages, whose cursors poll.
-PAGED = ["paged-list", "b+tree", "xr-tree"]
 #: The paged list is the sequential file: it has no ``seek``.
 SEEKABLE = ["b+tree", "xr-tree", "memory"]
-
-
-def drain(cursor):
-    seen = []
-    while not cursor.at_end:
-        seen.append(cursor.current)
-        cursor.advance()
-    return seen
 
 
 def head(cursor):
@@ -53,7 +42,7 @@ def head(cursor):
 
 
 class TestEveryAccessMethod:
-    """Every method iterates; the cursors over pages also poll."""
+    """Every method iterates."""
 
     @pytest.mark.parametrize("method", BUILDERS)
     def test_first_walks_the_entries_in_order(self, pool, method):
@@ -79,60 +68,6 @@ class TestEveryAccessMethod:
     @pytest.mark.parametrize("method", BUILDERS)
     def test_empty_source(self, pool, method):
         assert list(BUILDERS[method]([], pool).first()) == []
-
-    @pytest.mark.parametrize("method", PAGED)
-    def test_polling_walks_the_entries_in_order(self, pool, method):
-        source = BUILDERS[method](ENTRIES, pool)
-        assert drain(source.first()) == ENTRIES
-        assert pool.pinned_count == 0
-
-    @pytest.mark.parametrize("method", PAGED)
-    def test_empty_source_polls_at_end(self, pool, method):
-        cursor = BUILDERS[method]([], pool).first()
-        assert cursor.at_end
-        with pytest.raises(IndexError):
-            cursor.current
-
-    @pytest.mark.parametrize("method", PAGED)
-    def test_advance_returns_false_at_the_end(self, pool, method):
-        cursor = BUILDERS[method](ENTRIES[:2], pool).first()
-        assert cursor.advance() is True
-        assert cursor.advance() is False
-        assert cursor.at_end
-        assert cursor.advance() is False
-
-    @pytest.mark.parametrize("method", PAGED)
-    def test_current_past_the_end_is_index_error(self, pool, method):
-        cursor = BUILDERS[method](ENTRIES[:1], pool).first()
-        cursor.advance()
-        with pytest.raises(IndexError):
-            cursor.current
-
-    @pytest.mark.parametrize("method", PAGED)
-    def test_exhausted_read_is_not_silently_truncated(self, pool, method):
-        """``StopIteration`` from ``current`` was control flow to ``map``
-        and ``list``: reading an exhausted cursor returned ``[]``."""
-        cursor = BUILDERS[method](ENTRIES[:1], pool).first()
-        cursor.advance()
-        with pytest.raises(IndexError):
-            list(map(attrgetter("current"), [cursor]))
-
-        def reads():
-            yield cursor.current
-
-        with pytest.raises(IndexError):
-            next(reads())
-
-
-@pytest.mark.parametrize("method", ["b+tree", "xr-tree"])
-def test_tree_seeks_poll(pool, method):
-    source = BUILDERS[method](ENTRIES, pool)
-    for cursor in (source.seek(592), source.seek_after(591)):
-        assert cursor.at_end
-        with pytest.raises(IndexError):
-            cursor.current
-    assert drain(source.seek(300)) == ENTRIES[30:]
-    assert pool.pinned_count == 0
 
 
 @pytest.mark.parametrize("method", SEEKABLE)
@@ -195,24 +130,32 @@ def test_memory_find_ancestors_accepts_and_ignores_a_finger():
 
 class TestRecordCursor:
     def test_a_slot_at_a_pages_end_settles_on_the_next_page(self, pool):
-        """A slot at a page's end settles on the next page's first
-        record — what ``seek`` hands over when the key is past a leaf."""
+        """A slot at a page's end yields the next page's first record
+        first — what ``seek`` hands over when the key is past a leaf."""
         lst = build_element_list(ENTRIES, pool)
         first_page, second_page = list(lst.pages())[:2]
         with pool.pinned(first_page) as page:
             count = len(page.records)
         cursor = RecordCursor(pool, first_page, count)
+        assert head(cursor) == ENTRIES[count]
         assert cursor.page_id == second_page
-        assert cursor.current == ENTRIES[count]
 
-    def test_clone_rereads_its_page(self, pool):
+    def test_a_cursor_at_a_saved_position_rereads_its_page(self, pool):
+        """MPMGJN's rescan: a cursor built at the ``(page_id, slot)`` of
+        an entry another cursor yielded requests that page again and
+        starts on that entry, and the first cursor reads on unmoved."""
         cursor = build_element_list(ENTRIES, pool).first()
+        items = iter(cursor)
+        for _ in range(30):
+            saved = next(items)
+        page_id = cursor.page_id
+        with pool.pinned(page_id) as page:
+            slot = page.records.index(saved)
         before = pool.stats.requests
-        copy = cursor.clone()
+        rescan = RecordCursor(pool, page_id, slot)
         assert pool.stats.requests == before + 1
-        assert copy.current is cursor.current
-        copy.advance()
-        assert cursor.current == ENTRIES[0]
+        assert list(rescan) == ENTRIES[29:]
+        assert next(items) == ENTRIES[30]
 
     def test_a_suspended_list_iterator_holds_no_pin(self, pool):
         """Iterating a paged list used to yield inside ``pool.pinned``: a
@@ -224,13 +167,6 @@ class TestRecordCursor:
         pool.clear()
         assert list(items) == ENTRIES[1:]
         assert pool.pinned_count == 0
-
-    def test_clone_of_an_exhausted_cursor_reads_nothing(self, pool):
-        cursor = build_element_list(ENTRIES[:1], pool).first()
-        cursor.advance()
-        before = pool.stats.requests
-        assert cursor.clone().at_end
-        assert pool.stats.requests == before
 
 
 class TestStackTreeOverAnyAccessMethod:

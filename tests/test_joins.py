@@ -210,6 +210,50 @@ class TestScanAccounting:
         assert xr.elements_scanned <= 2 * stk.elements_scanned + 10
 
 
+def _overlapping_regions():
+    """Six regions, each an outer ancestor over two disjoint inner ones,
+    with 31 descendants per region.  At 10 records a 256-byte page, most
+    rescans start mid-page and the outer ones cross page boundaries."""
+    ancestors, descendants = [], []
+    for group in range(6):
+        base = group * 1000
+        ancestors += [entry(base + 10, base + 900, 1),
+                      entry(base + 20, base + 600, 2),
+                      entry(base + 620, base + 850, 2)]
+        descendants += [entry(base + 25 + 30 * j, base + 29 + 30 * j, 3)
+                        for j in range(20)]
+        descendants.append(entry(base + 605, base + 610, 2))
+        descendants += [entry(base + 625 + 30 * j, base + 629 + 30 * j, 3)
+                        for j in range(8)]
+        descendants += [entry(base + 865, base + 870, 2),
+                        entry(base + 880, base + 885, 2)]
+    return ancestors, descendants
+
+
+class TestMpmgjnIo:
+    """MPMGJN's rescans read the descendant pages they always read."""
+
+    @pytest.mark.parametrize("parent_child, pairs", [(False, 354),
+                                                     (True, 186)])
+    def test_rescans_charge_the_recorded_pages(self, parent_child, pairs):
+        ancestors, descendants = _overlapping_regions()
+        pool = StorageContext(page_size=256, buffer_pages=4).pool
+        a_input = build_element_list(ancestors, pool)
+        d_input = build_element_list(descendants, pool)
+        pool.flush_all()
+        pool.clear()
+        pool.reset_stats()
+        got, stats = mpmgjn_join(a_input, d_input, parent_child=parent_child)
+        assert sort_pairs(got) == nested_loop_join(ancestors, descendants,
+                                                   parent_child)
+        assert len(got) == pairs
+        # Recorded by running mpmgjn_join at commit c0c9e26, whose rescans
+        # polled a clone() of the anchor cursor, on this input and pool.
+        assert stats.elements_scanned == 548
+        assert (pool.stats.requests, pool.stats.misses) == (73, 25)
+        assert pool.pinned_count == 0
+
+
 class TestJoinStats:
     def test_merge(self):
         a = JoinStats(elements_scanned=5, pairs=2)

@@ -57,40 +57,11 @@ class TestCursor:
     def test_forward_iteration(self, pool):
         entries = sample_entries(25)
         cursor = PagedElementList.build(pool, entries).first()
-        seen = []
-        while not cursor.at_end:
-            seen.append(cursor.current)
-            cursor.advance()
-        assert seen == entries
+        assert list(cursor) == entries
 
     def test_empty_cursor(self, pool):
         cursor = PagedElementList.build(pool, []).first()
-        assert cursor.at_end
-        assert cursor.advance() is False
-        with pytest.raises(IndexError):
-            cursor.current
-
-    def test_advance_returns_false_at_end(self, pool):
-        cursor = PagedElementList.build(pool, sample_entries(1)).first()
-        assert cursor.advance() is False
-        assert cursor.at_end
-
-    def test_clone_is_independent(self, pool):
-        entries = sample_entries(40)
-        cursor = PagedElementList.build(pool, entries).first()
-        for _ in range(5):
-            cursor.advance()
-        copy = cursor.clone()
-        assert copy.current == cursor.current
-        cursor.advance()
-        assert copy.current == entries[5]
-        assert cursor.current == entries[6]
-
-    def test_clone_at_end(self, pool):
-        cursor = PagedElementList.build(pool, sample_entries(2)).first()
-        cursor.advance()
-        cursor.advance()
-        assert cursor.clone().at_end
+        assert next(iter(cursor), None) is None
 
     def test_cursor_charges_page_reads(self, pool):
         capacity = ElementListPage.capacity(pool.page_size)
@@ -98,9 +69,8 @@ class TestCursor:
         pool.flush_all()
         pool.clear()
         pool.reset_stats()
-        cursor = lst.first()
-        while not cursor.at_end:
-            cursor.advance()
+        for _ in lst.first():
+            pass
         assert pool.stats.misses == 3
 
 

@@ -136,13 +136,13 @@ class TestCursors:
     def test_seek_and_seek_after(self, emp_tree_and_entries):
         tree, entries = emp_tree_and_entries
         middle = entries[len(entries) // 2]
-        assert tree.seek(middle.start).current.start == middle.start
-        after = tree.seek_after(middle.start).current.start
+        assert next(iter(tree.seek(middle.start))).start == middle.start
+        after = next(iter(tree.seek_after(middle.start))).start
         assert after == entries[len(entries) // 2 + 1].start
 
     def test_first_and_items(self, emp_tree_and_entries):
         tree, entries = emp_tree_and_entries
-        assert tree.first().current.start == entries[0].start
+        assert next(iter(tree.first())).start == entries[0].start
         assert [e.start for e in tree.items()] == \
             [e.start for e in entries]
 
