@@ -98,12 +98,17 @@ class Finger:
     dropped with its node when :func:`descend` leaves that node.  The
     finger holds no pin, and its pages are read once: it lives for one
     join, over a tree that does not change meanwhile.
+
+    ``slot`` is where the last XR-tree FindAncestors through the finger
+    stopped in the path's leaf — the slot of the first entry at or past
+    its point, where the re-seek past that point starts.
     """
 
-    __slots__ = ("path",)
+    __slots__ = ("path", "slot")
 
     def __init__(self):
         self.path = []
+        self.slot = 0
 
 
 def descend(pool, root_id, key, finger, pin_leaf=False):

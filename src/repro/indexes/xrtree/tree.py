@@ -30,6 +30,8 @@ from repro.storage.pagedlist import RecordCursor
 from repro.storage.pages import ElementEntry
 
 _START = attrgetter("start")
+#: The lowest bound a leaf's key range can have: the leftmost leaf's.
+_BELOW_ALL = float("-inf")
 
 
 class XRTreeError(StorageError):
@@ -139,13 +141,16 @@ class XRTree:
         ``O(log_F N + R)`` (Theorem 4).
 
         ``after_start`` keeps only ancestors with ``start > after_start`` —
-        the variant XR-stack uses to fetch "ancestors after the stack top";
-        it reads nothing at or before ``after_start``.
+        the variant XR-stack uses to fetch the ancestors starting at or
+        after CurA; it reads nothing at or before ``after_start``.  When
+        the leaf covering ``point`` also covers ``after_start`` (for
+        ``after_start=None``: when it is the leftmost leaf), every start
+        in between lies in that leaf, and the leaf alone answers: no stab
+        list is searched, and the I/O is the descent's pages only.
         ``required_level`` restricts to the parent (FindParent, Section 5.3).
         ``finger`` as for :meth:`seek`: neither the path's pages kept on it
         nor the stab-list pages its nodes' memos hold are requested again,
-        but every stab list is searched all the same, so the answer and the
-        scan-counter charges do not depend on it.
+        and the answer and the scan-counter charges do not depend on it.
         """
         tracer = self.pool.tracer
         if tracer is not None and tracer.enabled:
@@ -154,10 +159,6 @@ class XRTree:
             return []
         finger = Finger() if finger is None else finger
         leaf = descend(self.pool, self.root_id, point, finger)
-        results = []
-        for node, _low, _high, memo in finger.path[:-1]:
-            results += collect_stabbed(self.pool, node, point, counter,
-                                       after_start, memo)
         # S2: only records before the query point can be stabbed, and only
         # those after ``after_start`` are wanted.  Both slots are located by
         # binary search within the leaf; the scan counter charges each
@@ -165,12 +166,25 @@ class XRTree:
         # CPU, not a list scan, which is how the paper's XR counts stay
         # below the merge baselines'.
         first = 0 if after_start is None else leaf.slot_after(after_start)
-        found = [entry for entry in leaf.records[first:leaf.slot_of(point)]
-                 if not entry.in_stab_list and point < entry.end]
+        finger.slot = leaf.slot_of(point)
+        records = leaf.records[first:finger.slot]
+        if finger.path[-1][1] <= (_BELOW_ALL if after_start is None
+                                  else after_start):
+            # Every element has a leaf record, flagged or not, and every
+            # start in (after_start, point) lies in this leaf.
+            results = [entry for entry in records if point < entry.end]
+            found = results
+        else:
+            results = []
+            for node, _low, _high, memo in finger.path[:-1]:
+                results += collect_stabbed(self.pool, node, point, counter,
+                                           after_start, memo)
+            found = [entry for entry in records
+                     if not entry.in_stab_list and point < entry.end]
+            results += found
+            results.sort(key=_START)
         if counter is not None and found:
             counter.count(len(found))
-        results += found
-        results.sort(key=_START)
         if required_level is not None:
             results = [r for r in results if r.level == required_level]
         return results
@@ -182,7 +196,8 @@ class XRTree:
 
         FindAncestors runs through :meth:`find_ancestors` itself, so its
         answer and every charge are that method's; the iterator starts on
-        the leaf its descent ended at, with no second descent.
+        the leaf its descent ended at, at the slot it found for ``point``
+        (``finger.slot``), with no second descent or bisect.
         """
         finger = Finger() if finger is None else finger
         ancestors = self.find_ancestors(point, counter, after_start,
@@ -191,7 +206,7 @@ class XRTree:
             return ancestors, iter(())
         leaf = finger.path[-1][0]
         return ancestors, iter(RecordCursor(self.pool, leaf.page_id,
-                                            leaf.slot_of(point), leaf))
+                                            finger.slot, leaf))
 
     # --------------------------------------------------- Algorithm 1: insertion
 

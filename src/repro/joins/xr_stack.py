@@ -13,6 +13,13 @@ primitives to skip in *both* directions:
 Descendants can never be skipped while the stack is non-empty: the open
 ancestors could join descendants between CurD and CurA (lines 15-17).
 
+FindAncestors is bounded by CurA, not by the stack top as Algorithm 6
+has it: CurD's ancestors that start before CurA are on the stack already,
+so the probe asks only for those starting at or after CurA.  When the leaf
+covering CurD also covers CurA, that leaf alone answers and no stab list
+is searched (:meth:`~repro.indexes.xrtree.XRTree.find_ancestors`).  The
+answers and every scan charge are the published algorithm's.
+
 Each input's probes share one *finger* — the last root-to-leaf path and
 the stab-list pages searched through it, kept for this call only — so a
 probe requests only what lies below the deepest node still covering its
@@ -63,18 +70,22 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
                 stack.pop()
             if a is not None and a.start <= d_start:
                 # Lines 9-13, one probe: fetch CurD's ancestors directly
-                # from the XR-tree — only those after the stack top are new
-                # (the rest are on the stack already) — and leap CurA past
-                # CurD.  With overlapping input sets the ancestor side may
-                # hold CurD's own element (start equality): it is not an
-                # ancestor of CurD (FindAncestors returns strict ancestors
-                # only) but is a live candidate for *later* descendants, so
-                # it must ride the stack rather than be leapt over.  The
-                # sink never pairs it with its own element.
+                # from the XR-tree and leap CurA past CurD.  Only those
+                # starting at or after CurA are new: every entry before
+                # CurA starts at or before an earlier probe's point, which
+                # CurD follows, so one enclosing CurD went onto the stack
+                # at that probe (or was on it already) and has not been
+                # popped.  (Algorithm 6 bounds the probe by the stack top,
+                # which is looser.)  With
+                # overlapping input sets the ancestor side may hold CurD's
+                # own element (start equality): it is not an ancestor of
+                # CurD (FindAncestors returns strict ancestors only) but is
+                # a live candidate for *later* descendants, so it must ride
+                # the stack rather than be leapt over.  The sink never
+                # pairs it with its own element.
                 scanned += 1
-                ancestors, a_items = atree.probe(
-                    d_start, stats, stack[-1].start if stack else None,
-                    a_finger)
+                ancestors, a_items = atree.probe(d_start, stats, a.start - 1,
+                                                 a_finger)
                 stack.extend(ancestors)
                 stats.ancestor_skips += 1
                 a = next(a_items, None)

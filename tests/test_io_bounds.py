@@ -189,7 +189,9 @@ class TestFinger:
         """On ``join_dense``-shaped data (department documents, 90 % of
         both sides joining, 512-byte pages) every stab-list search that
         requests a page returns an ancestor: no page is read just to meet
-        a record that is on the stack already or not stabbed."""
+        a record that is on the stack already or not stabbed.  And stab
+        lists are searched at all on at most one probe in fifty: bounded
+        by CurA, almost every probe is answered by its leaf alone."""
         generator = XmlGenerator(DEPARTMENT_DTD, GeneratorConfig(
             mean_repeat=2.2, recursion_decay=0.72, max_depth=28), seed=1)
         document = generator.generate(2600, doc_id=1)
@@ -214,7 +216,7 @@ class TestFinger:
         assert len(pairs) == len(oracle_join(data.ancestors,
                                              data.descendants))
         reading = [found for pages, found in searches if pages]
-        assert len(searches) > 10 * len(reading) > 0
+        assert 0 < len(searches) <= stats.ancestor_skips // 50
         assert all(reading)
         assert sum(pages for pages, _found in searches) == stats.stab_pages
 

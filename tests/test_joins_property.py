@@ -1,5 +1,8 @@
 """Property-based join tests: every algorithm equals the nested-loop oracle
-on arbitrary valid region sets."""
+on arbitrary valid region sets, and XR-stack's work equals Algorithm 6's
+as published."""
+
+from bisect import bisect_left, bisect_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,51 @@ def memory_runs(ancestors, descendants, **options):
             yield join(MemoryElementList(ancestors), d_input, **options)
 
 
+def published_xr_stack(ancestors, descendants, parent_child=False):
+    """Algorithm 6 over start-sorted lists, FindAncestors bounded by the
+    stack top and answered by brute force: ``(pairs, elements_scanned,
+    ancestor_skips, descendant_skips)``.  A step scans one element and
+    FindAncestors charges one per ancestor it returns."""
+    a_starts = [a.start for a in ancestors]
+    d_starts = [d.start for d in descendants]
+    pairs, stack = [], []
+    scanned = a_skips = d_skips = i = j = 0
+    while j < len(descendants) and (i < len(ancestors) or stack):
+        d = descendants[j]
+        while stack and stack[-1].end < d.start:
+            stack.pop()
+        scanned += 1
+        if i < len(ancestors) and ancestors[i].start <= d.start:
+            top = stack[-1].start if stack else float("-inf")
+            found = [a for a in ancestors if top < a.start < d.start < a.end]
+            scanned += len(found)
+            stack += found
+            a_skips += 1
+            i = bisect_left(a_starts, d.start)
+            if i < len(ancestors) and ancestors[i].start == d.start:
+                stack.append(ancestors[i])
+                i += 1
+        elif not stack:
+            if i == len(ancestors):
+                break
+            d_skips += 1
+            j = bisect_right(d_starts, ancestors[i].start)
+            continue
+        pairs += [(a, d) for a in stack if a.start < d.start and (
+            not parent_child or a.level == d.level - 1)]
+        j += 1
+    return pairs, scanned, a_skips, d_skips
+
+
+def assert_xr_stack_work_is_published(ancestors, descendants, **options):
+    pairs, stats = run(xr_stack_join, ancestors, descendants, **options)
+    want, scanned, a_skips, d_skips = published_xr_stack(
+        ancestors, descendants, **options)
+    assert sort_pairs(pairs) == sort_pairs(want)
+    assert (stats.elements_scanned, stats.ancestor_skips,
+            stats.descendant_skips) == (scanned, a_skips, d_skips)
+
+
 def split_sets(entries, selector_bits):
     """Partition one element list into (possibly overlapping) A and D."""
     ancestors, descendants = [], []
@@ -59,6 +107,7 @@ def test_all_algorithms_match_oracle(shape, bits):
     for pairs, stats in memory_runs(ancestors, descendants):
         assert sort_pairs(pairs) == expected
         assert stats.pairs == len(expected)
+    assert_xr_stack_work_is_published(ancestors, descendants)
 
 
 @given(shapes, st.lists(st.integers(min_value=0, max_value=2),
@@ -73,6 +122,8 @@ def test_parent_child_matches_oracle(shape, bits):
         assert sort_pairs(pairs) == expected
     for pairs, _ in memory_runs(ancestors, descendants, parent_child=True):
         assert sort_pairs(pairs) == expected
+    assert_xr_stack_work_is_published(ancestors, descendants,
+                                      parent_child=True)
 
 
 @given(shapes)
@@ -86,6 +137,7 @@ def test_full_overlap_self_join(shape):
         assert sort_pairs(pairs) == expected
     for pairs, _ in memory_runs(entries, entries):
         assert sort_pairs(pairs) == expected
+    assert_xr_stack_work_is_published(entries, entries)
 
 
 @given(shapes, st.lists(st.integers(min_value=0, max_value=2),

@@ -11,7 +11,17 @@ miss the same pages as the pair on a twin tree in the same pool state, and
 leave no frame pinned.  Without a finger a probe costs what the pair
 costs sharing a new one: one descent.
 
-A second check keeps the perf tracer's exact counter honest: an XR-stack
+A second sweep holds FindAncestors' leaf-local answer — taken when the
+leaf covering the point also covers ``after_start`` — to brute force.  On
+the same kinds of trees it draws ``after_start`` as None, one below a
+start in the point's own leaf, a start in an earlier leaf, or a value at
+or beside a separator key, not only below an ancestor of the point: the
+answer (also with ``required_level``) must be the entries starting in
+``(after_start, point)`` that end past ``point``, charged one unit each,
+with no frame left pinned, and a leaf-local call through a finger already
+on its leaf must request no page.
+
+A third check keeps the perf tracer's exact counter honest: an XR-stack
 join over two XR-trees makes one call to ``XRTree.find_ancestors``, as
 looked up on the class, per ancestor skip.
 
@@ -34,19 +44,21 @@ ROUNDS = 8
 PROBES = 40
 
 
+def built(entries, leaf, internal, order):
+    """An XR-tree in a pool of its own: bulk loaded, or built by
+    inserting ``order`` one by one."""
+    tree = fresh_tree(leaf, internal)
+    if order is None:
+        tree.bulk_load(entries)
+    else:
+        for entry in order:
+            tree.insert(entry)
+    return tree
+
+
 def twins(entries, leaf, internal, order):
-    """The same XR-tree built twice, each in a pool of its own, both in
-    the same state: bulk loaded, or by inserting ``order`` one by one."""
-    trees = []
-    for _ in range(2):
-        tree = fresh_tree(leaf, internal)
-        if order is None:
-            tree.bulk_load(entries)
-        else:
-            for entry in order:
-                tree.insert(entry)
-        trees.append(tree)
-    return trees
+    """The same XR-tree built twice, both in the same state."""
+    return [built(entries, leaf, internal, order) for _ in range(2)]
 
 
 def charges(stats):
@@ -60,7 +72,7 @@ def io(tree):
 def probe_points(rng, entries):
     """``(point, after_start)`` pairs: points on starts, inside regions and
     past either end; ``after_start`` None or below the point, as XR-stack's
-    stack top is."""
+    ``CurA.start - 1`` is."""
     hi = max(e.end for e in entries) + 2
     for _ in range(PROBES):
         if rng.random() < 0.5:
@@ -119,6 +131,71 @@ def test_probe_is_find_ancestors_then_seek():
                 assert charges(m_stats) == charges(r_stats) == \
                     (p_stats.elements_scanned, 0), here
     assert stab_pages, "CHAOS_SEED=%d read no stab-list page" % SEED
+
+
+def after_starts(rng, entries, finger, point):
+    """``after_start`` values for a probe at ``point``, drawn once the
+    finger's path ends at ``point``'s leaf: None, one below a start in
+    that leaf, a start in an earlier leaf, and values at or beside the
+    path's separator keys."""
+    leaf, low, _high, _memo = finger.path[-1]
+    separators = [key for node, _low, _high, _memo in finger.path[:-1]
+                  for key in node.keys]
+    if low != float("-inf"):
+        separators.append(low)
+    earlier = [e.start for e in entries if e.start < low]
+    yield None
+    for record in rng.sample(leaf.records, min(3, len(leaf.records))):
+        yield record.start - 1
+    if earlier:
+        yield rng.choice(earlier)
+    for key in rng.sample(separators, min(3, len(separators))):
+        yield key + rng.choice((-1, 0, 1))
+
+
+def test_leaf_local_find_ancestors_matches_brute_force():
+    rng = random.Random("%s/leaf-local" % SEED)
+    local = stabbing = 0
+    for number in range(ROUNDS):
+        leaf, internal = rng.randrange(4, 9), rng.randrange(4, 9)
+        order = region_set(rng)
+        entries = sorted(order, key=attrgetter("start"))
+        tree = built(entries, leaf, internal,
+                     None if number % 2 == 0 else order)
+        pool = tree.pool
+        hi = max(e.end for e in entries) + 2
+        for _ in range(PROBES):
+            point = (rng.choice(entries).start + rng.randrange(2)
+                     if rng.random() < 0.7 else rng.randrange(-2, hi))
+            finger = Finger()
+            tree.seek(point, finger=finger)
+            low = finger.path[-1][1]
+            for after in list(after_starts(rng, entries, finger, point)):
+                here = ("CHAOS_SEED=%d round %d" % (SEED, number), point,
+                        after)
+                floor = float("-inf") if after is None else after
+                want = [e for e in entries if floor < e.start < point < e.end]
+                is_local = low <= floor
+                stats = JoinStats()
+                requests = pool.stats.requests
+                got = tree.find_ancestors(point, stats, after_start=after,
+                                          finger=finger)
+                assert got == want, here
+                assert stats.elements_scanned == len(want), here
+                assert pool.pinned_count == 0, here
+                if is_local:
+                    assert pool.stats.requests == requests, here
+                    assert stats.stab_pages == 0, here
+                    local += low != float("-inf") and bool(want)
+                else:
+                    stabbing += bool(want)
+                for level in {e.level for e in want} | {0}:
+                    assert tree.find_ancestors(
+                        point, after_start=after, required_level=level,
+                        finger=finger) == [e for e in want
+                                           if e.level == level], here
+                    assert pool.pinned_count == 0, here
+    assert local and stabbing, (SEED, local, stabbing)
 
 
 def test_probing_an_empty_input():
