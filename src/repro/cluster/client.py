@@ -172,35 +172,18 @@ class ClusterClient:
         self._hedge_pool = None
         self._hedge_lock = threading.Lock()
         metrics = replica_set.observability.metrics
-        self._m_reads = metrics.counter(
-            "repro_cluster_reads_total", "Routed reads attempted")
         self._m_read_failovers = metrics.counter(
             "repro_cluster_read_failovers_total",
             "Reads that failed over to another backend at least once")
-        self._m_read_errors = metrics.counter(
-            "repro_cluster_read_errors_total",
-            "Reads that exhausted every backend or their deadline")
         self._m_hedge_launched = metrics.counter(
             "repro_cluster_hedge_launched_total",
             "Hedge requests launched after hedge_after of silence")
         self._m_hedge_won = metrics.counter(
             "repro_cluster_hedge_won_total",
             "Hedges that answered before the first attempt")
-        self._m_hedge_lost = metrics.counter(
-            "repro_cluster_hedge_lost_total",
-            "Hedges beaten by the first attempt, failed, or timed out")
-        self._m_stale_skips = metrics.counter(
-            "repro_cluster_stale_skips_total",
-            "Backends skipped at dispatch for exceeding the staleness "
-            "bound")
-        self._m_writes = metrics.counter(
-            "repro_cluster_writes_total", "Writes attempted")
         self._m_write_errors = metrics.counter(
             "repro_cluster_write_errors_total",
             "Writes that failed (indeterminate, never auto-retried)")
-        self._m_read_latency = metrics.histogram(
-            "repro_cluster_read_seconds",
-            "Routed read latency including retries")
 
     # -- reads -----------------------------------------------------------------
 
@@ -219,14 +202,11 @@ class ClusterClient:
         hedge = self.hedge_after if hedge is None else hedge
         started = self.clock.now()
         give_up_at = started + deadline
-        self._m_reads.inc()
-        tracer = self._set.observability.tracer
         attempts = []
         tried_ids = set()
         backoff = self.retry_backoff
         trace_id = new_trace_id()
-        with trace_context(trace_id), \
-                tracer.span("cluster.read", path=str(path)):
+        with trace_context(trace_id):
             while True:
                 remaining = give_up_at - self.clock.now()
                 if remaining <= 0:
@@ -237,7 +217,6 @@ class ClusterClient:
                 candidates = self._candidates(staleness_bound, tried_ids)
                 if not candidates:
                     if not tried_ids:
-                        self._m_read_errors.inc()
                         raise NoBackendAvailable(
                             "no backend within staleness bound %s"
                             % (staleness_bound if staleness_bound
@@ -271,15 +250,9 @@ class ClusterClient:
                     return result
                 except _StaleAtDispatch as exc:
                     attempts.append((node.id, exc))
-                    tracer.event("cluster.read-stale-skip",
-                                 backend=node.id, error=str(exc))
                 except RETRYABLE_ERRORS as exc:
                     attempts.append((node.id, exc))
                     self._set.report_backend_failure(node.id, exc)
-                    tracer.event("cluster.read-failover", backend=node.id,
-                                 error=str(exc))
-            self._m_read_errors.inc()
-            self._m_read_latency.observe(self.clock.now() - started)
             detail = "; ".join(
                 "%s: %s" % (bid, err)
                 for bid, err in attempts) or "no attempt ran"
@@ -316,7 +289,6 @@ class ClusterClient:
             sequence = node.applied_sequence
             staleness = max(0, acked - sequence)
             if staleness > self._bound():
-                self._m_stale_skips.inc()
                 raise _StaleAtDispatch(
                     "%s is %d group(s) behind the acked head at dispatch"
                     % (node.id, staleness))
@@ -329,7 +301,6 @@ class ClusterClient:
     def _finish(self, outcome, node, started, attempts, hedged):
         rows, sequence, staleness = outcome
         elapsed = self.clock.now() - started
-        self._m_read_latency.observe(elapsed)
         health = self._set.health_of(node.id)
         health.record_success(
             lag_segments=max(0, self._set.acked_sequence - sequence))
@@ -361,7 +332,6 @@ class ClusterClient:
             return self._finish(outcome, node, started, attempts,
                                 hedged=False)
         self._m_hedge_launched.inc()
-        hedge_settled = False   # has the hedge been counted won or lost?
         tried_ids.add(hedge_node.id)
         second = pool.submit(self._attempt, hedge_node, path, budget,
                              runtime_options, trace_id, attempt_no + 1)
@@ -378,28 +348,16 @@ class ClusterClient:
                 try:
                     outcome = future.result()
                 except _StaleAtDispatch as exc:
-                    if winner is hedge_node and not hedge_settled:
-                        hedge_settled = True
-                        self._m_hedge_lost.inc()
                     attempts.append((winner.id, exc))
                     continue
                 except RETRYABLE_ERRORS as exc:
-                    if winner is hedge_node and not hedge_settled:
-                        hedge_settled = True
-                        self._m_hedge_lost.inc()
                     attempts.append((winner.id, exc))
                     self._set.report_backend_failure(winner.id, exc)
                     continue
-                if not hedge_settled:
-                    hedge_settled = True
-                    if winner is hedge_node:
-                        self._m_hedge_won.inc()
-                    else:
-                        self._m_hedge_lost.inc()
+                if winner is hedge_node:
+                    self._m_hedge_won.inc()
                 return self._finish(outcome, winner, started, attempts,
                                     hedged=winner is hedge_node)
-        if not hedge_settled:
-            self._m_hedge_lost.inc()
         raise TimeoutError(
             "hedged read got no answer from %s or %s within %.3fs"
             % (node.id, hedge_node.id, budget))
@@ -416,11 +374,8 @@ class ClusterClient:
         client never re-runs ``mutate`` on its own, because a failure
         after the mutation reached the engine is indeterminate.
         """
-        self._m_writes.inc()
         epoch, node = self._set.primary_for_write()
-        tracer = self._set.observability.tracer
-        with trace_context(new_trace_id()), \
-                tracer.span("cluster.write", epoch=epoch):
+        with trace_context(new_trace_id()):
             try:
                 with node.lock:
                     if node.fenced:
@@ -437,16 +392,11 @@ class ClusterClient:
                 fatal = is_fatal_backend_error(
                     exc, disk=node.database._context.disk)
                 self._set.report_backend_failure(node.id, exc, fatal=fatal)
-                tracer.event("cluster.write-failed", backend=node.id,
-                             epoch=epoch, error=str(exc),
-                             fatal=bool(fatal))
                 raise ClusterWriteError(
                     "write failed on %s (epoch %d): %s — indeterminate, "
                     "not retried" % (node.id, epoch, exc),
                     epoch=epoch) from exc
             self._set.ack(sequence)
-            tracer.event("cluster.write-acked", backend=node.id,
-                         epoch=epoch, sequence=sequence)
             del value  # the ack, not the mutation's value, is the contract
             return WriteAck(sequence, epoch)
 

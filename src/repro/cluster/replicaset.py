@@ -47,7 +47,7 @@ import os
 import shutil
 import threading
 
-from repro.cluster.health import DOWN, HEALTHY, SUSPECT, BackendHealth
+from repro.cluster.health import DOWN, HEALTHY, BackendHealth
 from repro.net.errors import is_network_error
 from repro.obs import Observability
 from repro.obs.flight import FlightRecorder, write_bundle
@@ -292,9 +292,7 @@ class ReplicaSet:
         if archive is None:
             self._retention = None
             return None
-        manager = CheckpointManager(
-            archive, policy=self.retention_policy,
-            observability=database.observability)
+        manager = CheckpointManager(archive, policy=self.retention_policy)
         self._retention = database.attach_retention(manager)
         return manager
 
@@ -306,10 +304,6 @@ class ReplicaSet:
 
     def _init_metrics(self):
         m = self.observability.metrics
-        self._m_ticks = m.counter(
-            "repro_cluster_ticks_total", "Heartbeat rounds run")
-        self._m_probes = m.counter(
-            "repro_cluster_probes_total", "Backend probes attempted")
         self._m_probe_failures = m.counter(
             "repro_cluster_probe_failures_total", "Backend probes failed")
         self._m_failovers = m.counter(
@@ -326,20 +320,6 @@ class ReplicaSet:
         self._m_epoch = m.gauge(
             "repro_cluster_epoch", "Topology epoch (bumped per failover)")
         self._m_epoch.set(1)
-        self._m_backends = m.gauge(
-            "repro_cluster_backends", "Backends in the replica set")
-        self._m_healthy = m.gauge(
-            "repro_cluster_backends_healthy", "Backends in state healthy")
-        self._m_suspect = m.gauge(
-            "repro_cluster_backends_suspect", "Backends in state suspect")
-        self._m_down = m.gauge(
-            "repro_cluster_backends_down", "Backends in state down")
-        self._m_max_lag = m.gauge(
-            "repro_cluster_max_lag_segments",
-            "Largest backend lag behind the acked head (segments)")
-        self._m_acked = m.gauge(
-            "repro_cluster_acked_sequence",
-            "Highest acknowledged commit sequence")
         self._m_failover_seconds = m.histogram(
             "repro_cluster_failover_seconds",
             "Failover duration: detection to writes re-pointed")
@@ -360,10 +340,6 @@ class ReplicaSet:
         self._m_disk_full_recoveries = m.counter(
             "repro_cluster_disk_full_recoveries_total",
             "Primary degradations healed (space freed, commit retried)")
-        self._m_retention_floor = m.gauge(
-            "repro_cluster_retention_floor",
-            "Lowest standby applied sequence holding retention "
-            "(0 = no standby holds the horizon)")
 
     # -- topology ------------------------------------------------------------
 
@@ -385,7 +361,6 @@ class ReplicaSet:
         with self._ack_lock:
             if sequence > self._acked:
                 self._acked = sequence
-                self._m_acked.set(sequence)
 
     def health_of(self, node_id):
         return self._health[node_id]
@@ -446,13 +421,11 @@ class ReplicaSet:
             # eventually fail over to a standby of the *same* full
             # volume's history — strictly worse than waiting for the
             # emergency prune / freed space.
-            self.observability.tracer.event(
-                "cluster.disk-full", backend=node_id, error=str(exc))
             self._wake.set()
             return
         if fatal is None:
             fatal = is_fatal_backend_error(exc)
-        self._record_failure(node_id, exc, fatal, "cluster.backend-failure")
+        self._record_failure(node_id, exc, fatal)
         if fatal and self._recorders:
             # A dead disk/process is exactly the moment the on-disk ring
             # exists for: freeze the evidence before healing overwrites it.
@@ -468,17 +441,15 @@ class ReplicaSet:
     def tick(self):
         """One heartbeat round; returns a status summary dict.
 
-        Probes the primary, tails + probes each standby, refreshes the
-        health gauges, and — when the primary is down — runs failover.
+        Probes the primary, tails + probes each standby, runs the
+        retention round, and — when the primary is down — runs failover.
         """
-        self._m_ticks.inc()
         view = self._view
         if view.primary is not None:
             self._probe_primary(view.primary)
         for node in view.standbys:
             self._tail_and_probe(node)
         self._retention_tick()
-        self._refresh_gauges()
         primary = self._view.primary
         if primary is not None:
             health = self._health[primary.id]
@@ -494,7 +465,6 @@ class ReplicaSet:
         health = self._health[node.id]
         if not health.allows_probe:
             return
-        self._m_probes.inc()
         try:
             with node.lock:
                 sequence = node.probe()
@@ -502,8 +472,7 @@ class ReplicaSet:
             self._m_probe_failures.inc()
             self._record_failure(
                 node.id, exc, is_fatal_backend_error(
-                    exc, disk=node.database._context.disk),
-                "cluster.probe-failure")
+                    exc, disk=node.database._context.disk))
             return
         health.record_success(lag_segments=0)
         if sequence is not None:
@@ -515,22 +484,20 @@ class ReplicaSet:
         health = self._health[node.id]
         if not health.allows_probe:
             return
-        self._m_probes.inc()
         try:
             with node.lock:
                 node.replica.catch_up(limit=TAIL_LIMIT)
         except BaseException as exc:
             self._m_probe_failures.inc()
-            self._record_failure(node.id, exc, isinstance(exc, CrashPoint),
-                                 "cluster.probe-failure")
+            self._record_failure(node.id, exc, isinstance(exc, CrashPoint))
             return
         health.record_success(
             lag_segments=max(0, self._acked - node.applied_sequence))
 
-    def _record_failure(self, node_id, exc, fatal, event):
-        """Classify one backend failure, feed its health machine and
-        emit ``event`` (a probe's, or one a client reported).  A
-        transport fault — directly, or as the cause of a
+    def _record_failure(self, node_id, exc, fatal):
+        """Classify one backend failure (a probe's, or one a client
+        reported), feed its health machine and emit a
+        ``cluster.backend-failure`` event.  A transport fault — directly, or as the cause of a
         :class:`~repro.storage.errors.ReplicationError` whose retries ran
         out — is kind ``"network"``."""
         kind = "network" if is_network_error(exc) else None
@@ -538,8 +505,8 @@ class ReplicaSet:
             self._m_network_flaps.inc()
         self._health[node_id].record_failure(exc, fatal=fatal, kind=kind)
         self.observability.tracer.event(
-            event, backend=node_id, error=str(exc), fatal=bool(fatal),
-            failure_kind=kind)
+            "cluster.backend-failure", backend=node_id, error=str(exc),
+            fatal=bool(fatal), failure_kind=kind)
 
     # -- retention & disk pressure --------------------------------------------
 
@@ -571,23 +538,17 @@ class ReplicaSet:
                     and head - node.applied_sequence > budget):
                 replica.needs_reseed = True
                 self._m_lag_budget_marks.inc()
-                self.observability.tracer.event(
-                    "cluster.lag-budget-exceeded", backend=node.id,
-                    applied=node.applied_sequence, head=head)
             if replica.needs_reseed:
                 self._reseed_standby(node, primary)
         if manager is None:
             return
         floor = self._standby_floor()
-        self._m_retention_floor.set(floor or 0)
         try:
             manager.maybe_checkpoint(primary.database, head=head)
             manager.prune(standby_floor=floor)
-        except DiskFullError as exc:
+        except DiskFullError:
             # Checkpointing needs space too: free what the horizon
             # already allows and retry on the next tick.
-            self.observability.tracer.event(
-                "cluster.disk-full", backend=primary.id, error=str(exc))
             manager.emergency_prune(standby_floor=floor)
         except Exception as exc:
             # The primary died under the checkpoint (hot backup reads
@@ -618,9 +579,6 @@ class ReplicaSet:
         if not self._degrade_handled:
             self._degrade_handled = True
             self._m_disk_full_degradations.inc()
-            self.observability.tracer.event(
-                "cluster.primary-degraded", backend=primary.id,
-                reason=database.degraded_reason)
             self._emergency_prune()
         try:
             database.flush()
@@ -635,9 +593,6 @@ class ReplicaSet:
                 fatal=is_fatal_backend_error(exc))
             return
         self._m_disk_full_recoveries.inc()
-        self.observability.tracer.event(
-            "cluster.primary-recovered", backend=primary.id,
-            sequence=database.commit_sequence)
 
     def _emergency_prune(self):
         """Prune everything the checkpoint + standby floor allow,
@@ -658,56 +613,33 @@ class ReplicaSet:
         next tick retries."""
         replica = node.replica
         backup_dir = replica.path + ".reseed"
-        tracer = self.observability.tracer
-        with tracer.span("cluster.reseed", backend=node.id):
-            try:
-                if os.path.exists(backup_dir):
-                    shutil.rmtree(backup_dir)
-                primary.database.hot_backup(backup_dir)
-                with node.lock:
-                    if node.id in self._rehome:
-                        shipper = self._shipper_for(primary.database,
-                                                    replica.page_size)
-                        replica.shipper, old = shipper, replica.shipper
-                        old.close()
-                    result = replica.reseed_from(backup_dir)
-            except BaseException as exc:
-                self._m_reseed_failures.inc()
-                tracer.event("cluster.reseed-failed", backend=node.id,
-                             error=str(exc))
-                return
-            finally:
-                shutil.rmtree(backup_dir, ignore_errors=True)
+        try:
+            if os.path.exists(backup_dir):
+                shutil.rmtree(backup_dir)
+            primary.database.hot_backup(backup_dir)
+            with node.lock:
+                if node.id in self._rehome:
+                    shipper = self._shipper_for(primary.database,
+                                                replica.page_size)
+                    replica.shipper, old = shipper, replica.shipper
+                    old.close()
+                replica.reseed_from(backup_dir)
+        except BaseException:
+            self._m_reseed_failures.inc()
+            return
+        finally:
+            shutil.rmtree(backup_dir, ignore_errors=True)
         self._health[node.id] = self._new_health(node.id)
         self._m_reseeds.inc()
         if node.id in self._rehome:
             self._rehome.discard(node.id)
             self.last_failover["rebuilt"] += 1
-        tracer.event("cluster.reseeded", backend=node.id,
-                     sequence=result.sequence)
 
     def _shipper_for(self, database, page_size):
         """A shipper over ``database``'s archive."""
         if self.shipper_factory is not None:
             return self.shipper_factory(database, page_size)
         return LocalDirShipper(database.archive.directory, page_size)
-
-    def _refresh_gauges(self):
-        states = {HEALTHY: 0, SUSPECT: 0, DOWN: 0}
-        max_lag = 0
-        nodes = self._view.nodes
-        for node in nodes:
-            health = self._health.get(node.id)
-            if health is None:
-                continue
-            states[health.state] += 1
-            max_lag = max(max_lag, health.lag_segments)
-        self._m_backends.set(len(nodes))
-        self._m_healthy.set(states[HEALTHY])
-        self._m_suspect.set(states[SUSPECT])
-        self._m_down.set(states[DOWN])
-        self._m_max_lag.set(max_lag)
-        self._m_epoch.set(self._view.epoch)
 
     # -- failover ------------------------------------------------------------
 
@@ -800,10 +732,6 @@ class ReplicaSet:
                 "trace_id": trace_id,
                 "rebuilt": 0,
             }
-            tracer.event("cluster.promoted", backend=elected.id,
-                         epoch=new_epoch,
-                         sequence=promoted_db.commit_sequence,
-                         seconds=elapsed)
             # Heal the set: survivors tail the dead timeline and can
             # only fall behind — re-seed each from the new primary, the
             # way retention re-seeds an outrun standby.  One whose
@@ -820,7 +748,6 @@ class ReplicaSet:
         without letting it commit anything further."""
         node.fenced = True
         self._m_fencings.inc()
-        self.observability.tracer.event("cluster.fenced", backend=node.id)
         try:
             node.server.stop()
         except BaseException:
@@ -905,8 +832,6 @@ class ReplicaSet:
             extra["trace_id"] = trace_id
         write_bundle(bundle_dir, list(self._recorders.values()), reason,
                      health=health, manifest_extra=extra)
-        self.observability.tracer.event(
-            "cluster.flight-dumped", bundle=bundle_dir, reason=str(reason))
         return bundle_dir
 
     def serve_ops(self, host="127.0.0.1", port=0):

@@ -158,14 +158,11 @@ class XmlDatabase:
             self._disk_full_commit_failures += 1
             if self._degraded_reason is None:
                 self._degraded_reason = str(exc)
-                self.observability.tracer.event(
-                    "database.read-only", reason=str(exc))
             raise
         if self._degraded_reason is not None:
             # The stuck commit went through: space came back.
             self._degraded_reason = None
             self._disk_full_recoveries += 1
-            self.observability.tracer.event("database.writable-again")
 
     @property
     def writable(self):
@@ -491,16 +488,14 @@ class XmlDatabase:
         return self._replication
 
     def attach_retention(self, manager):
-        """Bind a :class:`~repro.storage.retention.CheckpointManager`'s
-        counters into this database's metrics registry; returns it.
+        """Record a :class:`~repro.storage.retention.CheckpointManager`
+        as this database's :attr:`retention`; returns it.
 
         The manager itself stays externally driven (the cluster's tick,
-        or the operator): this only makes its checkpoints/prunes and the
-        archive replay window visible in :meth:`metrics_text` and under
-        ``stats()["retention"]``.
+        or the operator): this only makes its checkpoints/prunes visible
+        under ``stats()["retention"]``.
         """
         self._retention = manager
-        manager.bind_metrics(self.observability.metrics)
         return manager
 
     @property
@@ -664,10 +659,9 @@ class XmlDatabase:
         }
 
     def _register_collectors(self):
-        """Mirror every subsystem's counters into pull-refreshed gauges.
-
-        A subsystem that is not there (no admission controller, an
-        in-memory disk, a scrubber never run) reads as ``{}``: zeroes.
+        """Mirror the counters some test, bench or operator reads into
+        pull-refreshed gauges (``db.stats()`` serves the rest at
+        ``/varz``; docs/OBSERVABILITY.md names each metric's reader).
         """
         def derived():
             disk = self._context.disk
@@ -677,56 +671,20 @@ class XmlDatabase:
                 "sessions": len(self._sessions),
                 "lag": 0 if oldest is None else disk.commit_sequence - oldest,
                 "degraded": int(self._degraded_reason is not None),
-                "commit_failures": self._disk_full_commit_failures,
                 "recoveries": self._disk_full_recoveries,
             }
 
         for stats, spec in (
             (self._context.pool.stats, (
                 ("repro_buffer_hits", "hits", "Buffer pool page hits"),
-                ("repro_buffer_misses", "misses", "Buffer pool page misses"),
-                ("repro_buffer_evictions", "evictions",
-                 "Buffer pool evictions"),
-                ("repro_buffer_writebacks", "writebacks",
-                 "Buffer pool writebacks"),
-                ("repro_buffer_max_pinned", "max_pinned",
-                 "Pinned-frame high-water mark"),
             )),
             (self._indexes.stats, (
                 ("repro_index_handle_hits", "hits",
                  "Index handle-cache hits"),
-                ("repro_index_handle_misses", "misses",
-                 "Index handle-cache misses"),
-                ("repro_index_handle_loads", "loads", "Index catalog loads"),
-                ("repro_index_handle_writebacks", "writebacks",
-                 "Index metadata writebacks"),
-            )),
-            (lambda: self._admission.stats if self._admission is not None
-             else {}, (
-                ("repro_admission_admitted", "admitted", "Queries admitted"),
-                ("repro_admission_rejected", "rejected",
-                 "Queries rejected by admission"),
-                ("repro_admission_peak_active", "peak_active",
-                 "Admission concurrent-query high-water mark"),
             )),
             (lambda: self.recovery_stats or {}, (
-                ("repro_recovery_replayed_groups", "replayed_groups",
-                 "Journal groups replayed at open"),
-                ("repro_recovery_discarded_groups", "discarded_groups",
-                 "Incomplete journal groups discarded at open"),
                 ("repro_journal_torn_groups", "torn_groups",
                  "Non-empty journal/archive groups that failed to decode"),
-            )),
-            (lambda: self._scrubber.stats() if self._scrubber is not None
-             else {}, (
-                ("repro_scrub_entries_checked", "entries_checked",
-                 "Catalog entries verified by the scrubber (lifetime)"),
-                ("repro_scrub_pages_read", "pages_read",
-                 "Cold pages read by the scrubber"),
-                ("repro_scrub_corrupt", "corrupt",
-                 "Catalog entries found corrupt (lifetime)"),
-                ("repro_scrub_quarantined", "quarantined",
-                 "Structures currently quarantined"),
             )),
             (derived, (
                 ("repro_sessions_active", "sessions",
@@ -736,8 +694,6 @@ class XmlDatabase:
                 ("repro_disk_full_degraded", "degraded",
                  "1 while the database is read-only because a commit hit "
                  "ENOSPC"),
-                ("repro_disk_full_commit_failures", "commit_failures",
-                 "Commits that failed with ENOSPC (lifetime)"),
                 ("repro_disk_full_recoveries", "recoveries",
                  "Read-only degradations cleared by a later successful "
                  "commit"),

@@ -39,7 +39,6 @@ import json
 
 from repro.core.api import StorageContext
 from repro.indexes.bptree import items
-from repro.obs.trace import NULL_SPAN
 from repro.query.engine import PathQueryEngine
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog, CatalogError
@@ -119,9 +118,8 @@ class Session:
         controller's per-query runtime limits unless ``runtime`` is
         given.
         """
-        return self._run("query", path, runtime, profile,
-                         lambda engine, rt: engine.evaluate(
-                             path, runtime=rt, profile=profile))
+        return self._run(runtime, lambda engine, rt: engine.evaluate(
+            path, runtime=rt, profile=profile))
 
     def explain(self, path, analyze=False, runtime=None, profile=None):
         """The engine's plan for ``path`` in this session's view.
@@ -129,10 +127,8 @@ class Session:
         Same trio as :meth:`query`; ``analyze=True`` (or a supplied
         ``profile``) executes the query and appends measured actuals.
         """
-        return self._run("explain", path, runtime, profile,
-                         lambda engine, rt: engine.explain(
-                             path, analyze=analyze, runtime=rt,
-                             profile=profile))
+        return self._run(runtime, lambda engine, rt: engine.explain(
+            path, analyze=analyze, runtime=rt, profile=profile))
 
     def entries_for_tag(self, tag):
         """The corpus-wide element set for ``tag`` in this view."""
@@ -147,23 +143,16 @@ class Session:
             return self._db.tags()
         return list(self._registry["tags"])
 
-    def _run(self, kind, path, runtime, profile, call):
+    def _run(self, runtime, call):
         self._check_open()
         engine = self._engine
-        tracer = self._db.observability.tracer
-        span = (tracer.span("session-%s" % kind, path=str(path),
-                            sequence=self.sequence,
-                            snapshot=self._snapshot)
-                if tracer is not None else NULL_SPAN)
         admission = self._db._admission
         self.queries_run += 1
-        with span:
-            if admission is None:
-                return call(engine, runtime)
-            with admission.slot() as slot_runtime:
-                return call(engine,
-                            runtime if runtime is not None
-                            else slot_runtime)
+        if admission is None:
+            return call(engine, runtime)
+        with admission.slot() as slot_runtime:
+            return call(engine,
+                        runtime if runtime is not None else slot_runtime)
 
     # -- lifecycle -------------------------------------------------------------
 

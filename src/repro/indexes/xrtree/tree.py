@@ -116,10 +116,6 @@ class XRTree:
         restricts the result to children (FindChildren, Section 5.3).
         Worst-case I/O is ``O(log_F N + R/B)`` (Theorem 3).
         """
-        tracer = self.pool.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.event("index-op", op="find_descendants",
-                         start=ancestor_start, end=ancestor_end)
         results = []
         for entry in self.seek_after(ancestor_start):
             if counter is not None:
@@ -152,9 +148,6 @@ class XRTree:
         nor the stab-list pages its nodes' memos hold are requested again,
         and the answer and the scan-counter charges do not depend on it.
         """
-        tracer = self.pool.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.event("index-op", op="find_ancestors", point=point)
         if not self.root_id:
             return []
         finger = Finger() if finger is None else finger

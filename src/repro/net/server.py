@@ -24,9 +24,9 @@ Robustness properties:
 * **per-request responses only** — the server never pushes, so a slow
   or dead client can hold at most one handler thread, never the archive.
 
-Stats are plain attributes; pass ``observability`` to mirror them as
-``repro_net_server_*`` gauges on its metrics registry.  A request frame
-carrying a trace context makes the server's ``net.serve`` record join
+Stats are plain attributes (an ops endpoint serves them at ``/varz``);
+pass ``observability`` to trace each served request as a ``net.serve``
+event.  A request frame carrying a trace context makes that record join
 the sender's trace (``trace`` + ``link`` fields, schema v2).
 """
 
@@ -109,8 +109,6 @@ class SegmentServer:
         self.observability = observability
         self._tracer = (observability.tracer if observability is not None
                         else None)
-        if observability is not None:
-            self._bind_metrics(observability.metrics)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -276,31 +274,6 @@ class SegmentServer:
     def _send(self, sock, frame_type, sequence, payload=b""):
         send_frame(sock, frame_type, sequence, payload)
         self.stats.bytes_sent += len(payload)
-
-    # -- metrics -------------------------------------------------------------
-
-    def _bind_metrics(self, registry):
-        registry.mirror(self.stats, (
-            ("repro_net_server_connections", "connections",
-             "Connections accepted by the segment server"),
-            ("repro_net_server_rejected_connections",
-             "rejected_connections",
-             "Connections turned away at the concurrency bound"),
-            ("repro_net_server_requests", "requests",
-             "Request frames served"),
-            ("repro_net_server_timeouts", "timeouts",
-             "Requests cut off at the per-request deadline"),
-            ("repro_net_server_idle_closes", "idle_closes",
-             "Idle keep-alive connections reaped"),
-            ("repro_net_server_bad_frames", "bad_frames",
-             "Undecodable or mistyped request frames dropped"),
-            ("repro_net_server_missing_responses", "missing_responses",
-             "Fetches answered RESP_MISSING (no such segment retained)"),
-            ("repro_net_server_oldest_requests", "oldest_requests",
-             "Retention-floor (REQ_OLDEST) requests served"),
-            ("repro_net_server_bytes_sent", "bytes_sent",
-             "Segment payload bytes sent"),
-        ), name="segment-server")
 
 
 class _RecvAdapter:

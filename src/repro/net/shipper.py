@@ -28,9 +28,9 @@ retry:
   the connection reset, and the request retried — corruption and
   misdelivery are survived, never applied.
 
-``stats`` mirrors into ``repro_net_*`` gauges via :meth:`bind_metrics`
-(done automatically when an observability hub is passed), and retries,
-timeouts and reconnects emit ``net.*`` trace events.
+``stats`` counts every connect, retry, timeout and rejection; a
+rejected frame also emits a ``net.reject`` trace event (with its cause)
+on the observability hub, when one is passed.
 
 **Trace context.**  Every request carries the caller's trace context
 (trace id, open span, node name) in the frame's context field, so the
@@ -129,8 +129,6 @@ class SocketShipper:
         self._sock = None
         self._tracer = (observability.tracer if observability is not None
                         else NULL_TRACER)
-        if observability is not None:
-            self.bind_metrics(observability.metrics)
 
     # -- shipper calls -------------------------------------------------------
 
@@ -177,9 +175,6 @@ class SocketShipper:
             self.stats.reconnects += 1
         self.stats.connects += 1
         self._sock = sock
-        self._tracer.event("net.connect", host=self.address[0],
-                           port=self.address[1],
-                           reconnect=self.stats.connects > 1)
         return sock
 
     def close(self):
@@ -217,9 +212,6 @@ class SocketShipper:
                     self.stats.give_ups += 1
                     raise
                 self.stats.retries += 1
-                self._tracer.event("net.retry", type=frame_type,
-                                   sequence=sequence, attempt=attempts,
-                                   error=str(exc))
                 self._backoff(attempts)
 
     def _exchange(self, frame_type, sequence, expect):
@@ -278,56 +270,6 @@ class SocketShipper:
             self.clock.sleep(backoff_delay(
                 attempts, self.backoff_seconds, self.max_backoff_seconds,
                 self.backoff_jitter, self.rng))
-
-    # -- metrics -------------------------------------------------------------
-
-    def bind_metrics(self, registry):
-        """Mirror :attr:`stats` into pull-refreshed ``repro_net_*``
-        gauges on ``registry``.  Idempotent per registry."""
-        if registry in getattr(self, "_bound_registries", ()):
-            return registry
-        self._bound_registries = getattr(self, "_bound_registries", [])
-        self._bound_registries.append(registry)
-        registry.mirror(self.stats, (
-            ("repro_net_connects", "connects",
-             "Connections established to the segment server"),
-            ("repro_net_reconnects", "reconnects",
-             "Reconnections after a fault or close"),
-            ("repro_net_requests", "requests",
-             "Protocol requests attempted (including retries)"),
-            ("repro_net_responses", "responses",
-             "Validated responses accepted"),
-            ("repro_net_retries", "retries",
-             "Request attempts after the first"),
-            ("repro_net_timeouts", "timeouts",
-             "Connect/read deadlines tripped"),
-            ("repro_net_server_busy", "server_busy",
-             "Requests refused by a server at capacity"),
-            ("repro_net_frames_rejected", "frames_rejected",
-             "Response frames rejected (CRC/sequence/type mismatch)"),
-            ("repro_net_bytes_received", "bytes_received",
-             "Segment payload bytes accepted"),
-            ("repro_net_give_ups", "give_ups",
-             "Requests that exhausted their retry budget"),
-        ), name="socket-shipper")
-
-        # The per-cause rejection gauges are dynamic (a cause exists
-        # only once seen), so they cannot ride the static mirror: a
-        # dedicated collector creates and claims each on first sight.
-        reject_causes = {}
-
-        def refresh_causes(_registry):
-            for cause, count in self.stats.rejections_by_cause.items():
-                if cause not in reject_causes:
-                    name = "repro_net_rejected_%s" % cause
-                    reject_causes[cause] = registry.gauge(
-                        name, "Frames rejected with cause %r" % cause)
-                    registry.claim(name, "socket-shipper")
-                reject_causes[cause].set(count)
-
-        registry.register_collector(refresh_causes,
-                                    name="socket-shipper-causes")
-        return registry
 
     def __repr__(self):
         return ("SocketShipper(%s:%d, %sconnected, %d responses, "

@@ -3,7 +3,7 @@
 Three pillars, one subsystem (see ``docs/OBSERVABILITY.md``):
 
 * :mod:`repro.obs.trace` — a low-overhead structured :class:`Tracer`
-  (query → plan → join operator → index op → page fetch spans/events) in a
+  (query → plan → join operator → page fetch spans/events) in a
   bounded ring with JSONL export;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms with a Prometheus-style exposition;
@@ -47,7 +47,6 @@ from repro.obs.trace import (
     DEFAULT_TRACE_CAPACITY,
     NULL_SPAN,
     NULL_TRACER,
-    SUPPORTED_SCHEMA_VERSIONS,
     TRACE_SCHEMA_VERSION,
     Tracer,
     current_trace_id,
@@ -56,7 +55,7 @@ from repro.obs.trace import (
 )
 
 #: Slow-query log entries kept (oldest evicted first).
-DEFAULT_SLOW_LOG_CAPACITY = 128
+SLOW_LOG_CAPACITY = 128
 
 
 class Observability:
@@ -71,14 +70,13 @@ class Observability:
     """
 
     def __init__(self, tracer=None, metrics=None, slow_query_seconds=None,
-                 slow_query_capacity=DEFAULT_SLOW_LOG_CAPACITY,
                  node_id=None):
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if node_id is not None:
             self.tracer.node_id = node_id
         self.slow_query_seconds = slow_query_seconds
-        self._slow_queries = deque(maxlen=slow_query_capacity)
+        self._slow_queries = deque(maxlen=SLOW_LOG_CAPACITY)
         m = self.metrics
         self._queries = m.counter(
             "repro_queries_total", "Queries evaluated")
@@ -157,7 +155,6 @@ __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_PAGE_IO_BUCKETS",
-    "DEFAULT_SLOW_LOG_CAPACITY",
     "DEFAULT_TRACE_CAPACITY",
     "FlightRecorder",
     "Gauge",
@@ -171,7 +168,7 @@ __all__ = [
     "OpsError",
     "OpsServer",
     "QueryProfile",
-    "SUPPORTED_SCHEMA_VERSIONS",
+    "SLOW_LOG_CAPACITY",
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "current_trace_id",

@@ -9,7 +9,7 @@ Each node of a cluster exposes its own registry at ``/metrics`` (see
 fetches every endpoint and prints a single Prometheus text exposition in
 which every sample carries a ``node="..."`` label, so one dashboard (or
 one grep) sees the whole set: ``repro_cluster_epoch{node="node-0"}``
-next to ``repro_net_server_requests{node="node-2"}``.  ``# HELP`` /
+next to ``repro_server_requests_total{node="node-2"}``.  ``# HELP`` /
 ``# TYPE`` headers are emitted once per metric family (first node to
 define one wins).
 

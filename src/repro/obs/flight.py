@@ -1,5 +1,5 @@
-"""Failover flight recorder: a bounded on-disk ring of recent spans,
-events and metrics snapshots, dumped as a post-mortem bundle on demand.
+"""Failover flight recorder: a bounded on-disk ring of recent spans and
+events, dumped as a post-mortem bundle on demand.
 
 The in-memory :class:`~repro.obs.trace.Tracer` ring answers "what just
 happened in this process *while it is still alive*".  A failover is the
@@ -10,15 +10,13 @@ fact.  :class:`FlightRecorder` closes that gap:
 * it attaches to a hub's tracer as a **sink** (every emitted record is
   appended to a rotating chunk file under ``<dir>/<node_id>/``), so
   recent history survives on disk continuously, bounded by
-  ``chunk_records × max_chunks`` records per node — a ring of files
+  ``CHUNK_RECORDS × MAX_CHUNKS`` records per node — a ring of files
   instead of a ring of dicts;
-* every ``snapshot_interval_seconds`` it also persists a full metrics
-  snapshot, giving the post-mortem counter deltas around the incident;
 * :func:`write_bundle` freezes the state of N recorders (plus the
   cluster's :class:`~repro.cluster.health.BackendHealth` transition
   logs) into one **bundle directory** — ``manifest.json``,
-  ``health.json``, and per-node ``trace.jsonl`` / ``metrics.json`` —
-  which ``python -m repro.obs.validate`` checks and
+  ``health.json``, and per-node ``trace.jsonl`` — which
+  ``python -m repro.obs.validate`` checks and
   ``python -m repro.obs.postmortem`` renders as a merged, clock-aligned
   timeline.
 
@@ -34,21 +32,16 @@ import threading
 import time
 
 #: Records per chunk file before rotation.
-DEFAULT_CHUNK_RECORDS = 512
+CHUNK_RECORDS = 512
 #: Chunk files retained per node (the on-disk ring bound).
-DEFAULT_MAX_CHUNKS = 8
-#: Seconds between persisted metrics snapshots.
-DEFAULT_SNAPSHOT_INTERVAL = 1.0
+MAX_CHUNKS = 8
 
 
 class _JsonlRing:
     """A bounded ring of rotating JSONL chunk files in one directory."""
 
-    def __init__(self, directory, prefix, chunk_lines, max_chunks):
+    def __init__(self, directory):
         self.directory = directory
-        self.prefix = prefix
-        self.chunk_lines = chunk_lines
-        self.max_chunks = max_chunks
         self.dropped_chunks = 0
         self._sequence = 0
         self._lines_in_chunk = 0
@@ -56,11 +49,10 @@ class _JsonlRing:
         os.makedirs(directory, exist_ok=True)
 
     def _chunk_path(self, sequence):
-        return os.path.join(self.directory,
-                            "%s-%06d.jsonl" % (self.prefix, sequence))
+        return os.path.join(self.directory, "trace-%06d.jsonl" % sequence)
 
     def append(self, obj):
-        if self._handle is None or self._lines_in_chunk >= self.chunk_lines:
+        if self._handle is None or self._lines_in_chunk >= CHUNK_RECORDS:
             self._rotate()
         self._handle.write(json.dumps(obj, sort_keys=True, default=str))
         self._handle.write("\n")
@@ -73,7 +65,7 @@ class _JsonlRing:
         self._handle = io.open(self._chunk_path(self._sequence), "w",
                                encoding="utf-8")
         self._lines_in_chunk = 0
-        stale = self._sequence - self.max_chunks
+        stale = self._sequence - MAX_CHUNKS
         if stale >= 1:
             try:
                 os.remove(self._chunk_path(stale))
@@ -89,7 +81,7 @@ class _JsonlRing:
         """Every retained line, oldest chunk first."""
         self.flush()
         out = []
-        first = max(1, self._sequence - self.max_chunks + 1)
+        first = max(1, self._sequence - MAX_CHUNKS + 1)
         for sequence in range(first, self._sequence + 1):
             path = self._chunk_path(sequence)
             try:
@@ -107,7 +99,7 @@ class _JsonlRing:
 
 
 class FlightRecorder:
-    """Continuously persist one hub's recent records and metrics.
+    """Continuously persist one hub's recent trace records.
 
     ``directory`` is the shared flight directory (each recorder writes
     under ``<directory>/<node_id>/``); ``observability`` is the hub
@@ -116,20 +108,11 @@ class FlightRecorder:
     it itself (that cost decision stays with the owner).
     """
 
-    def __init__(self, directory, node_id, observability,
-                 chunk_records=DEFAULT_CHUNK_RECORDS,
-                 max_chunks=DEFAULT_MAX_CHUNKS,
-                 snapshot_interval_seconds=DEFAULT_SNAPSHOT_INTERVAL):
+    def __init__(self, directory, node_id, observability):
         self.directory = directory
         self.node_id = node_id
         self.observability = observability
-        self.snapshot_interval_seconds = snapshot_interval_seconds
-        node_dir = os.path.join(directory, node_id)
-        self._traces = _JsonlRing(node_dir, "trace", chunk_records,
-                                  max_chunks)
-        self._metrics = _JsonlRing(node_dir, "metrics",
-                                   max(8, chunk_records // 8), 2)
-        self._last_snapshot = 0.0
+        self._traces = _JsonlRing(os.path.join(directory, node_id))
         self._lock = threading.Lock()
         self._closed = False
         observability.tracer.add_sink(self._on_record)
@@ -141,15 +124,6 @@ class FlightRecorder:
             if self._closed:
                 return
             self._traces.append(record)
-            now = time.time()
-            if now - self._last_snapshot >= self.snapshot_interval_seconds:
-                self._last_snapshot = now
-                try:
-                    snapshot = self.observability.metrics.snapshot()
-                except Exception:
-                    return
-                self._metrics.append({"wall": round(now, 6),
-                                      "snapshot": snapshot})
 
     # -- reading/dumping -----------------------------------------------------
 
@@ -181,28 +155,14 @@ class FlightRecorder:
                      for record in records)
         return "\n".join(lines) + "\n"
 
-    def metrics_history(self):
-        """The persisted ``{"wall", "snapshot"}`` entries, oldest first."""
-        with self._lock:
-            return [json.loads(line) for line in self._metrics.lines()]
-
     def dump_into(self, bundle_dir):
-        """Write this node's ``trace.jsonl`` and ``metrics.json`` into
-        ``bundle_dir/<node_id>/``; returns the node directory."""
+        """Write this node's ``trace.jsonl`` into ``bundle_dir/<node_id>/``;
+        returns the node directory."""
         node_dir = os.path.join(bundle_dir, self.node_id)
         os.makedirs(node_dir, exist_ok=True)
         with io.open(os.path.join(node_dir, "trace.jsonl"), "w",
                      encoding="utf-8") as handle:
             handle.write(self.trace_jsonl())
-        payload = {
-            "node": self.node_id,
-            "current": self.observability.metrics.snapshot(),
-            "history": self.metrics_history(),
-        }
-        with io.open(os.path.join(node_dir, "metrics.json"), "w",
-                     encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2,
-                      default=str)
         return node_dir
 
     def close(self):
@@ -212,7 +172,6 @@ class FlightRecorder:
                 return
             self._closed = True
             self._traces.close()
-            self._metrics.close()
         self.observability.tracer.remove_sink(self._on_record)
 
 

@@ -62,9 +62,7 @@ def merge_timeline(bundle):
 
     Each returned record is a copy with ``abs`` (wall-clock seconds)
     and ``node`` (falling back to the bundle directory name when the
-    record itself carries none) added.  Records from a v1 trace (no
-    ``wall_epoch``) sort by their raw ``ts`` — aligned only with
-    themselves.
+    record itself carries none) added.
     """
     merged = []
     for node_id, data in bundle["nodes"].items():

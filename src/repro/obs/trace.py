@@ -5,7 +5,7 @@ probe costs ``O(log_F N + R)`` I/Os — so proving them in a running system
 needs the causal chain from a query down to the individual page fetch.
 :class:`Tracer` records that chain as structured events:
 
-    query  →  plan  →  join operator  →  index op  →  page fetch
+    query  →  plan  →  join operator  →  page fetch
 
 Spans (``tracer.span(kind, **fields)``) nest via a context-manager API and
 emit a *begin* record on entry and an *end* record (with ``dur``) on exit;
@@ -53,9 +53,6 @@ import uuid
 
 #: Schema version stamped on every record (bump on incompatible change).
 TRACE_SCHEMA_VERSION = 2
-
-#: Versions :mod:`repro.obs.validate` accepts (old exports stay valid).
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 #: Default ring capacity (records, not bytes).
 DEFAULT_TRACE_CAPACITY = 4096

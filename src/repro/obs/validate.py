@@ -7,23 +7,21 @@ as a command line tool::
 
 Exit status 0 means every record conforms; 1 means violations were found
 (each printed).  The schema being enforced is the one documented in
-``docs/OBSERVABILITY.md``.  Two versions are accepted — **v1** (the PR 4
-per-process schema) and **v2** (the cluster-wide schema) — with a file
-validated against the version its ``trace-meta`` header declares:
+``docs/OBSERVABILITY.md``, version 2 (the only one any tracer emits):
 
-* the first line is a ``trace-meta`` header carrying ``v``, ``capacity``,
-  ``emitted`` and ``dropped`` (v2 adds a numeric ``wall_epoch`` for
-  cross-node clock alignment, and optionally the emitting ``node``);
-* every record has integer ``v`` == the header's version, a numeric
-  non-negative ``ts``, a non-empty string ``kind`` and a ``phase`` in
-  ``begin`` / ``end`` / ``event``;
+* the first line is a ``trace-meta`` header carrying ``v`` (2),
+  ``capacity``, ``emitted``, ``dropped``, a numeric ``wall_epoch`` for
+  cross-node clock alignment, and optionally the emitting ``node``;
+* every record has integer ``v`` == 2, a numeric non-negative ``ts``, a
+  non-empty string ``kind`` and a ``phase`` in ``begin`` / ``end`` /
+  ``event``;
 * ``begin``/``end`` records carry an integer ``span``; ``end`` records a
   non-negative ``dur``;
 * ``fields``, when present, is a string-keyed object;
-* **v2 only**: ``trace`` (when present) is a non-empty string, ``node``
-  a non-empty string, ``attempt`` a positive integer, and ``link`` — a
-  cross-node parent reference — an object with a string ``trace``, an
-  integer ``span`` and optionally a string ``node``;
+* ``trace`` (when present) is a non-empty string, ``node`` a non-empty
+  string, ``attempt`` a positive integer, and ``link`` — a cross-node
+  parent reference — an object with a string ``trace``, an integer
+  ``span`` and optionally a string ``node``;
 * when the header reports ``dropped == 0`` (no ring wraparound), spans
   must pair up: every ``end`` has a matching earlier ``begin`` and parent
   references point at spans that began earlier.  With drops, pairing is
@@ -34,11 +32,11 @@ validated against the version its ``trace-meta`` header declares:
 import json
 import sys
 
-from repro.obs.trace import SUPPORTED_SCHEMA_VERSIONS, TRACE_SCHEMA_VERSION
+from repro.obs.trace import TRACE_SCHEMA_VERSION
 
 
-def _check_v2_fields(record, where, problems):
-    """The cluster-propagation fields added by schema v2."""
+def _check_context_fields(record, where, problems):
+    """The cluster-propagation fields: trace, node, attempt, link."""
     trace = record.get("trace")
     if trace is not None and (not isinstance(trace, str) or not trace):
         problems.append("%s: bad trace id %r" % (where, trace))
@@ -78,31 +76,25 @@ def validate_records(records, strict_pairing=None):
         return ["empty trace: no records at all"]
     meta = records[0] if records[0].get("kind") == "trace-meta" else None
     body = records[1:] if meta is not None else records
-    version = TRACE_SCHEMA_VERSION
     if meta is None:
         problems.append("first record is not a trace-meta header")
     else:
         for key in ("v", "capacity", "emitted", "dropped"):
             if not isinstance(meta.get(key), int):
                 problems.append("trace-meta: missing/invalid %r" % key)
-        if meta.get("v") not in SUPPORTED_SCHEMA_VERSIONS:
-            problems.append(
-                "trace-meta: schema version %r, expected one of %s"
-                % (meta.get("v"),
-                   "/".join(map(str, SUPPORTED_SCHEMA_VERSIONS))))
-        else:
-            version = meta["v"]
-        if version >= 2:
-            wall = meta.get("wall_epoch")
-            if not isinstance(wall, (int, float)) or wall < 0:
-                problems.append("trace-meta: missing/invalid wall_epoch %r"
-                                % (wall,))
-            node = meta.get("node")
-            if node is not None and (not isinstance(node, str) or not node):
-                problems.append("trace-meta: bad node id %r" % (node,))
-            if not isinstance(meta.get("live", False), bool):
-                problems.append("trace-meta: non-boolean live flag %r"
-                                % (meta.get("live"),))
+        if meta.get("v") != TRACE_SCHEMA_VERSION:
+            problems.append("trace-meta: schema version %r, expected %d"
+                            % (meta.get("v"), TRACE_SCHEMA_VERSION))
+        wall = meta.get("wall_epoch")
+        if not isinstance(wall, (int, float)) or wall < 0:
+            problems.append("trace-meta: missing/invalid wall_epoch %r"
+                            % (wall,))
+        node = meta.get("node")
+        if node is not None and (not isinstance(node, str) or not node):
+            problems.append("trace-meta: bad node id %r" % (node,))
+        if not isinstance(meta.get("live", False), bool):
+            problems.append("trace-meta: non-boolean live flag %r"
+                            % (meta.get("live"),))
     if strict_pairing is None:
         # A "live" capture (a flight-recorder dump taken mid-flight) may
         # legitimately hold open spans; pairing is only checkable on a
@@ -118,7 +110,7 @@ def validate_records(records, strict_pairing=None):
         if not isinstance(record, dict):
             problems.append("%s: not an object" % where)
             continue
-        if record.get("v") != version:
+        if record.get("v") != TRACE_SCHEMA_VERSION:
             problems.append("%s: bad schema version %r"
                             % (where, record.get("v")))
         ts = record.get("ts")
@@ -154,8 +146,7 @@ def validate_records(records, strict_pairing=None):
                     not isinstance(key, str) for key in fields):
                 problems.append("%s: fields is not a string-keyed object"
                                 % where)
-        if version >= 2:
-            _check_v2_fields(record, where, problems)
+        _check_context_fields(record, where, problems)
         if strict_pairing and isinstance(span, int):
             if phase == "begin":
                 if span in begun:
@@ -206,26 +197,13 @@ def main(argv=None):
     with open(argv[0], "r", encoding="utf-8") as handle:
         text = handle.read()
     problems = validate_jsonl(text)
-    records = 0
-    version = TRACE_SCHEMA_VERSION
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        records += 1
-        if records == 1:
-            try:
-                header = json.loads(line)
-            except ValueError:
-                header = {}
-            if header.get("v") in SUPPORTED_SCHEMA_VERSIONS:
-                version = header["v"]
+    records = sum(1 for line in text.splitlines() if line.strip())
     if problems:
         for problem in problems:
             print("INVALID: %s" % problem)
         return 1
     print("OK: %d records conform to trace schema v%d"
-          % (records, version))
+          % (records, TRACE_SCHEMA_VERSION))
     return 0
 
 

@@ -13,8 +13,8 @@ layer built earlier does its job on the way through —
   database; saturated servers shed load with
   :class:`~repro.query.admission.QueryRejected` instead of queueing
   forever) and inherit its per-query deadlines and page quotas;
-* the shared observability hub sees everything: ``session-query`` spans
-  from the sessions, ``server-request`` spans from the workers,
+* the shared observability hub sees everything: ``server-request``
+  spans from the workers (around the engine's ``query`` spans),
   ``repro_server_*`` counters/histograms here, and the database's
   ``repro_sessions_active`` / ``repro_snapshot_lag`` gauges.
 
@@ -125,12 +125,6 @@ class Server:
         metrics = database.observability.metrics
         self._requests_total = metrics.counter(
             "repro_server_requests_total", "Requests accepted by the server")
-        self._errors_total = metrics.counter(
-            "repro_server_errors_total",
-            "Requests that raised (rejections included)")
-        self._rejected_total = metrics.counter(
-            "repro_server_rejected_total",
-            "Requests shed by admission control or a full queue")
         self._timeouts_total = metrics.counter(
             "repro_server_timeouts",
             "Synchronous query() waits that hit their timeout")
@@ -142,8 +136,6 @@ class Server:
             "End-to-end request latency (submit to result)")
         self._queue_gauge = metrics.gauge(
             "repro_server_queue_depth", "Requests waiting for a worker")
-        self._workers_gauge = metrics.gauge(
-            "repro_server_workers", "Server worker threads")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -151,7 +143,6 @@ class Server:
         if self._running:
             raise ServerError("server already started")
         self._running = True
-        self._workers_gauge.set(self._workers)
         for index in range(self._workers):
             thread = threading.Thread(
                 target=self._worker_loop, args=(index,),
@@ -177,7 +168,6 @@ class Server:
         for thread in self._threads:
             thread.join()
         self._threads = []
-        self._workers_gauge.set(0)
         self._drain_queue()
 
     def _drain_queue(self):
@@ -192,7 +182,6 @@ class Server:
             if request.future.set_running_or_notify_cancel():
                 self.stats._count("drained")
                 self.stats._count("errors")
-                self._errors_total.inc()
                 request.future.set_exception(
                     ServerError("server stopped"))
         self._queue_gauge.set(0)
@@ -269,8 +258,6 @@ class Server:
                 self._queue.put_nowait(request)
         except queue.Full:
             self.stats._count("rejected")
-            self._rejected_total.inc()
-            self._errors_total.inc()
             request.future.set_exception(
                 QueryRejected("server queue full (%d waiting)"
                               % self._queue.maxsize))
@@ -328,10 +315,8 @@ class Server:
                                              profile=request.profile)
             except BaseException as exc:
                 self.stats._count("errors")
-                self._errors_total.inc()
                 if isinstance(exc, QueryRejected):
                     self.stats._count("rejected")
-                    self._rejected_total.inc()
                 future.set_exception(exc)
             else:
                 self.stats._count("served")

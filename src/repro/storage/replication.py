@@ -115,8 +115,8 @@ class StandbyReplica:
     (path, page_size) -> disk lets tests interpose a
     :class:`~repro.storage.faults.FaultInjectingDisk` on the apply path.
     ``observability`` (an :class:`~repro.obs.Observability` hub or None)
-    gets ship/apply/promote trace spans and, via :meth:`bind_metrics`,
-    the replication gauges.
+    gets catch-up/apply/promote trace records and, via
+    :meth:`bind_metrics`, the replication gauges.
     """
 
     def __init__(self, path, shipper, page_size=4096, buffer_pages=256,
@@ -266,8 +266,6 @@ class StandbyReplica:
             self.stall_reason = (
                 "segment %d was pruned at the source (oldest retained is "
                 "newer); snapshot re-seed required" % sequence)
-            self._tracer.event("replica.pruned-at-source",
-                               sequence=sequence, head=head)
         elif verdict == MISSING:
             self.stall_reason = (
                 "segment %d is missing below head %d (lost in transport "
@@ -390,8 +388,7 @@ class StandbyReplica:
 
         self._require_standby()
         self._stop_tailing.set()
-        with self._tail_lock, \
-                self._tracer.span("replica.reseed", path=self.path):
+        with self._tail_lock:
             self._require_standby()
             self._close_query_db()
             try:
@@ -407,8 +404,6 @@ class StandbyReplica:
             self.stats.reseeds += 1
             self.needs_reseed = False
             self.stall_reason = None
-            self._tracer.event("replica.reseeded",
-                               sequence=result.sequence)
             return result
 
     # -- failover ------------------------------------------------------------
@@ -492,28 +487,9 @@ class StandbyReplica:
         registry.mirror(self.stats, (
             ("repro_replication_lag_segments", "lag_segments",
              "Commit groups the standby is behind the shipped head"),
-            ("repro_replication_segments_shipped", "segments_shipped",
-             "Segments fetched from the log shipper (lifetime)"),
             ("repro_replication_segments_applied", "segments_applied",
              "Segments applied to the standby (lifetime)"),
-            ("repro_replication_pages_applied", "pages_applied",
-             "Page images applied to the standby (lifetime)"),
-            ("repro_replication_transient_errors", "transient_errors",
-             "Transient ship/apply failures absorbed by retry"),
-            ("repro_replication_apply_retries", "apply_retries",
-             "Ship/apply calls that needed at least one retry"),
-            ("repro_replication_torn_segments", "torn_segments_seen",
-             "Torn head segments skipped while tailing"),
-            ("repro_replication_divergence_refusals", "divergence_refusals",
-             "Promotions refused on sequence gap or checksum mismatch"),
             ("repro_replication_failovers", "failovers",
              "Successful standby promotions"),
-            ("repro_replication_pruned_at_source", "pruned_at_source",
-             "Fetches answered by a source that pruned the segment"),
-            ("repro_replication_reseeds", "reseeds",
-             "Snapshot re-seeds completed after retention outran tailing"),
-            ("repro_replication_last_applied_sequence",
-             "last_applied_sequence",
-             "Commit sequence of the last applied group"),
         ), name="replication")
         return registry

@@ -26,18 +26,17 @@ The :class:`RetentionPolicy` numbers are plumbing-free so the cluster
 layer (:class:`~repro.cluster.replicaset.ReplicaSet`) can own the
 standby-floor collection and the lag budget that decides when a
 straggler stops holding the horizon and is re-seeded instead
-(``docs/CLUSTER.md``).  Everything is observable: ``repro_retention_*``
-gauges via :meth:`CheckpointManager.bind_metrics` and
-``retention.*`` trace events.
+(``docs/CLUSTER.md``).  :attr:`CheckpointManager.stats` counts every
+checkpoint and prune; ``ReplicaSet.status()["retention"]`` and
+``db.stats()["retention"]`` serve it.
 """
 
 import errno
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.trace import NULL_TRACER
 from repro.storage.errors import DiskFullError, StorageError
 from repro.storage.journal import fsync_directory
 
@@ -107,8 +106,7 @@ class CheckpointManager:
     there, so a restarted manager resumes where the last one stopped).
     """
 
-    def __init__(self, archive, policy=None, checkpoint_dir=None,
-                 observability=None):
+    def __init__(self, archive, policy=None, checkpoint_dir=None):
         if archive is None:
             raise RetentionError(
                 "CheckpointManager needs an archive (durability='archive')")
@@ -118,14 +116,10 @@ class CheckpointManager:
                                else archive.directory + ".checkpoints")
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         self.stats = RetentionStats()
-        self._tracer = (observability.tracer if observability is not None
-                        else NULL_TRACER)
         self._checkpoints = self._load_records()
         if self._checkpoints:
             self.stats.last_checkpoint_sequence = \
                 self._checkpoints[-1]["sequence"]
-        if observability is not None:
-            self.bind_metrics(observability.metrics)
 
     # -- checkpoint records (durable) -----------------------------------------
 
@@ -184,37 +178,34 @@ class CheckpointManager:
         """
         from repro.storage.backup import hot_backup
 
-        with self._tracer.span("retention.checkpoint"):
-            staging = os.path.join(self.checkpoint_dir, "ckpt-inprogress")
-            if os.path.isdir(staging):
-                shutil.rmtree(staging)
-            try:
-                manifest = hot_backup(source, staging)
-            except OSError as exc:
-                shutil.rmtree(staging, ignore_errors=True)
-                if exc.errno == errno.ENOSPC:
-                    raise DiskFullError(
-                        "checkpoint snapshot hit ENOSPC: %s" % exc) from exc
-                raise
-            dest = os.path.join(self.checkpoint_dir,
-                                "ckpt-%016d" % manifest.sequence)
-            if os.path.isdir(dest):
-                shutil.rmtree(dest)
-            os.replace(staging, dest)
-            fsync_directory(self.checkpoint_dir)
-            record = {"sequence": manifest.sequence, "directory": dest,
-                      "created_at": manifest.created_at}
-            self._checkpoints = [r for r in self._checkpoints
-                                 if r["sequence"] != manifest.sequence]
-            self._checkpoints.append(record)
-            self._checkpoints.sort(key=lambda r: r["sequence"])
-            self._save_records()
-            self.stats.checkpoints += 1
-            self.stats.last_checkpoint_sequence = manifest.sequence
-            self._drop_superseded()
-            self._tracer.event("retention.checkpointed",
-                               sequence=manifest.sequence)
-            return dict(record)
+        staging = os.path.join(self.checkpoint_dir, "ckpt-inprogress")
+        if os.path.isdir(staging):
+            shutil.rmtree(staging)
+        try:
+            manifest = hot_backup(source, staging)
+        except OSError as exc:
+            shutil.rmtree(staging, ignore_errors=True)
+            if exc.errno == errno.ENOSPC:
+                raise DiskFullError(
+                    "checkpoint snapshot hit ENOSPC: %s" % exc) from exc
+            raise
+        dest = os.path.join(self.checkpoint_dir,
+                            "ckpt-%016d" % manifest.sequence)
+        if os.path.isdir(dest):
+            shutil.rmtree(dest)
+        os.replace(staging, dest)
+        fsync_directory(self.checkpoint_dir)
+        record = {"sequence": manifest.sequence, "directory": dest,
+                  "created_at": manifest.created_at}
+        self._checkpoints = [r for r in self._checkpoints
+                             if r["sequence"] != manifest.sequence]
+        self._checkpoints.append(record)
+        self._checkpoints.sort(key=lambda r: r["sequence"])
+        self._save_records()
+        self.stats.checkpoints += 1
+        self.stats.last_checkpoint_sequence = manifest.sequence
+        self._drop_superseded()
+        return dict(record)
 
     def maybe_checkpoint(self, source, head=None):
         """Checkpoint when the policy's cadence says one is due.
@@ -292,8 +283,6 @@ class CheckpointManager:
             self.stats.last_horizon = horizon
             if unconstrained is not None and horizon < unconstrained:
                 self.stats.holds += 1
-            self._tracer.event("retention.prune", horizon=horizon,
-                               removed=removed)
         return removed
 
     def emergency_prune(self, standby_floor=None):
@@ -312,75 +301,4 @@ class CheckpointManager:
             self.stats.emergency_prunes += 1
             self.stats.segments_pruned += removed
             self.stats.last_horizon = horizon
-            self._tracer.event("retention.emergency-prune",
-                               horizon=horizon, removed=removed)
         return removed
-
-    # -- introspection --------------------------------------------------------
-
-    def replay_window(self):
-        """The archive's retention state: ``(oldest, newest, count,
-        bytes)`` (see :meth:`~repro.storage.journal.Archive.
-        replay_window`)."""
-        return self.archive.replay_window()
-
-    def bind_metrics(self, registry):
-        """Mirror :attr:`stats` into ``repro_retention_*`` gauges.
-
-        Idempotent per registry; the replay-window gauges are refreshed
-        from the archive directory at snapshot time, so they track
-        pruning done by anyone, not just this manager.
-        """
-        if registry in getattr(self, "_bound_registries", ()):
-            return registry
-        self._bound_registries = getattr(self, "_bound_registries", [])
-        self._bound_registries.append(registry)
-        registry.mirror(self.stats, (
-            ("repro_retention_checkpoints", "checkpoints",
-             "Durable checkpoints recorded"),
-            ("repro_retention_checkpoints_dropped", "checkpoints_dropped",
-             "Superseded checkpoint snapshots deleted"),
-            ("repro_retention_prunes", "prunes",
-             "Prune passes that removed segments"),
-            ("repro_retention_emergency_prunes", "emergency_prunes",
-             "Disk-pressure prunes that waived the PITR window"),
-            ("repro_retention_segments_pruned", "segments_pruned",
-             "Archive segments removed by retention (lifetime)"),
-            ("repro_retention_holds", "holds",
-             "Prunes where a lagging standby held the horizon down"),
-            ("repro_retention_horizon", "last_horizon",
-             "Safe prune horizon of the most recent prune"),
-            ("repro_retention_checkpoint_sequence",
-             "last_checkpoint_sequence",
-             "Commit sequence of the latest durable checkpoint"),
-        ), name="retention")
-
-        window_gauges = {
-            "oldest": registry.gauge(
-                "repro_retention_window_oldest",
-                "Oldest retained archive sequence (0 when empty)"),
-            "newest": registry.gauge(
-                "repro_retention_window_newest",
-                "Newest retained archive sequence (0 when empty)"),
-            "segments": registry.gauge(
-                "repro_retention_window_segments",
-                "Archive segments currently retained"),
-            "bytes": registry.gauge(
-                "repro_retention_window_bytes",
-                "Bytes of archive segments currently on disk"),
-        }
-        for gauge_name in ("repro_retention_window_oldest",
-                           "repro_retention_window_newest",
-                           "repro_retention_window_segments",
-                           "repro_retention_window_bytes"):
-            registry.claim(gauge_name, "retention-window")
-
-        def refresh_window(_registry):
-            oldest, newest, count, size = self.archive.replay_window()
-            window_gauges["oldest"].set(oldest or 0)
-            window_gauges["newest"].set(newest or 0)
-            window_gauges["segments"].set(count)
-            window_gauges["bytes"].set(size)
-
-        registry.register_collector(refresh_window, name="retention-window")
-        return registry

@@ -328,6 +328,7 @@ class TestFailover:
             assert snap["repro_cluster_fencings_total"] == 1
             assert snap["repro_cluster_epoch"] == 2
             assert snap["repro_cluster_failover_seconds"]["count"] == 1
+            assert snap["repro_cluster_probe_failures_total"] >= 1
         finally:
             client.close()
             rs.close()
@@ -341,6 +342,8 @@ class TestFailover:
             disk.crash_now()
             with pytest.raises(ClusterWriteError, match="indeterminate"):
                 client.add_document(XML, name="lost?")
+            assert rs.observability.metrics.snapshot()[
+                "repro_cluster_write_errors_total"] == 1
             # The fatal write failure went straight to down — one tick
             # fails over without waiting out the failure ladder.
             assert rs.health_of("node-0").state == DOWN
@@ -358,6 +361,8 @@ class TestFailover:
             for _ in range(4):
                 rs.tick()
             assert rs.view.primary is None
+            assert rs.observability.metrics.snapshot()[
+                "repro_cluster_failover_failures_total"] >= 1
             with pytest.raises(NoPrimaryError):
                 rs.primary_for_write()
             with pytest.raises(NoBackendAvailable):

@@ -1,8 +1,10 @@
 """The cluster observability plane, end to end.
 
 Four subsystems under one roof: the metric-hygiene lint (every metric a
-fully-wired cluster exports is well-named, documented, parseable, and
-owned by at most one collector), trace schema v2 + cross-node trace
+fully-wired cluster exports is well-named, documented, parseable, owned
+by at most one collector, and — like every span and event kind emitted
+under ``src/`` — has a row in docs/OBSERVABILITY.md's reader table,
+which names nothing else), trace schema v2 + cross-node trace
 joining (a failover's fence/elect/promote/rebuild spans from different
 nodes share one trace id through the flight bundle), the per-node HTTP
 ops endpoints plus the aggregator that merges their expositions, and
@@ -10,6 +12,7 @@ the failover flight recorder whose bundles the postmortem tool renders.
 """
 
 import json
+import pathlib
 import re
 import threading
 import urllib.error
@@ -34,12 +37,77 @@ from tests.test_cluster_failover import make_cluster
 
 METRIC_NAME = re.compile(r"^repro_[a-z0-9_]+$")
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: One row of the reader table: ``| `name` | type | reader |``.
+READER_ROW = re.compile(
+    r"^\| `([^`]+)` \| (counter|gauge|histogram|span|event) \| .+ \|$")
+#: A ``tracer.span(...)`` / ``tracer.event(...)`` call; the kind is group 3
+#: when it is a string literal.
+EMIT_SITE = re.compile(r'tracer\.(span|event)\(\s*("([^"]*)")?')
+
 XML = "<dept><employee><name>ada</name></employee></dept>"
 
 
 def _small_cluster(tmp_path, **set_options):
     """A 2-standby ReplicaSet over local-dir shipping (no sockets)."""
     return make_cluster(tmp_path, standbys=2, **set_options)
+
+
+def _reader_rows():
+    """``{name: type}`` for every row of docs/OBSERVABILITY.md's table."""
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    return {match.group(1): match.group(2)
+            for match in map(READER_ROW.match, text.splitlines())
+            if match}
+
+
+def _emit_sites():
+    """``(file, "span"|"event", kind)`` for every emit call under
+    ``src/repro`` outside the tracer's own module; ``kind`` is None when
+    the call does not name its kind by a string literal."""
+    sites = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.parts[-2:] == ("obs", "trace.py"):
+            continue
+        for match in EMIT_SITE.finditer(path.read_text(encoding="utf-8")):
+            sites.append((path.name, match.group(1), match.group(3)))
+    return sites
+
+
+@pytest.fixture(scope="class")
+def wired_cluster(tmp_path_factory):
+    """A fully wired cluster: a ReplicaSet (per-node hubs, retention,
+    client) whose primary has admission, a scrubber and a replica
+    attached, plus a SocketShipper and a SegmentServer on their own hub.
+    Yields ``(replica_set, net_hub)``."""
+    from repro.net import SegmentServer, SocketShipper
+    from repro.query.admission import AdmissionController
+    from repro.storage.retention import RetentionPolicy
+
+    replica_set, client, _disk, _standby_disks = _small_cluster(
+        tmp_path_factory.mktemp("wired"),
+        retention_policy=RetentionPolicy(pitr_window=2, checkpoint_every=3,
+                                         max_standby_lag=4))
+    db = replica_set.view.primary.database
+    net_hub = Observability(node_id="net")
+    server = SegmentServer(db.archive.directory, 512,
+                           observability=net_hub).start()
+    shipper = SocketShipper(server.address, page_size=512,
+                            observability=net_hub)
+    try:
+        db.attach_admission(AdmissionController())
+        db.scrub()
+        db.attach_replication(replica_set.view.standbys[0].replica)
+        shipper.latest_sequence()
+        client.write(lambda d: d.add_document(XML))
+        client.query("//employee")
+        replica_set.tick()
+        yield replica_set, net_hub
+    finally:
+        shipper.close()
+        server.stop()
+        client.close()
+        replica_set.close()
 
 
 def _http_get(url, timeout=5.0):
@@ -66,16 +134,47 @@ class TestMetricHygiene:
         for metric, owner in registry.collector_owners().items():
             assert isinstance(owner, str) and owner
 
-    def test_fully_wired_cluster_registries_pass_the_lint(self, tmp_path):
-        replica_set, client, _disk, _standby_disks = _small_cluster(
-            tmp_path)
-        try:
-            client.write(lambda db: db.add_document(XML))
-            client.query("//employee")
-            for hub in replica_set._hubs.values():
-                self._lint(hub.metrics)
-        finally:
-            replica_set.close()
+    def test_fully_wired_cluster_registries_pass_the_lint(self,
+                                                          wired_cluster):
+        replica_set, _net_hub = wired_cluster
+        for hub in replica_set._hubs.values():
+            self._lint(hub.metrics)
+
+    @staticmethod
+    def _live_names(wired_cluster):
+        """``{name: type}`` of every registered metric and every kind
+        emitted under ``src/``."""
+        replica_set, net_hub = wired_cluster
+        live = {}
+        for hub in list(replica_set._hubs.values()) + [net_hub]:
+            for name in hub.metrics.names():
+                live[name] = hub.metrics.get(name).kind
+        for _file, method, kind in _emit_sites():
+            live[kind] = method
+        return live
+
+    def test_every_metric_and_kind_has_a_reader_row(self, wired_cluster):
+        non_literal = [(file, method) for file, method, kind
+                       in _emit_sites() if kind is None]
+        assert not non_literal, (
+            "name the kind by a string literal, so the reader lint can "
+            "see it: %r" % non_literal)
+        rows = _reader_rows()
+        unread = sorted("%s (%s)" % (name, kind) for name, kind
+                        in self._live_names(wired_cluster).items()
+                        if rows.get(name) != kind)
+        assert not unread, (
+            "no row of that type in docs/OBSERVABILITY.md's reader table "
+            "— name a reader or delete it: %s" % ", ".join(unread))
+
+    def test_every_reader_row_names_a_live_metric_or_kind(self,
+                                                          wired_cluster):
+        live = self._live_names(wired_cluster)
+        stale = sorted("%s (%s)" % (name, kind) for name, kind
+                       in _reader_rows().items() if live.get(name) != kind)
+        assert not stale, (
+            "reader table rows naming nothing registered or emitted: %s"
+            % ", ".join(stale))
 
     def test_second_collector_cannot_steal_a_mirrored_metric(self,
                                                              tmp_path):
@@ -418,7 +517,9 @@ class TestFlightRecorder:
             replica_set.report_backend_failure(
                 "node-1", RuntimeError("disk on fire"), fatal=True)
             bundle_dir = self._latest_bundle(flight_dir)
-            manifest = load_bundle(bundle_dir)["manifest"]
-            assert "fatal backend error" in manifest["reason"]
+            bundle = load_bundle(bundle_dir)
+            assert "fatal backend error" in bundle["manifest"]["reason"]
+            assert "cluster.backend-failure" in {
+                record.get("kind") for record in merge_timeline(bundle)}
         finally:
             replica_set.close()

@@ -145,11 +145,12 @@ def test_wrapped_ring_still_validates():
 
 def test_validator_rejects_garbage():
     assert validate_jsonl("not json\n")  # non-empty problem list
-    bad_version = json.dumps({"v": 999, "kind": "trace-meta",
-                              "phase": "meta", "capacity": 1,
-                              "emitted": 0, "dropped": 0}) + "\n"
-    assert any("schema version" in problem
-               for problem in validate_jsonl(bad_version))
+    for version in (999, 1):
+        bad_version = json.dumps({"v": version, "kind": "trace-meta",
+                                  "phase": "meta", "capacity": 1,
+                                  "emitted": 0, "dropped": 0}) + "\n"
+        assert any("schema version" in problem
+                   for problem in validate_jsonl(bad_version))
 
 
 def test_timestamps_are_monotonic_in_export_order():

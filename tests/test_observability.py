@@ -172,22 +172,14 @@ def test_database_stats_covers_every_subsystem():
         assert stats["queries"]["rows"] == 2
 
 
-#: Every metric a fresh database exposes (no handle evictions, no
-#: degraded-plan counter: handles are never evicted, a quota never retries).
+#: Every metric a fresh database exposes: only the ones with a reader
+#: (docs/OBSERVABILITY.md's reader table); db.stats() serves the rest.
 DATABASE_METRICS = [
-    "repro_admission_admitted", "repro_admission_peak_active",
-    "repro_admission_rejected", "repro_buffer_evictions",
-    "repro_buffer_hits", "repro_buffer_max_pinned", "repro_buffer_misses",
-    "repro_buffer_writebacks", "repro_disk_full_commit_failures",
-    "repro_disk_full_degraded", "repro_disk_full_recoveries",
-    "repro_index_handle_hits", "repro_index_handle_loads",
-    "repro_index_handle_misses", "repro_index_handle_writebacks",
+    "repro_buffer_hits", "repro_disk_full_degraded",
+    "repro_disk_full_recoveries", "repro_index_handle_hits",
     "repro_journal_torn_groups", "repro_queries_total",
     "repro_query_errors_total", "repro_query_pages",
     "repro_query_rows_total", "repro_query_seconds",
-    "repro_recovery_discarded_groups", "repro_recovery_replayed_groups",
-    "repro_scrub_corrupt", "repro_scrub_entries_checked",
-    "repro_scrub_pages_read", "repro_scrub_quarantined",
     "repro_sessions_active", "repro_slow_queries_total",
     "repro_snapshot_lag",
 ]

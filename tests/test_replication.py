@@ -543,18 +543,9 @@ class TestReplicationMetrics:
         snap = hub.snapshot()
         assert sorted(name for name in snap
                       if name.startswith("repro_replication_")) == [
-            "repro_replication_apply_retries",
-            "repro_replication_divergence_refusals",
             "repro_replication_failovers",
             "repro_replication_lag_segments",
-            "repro_replication_last_applied_sequence",
-            "repro_replication_pages_applied",
-            "repro_replication_pruned_at_source",
-            "repro_replication_reseeds",
             "repro_replication_segments_applied",
-            "repro_replication_segments_shipped",
-            "repro_replication_torn_segments",
-            "repro_replication_transient_errors",
         ]
         assert snap["repro_replication_segments_applied"] == 1
         assert snap["repro_replication_lag_segments"] == 0
