@@ -3,8 +3,9 @@
 ``CLIENTS`` client threads (default 120) fire a 90/10 read/write mix at
 a :class:`repro.server.Server` over a file-backed database with an
 :class:`~repro.query.admission.AdmissionController` attached.  Writers
-are serialized (the engine is single-writer/multi-reader); readers go
-through per-worker snapshot sessions.
+are serialized (the engine is single-writer/multi-reader); a read runs
+on its client's own thread, under the server's ``WORKERS``-slot bound,
+through one of the server's pooled snapshot sessions.
 
 Every read is checked for **snapshot consistency**: committed documents
 carry known employee counts, so a read's match count must equal some

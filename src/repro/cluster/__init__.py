@@ -2,7 +2,8 @@
 
 The cluster layer composes the replication primitives (warm standbys
 tailing the primary's commit-group archive) and the serving layer (the
-snapshot-session thread-pool server) into one fault-tolerant unit:
+server: reads on the caller's thread over pooled snapshot sessions)
+into one fault-tolerant unit:
 
 * :class:`~repro.cluster.replicaset.ReplicaSet` — owns the writable
   primary and N standbys, heartbeats them through per-backend

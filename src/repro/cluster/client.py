@@ -72,7 +72,7 @@ RETRYABLE_ERRORS = (
     StorageError,         # backend storage failing
     ServerError,          # backend server stopped (fencing race)
     CrashPoint,           # backend died under us
-    TimeoutError,         # future.result(timeout) expired
+    TimeoutError,         # a hedged race ran out of budget
     OSError,              # descriptor-level failures on a dying backend
 )
 
@@ -275,7 +275,7 @@ class ClusterClient:
                  trace_id=None, attempt=None):
         """One read against one backend, deadline-bounded both ways: the
         engine checks the deadline cooperatively mid-query, and the
-        future wait stops us blocking on a wedged backend.
+        primary's server gives up waiting for a slot once it has passed.
 
         The trace context is (re-)entered here explicitly because hedged
         attempts run on pool threads, which do not inherit the caller's

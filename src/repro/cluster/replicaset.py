@@ -751,7 +751,7 @@ class ReplicaSet:
         try:
             node.server.stop()
         except BaseException:
-            pass  # workers on a dead disk may be failing; they are daemons
+            pass  # in-flight reads on a dead disk may fail on their way out
         try:
             node.database.abandon()
         except BaseException:

@@ -539,9 +539,11 @@ class XmlDatabase:
     def metrics(self):
         """One flat metrics snapshot: name → value (collectors refreshed).
 
-        Covers the query-level instruments plus gauges mirroring every
-        subsystem's counters (buffer pool, index-manager handle cache,
-        admission control, crash recovery, integrity scrubbing).
+        Covers every instrument registered on the database's hub plus
+        the gauges :meth:`_register_collectors` mirrors: buffer-pool
+        hits, index handle-cache hits, torn journal groups, open
+        snapshot sessions, snapshot lag, and the disk-full degraded flag
+        and recoveries.
         """
         return self.observability.snapshot()
 

@@ -9,8 +9,8 @@ loader — differing only in which pool and which trees:
   :class:`~repro.storage.snapshot.SnapshotDisk`, their own (unlatched)
   buffer pool, their own catalog and index handles.  Writers keep
   committing; the session keeps seeing its pinned sequence until
-  released.  Many snapshot sessions run concurrently, one per server
-  worker thread.
+  released.  Many snapshot sessions run concurrently; the server pools
+  them, one per caller holding a slot.
 * **live sessions** (``db.session(snapshot=False)``) read the database's
   own pool and trees and therefore see staged, not-yet-committed writes —
   the single-threaded behavior every pre-session caller expects.
@@ -19,7 +19,9 @@ loader — differing only in which pool and which trees:
 
 The engine keeps no state between queries and no copy of an element set:
 every query reads the trees it joins, so nothing needs invalidating when a
-write changes them, and one session may serve concurrent callers.
+write changes them, and the live session may serve concurrent callers.
+A snapshot session's pool is unlatched, so it serves one thread at a
+time.
 
 A query through either kind allocates no page and commits nothing (a
 snapshot's disk refuses to).  Both kinds route queries through the database's

@@ -45,8 +45,8 @@ class MetricsError(Exception):
 class Counter:
     """A monotonically increasing total.
 
-    Safe to increment from any thread: server worker threads bump the
-    same query counters concurrently, and ``x += n`` on a plain attribute
+    Safe to increment from any thread: concurrent server callers bump
+    the same query counters, and ``x += n`` on a plain attribute
     is not atomic under the interpreter.
     """
 
@@ -136,7 +136,7 @@ class Histogram:
     def observe(self, value):
         """Record one observation (``value <= edge`` lands in that bucket).
 
-        Thread-safe: concurrent server workers observe into the same
+        Thread-safe: concurrent server callers observe into the same
         latency histograms.
         """
         with self._lock:

@@ -1,5 +1,6 @@
-"""Concurrent serving front end: a thread-pool server over snapshot
-sessions, admission control and the observability hub."""
+"""Concurrent serving front end: reads on the caller's thread under one
+admission bound, over pooled snapshot sessions and the observability
+hub."""
 
 from repro.server.server import Server, ServerError, ServerStats
 

@@ -1,74 +1,69 @@
-"""A thread-pool serving front end over one :class:`XmlDatabase`.
+"""The serving front end over one :class:`XmlDatabase`: a read runs on
+the caller's thread, under one admission bound, over pooled snapshot
+sessions.
 
-The ROADMAP's serving story ends here: many clients submit path queries
-concurrently, a fixed pool of worker threads answers them, and every
-layer built earlier does its job on the way through —
+Many client threads call :meth:`Server.query` concurrently.  The server
+starts no thread of its own; between the caller and the engine it keeps
 
-* each worker holds a **snapshot session** (:meth:`XmlDatabase.session`)
-  and answers from its pinned commit sequence; a worker refreshes its
-  session when it notices the database has committed past it, so reads
-  never block writers and writers never tear reads;
-* queries route through the database's
-  :class:`~repro.query.admission.AdmissionController` (attach one to the
-  database; saturated servers shed load with
-  :class:`~repro.query.admission.QueryRejected` instead of queueing
-  forever) and inherit its per-query deadlines and page quotas;
-* the shared observability hub sees everything: ``server-request``
-  spans from the workers (around the engine's ``query`` spans),
-  ``repro_server_*`` counters/histograms here, and the database's
-  ``repro_sessions_active`` / ``repro_snapshot_lag`` gauges.
+* **one bound** — an :class:`~repro.query.admission.AdmissionController`
+  with ``workers`` execution slots and room for ``queue_depth`` callers
+  to wait for one.  A caller beyond that is shed at once with the
+  controller's :class:`~repro.query.admission.QueryRejected`, so a
+  saturated server answers "try later" instead of stacking work;
+* **pooled snapshot sessions** — a free list of at most ``workers``
+  :meth:`XmlDatabase.session` snapshots.  A caller checks one out under
+  its slot, re-pins it when the database has committed past it, and
+  checks it back in on exit: reads never block writers, writers never
+  tear reads, and no session is used by two threads at once (a snapshot
+  session's buffer pool is unlatched);
+* **instruments** — ``repro_server_*`` counters/histograms here and a
+  ``server-request`` span around the engine's ``query`` span.  The span
+  opens on the caller's thread, so it joins the caller's trace as is.
 
-The server is in-process (callers hold a :class:`concurrent.futures.\
-Future`), which keeps the reproduction dependency-free while exercising
-the real concurrency: hundreds of client threads against a worker pool
-against one storage engine.
+Queries still pass the database's own admission controller when one is
+attached, and inherit its per-query deadlines and page quotas.
 
-    server = Server(db, workers=8)
-    with server:
-        future = server.submit("//employee[email]/name")
-        result = future.result()
+    with Server(db, workers=8) as server:
+        result = server.query("//employee[email]/name")
 """
 
-import queue
 import threading
 import time
-from concurrent.futures import Future
 
-from repro.obs.trace import current_context, trace_context
-from repro.query.admission import QueryRejected
-
-_STOP = object()
+from repro.query.admission import AdmissionController, QueryRejected
+from repro.query.runtime import QueryContext
 
 
 class ServerError(Exception):
-    """Server misuse: submitting to a stopped server, double start."""
+    """Server misuse: a call to a stopped server, double start."""
 
 
 class ServerStats:
-    """Lifetime counters for one server (thread-safe increments)."""
+    """Lifetime counters for one server (thread-safe increments).
+
+    ``peak_queue`` is the admission bound's high-water mark of callers
+    waiting for a slot.
+    """
 
     __slots__ = ("served", "errors", "rejected", "session_refreshes",
-                 "peak_queue", "timeouts", "cancelled", "drained", "_lock")
+                 "timeouts", "_admission", "_lock")
 
-    def __init__(self):
+    def __init__(self, admission):
         self.served = 0
         self.errors = 0
         self.rejected = 0
         self.session_refreshes = 0
-        self.peak_queue = 0
-        self.timeouts = 0      # synchronous query() waits that timed out
-        self.cancelled = 0     # requests cancelled before a worker ran them
-        self.drained = 0       # requests failed by stop() while still queued
+        self.timeouts = 0      # slot waits that outlived the call's timeout
+        self._admission = admission
         self._lock = threading.Lock()
+
+    @property
+    def peak_queue(self):
+        return self._admission.stats.peak_waiting
 
     def _count(self, field, amount=1):
         with self._lock:
             setattr(self, field, getattr(self, field) + amount)
-
-    def _saw_queue(self, depth):
-        with self._lock:
-            if depth > self.peak_queue:
-                self.peak_queue = depth
 
     def as_dict(self):
         return {
@@ -78,116 +73,69 @@ class ServerStats:
             "session_refreshes": self.session_refreshes,
             "peak_queue": self.peak_queue,
             "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "drained": self.drained,
         }
 
 
-class _Request:
-    __slots__ = ("kind", "path", "snapshot", "runtime", "profile",
-                 "analyze", "future", "submitted_at", "trace")
-
-    def __init__(self, kind, path, snapshot, runtime, profile, analyze):
-        self.kind = kind
-        self.path = path
-        self.snapshot = snapshot
-        self.runtime = runtime
-        self.profile = profile
-        self.analyze = analyze
-        self.future = Future()
-        self.submitted_at = time.monotonic()
-        # Capture the submitter's trace context: the worker thread that
-        # serves this request re-enters it, so the server-request span
-        # joins the caller's trace across the thread hop.
-        self.trace = current_context()
-
-
 class Server:
-    """Serve path queries from ``workers`` threads over snapshot sessions.
+    """Serve path queries on the callers' threads, at most ``workers`` at
+    once, with up to ``queue_depth`` more callers waiting for a slot.
 
-    ``queue_depth`` bounds the request queue; a full queue makes
-    non-blocking submits fail fast (the future carries
-    :class:`~repro.query.admission.QueryRejected`) while blocking submits
-    wait for room.  Admission control, deadlines and page quotas come
-    from whatever controller is attached to the database — the server
-    adds dispatch, per-worker snapshots and metrics, not policy.
+    Admission control, deadlines and page quotas attached to the
+    database still apply inside each call — the server adds the bound,
+    the session pool and metrics, not policy.
     """
 
     def __init__(self, database, workers=4, queue_depth=128):
         if workers < 1:
             raise ServerError("workers must be at least 1")
         self._db = database
-        self._workers = workers
-        self._queue = queue.Queue(queue_depth)
-        self._threads = []
+        self._admission = AdmissionController(max_active=workers,
+                                              max_waiting=queue_depth)
+        #: Guards ``_running``, ``_calls`` and ``_sessions``; ``stop()``
+        #: waits on it for the last call to leave.
+        self._cond = threading.Condition()
         self._running = False
-        self.stats = ServerStats()
+        self._calls = 0
+        self._sessions = []
+        self.stats = ServerStats(self._admission)
         metrics = database.observability.metrics
         self._requests_total = metrics.counter(
             "repro_server_requests_total", "Requests accepted by the server")
         self._timeouts_total = metrics.counter(
             "repro_server_timeouts",
-            "Synchronous query() waits that hit their timeout")
-        self._cancelled_total = metrics.counter(
-            "repro_server_cancelled_total",
-            "Requests cancelled while still queued (timeout or stop)")
+            "Slot waits that outlived the call's timeout")
         self._latency = metrics.histogram(
             "repro_server_latency_seconds",
-            "End-to-end request latency (submit to result)")
+            "End-to-end request latency (call to result)")
         self._queue_gauge = metrics.gauge(
-            "repro_server_queue_depth", "Requests waiting for a worker")
+            "repro_server_queue_depth", "Callers waiting for a slot")
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self):
-        if self._running:
-            raise ServerError("server already started")
-        self._running = True
-        for index in range(self._workers):
-            thread = threading.Thread(
-                target=self._worker_loop, args=(index,),
-                name="repro-server-%d" % index, daemon=True)
-            self._threads.append(thread)
-            thread.start()
+        with self._cond:
+            if self._running:
+                raise ServerError("server already started")
+            self._running = True
         return self
 
     def stop(self):
-        """Stop every worker, then fail whatever is still queued.
+        """Refuse new callers, let in-flight calls finish, then release
+        the pooled sessions.
 
-        Workers finish the requests ahead of their stop sentinel; anything
-        left behind (requests racing a concurrent stop, or cancelled
-        leftovers) is drained and its future failed with
-        :class:`ServerError` — no caller is ever left hanging on a future
-        the server will not serve.
+        A caller still waiting for a slot gets :class:`ServerError` when
+        one frees, so once ``stop()`` returns no query runs here and no
+        snapshot pin is left behind.
         """
-        if not self._running:
-            return
-        self._running = False
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        self._drain_queue()
-
-    def _drain_queue(self):
-        """Fail every request still in the queue (the server is stopped)."""
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is _STOP:
-                continue
-            if request.future.set_running_or_notify_cancel():
-                self.stats._count("drained")
-                self.stats._count("errors")
-                request.future.set_exception(
-                    ServerError("server stopped"))
-        self._queue_gauge.set(0)
+        with self._cond:
+            self._running = False
+            self._cond.wait_for(lambda: not self._calls)
+            sessions, self._sessions = self._sessions, []
+        for session in sessions:
+            session.close()
 
     def __enter__(self):
-        if not self._threads:
+        if not self._running:
             self.start()
         return self
 
@@ -206,129 +154,84 @@ class Server:
 
     # -- the client surface ----------------------------------------------------
 
-    def submit(self, path, snapshot=True, runtime=None, profile=None,
-               block=True):
-        """Enqueue a query; returns a :class:`concurrent.futures.Future`.
+    def query(self, path, runtime=None, profile=None, timeout=None):
+        """Evaluate ``path`` on a pooled snapshot session, on this thread.
 
-        ``snapshot=False`` runs against the live (staged-writes-visible)
-        state instead of the worker's pinned snapshot.  ``block=False``
-        sheds load immediately when the queue is full: the future fails
-        with :class:`~repro.query.admission.QueryRejected`.
+        ``timeout`` bounds the wait for a slot (a longer wait raises
+        :class:`~repro.query.admission.QueryRejected` and counts in
+        ``stats.timeouts``) and, when no ``runtime`` is given, becomes the
+        run's :class:`~repro.query.runtime.QueryContext` deadline.
         """
-        return self._enqueue(_Request("query", path, snapshot, runtime,
-                                      profile, False), block)
+        return self._call("query", path, runtime, profile, timeout)
 
-    def explain(self, path, analyze=False, snapshot=True, runtime=None,
-                profile=None, block=True):
-        """Enqueue an explain; same contract as :meth:`submit`."""
-        return self._enqueue(_Request("explain", path, snapshot, runtime,
-                                      profile, analyze), block)
+    def explain(self, path, analyze=False, runtime=None, profile=None,
+                timeout=None):
+        """The plan for ``path``; same contract as :meth:`query`."""
+        return self._call("explain", path, runtime, profile, timeout,
+                          analyze=analyze)
 
-    def query(self, path, snapshot=True, runtime=None, profile=None,
-              timeout=None):
-        """Submit and wait: the synchronous convenience wrapper.
-
-        A ``timeout`` that expires does not abandon the request: the
-        future is cancelled, so a still-queued request is skipped by the
-        workers instead of running for a caller that gave up.  (A request
-        already running completes and its result is dropped — cooperative
-        cancellation mid-query belongs to
-        :class:`~repro.query.runtime.QueryContext` deadlines.)
-        """
-        future = self.submit(path, snapshot=snapshot, runtime=runtime,
-                             profile=profile)
+    def _call(self, kind, path, runtime, profile, timeout, **options):
+        with self._cond:
+            if not self._running:
+                raise ServerError("server is not running")
+            self._calls += 1
         try:
-            return future.result(timeout)
-        except TimeoutError:
-            self.stats._count("timeouts")
-            self._timeouts_total.inc()
-            if future.cancel():
-                self.stats._count("cancelled")
-                self._cancelled_total.inc()
-            raise
+            self._requests_total.inc()
+            started = time.monotonic()
+            try:
+                slot = self._admission.acquire(timeout)
+            except QueryRejected:
+                if timeout is not None \
+                        and time.monotonic() - started >= timeout:
+                    self.stats._count("timeouts")
+                    self._timeouts_total.inc()
+                else:
+                    self.stats._count("rejected")
+                raise
+            finally:
+                self._queue_gauge.set(self._admission.waiting)
+            with slot:
+                if not self._running:
+                    raise ServerError("server stopped")
+                if runtime is None and timeout:
+                    runtime = QueryContext(deadline=timeout)
+                return self._serve(kind, path, runtime, profile, options,
+                                   started)
+        finally:
+            with self._cond:
+                self._calls -= 1
+                if not self._calls:
+                    self._cond.notify_all()
 
-    def _enqueue(self, request, block):
-        if not self._running:
-            raise ServerError("server is not running")
-        self._requests_total.inc()
-        try:
-            if block:
-                self._queue.put(request)
-            else:
-                self._queue.put_nowait(request)
-        except queue.Full:
-            self.stats._count("rejected")
-            request.future.set_exception(
-                QueryRejected("server queue full (%d waiting)"
-                              % self._queue.maxsize))
-            return request.future
-        depth = self._queue.qsize()
-        self.stats._saw_queue(depth)
-        self._queue_gauge.set(depth)
-        if not self._running:
-            # Raced a concurrent stop(): the workers may already be gone,
-            # so fail anything that slipped in behind their sentinels.
-            self._drain_queue()
-        return request.future
-
-    # -- workers ---------------------------------------------------------------
-
-    def _worker_loop(self, index):
+    def _serve(self, kind, path, runtime, profile, options, started):
         session = None
+        tracer = self._db.observability.tracer
         try:
-            while True:
-                request = self._queue.get()
-                if request is _STOP:
-                    return
-                session = self._serve(index, request, session)
+            with tracer.span("server-request", op=kind, path=str(path),
+                             waited_seconds=time.monotonic() - started):
+                session = self._checkout()
+                result = getattr(session, kind)(
+                    path, runtime=runtime, profile=profile, **options)
+        except BaseException as exc:
+            self.stats._count("errors")
+            if isinstance(exc, QueryRejected):
+                self.stats._count("rejected")
+            raise
+        else:
+            self.stats._count("served")
+            return result
         finally:
             if session is not None:
-                session.close()
+                with self._cond:
+                    self._sessions.append(session)
+            self._latency.observe(time.monotonic() - started)
+            self._queue_gauge.set(self._admission.waiting)
 
-    def _serve(self, index, request, session):
-        future = request.future
-        if not future.set_running_or_notify_cancel():
-            # Cancelled while queued (a timed-out synchronous caller):
-            # skip the work entirely.
-            self._queue_gauge.set(self._queue.qsize())
-            return session
-        tracer = self._db.observability.tracer
-        queued = time.monotonic() - request.submitted_at
-        ctx = request.trace
-        with trace_context(*(ctx if ctx is not None else (None,))), \
-                tracer.span("server-request", worker=index, op=request.kind,
-                            path=str(request.path), queued_seconds=queued):
-            try:
-                if request.snapshot:
-                    session = self._fresh(session)
-                    surface = session
-                else:
-                    surface = self._db
-                if request.kind == "query":
-                    result = surface.query(request.path,
-                                           runtime=request.runtime,
-                                           profile=request.profile)
-                else:
-                    result = surface.explain(request.path,
-                                             analyze=request.analyze,
-                                             runtime=request.runtime,
-                                             profile=request.profile)
-            except BaseException as exc:
-                self.stats._count("errors")
-                if isinstance(exc, QueryRejected):
-                    self.stats._count("rejected")
-                future.set_exception(exc)
-            else:
-                self.stats._count("served")
-                future.set_result(result)
-            finally:
-                self._latency.observe(time.monotonic() - request.submitted_at)
-                self._queue_gauge.set(self._queue.qsize())
-        return session
-
-    def _fresh(self, session):
-        """The worker's snapshot session, re-pinned when the database has
-        committed past it (bounds snapshot lag to one refresh check)."""
+    def _checkout(self):
+        """A pooled session, re-pinned when the database has committed
+        past it (bounds snapshot lag to one check per call)."""
+        with self._cond:
+            session = self._sessions.pop() if self._sessions else None
         if (session is None or session.closed
                 or session.sequence < self._db.commit_sequence):
             if session is not None:

@@ -4,6 +4,7 @@
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -179,10 +180,10 @@ class TestReadsWriteNothing:
 
 class TestReentrantQueries:
     def test_query_inside_a_query_keeps_the_outer_runs_state(self, db):
-        """A live session's engine is shared: server workers serving
-        ``snapshot=False`` requests call it concurrently, and a guardrail
-        tick may run a query of its own.  The inner run must not reset the
-        outer one's join count or profile."""
+        """A live session's engine is shared: threads calling
+        ``db.query`` run it concurrently, and a guardrail tick may run a
+        query of its own.  The inner run must not reset the outer one's
+        join count or profile."""
         db.add_document("<r><a><b/><c/></a><a><b/></a></r>")
         inner = []
 
@@ -308,6 +309,51 @@ class TestWarmJoin:
         assert second.page_misses <= first.page_misses
 
 
+class _Gate:
+    """Holds every ``Session.query`` until :meth:`open` and records the
+    thread each one ran on."""
+
+    def __init__(self, monkeypatch):
+        self._open = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.threads = []
+        real = Session.query
+        gate = self
+
+        def query(session, path, runtime=None, profile=None):
+            gate.threads.append(threading.get_ident())
+            gate.entered.release()
+            gate._open.wait(10)
+            return real(session, path, runtime=runtime, profile=profile)
+
+        monkeypatch.setattr(Session, "query", query)
+
+    def open(self):
+        self._open.set()
+
+
+def _spawn(call):
+    """Run ``call`` on a daemon thread; its outcome lands in the box."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = call()
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, box
+
+
+def _until(predicate, seconds=10):
+    give_up = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < give_up, "condition never held"
+        time.sleep(0.001)
+
+
 class TestServer:
     def test_server_round_trip(self, db):
         db.add_document(XML_ONE)
@@ -315,30 +361,24 @@ class TestServer:
         with Server(db, workers=2) as server:
             result = server.query("//employee/name")
             assert len(result.matches) == 1
-            text = server.explain("//employee/name").result(10)
+            text = server.explain("//employee/name")
             assert "plan" in text
         assert not server.running
 
     def test_submit_requires_running_server(self, db):
-        server = Server(db, workers=1)
-        with pytest.raises(ServerError):
-            server.submit("//a/b")
-
-    def test_full_queue_sheds_load_without_blocking(self, db):
         db.add_document(XML_ONE)
         db.flush()
-        server = Server(db, workers=1, queue_depth=1)
-        # Not started: workers never drain, so the queue fills.
-        server._running = True
-        first = server.submit("//employee/name", block=False)
-        shed = None
-        for _ in range(3):  # qsize is advisory; fill until rejection
-            shed = server.submit("//employee/name", block=False)
-            if shed.done():
-                break
-        assert isinstance(shed.exception(0), QueryRejected)
-        assert server.stats.rejected >= 1
-        assert not first.done()  # queued, awaiting a worker
+        server = Server(db, workers=1)
+        with pytest.raises(ServerError):
+            server.query("//employee/name")
+        with pytest.raises(ServerError):
+            server.explain("//employee/name")
+        server.start()
+        server.stop()
+        with pytest.raises(ServerError):
+            server.query("//employee/name")
+        assert db.metrics()["repro_server_requests_total"] == 0
+        assert db.metrics()["repro_sessions_active"] == 0
 
     def test_server_metrics_registered(self, db):
         db.add_document(XML_ONE)
@@ -350,61 +390,121 @@ class TestServer:
         assert snap["repro_server_latency_seconds"]["count"] == 1
         assert "repro_server_requests_total" in db.metrics_text()
 
-    def test_snapshot_false_serves_staged_state(self, db):
+    def test_query_runs_on_the_calling_thread(self, db, monkeypatch):
+        db.add_document(XML_ONE)
+        db.flush()
+        gate = _Gate(monkeypatch)
+        gate.open()
+        with Server(db, workers=2) as server:
+            server.query("//employee/name")
+            thread, box = _spawn(lambda: server.query("//employee/name"))
+            thread.join(10)
+        assert "error" not in box
+        assert gate.threads == [threading.get_ident(), thread.ident]
+
+    def test_one_runs_one_waits_the_third_is_rejected(self, db, monkeypatch):
+        db.add_document(XML_ONE)
+        db.flush()
+        gate = _Gate(monkeypatch)
+        server = Server(db, workers=1, queue_depth=1).start()
+        try:
+            running = _spawn(lambda: server.query("//employee/name"))
+            assert gate.entered.acquire(timeout=10)
+            waiting = _spawn(lambda: server.query("//employee/name"))
+            _until(lambda: server._admission.waiting == 1)
+            with pytest.raises(QueryRejected):
+                server.query("//employee/name")
+            assert db.metrics()["repro_server_queue_depth"] == 1
+            gate.open()
+            for thread, box in (running, waiting):
+                thread.join(10)
+                assert len(box["result"].matches) == 1
+        finally:
+            server.stop()
+        assert server.stats.rejected == 1
+        assert server.stats.peak_queue == 1
+        assert server.stats.served == 2
+        assert db.metrics()["repro_server_queue_depth"] == 0
+
+    def test_slot_wait_past_timeout_fails_and_is_counted(self, db,
+                                                         monkeypatch):
+        db.add_document(XML_ONE)
+        db.flush()
+        gate = _Gate(monkeypatch)
+        server = Server(db, workers=1).start()
+        try:
+            thread, box = _spawn(lambda: server.query("//employee/name"))
+            assert gate.entered.acquire(timeout=10)
+            with pytest.raises(QueryRejected):
+                server.query("//employee/name", timeout=0.05)
+            gate.open()
+            thread.join(10)
+            assert len(box["result"].matches) == 1
+        finally:
+            server.stop()
+        assert server.stats.timeouts == 1
+        assert server.stats.rejected == 0
+        assert db.metrics()["repro_server_timeouts"] == 1
+
+    def test_commit_between_queries_repins_the_pooled_session(self, db):
         db.add_document(XML_ONE)
         db.flush()
         with Server(db, workers=1) as server:
-            db.add_document(XML_TWO)  # staged only
-            live = server.query("//employee/name", snapshot=False)
-            assert len(live.matches) == 2
+            assert len(server.query("//employee/name").matches) == 1
+            server.query("//employee/name")
+            assert server.stats.session_refreshes == 1
+            db.add_document(XML_TWO)
+            db.flush()
+            assert len(server.query("//employee/name").matches) == 2
+            assert server.stats.session_refreshes == 2
+        assert db.metrics()["repro_sessions_active"] == 0
 
-    def test_timed_out_query_is_cancelled_not_abandoned(self, db):
-        """A synchronous query() whose wait expires cancels its request:
-        the worker skips it instead of running work nobody wants."""
+    def test_stop_waits_for_in_flight_and_fails_waiters(self, db,
+                                                        monkeypatch):
         db.add_document(XML_ONE)
         db.flush()
-        gate = threading.Event()
-        real_query = db.query
-
-        def gated_query(path, runtime=None, profile=None):
-            gate.wait(10)
-            return real_query(path, runtime=runtime, profile=profile)
-
-        db.query = gated_query
+        gate = _Gate(monkeypatch)
         server = Server(db, workers=1).start()
-        try:
-            # Wedge the only worker, then time out behind it.
-            blocker = server.submit("//employee/name", snapshot=False)
-            with pytest.raises(TimeoutError):
-                server.query("//employee/name", snapshot=False,
-                             timeout=0.05)
-            assert server.stats.timeouts == 1
-            assert server.stats.cancelled == 1
-            gate.set()
-            # The cancelled request is skipped: only the blocker and this
-            # follow-up are ever served.
-            server.query("//employee/name", snapshot=False, timeout=10)
-            blocker.result(10)
-            assert server.stats.served == 2
-        finally:
-            db.query = real_query
-            server.stop()
-        snap = db.metrics()
-        assert snap["repro_server_timeouts"] == 1
-        assert snap["repro_server_cancelled_total"] == 1
+        in_flight = _spawn(lambda: server.query("//employee/name"))
+        assert gate.entered.acquire(timeout=10)
+        waiter = _spawn(lambda: server.query("//employee/name"))
+        _until(lambda: server._admission.waiting == 1)
+        stopper, _ = _spawn(server.stop)
+        _until(lambda: not server.running)
+        with pytest.raises(ServerError):
+            server.query("//employee/name")
+        stopper.join(0.1)
+        assert stopper.is_alive(), "stop() returned with a call in flight"
+        gate.open()
+        for thread in (stopper, in_flight[0], waiter[0]):
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(in_flight[1]["result"].matches) == 1
+        assert isinstance(waiter[1]["error"], ServerError)
+        assert db._context.disk.versions.pin_count == 0
 
-    def test_stop_fails_queued_futures(self, db):
-        """stop() drains the queue: nobody is left waiting forever on a
-        future no worker will ever serve."""
+    def test_stop_fails_queued_futures(self, db, monkeypatch):
+        """stop() fails every caller still waiting for a slot: nobody is
+        left waiting forever, and none of them runs a query."""
         db.add_document(XML_ONE)
         db.flush()
-        server = Server(db, workers=2)
-        server._running = True  # accepted requests, workers not yet up
-        futures = [server.submit("//employee/name") for _ in range(3)]
-        server.stop()
-        for future in futures:
-            with pytest.raises(ServerError, match="server stopped"):
-                future.result(1)
-        assert server.stats.drained == 3
-        assert server.stats.as_dict()["drained"] == 3
+        gate = _Gate(monkeypatch)
+        server = Server(db, workers=1).start()
+        in_flight = _spawn(lambda: server.query("//employee/name"))
+        assert gate.entered.acquire(timeout=10)
+        waiters = [_spawn(lambda: server.query("//employee/name"))
+                   for _ in range(3)]
+        _until(lambda: server._admission.waiting == 3)
+        stopper, _ = _spawn(server.stop)
+        _until(lambda: not server.running)
+        gate.open()
+        for thread in [stopper, in_flight[0]] + [t for t, _ in waiters]:
+            thread.join(10)
+            assert not thread.is_alive()
+        for _, box in waiters:
+            assert isinstance(box["error"], ServerError)
+            assert "server stopped" in str(box["error"])
+        assert len(gate.threads) == 1
+        assert server.stats.served == 1
         assert db.metrics()["repro_server_queue_depth"] == 0
+        assert db._context.disk.versions.pin_count == 0
