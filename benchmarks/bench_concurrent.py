@@ -15,6 +15,12 @@ read latency and writes ``BENCH_concurrent.json`` when run as a script::
 
     PYTHONPATH=src python benchmarks/bench_concurrent.py
 
+CI gates only the violations and the client count.  p99 is reported, not
+gated: it is the tail of 120 threads sharing a few cores, and it moves
+with the host.  Six runs of one commit on a 2-core host gave p99
+469–899 ms (p50 0.44–0.79 ms), and earlier runs on such a host spanned
+232–512 ms.
+
 Scale with ``BENCH_CLIENTS`` / ``BENCH_OPS`` (per client).
 """
 

@@ -66,20 +66,6 @@ def main():
               % (query, len(fast), fast.joins_run,
                  fast.stats.elements_scanned, slow.stats.elements_scanned))
 
-    # The holistic TwigStack executor agrees and reports full twig matches.
-    from repro.query.twigjoin import twig_from_path, twig_stack_join
-
-    print("\nholistic TwigStack on the same twigs:")
-    for query in QUERIES[:3]:
-        root, output = twig_from_path(query)
-        solutions = twig_stack_join(view.entries_for_tag, root)
-        pipeline = engine.evaluate(query)
-        bindings = solutions.bindings_of(output.index)
-        assert [e.start for e in bindings] == pipeline.starts()
-        print("  %-40s %6d full matches, %5d scanned"
-              % (query, solutions.count,
-                 solutions.stats.elements_scanned))
-
     # Show that matches map back to their source documents.
     sample = engine.evaluate("//employee[employee]/name").matches[:3]
     print("\nfirst matches located back in their documents:")

@@ -36,10 +36,9 @@ class OperatorProfile:
 
     ``kind`` groups operators for rendering: ``"scan"`` (first-step element
     fetch), ``"join"`` (a forward structural join), ``"probe"`` (a reverse
-    FindAncestors step), ``"semi-join"`` / ``"filter"`` (predicates) and
-    ``"holistic"`` (PathStack/TwigStack single-pass runs).  ``tag`` names
-    the index the operator probes (its descendant/target side), which is
-    what ``pages_by_index`` aggregates on.
+    FindAncestors step) and ``"semi-join"`` / ``"filter"`` (predicates).
+    ``tag`` names the index the operator probes (its descendant/target
+    side), which is what ``pages_by_index`` aggregates on.
     """
 
     name: str

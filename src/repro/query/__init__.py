@@ -32,26 +32,7 @@ from repro.query.path import (
     PathStep,
     parse_path,
 )
-from repro.query.pathstack import (
-    PathSolutions,
-    evaluate_path_stack,
-    path_stack,
-)
 from repro.query.estimate import JoinEstimate, estimate_join
-from repro.query.planner import (
-    EstimatingPlanner,
-    GreedyPlanner,
-    LeftToRightPlanner,
-    execute_plan,
-)
-from repro.query.twigjoin import (
-    TwigNode,
-    TwigSolutions,
-    evaluate_twig,
-    twig_from_path,
-    twig_join,
-    twig_stack_join,
-)
 
 __all__ = [
     "AdmissionController",
@@ -65,25 +46,13 @@ __all__ = [
     "QueryRejected",
     "QueryRuntimeError",
     "RowCapExceeded",
-    "EstimatingPlanner",
-    "GreedyPlanner",
     "JoinEstimate",
     "estimate_join",
-    "LeftToRightPlanner",
-    "execute_plan",
-    "TwigNode",
-    "TwigSolutions",
-    "evaluate_twig",
-    "twig_from_path",
-    "twig_join",
     "AttributePredicate",
     "Axis",
     "PathExpression",
     "PathQueryEngine",
-    "PathSolutions",
     "PathStep",
     "QueryResult",
-    "evaluate_path_stack",
     "parse_path",
-    "path_stack",
 ]

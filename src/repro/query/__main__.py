@@ -4,14 +4,12 @@ Usage::
 
     python -m repro.query "//employee[email]/name" --file doc.xml
     python -m repro.query "//employee//name" --generate 5000
-    python -m repro.query "//employee//name" --generate 5000 --holistic
     python -m repro.query "//employee//name" --generate 5000 --profile \
         --trace-out trace.jsonl
 
-Evaluates the path with the XR-stack join pipeline (default), the no-index
-pipeline (``--strategy stack-tree``) or the holistic PathStack executor
-(``--holistic``, linear paths only) and prints matches plus execution
-statistics.  ``--profile`` prints the per-operator actuals (EXPLAIN
+Evaluates the path with the XR-stack join pipeline (default) or the
+no-index pipeline (``--strategy stack-tree``) and prints matches plus
+execution statistics.  ``--profile`` prints the per-operator actuals (EXPLAIN
 ANALYZE); ``--trace-out FILE`` records the run with an enabled tracer and
 exports the span/event ring as JSONL.
 """
@@ -21,7 +19,6 @@ import sys
 
 from repro.obs import Observability, QueryProfile, Tracer
 from repro.query.engine import PathQueryEngine
-from repro.query.pathstack import evaluate_path_stack
 from repro.xmldata.dtd import CONFERENCE_DTD, DEPARTMENT_DTD
 from repro.xmldata.generator import XmlGenerator
 from repro.xmldata.parser import parse_document
@@ -40,10 +37,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--strategy", choices=("xr-stack", "stack-tree"),
                         default="xr-stack")
-    parser.add_argument("--holistic", action="store_true",
-                        help="use the PathStack executor (linear paths)")
-    parser.add_argument("--twig-stack", action="store_true",
-                        help="use the getNext-optimized TwigStack executor")
     parser.add_argument("--explain", action="store_true",
                         help="print the engine's plan before executing")
     parser.add_argument("--profile", action="store_true",
@@ -71,45 +64,22 @@ def main(argv=None):
         observability = Observability(tracer=Tracer(enabled=True))
     profile = QueryProfile() if args.profile else None
 
+    engine = PathQueryEngine(document, strategy=args.strategy,
+                             observability=observability)
     if args.explain:
-        engine = PathQueryEngine(document, strategy=args.strategy)
         print()
         print(engine.explain(args.path))
-
-    if args.holistic:
-        result = evaluate_path_stack(document, args.path, profile=profile)
-        matches = result.last_elements()
-        print("\n%s: %d path solutions, %d distinct matches, "
-              "%d elements scanned"
-              % (args.path, result.count, len(matches),
-                 result.stats.elements_scanned))
-    elif args.twig_stack:
-        from repro.query.twigjoin import twig_from_path, twig_stack_join
-
-        root, output = twig_from_path(args.path)
-        solutions = twig_stack_join(document.entries_for_tag, root)
-        matches = solutions.bindings_of(output.index)
-        print("\n%s: %d twig matches, %d distinct output bindings, "
-              "%d elements scanned"
-              % (args.path, solutions.count, len(matches),
-                 solutions.stats.elements_scanned))
-    else:
-        engine = PathQueryEngine(document, strategy=args.strategy,
-                                 observability=observability)
-        result = engine.evaluate(args.path, profile=profile)
-        matches = result.matches
-        print("\n%s: %d matches, %d joins, %d elements scanned"
-              % (args.path, len(matches), result.joins_run,
-                 result.stats.elements_scanned))
+    result = engine.evaluate(args.path, profile=profile)
+    matches = result.matches
+    print("\n%s: %d matches, %d joins, %d elements scanned"
+          % (args.path, len(matches), result.joins_run,
+             result.stats.elements_scanned))
     for match in matches[: args.limit]:
         print("  region (%d, %d) level %d"
               % (match.start, match.end, match.level))
     if len(matches) > args.limit:
         print("  ... and %d more" % (len(matches) - args.limit))
     if profile is not None:
-        if not profile.path:  # holistic runs don't stamp query-level fields
-            profile.path = args.path
-            profile.strategy = "path-stack"
         print()
         print(profile.render())
     if observability is not None and args.trace_out:

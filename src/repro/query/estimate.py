@@ -1,15 +1,13 @@
 """Sampling-based cardinality estimation for structural joins.
 
-A join-order planner is only as good as its size estimates.  This module
-estimates, without running the join, (a) the number of output pairs and
-(b) the surviving fraction of each side, by joining a systematic sample of
-the descendant side against the full ancestor side's *top-level region
-index* — an O(|sample| · log |A|) probe using the same containment sweep the
-workload analyses use.
+This module estimates, without running the join, (a) the number of output
+pairs and (b) the fraction of descendants with a match, by joining a
+systematic sample of the descendant side against the full ancestor side's
+*top-level region index* — an O(|sample| · log |A|) probe using the same
+containment sweep the workload analyses use.
 
-The estimator powers :class:`repro.query.planner.EstimatingPlanner`, which
-orders a path's joins by estimated surviving frontier sizes instead of raw
-input sizes.
+:meth:`repro.query.engine.PathQueryEngine.explain` prints the estimate
+beside each join ("est ~" under ``analyze=True``).
 """
 
 from dataclasses import dataclass
@@ -22,12 +20,7 @@ class JoinEstimate:
     """Estimated outcome of one structural join."""
 
     pairs: float                 # expected output pairs
-    ancestor_fraction: float     # expected fraction of A with >= 1 match
     descendant_fraction: float   # expected fraction of D with >= 1 match
-
-    def survivors(self, ancestor_count, descendant_count):
-        return (self.ancestor_fraction * ancestor_count,
-                self.descendant_fraction * descendant_count)
 
 
 def estimate_join(ancestors, descendants, sample_size=256,
@@ -36,13 +29,10 @@ def estimate_join(ancestors, descendants, sample_size=256,
 
     A systematic sample of descendants is fully resolved against the
     ancestor list (chain lookup via one sweep); pair counts and the
-    matched-descendant fraction extrapolate directly, while the matched-
-    ancestor fraction uses the coverage the sampled chains achieve, scaled
-    by the sampling rate with a union-style correction (covering is
-    sub-linear because chains overlap).
+    matched-descendant fraction extrapolate directly.
     """
     if not ancestors or not descendants:
-        return JoinEstimate(0.0, 0.0, 0.0)
+        return JoinEstimate(0.0, 0.0)
     step = max(1, len(descendants) // sample_size)
     sample = descendants[::step]
     chains = ancestor_chains(ancestors, sample)
@@ -50,21 +40,8 @@ def estimate_join(ancestors, descendants, sample_size=256,
         chains = _parent_only(ancestors, sample, chains)
     matched = sum(1 for chain in chains if chain)
     pair_rate = sum(len(chain) for chain in chains) / len(sample)
-    covered = set()
-    for chain in chains:
-        covered.update(chain)
-    scale = len(descendants) / len(sample)
-    # Coverage extrapolation: treat each unsampled descendant as covering
-    # the same ancestors with probability proportional to the sampled
-    # coverage rate (capped at the whole ancestor set).
-    expected_covered = min(
-        len(ancestors),
-        len(ancestors) * (1.0 - (1.0 - len(covered) / len(ancestors))
-                          ** scale) if covered else 0.0,
-    )
     return JoinEstimate(
         pairs=pair_rate * len(descendants),
-        ancestor_fraction=expected_covered / len(ancestors),
         descendant_fraction=matched / len(sample),
     )
 

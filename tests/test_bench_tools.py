@@ -58,14 +58,6 @@ class TestQueryCli:
         assert "matches" in out
         assert "region (" in out
 
-    def test_holistic_mode(self, capsys):
-        from repro.query.__main__ import main
-
-        assert main(["//employee//name", "--generate", "800",
-                     "--holistic"]) == 0
-        out = capsys.readouterr().out
-        assert "path solutions" in out
-
     def test_file_mode(self, tmp_path, capsys):
         from repro.query.__main__ import main
 
@@ -91,11 +83,3 @@ class TestQueryCli:
         out = capsys.readouterr().out
         assert "plan for" in out
         assert "semi-join filter" in out
-
-    def test_twig_stack_flag(self, capsys):
-        from repro.query.__main__ import main
-
-        assert main(["//employee[email]/name", "--generate", "600",
-                     "--twig-stack"]) == 0
-        out = capsys.readouterr().out
-        assert "twig matches" in out

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.query.estimate import JoinEstimate, estimate_join, true_join_size
-from repro.query.planner import EstimatingPlanner, execute_plan
-from repro.query import PathQueryEngine
 from tests.conftest import entry
 
 
@@ -29,8 +27,8 @@ class TestTrueJoinSize:
 
 class TestEstimateJoin:
     def test_empty_inputs(self):
-        assert estimate_join([], [entry(1, 2)]) == JoinEstimate(0, 0, 0)
-        assert estimate_join([entry(1, 9)], []) == JoinEstimate(0, 0, 0)
+        assert estimate_join([], [entry(1, 2)]) == JoinEstimate(0, 0)
+        assert estimate_join([entry(1, 9)], []) == JoinEstimate(0, 0)
 
     def test_full_sample_is_exact(self, dept_data):
         # With the sample covering every descendant, the pair estimate is
@@ -45,7 +43,6 @@ class TestEstimateJoin:
         estimate = estimate_join(dept_data.ancestors, dept_data.descendants,
                                  sample_size=200)
         assert estimate.pairs == pytest.approx(truth, rel=0.35)
-        assert 0.0 <= estimate.ancestor_fraction <= 1.0
         assert 0.0 <= estimate.descendant_fraction <= 1.0
 
     def test_disjoint_sets_estimate_zero(self):
@@ -53,7 +50,7 @@ class TestEstimateJoin:
         descendants = [entry(i * 10 + 6, i * 10 + 7) for i in range(1, 50)]
         estimate = estimate_join(ancestors, descendants)
         assert estimate.pairs == 0.0
-        assert estimate.ancestor_fraction == 0.0
+        assert estimate.descendant_fraction == 0.0
 
     def test_parent_child_estimate_smaller(self, dept_data):
         ad = estimate_join(dept_data.ancestors, dept_data.descendants,
@@ -62,31 +59,3 @@ class TestEstimateJoin:
                            sample_size=10 ** 9, parent_child=True)
         assert pc.pairs <= ad.pairs
 
-    def test_survivors_helper(self):
-        estimate = JoinEstimate(pairs=10, ancestor_fraction=0.5,
-                                descendant_fraction=0.25)
-        assert estimate.survivors(100, 200) == (50.0, 50.0)
-
-
-class TestEstimatingPlanner:
-    PATHS = (
-        "//department//employee//name",
-        "//department//employee//email",
-        "//employee//employee/name",
-    )
-
-    @pytest.mark.parametrize("path", PATHS)
-    def test_results_match_engine(self, dept_data, path):
-        engine = PathQueryEngine(dept_data.document)
-        expected = engine.evaluate(path).starts()
-        planner = EstimatingPlanner()
-        result = execute_plan(dept_data.document, path, planner)
-        assert [e.start for e in result.matches] == expected
-
-    def test_estimates_recorded(self, dept_data):
-        planner = EstimatingPlanner()
-        execute_plan(dept_data.document,
-                     "//department//employee//name", planner)
-        assert len(planner.estimates) == 2
-        for _edge, estimate in planner.estimates:
-            assert estimate.pairs >= 0.0

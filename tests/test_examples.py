@@ -52,9 +52,3 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "corpus: 2 documents" in out
         assert "//employee[email]" in out
-
-    def test_query_strategies(self, capsys):
-        run_example("query_strategies.py", ["1200"])
-        out = capsys.readouterr().out
-        assert "All strategies agree" in out
-        assert "greedy join order" in out

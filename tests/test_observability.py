@@ -8,7 +8,6 @@ from repro.core.database import XmlDatabase
 from repro.obs import Observability, QueryProfile, Tracer
 from repro.obs.validate import validate_jsonl
 from repro.query.engine import PathQueryEngine
-from repro.query.pathstack import evaluate_path_stack
 from repro.query.runtime import QueryContext
 from repro.workloads.datasets import department_dataset
 
@@ -87,16 +86,6 @@ def test_profile_to_dict_round_trips_through_json(dataset):
     assert decoded["rows"] == profile.rows
     assert len(decoded["operators"]) == len(profile.operators)
     assert decoded["pages_by_index"]
-
-
-def test_holistic_path_stack_profile(dataset):
-    profile = QueryProfile()
-    result = evaluate_path_stack(dataset.document, PATH, profile=profile)
-    assert len(profile.operators) == 1
-    op = profile.operators[0]
-    assert op.kind == "holistic" and op.algorithm == "path-stack"
-    assert op.rows_out == result.count
-    assert op.elements_scanned > 0
 
 
 # -- EXPLAIN ANALYZE ---------------------------------------------------------
@@ -258,11 +247,3 @@ def test_cli_profile_and_trace_out(tmp_path, capsys):
     assert "skip probes" in out
     assert validate_jsonl(trace_file.read_text()) == []
 
-
-def test_cli_profile_with_holistic(capsys):
-    from repro.query.__main__ import main
-
-    assert main([PATH, "--generate", "1500", "--holistic",
-                 "--profile"]) == 0
-    out = capsys.readouterr().out
-    assert "path-stack" in out and "profile for" in out

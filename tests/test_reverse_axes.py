@@ -122,15 +122,6 @@ class TestEvaluation:
         with pytest.raises(QueryError):
             engine.evaluate("//name[parent::emp]")
 
-    def test_holistic_executors_reject_reverse(self, engine):
-        from repro.query.pathstack import evaluate_path_stack
-        from repro.query.twigjoin import twig_from_path
-
-        with pytest.raises(ValueError):
-            evaluate_path_stack(engine.document, "//name/parent::emp")
-        with pytest.raises(ValueError):
-            twig_from_path("//name/parent::emp")
-
     def test_explain_shows_probe(self, engine):
         plan = engine.explain("//name/parent::emp")
         assert "parent-probe into emp" in plan

@@ -118,12 +118,6 @@ class TestEvaluation:
         node = engine.document.node_at(result.matches[0].ptr)
         assert node.attributes["id"] == "e2"
 
-    def test_holistic_executor_rejects_value_predicates(self):
-        from repro.query.twigjoin import twig_from_path
-
-        with pytest.raises(ValueError):
-            twig_from_path('//emp[@grade="senior"]')
-
     def test_view_without_node_access_raises(self, engine):
         class _View:
             def entries_for_tag(self, tag):
