@@ -6,10 +6,13 @@ and its descendant input for ``first()`` and ``seek_after(key)``.  A
 sorted Python list answers them all: bisect on a start column for the
 seeks and, for FindAncestors, a parent-index column (each entry's nearest
 enclosing entry, filled in one stack pass) — the entries stabbed by a
-point lie on one parent chain.  Every read hands out a plain list
-iterator.  Scan-counter charges equal the XR-tree's, so a join pipeline
-hands its intermediate results to the unchanged kernels, writes nothing,
-and moves no count.
+point lie on one parent chain.  The column is built by the first probe,
+so a list that is only read by iteration and seeks (a join's descendant
+side, or the ancestor side of a self-join, which XR-stack never probes)
+never pays for it.  Every read hands out a plain list iterator.
+Scan-counter charges equal the XR-tree's, so a join pipeline hands its
+intermediate results to the unchanged kernels, writes nothing, and moves
+no count.
 """
 
 from bisect import bisect_left, bisect_right
@@ -26,13 +29,21 @@ class MemoryElementList:
         self._entries = entries
         self.size = len(entries)
         self._starts = [entry.start for entry in entries]
-        self._parents = parents = []
-        open_slots = []  # the chain of entries still open at this start
-        for slot, entry in enumerate(entries):
-            while open_slots and entries[open_slots[-1]].end < entry.start:
-                open_slots.pop()
-            parents.append(open_slots[-1] if open_slots else -1)
-            open_slots.append(slot)
+        self._parents = None  # built by the first probe
+
+    def _parent_column(self):
+        """Each entry's nearest enclosing entry (its slot, or -1), filled
+        in one stack pass the first time a probe asks."""
+        if self._parents is None:
+            entries = self._entries
+            parents, open_slots = [], []  # open: the chain at this start
+            for slot, entry in enumerate(entries):
+                while open_slots and entries[open_slots[-1]].end < entry.start:
+                    open_slots.pop()
+                parents.append(open_slots[-1] if open_slots else -1)
+                open_slots.append(slot)
+            self._parents = parents
+        return self._parents
 
     def first(self):
         """Iterator from the smallest start."""
@@ -64,7 +75,7 @@ class MemoryElementList:
         """``(find_ancestors(point, counter, after_start), seek(point))``
         from one bisect — XR-stack's ancestor step (``finger`` as for
         :meth:`seek`)."""
-        entries, parents, found = self._entries, self._parents, []
+        entries, parents, found = self._entries, self._parent_column(), []
         slot = bisect_left(self._starts, point)
         # A stabbed entry is, or encloses, the last one starting before point.
         stab = slot - 1

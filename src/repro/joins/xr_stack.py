@@ -17,7 +17,10 @@ FindAncestors is bounded by CurA, not by the stack top as Algorithm 6
 has it: CurD's ancestors that start before CurA are on the stack already,
 so the probe asks only for those starting at or after CurA.  When the leaf
 covering CurD also covers CurA, that leaf alone answers and no stab list
-is searched (:meth:`~repro.indexes.xrtree.XRTree.find_ancestors`).  The
+is searched (:meth:`~repro.indexes.xrtree.XRTree.find_ancestors`).  When
+the inputs overlap and CurA is CurD's own element (equal starts), the
+bound leaves nothing to find: CurA rides the stack straight from the
+cursor, and no probe is issued or counted as an ancestor skip.  The
 answers and every scan charge are the published algorithm's.
 
 Each input's probes share one *finger* — the last root-to-leaf path and
@@ -69,29 +72,37 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
             while stack and stack[-1].end < d_start:
                 stack.pop()
             if a is not None and a.start <= d_start:
-                # Lines 9-13, one probe: fetch CurD's ancestors directly
-                # from the XR-tree and leap CurA past CurD.  Only those
-                # starting at or after CurA are new: every entry before
-                # CurA starts at or before an earlier probe's point, which
-                # CurD follows, so one enclosing CurD went onto the stack
-                # at that probe (or was on it already) and has not been
-                # popped.  (Algorithm 6 bounds the probe by the stack top,
-                # which is looser.)  With
-                # overlapping input sets the ancestor side may hold CurD's
-                # own element (start equality): it is not an ancestor of
-                # CurD (FindAncestors returns strict ancestors only) but is
-                # a live candidate for *later* descendants, so it must ride
-                # the stack rather than be leapt over.  The sink never
-                # pairs it with its own element.
+                # Lines 9-13.  With overlapping input sets the ancestor
+                # side may hold CurD's own element (start equality): it is
+                # not an ancestor of CurD but is a live candidate for
+                # *later* descendants, so it rides the stack rather than
+                # being leapt over (the sink never pairs it with its own
+                # element).  No probe is issued for it: CurD's ancestors
+                # all start before CurA and are on the stack already (see
+                # below), so FindAncestors would answer nothing and its
+                # re-seek would land on CurA itself.
                 scanned += 1
-                ancestors, a_items = atree.probe(d_start, stats, a.start - 1,
-                                                 a_finger)
-                stack.extend(ancestors)
-                stats.ancestor_skips += 1
-                a = next(a_items, None)
-                if a is not None and a.start == d_start:
+                if a.start == d_start:
                     stack.append(a)
                     a = next(a_items, None)
+                else:
+                    # One probe: fetch CurD's ancestors directly from the
+                    # XR-tree and leap CurA past CurD.  Only those
+                    # starting at or after CurA are new: every entry
+                    # before CurA either rode the stack from the cursor
+                    # or starts before an earlier probe's point, which
+                    # CurD follows, so one enclosing CurD went onto the
+                    # stack at that probe (or was on it already) and has
+                    # not been popped.  (Algorithm 6 bounds the probe by
+                    # the stack top, which is looser.)
+                    ancestors, a_items = atree.probe(d_start, stats,
+                                                     a.start - 1, a_finger)
+                    stack.extend(ancestors)
+                    stats.ancestor_skips += 1
+                    a = next(a_items, None)
+                    if a is not None and a.start == d_start:
+                        stack.append(a)
+                        a = next(a_items, None)
                 if stack:
                     emit_stack(stack, d)
                 d = next(d_items, None)

@@ -60,7 +60,7 @@ class PathStep:
     def __str__(self):
         return "%s%s%s" % (
             self.axis.value, self.tag,
-            "".join("[%s]" % _render_predicate(p) for p in self.predicates),
+            "".join("[%s]" % render_predicate(p) for p in self.predicates),
         )
 
 
@@ -71,9 +71,6 @@ def render_predicate(predicate):
     text = str(predicate)
     return text[1:] if text.startswith("/") and not text.startswith("//") \
         else text
-
-
-_render_predicate = render_predicate  # backwards-friendly alias
 
 
 @dataclass(frozen=True)

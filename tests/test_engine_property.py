@@ -98,7 +98,10 @@ NESTED = ("//a[b[c]]/b", "//a[b[c//b]]//c", "//b[*/a]", "//a[c]",
 REVERSE = ("//c/parent::b", "//c/ancestor::a", "//b[c]/ancestor::a/b",
            "//c/parent::b/parent::a//c", "//a//c/ancestor::b[c]",
            "//c/parent::a", "//b/ancestor::c")
-PATHS = TWIGS + LINEAR + NESTED + REVERSE
+# Same-tag steps join a tag's set with itself or with a subset of it, so
+# the two join inputs overlap.
+SAME_TAG = ("//a//a", "//a//a/b", "//b[c]//b")
+PATHS = TWIGS + LINEAR + NESTED + REVERSE + SAME_TAG
 
 
 @given(shapes, st.booleans())

@@ -152,11 +152,29 @@ class TestFinger:
     def test_join_requests_each_stab_page_once(self):
         """During one XR-stack join no stab-list page is requested twice
         while its node stays on the finger: the node's memo holds every
-        stab page read through it until the node is fetched again."""
+        stab page read through it until the node is fetched again.
+
+        The towers' nested elements join the childless ones in each
+        tower's bottom third, so the first probe into a tower finds the
+        tower's upper chain in the stab lists.  (A self-join of the towers
+        reads no stab page at all: each of its steps starts on CurD's own
+        element, and no probe is issued.)"""
         entries = nested_towers(4, 60)
+        nested = [a for a in entries if a.end > a.start + 1]
+        bottom = [d for d in entries if d.end == d.start + 1 and d.level > 40]
+        selfjoin = fresh_tree(4, 4)
+        selfjoin.bulk_load(entries)
+        stats = JoinStats()
+        requested = _requested(selfjoin.pool, lambda: xr_stack_join(
+            selfjoin, selfjoin, collect=False, stats=stats))
+        assert stats.pairs == sum(
+            1 for a in entries for d in entries if a.start < d.start < a.end)
+        assert stats.stab_pages == stats.ancestor_skips == 0
+        assert not [page for page in requested
+                    if isinstance(page, (StabListPage, StabDirectoryPage))]
         atree, dtree = fresh_tree(4, 4), fresh_tree(4, 4)
-        atree.bulk_load(entries)
-        dtree.bulk_load(entries)
+        atree.bulk_load(nested)
+        dtree.bulk_load(bottom)
         chains = stab_chains(atree)
         assert any(directory and len(pages) >= 3
                    for directory, pages in chains.values())
@@ -168,7 +186,7 @@ class TestFinger:
         requested = _requested(atree.pool, lambda: pairs.extend(
             xr_stack_join(atree, dtree, stats=stats)[0]))
         assert len(pairs) == sum(
-            1 for a in entries for d in entries if a.start < d.start < a.end)
+            1 for a in nested for d in bottom if a.start < d.start < a.end)
         entered = Counter()  # fetches of each node: arrivals on the finger
         visits = []
         for page in requested:

@@ -39,7 +39,9 @@ def published_xr_stack(ancestors, descendants, parent_child=False):
     """Algorithm 6 over start-sorted lists, FindAncestors bounded by the
     stack top and answered by brute force: ``(pairs, elements_scanned,
     ancestor_skips, descendant_skips)``.  A step scans one element and
-    FindAncestors charges one per ancestor it returns."""
+    FindAncestors charges one per ancestor it returns.  With overlapping
+    inputs, an ancestor-side element starting where CurD does is CurD's
+    own element: it goes onto the stack with no probe and no skip."""
     a_starts = [a.start for a in ancestors]
     d_starts = [d.start for d in descendants]
     pairs, stack = [], []
@@ -49,7 +51,10 @@ def published_xr_stack(ancestors, descendants, parent_child=False):
         while stack and stack[-1].end < d.start:
             stack.pop()
         scanned += 1
-        if i < len(ancestors) and ancestors[i].start <= d.start:
+        if i < len(ancestors) and ancestors[i].start == d.start:
+            stack.append(ancestors[i])
+            i += 1
+        elif i < len(ancestors) and ancestors[i].start < d.start:
             top = stack[-1].start if stack else float("-inf")
             found = [a for a in ancestors if top < a.start < d.start < a.end]
             scanned += len(found)
@@ -126,9 +131,25 @@ def test_parent_child_matches_oracle(shape, bits):
                                       parent_child=True)
 
 
+def counting_probes(source):
+    """Wrap ``source.probe`` to record every call; returns the record."""
+    calls, probe = [], source.probe
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return probe(*args, **kwargs)
+
+    source.probe = counted
+    return calls
+
+
 @given(shapes)
 @settings(max_examples=30, deadline=None)
 def test_full_overlap_self_join(shape):
+    """Every algorithm joins a set with itself; and since every ancestor
+    step then starts on CurD's own element, XR-stack never probes its
+    ancestor input — an XR-tree or a memory list, the same object on both
+    sides or two — and neither memory list builds its parent column."""
     entries = tree_shape_to_entries(shape)
     expected = nested_loop_join(entries, entries)
     for algorithm in (stack_tree_join, mpmgjn_join, bplus_join,
@@ -138,6 +159,41 @@ def test_full_overlap_self_join(shape):
     for pairs, _ in memory_runs(entries, entries):
         assert sort_pairs(pairs) == expected
     assert_xr_stack_work_is_published(entries, entries)
+    pool = StorageContext(page_size=512, buffer_pages=64).pool
+    tree = build_xr_tree(entries, pool)
+    memory = MemoryElementList(entries)
+    for atree, dtree in ((tree, tree), (tree, build_xr_tree(entries, pool)),
+                         (memory, memory),
+                         (memory, MemoryElementList(entries))):
+        calls = counting_probes(atree)
+        try:
+            pairs, stats = xr_stack_join(atree, dtree)
+        finally:
+            del atree.probe
+        assert sort_pairs(pairs) == expected
+        assert calls == [] and stats.ancestor_skips == 0
+        for source in (atree, dtree):
+            assert getattr(source, "_parents", None) is None
+
+
+@given(shapes, st.lists(st.integers(min_value=0, max_value=2),
+                        min_size=1, max_size=7))
+@settings(max_examples=30, deadline=None)
+def test_memory_list_builds_its_parent_column_only_when_probed(shape, bits):
+    """A memory list read only as a descendant input — by XR-stack or
+    Stack-Tree — never builds its parent column; an ancestor input builds
+    it exactly when XR-stack issues a probe."""
+    entries = tree_shape_to_entries(shape)
+    ancestors, descendants = split_sets(entries, bits)
+    expected = nested_loop_join(ancestors, descendants)
+    for join in (xr_stack_join, stack_tree_join):
+        a_input = MemoryElementList(ancestors)
+        calls = counting_probes(a_input)
+        d_input = MemoryElementList(descendants)
+        pairs, _ = join(a_input, d_input)
+        assert sort_pairs(pairs) == expected
+        assert d_input._parents is None
+        assert (a_input._parents is None) == (not calls)
 
 
 @given(shapes, st.lists(st.integers(min_value=0, max_value=2),

@@ -25,6 +25,13 @@ A third check keeps the perf tracer's exact counter honest: an XR-stack
 join over two XR-trees makes one call to ``XRTree.find_ancestors``, as
 looked up on the class, per ancestor skip.
 
+A fourth sweep joins a tag with itself on random documents of the
+recursive DTDs (``employee`` in the Department DTD, ``parlist`` and
+``listitem`` in the auction one), over XR-trees and memory lists, on the
+descendant and the child axis: the pairs must be the nested-loop oracle's,
+and XR-stack must issue no probe — each of its ancestor steps starts on
+CurD's own element, where FindAncestors has nothing to find.
+
 The sweep is seeded: set ``CHAOS_SEED`` to reproduce.
 """
 
@@ -34,8 +41,17 @@ from operator import attrgetter
 
 from repro.indexes.bptree import Finger
 from repro.indexes.xrtree import XRTree
-from repro.joins import JoinStats, MemoryElementList, xr_stack_join
+from repro.joins import (
+    JoinStats,
+    MemoryElementList,
+    nested_loop_join,
+    xr_stack_join,
+)
+from repro.joins.base import sort_pairs
+from repro.xmldata import GeneratorConfig, XmlGenerator
+from repro.xmldata.dtd import AUCTION_DTD, DEPARTMENT_DTD
 from tests.test_finger_stab_memo import indexed, sides
+from tests.test_joins_property import counting_probes
 from tests.test_xrtree_property import fresh_tree
 from tests.test_xrtree_run_delete import region_set
 
@@ -229,3 +245,48 @@ def test_xr_stack_traces_one_find_ancestors_call_per_ancestor_skip(
         _pairs, stats = xr_stack_join(atree, dtree, collect=False)
         assert stats.ancestor_skips > 0
         assert len(calls) == stats.ancestor_skips
+
+
+RECURSIVE_TAGS = ((DEPARTMENT_DTD, ("employee",)),
+                  (AUCTION_DTD, ("parlist", "listitem")))
+
+
+def test_self_join_on_recursive_documents_issues_no_probe():
+    rng = random.Random("%s/self-join" % SEED)
+    nested = 0
+    for number in range(ROUNDS):
+        dtd, tags = rng.choice(RECURSIVE_TAGS)
+        config = GeneratorConfig(mean_repeat=rng.uniform(1.8, 2.6),
+                                 recursion_decay=rng.uniform(0.6, 0.9),
+                                 max_depth=28)
+        document = XmlGenerator(dtd, config, seed=rng.randrange(1 << 30)) \
+            .generate(rng.randrange(300, 1200), doc_id=1)
+        tag = rng.choice(tags)
+        entries = document.entries_for_tag(tag)
+        order = list(entries)
+        rng.shuffle(order)
+        tree = built(entries, rng.randrange(4, 9), rng.randrange(4, 9),
+                     None if number % 2 == 0 else order)
+        memory = MemoryElementList(entries)
+        for parent_child in (False, True):
+            expected = nested_loop_join(entries, entries,
+                                        parent_child=parent_child)
+            nested += len(expected)
+            for atree, dtree in ((tree, tree), (memory, tree),
+                                 (memory, memory)):
+                here = ("CHAOS_SEED=%d round %d" % (SEED, number), tag,
+                        parent_child, type(atree).__name__,
+                        type(dtree).__name__)
+                calls = counting_probes(atree)
+                try:
+                    pairs, stats = xr_stack_join(atree, dtree,
+                                                 parent_child=parent_child)
+                finally:
+                    del atree.probe
+                assert sort_pairs(pairs) == expected, here
+                assert calls == [], here
+                assert (stats.ancestor_skips, stats.stab_pages) == (0, 0), \
+                    here
+                assert stats.elements_scanned == len(entries), here
+                assert tree.pool.pinned_count == 0, here
+    assert nested, "CHAOS_SEED=%d joined no nested pair" % SEED
