@@ -65,25 +65,6 @@ def main():
                  len(tree.find_descendants(survivor.start, survivor.end))))
         print("index file: %s (%d bytes)" % (path, os.path.getsize(path)))
 
-    # Source-document updates: with sparse numbering, insertions take
-    # unused region numbers, so only the touched elements hit the indexes.
-    from repro.xmldata.model import annotate_regions
-    from repro.xmldata.update import IndexedDocument
-    from repro.storage.buffer import BufferPool
-    from repro.storage.disk import InMemoryDisk
-
-    document = department_dataset(1200, seed=3).document
-    annotate_regions(document.root, spacing=6)  # leave insertion room
-    indexed = IndexedDocument(document,
-                              BufferPool(InMemoryDisk(1024), capacity=64))
-    employee = next(n for n in document if n.tag == "employee")
-    added = indexed.insert(employee, 0, "email", text="new@corp")
-    print("\ninserted <email> at region (%d, %d) without renumbering; "
-          "all indexes verified: %s"
-          % (added.start, added.end, indexed.check()))
-    indexed.delete(added)
-    print("deleted it again; indexes verified: %s" % indexed.check())
-
 
 if __name__ == "__main__":
     main()

@@ -10,11 +10,10 @@ Run:  python examples/twig_queries.py [docs] [elements-per-doc]
 
 import sys
 
+from repro.core import XmlDatabase
 from repro.query import PathQueryEngine
-from repro.xmldata.corpus import Corpus
 from repro.xmldata.dtd import DEPARTMENT_DTD
 from repro.xmldata.generator import XmlGenerator
-from repro.xmldata.model import Document
 
 QUERIES = (
     "//employee[email]",                 # employees with an email child
@@ -25,36 +24,20 @@ QUERIES = (
 )
 
 
-def merged_corpus_document(corpus):
-    """View the corpus as one virtual document for the query engine.
-
-    The engine only needs ``entries_for_tag`` and ``tags``; the corpus
-    provides both with globally unique starts, so a thin adapter suffices.
-    """
-
-    class _CorpusView:
-        def entries_for_tag(self, tag):
-            return corpus.entries_for_tag(tag)
-
-        def tags(self):
-            return corpus.tags()
-
-    return _CorpusView()
-
-
 def main():
     docs = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     per_doc = int(sys.argv[2]) if len(sys.argv) > 2 else 2500
-    corpus = Corpus()
+    db = XmlDatabase.create()
     generator = XmlGenerator(DEPARTMENT_DTD, seed=19)
     for document in generator.generate_corpus(docs, per_doc):
-        corpus.add(document)
+        db.add_document(document)
     print("corpus: %d documents, %d elements total"
-          % (len(corpus), corpus.element_count()))
+          % (len(db.documents()), db.element_count()))
 
-    view = merged_corpus_document(corpus)
-    engine = PathQueryEngine(view)
-    fallback = PathQueryEngine(view, strategy="stack-tree")
+    # The database answers ``entries_for_tag`` and ``tags`` over the whole
+    # corpus, with unique starts, so the engine runs over it directly.
+    engine = PathQueryEngine(db)
+    fallback = PathQueryEngine(db, strategy="stack-tree")
 
     print("\n%-42s %8s %7s %11s %11s"
           % ("twig", "matches", "joins", "xr scan", "nidx scan"))
@@ -70,8 +53,8 @@ def main():
     sample = engine.evaluate("//employee[employee]/name").matches[:3]
     print("\nfirst matches located back in their documents:")
     for match in sample:
-        doc_id, start, end = corpus.locate(match)
-        print("  doc %d, local region (%d, %d)" % (doc_id, start, end))
+        name, start, end = db.locate(match)
+        print("  %s, local region (%d, %d)" % (name, start, end))
 
 
 if __name__ == "__main__":

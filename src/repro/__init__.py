@@ -5,7 +5,7 @@ The package provides, from scratch:
 
 * a paged external-memory substrate with a buffer pool and I/O accounting
   (:mod:`repro.storage`);
-* an XML data model, three numbering schemes, a minimal parser, DTDs and a
+* an XML data model with region numbering, a minimal parser, DTDs and a
   synthetic generator (:mod:`repro.xmldata`);
 * a dynamic disk-based B+-tree and the paper's XR-tree with stab lists and
   ps directories (:mod:`repro.indexes`);

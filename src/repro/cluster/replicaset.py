@@ -243,6 +243,7 @@ class ReplicaSet:
         for node in nodes:
             self._health[node.id] = self._new_health(node.id)
         self._failover_lock = threading.RLock()
+        self._tick_lock = threading.Lock()
         self._monitor = None
         self._monitor_stop = threading.Event()
         self._wake = threading.Event()
@@ -443,23 +444,29 @@ class ReplicaSet:
 
         Probes the primary, tails + probes each standby, runs the
         retention round, and — when the primary is down — runs failover.
+        Rounds run one at a time: a round started beside the monitor's
+        waits for it, rather than probing a view whose standby the other
+        round has just promoted (tailing a promoted node fails, and enough
+        such failures would take the new primary down).
         """
-        view = self._view
-        if view.primary is not None:
-            self._probe_primary(view.primary)
-        for node in view.standbys:
-            self._tail_and_probe(node)
-        self._retention_tick()
-        primary = self._view.primary
-        if primary is not None:
-            health = self._health[primary.id]
-            if health.state == DOWN:
-                try:
-                    self.failover("primary %s is down: %s"
-                                  % (primary.id, health.last_failure_reason))
-                except ClusterError:
-                    pass  # no promotable standby yet; retried next tick
-        return self.status()
+        with self._tick_lock:
+            view = self._view
+            if view.primary is not None:
+                self._probe_primary(view.primary)
+            for node in view.standbys:
+                self._tail_and_probe(node)
+            self._retention_tick()
+            primary = self._view.primary
+            if primary is not None:
+                health = self._health[primary.id]
+                if health.state == DOWN:
+                    try:
+                        self.failover(
+                            "primary %s is down: %s"
+                            % (primary.id, health.last_failure_reason))
+                    except ClusterError:
+                        pass  # no promotable standby yet; retried next tick
+            return self.status()
 
     def _probe_primary(self, node):
         health = self._health[node.id]

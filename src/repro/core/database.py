@@ -17,9 +17,9 @@ survive reopening the file.
 Each tag's corpus-wide element set is one XR-tree (named ``tag:<name>`` in
 the catalog); adding a document inserts its elements *dynamically*
 (Algorithm 1 per element — the paper's maintenance story, exercised for
-real).  Documents get disjoint region ranges exactly as
-:class:`~repro.xmldata.corpus.Corpus` assigns them, so joins never pair
-elements across documents.
+real).  Each document gets its own region range, offset past the previous
+document's, so regions of different documents never nest and joins never
+pair elements across documents.
 
 Index handles are owned by an :class:`~repro.storage.indexmanager.\
 IndexManager`: repeated queries reuse live trees instead of

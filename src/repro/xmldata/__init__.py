@@ -1,6 +1,7 @@
-"""XML data substrate: ordered-tree documents, numbering schemes, a minimal
-from-scratch parser, DTD models and the synthetic data generator used by the
-paper's experiments (our stand-in for the IBM AlphaWorks XML generator).
+"""XML data substrate: ordered-tree documents with region numbering, a
+minimal from-scratch parser, DTD models and the synthetic data generator
+used by the paper's experiments (our stand-in for the IBM AlphaWorks XML
+generator).
 """
 
 from repro.xmldata.dtd import (
@@ -12,58 +13,28 @@ from repro.xmldata.dtd import (
     ElementDecl,
     parse_dtd,
 )
-from repro.xmldata.corpus import Corpus
 from repro.xmldata.generator import GeneratorConfig, XmlGenerator
 from repro.xmldata.model import Document, Element, XmlModelError
-from repro.xmldata.numbering import (
-    DietzCode,
-    DurableCode,
-    annotate_dietz,
-    annotate_durable,
-    is_ancestor_dietz,
-    is_ancestor_durable,
-    is_ancestor_region,
-    is_parent_region,
-)
 from repro.xmldata.parser import XmlParseError, parse_document, \
     serialize_document
 from repro.xmldata.stats import document_stats, element_set_stats
-from repro.xmldata.update import (
-    GapExhausted,
-    IndexedDocument,
-    delete_leaf_element,
-    insert_leaf_element,
-)
 
 __all__ = [
     "CONFERENCE_DTD",
     "Cardinality",
-    "Corpus",
     "ChildSpec",
     "DEPARTMENT_DTD",
-    "DietzCode",
     "Document",
     "Dtd",
-    "DurableCode",
     "Element",
     "ElementDecl",
     "GeneratorConfig",
     "XmlGenerator",
     "XmlModelError",
     "XmlParseError",
-    "annotate_dietz",
-    "annotate_durable",
-    "is_ancestor_dietz",
-    "is_ancestor_durable",
-    "is_ancestor_region",
-    "is_parent_region",
     "parse_document",
     "parse_dtd",
     "serialize_document",
     "document_stats",
     "element_set_stats",
-    "GapExhausted",
-    "IndexedDocument",
-    "delete_leaf_element",
-    "insert_leaf_element",
 ]

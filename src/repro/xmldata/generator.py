@@ -31,16 +31,13 @@ class GeneratorConfig:
     particles; ``optional_probability`` the chance an ``?`` child appears;
     ``recursion_decay`` multiplies the expected repeat count once per level of
     same-tag nesting already on the path (values < 1 guarantee termination);
-    ``max_depth`` hard-caps the tree height; ``text_numbers`` reserves one
-    region number for text payloads, producing the numbering gaps of
-    Figure 1.
+    ``max_depth`` hard-caps the tree height.
     """
 
     mean_repeat: float = 2.5
     optional_probability: float = 0.5
     recursion_decay: float = 0.6
     max_depth: int = 32
-    text_numbers: bool = True
     id_attributes: bool = False  # stamp every element with an id attribute
 
     def __post_init__(self):
@@ -95,7 +92,7 @@ class XmlGenerator:
                 )
                 units += 1
 
-        annotate_regions(root, text_numbers=self.config.text_numbers)
+        annotate_regions(root)
         return Document(root, doc_id=doc_id)
 
     def generate_corpus(self, documents, target_elements=10000, first_doc_id=1):

@@ -2,8 +2,8 @@
 
 XML documents are ordered trees (Section 1).  Each element carries a region
 code ``(start, end)`` assigned by a depth-first traversal (Section 2.1): a
-global counter advances on every element entry and exit (and, optionally, for
-text content), so for any two distinct elements the regions are either
+global counter advances on every element entry and exit (and once for each
+text payload), so for any two distinct elements the regions are either
 disjoint or strictly nested — the *strictly nested* property every structure
 in this library relies on.
 """
@@ -41,15 +41,6 @@ class Element:
         return "Element(%s, %d, %d, level=%d)" % (
             self.tag, self.start, self.end, self.level,
         )
-
-    # -- structural predicates -------------------------------------------------
-
-    def is_ancestor_of(self, other):
-        """Region-code ancestor test: ``self.start < other.start < self.end``."""
-        return self.start < other.start and other.end < self.end
-
-    def is_parent_of(self, other):
-        return self.is_ancestor_of(other) and self.level == other.level - 1
 
     # -- traversal ----------------------------------------------------------------
 
@@ -174,26 +165,17 @@ class Document:
         return True
 
 
-def annotate_regions(root, first_number=1, text_numbers=True, spacing=1):
+def annotate_regions(root):
     """Assign region codes and levels to the tree rooted at ``root``.
 
-    The counter advances on every element entry and exit; when
-    ``text_numbers`` is true it also advances once for each non-empty text
-    payload, creating the gaps visible in the paper's Figure 1 (e.g. ``name``
-    spanning (5, 6) inside ``emp`` (2, 15)).
-
-    ``spacing`` > 1 produces *sparse* numbering: the counter advances by
-    ``spacing`` per event, leaving ``spacing - 1`` unused integers between
-    consecutive boundaries so that later subtree insertions
-    (:mod:`repro.xmldata.update`) can be numbered without renumbering the
-    document — the practical answer to the update problem the paper defers
-    to [23].
+    The counter starts at 1 and advances on every element entry and exit,
+    and once for each non-empty text payload, creating the gaps visible in
+    the paper's Figure 1 (e.g. ``name`` spanning (5, 6) inside ``emp``
+    (2, 15)).
 
     Returns the next unused number.
     """
-    if spacing < 1:
-        raise XmlModelError("spacing must be at least 1")
-    counter = first_number
+    counter = 1
 
     # Iterative DFS carrying explicit enter/exit events to avoid recursion
     # limits on deeply nested generated documents.
@@ -203,13 +185,13 @@ def annotate_regions(root, first_number=1, text_numbers=True, spacing=1):
         if action == "enter":
             node.level = level
             node.start = counter
-            counter += spacing
-            if text_numbers and node.text:
-                counter += spacing
+            counter += 1
+            if node.text:
+                counter += 1
             stack.append(("exit", node, level))
             for child in reversed(node.children):
                 stack.append(("enter", child, level + 1))
         else:
             node.end = counter
-            counter += spacing
+            counter += 1
     return counter

@@ -212,14 +212,14 @@ class _TreeBuilder:
         return Document(self.root, doc_id=self.doc_id)
 
 
-def parse_document(source, doc_id=1, text_numbers=True, consumer=None):
+def parse_document(source, doc_id=1, consumer=None):
     """Parse XML text into a region-encoded :class:`Document`.
 
     Region numbers are assigned in a single pass: the counter advances on
-    every start tag, every end tag, and (when ``text_numbers``) once per
-    non-empty text run or CDATA section — producing regions identical to the
-    paper's Figure 1 style of numbering.  An empty tag ``<a/>`` is a start
-    tag and an end tag.
+    every start tag, every end tag, and once per non-empty text run or
+    CDATA section — producing regions identical to the paper's Figure 1
+    style of numbering.  An empty tag ``<a/>`` is a start tag and an end
+    tag.
 
     Every element goes to ``consumer``, in document order: ``open(tag,
     attributes, start, level)`` when it starts, ``text(payload)`` for each
@@ -240,8 +240,7 @@ def parse_document(source, doc_id=1, text_numbers=True, consumer=None):
             if not open_tags:
                 raise XmlParseError("text outside the root element", offset)
             add_text(payload)
-            if text_numbers:
-                counter += 1
+            counter += 1
         elif kind == "end":
             if not open_tags:
                 raise XmlParseError("end tag %r with no open element" % payload,

@@ -678,12 +678,16 @@ class TestFaultSchedules:
                 acked.append("mid-kill")
             except (ClusterWriteError, NoPrimaryError):
                 pass
-            # wait_for_primary alone is not enough here: until the
-            # monitor notices the death, the old primary still answers
-            # primary_for_write.  Wait for the epoch bump.
-            give_up = time.monotonic() + 5.0
-            while rs.epoch < 2 and time.monotonic() < give_up:
-                time.sleep(0.01)
+            # wait_for_primary alone is not enough here: until a tick
+            # notices the death, the old primary still answers
+            # primary_for_write.  Drive the ticks from here rather than
+            # waiting on the monitor's clock: ReplicaSet runs one tick at
+            # a time, so ticking beside the monitor is safe, and the dead
+            # primary goes down within down_after probes.
+            for _ in range(rs.down_after + 2):
+                if rs.epoch >= 2:
+                    break
+                rs.tick()
             assert rs.epoch >= 2
             assert client.wait_for_primary(timeout=5.0) >= 2
             for index in range(3):

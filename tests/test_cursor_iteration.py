@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.core import XmlDatabase
 from repro.core.api import (
     StorageContext,
     build_bplus_tree,
@@ -40,8 +41,6 @@ from repro.query.runtime import (
     RowCapExceeded,
 )
 from repro.workloads import department_dataset
-from repro.xmldata.corpus import Corpus
-from repro.xmldata.parser import parse_document
 
 SEED = int(os.environ.get("CHAOS_SEED", "20030307"))
 TAGS = ("a", "b", "c")
@@ -73,11 +72,11 @@ def _random_xml(rng, depth=0):
 
 
 def _corpus(rng):
-    corpus = Corpus()
+    db = XmlDatabase.create()
     for _ in range(rng.randrange(2, 5)):
-        corpus.add(parse_document("<r>%s</r>" % "".join(
-            _random_xml(rng) for _ in range(rng.randrange(1, 6)))))
-    return corpus
+        db.add_document("<r>%s</r>" % "".join(
+            _random_xml(rng) for _ in range(rng.randrange(1, 6))))
+    return db
 
 
 def _source(rng, method, entries):

@@ -1,7 +1,11 @@
 """Tests for the document model and region annotation (repro.xmldata.model)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.xmldata.dtd import DEPARTMENT_DTD
+from repro.xmldata.generator import GeneratorConfig, XmlGenerator
 from repro.xmldata.model import Document, Element, XmlModelError, annotate_regions
 
 
@@ -13,6 +17,26 @@ def small_tree():
     emp2 = root.add_child(Element("emp"))
     emp2.add_child(Element("emp"))
     root.add_child(Element("office"))
+    annotate_regions(root)
+    return Document(root)
+
+
+def entry_of(document, node):
+    """``node``'s entry, as ``entries_for_tag`` extracts it."""
+    return next(entry for entry in document.entries_for_tag(node.tag)
+                if entry.start == node.start)
+
+
+def random_tree(shape, max_children=3):
+    """Deterministic tree from a sequence of child-count choices."""
+    root = Element("r")
+    frontier = [root]
+    for value in shape:
+        node = frontier.pop(0)
+        for _ in range(value % (max_children + 1)):
+            frontier.append(node.add_child(Element("c")))
+        if not frontier:
+            break
     annotate_regions(root)
     return Document(root)
 
@@ -41,11 +65,12 @@ class TestAnnotation:
     def test_text_reserves_a_number(self):
         with_text = Element("a")
         with_text.add_child(Element("b", text="hello"))
-        annotate_regions(with_text, text_numbers=True)
+        annotate_regions(with_text)
         without = Element("a")
-        without.add_child(Element("b", text="hello"))
-        annotate_regions(without, text_numbers=False)
+        without.add_child(Element("b"))
+        annotate_regions(without)
         assert with_text.end == without.end + 1
+        assert with_text.children[0].end == without.children[0].end + 1
 
     def test_annotation_returns_next_counter(self):
         root = Element("a")
@@ -65,20 +90,35 @@ class TestAnnotation:
 
 
 class TestElementPredicates:
+    """The region predicates of Section 2.1/2.2, read through the entries
+    ``Document.entries_for_tag`` extracts."""
+
     def test_is_ancestor_of(self):
         doc = small_tree()
         emp1 = doc.root.children[0]
-        name = emp1.children[0]
-        assert doc.root.is_ancestor_of(name)
-        assert emp1.is_ancestor_of(name)
-        assert not name.is_ancestor_of(emp1)
+        root, emp, name = (entry_of(doc, node)
+                           for node in (doc.root, emp1, emp1.children[0]))
+        assert root.contains(name)
+        assert emp.contains(name)
+        assert not name.contains(emp)
 
     def test_is_parent_of(self):
         doc = small_tree()
         emp2 = doc.root.children[1]
-        inner = emp2.children[0]
-        assert emp2.is_parent_of(inner)
-        assert not doc.root.is_parent_of(inner)
+        root, outer, inner = (entry_of(doc, node)
+                              for node in (doc.root, emp2, emp2.children[0]))
+        assert outer.is_parent_of(inner)
+        assert root.contains(inner)
+        assert not root.is_parent_of(inner)  # two levels apart
+
+    def test_parent_requires_adjacent_levels(self):
+        document = random_tree([1, 1, 0])
+        root, child, grandchild = (entry_of(document, node)
+                                   for node in document)
+        assert root.is_parent_of(child)
+        assert child.is_parent_of(grandchild)
+        assert root.contains(grandchild)
+        assert not root.is_parent_of(grandchild)
 
     def test_iter_subtree_document_order(self):
         doc = small_tree()
@@ -89,6 +129,38 @@ class TestElementPredicates:
         doc = small_tree()
         assert doc.root.depth_below() == 2
         assert doc.root.children[2].depth_below() == 0
+
+
+class TestRegionAgreement:
+    """Region codes answer the ancestor and parent questions exactly as the
+    tree's parent pointers do (Section 2.1)."""
+
+    @staticmethod
+    def assert_agreement(document, nodes):
+        entries = [entry_of(document, node) for node in nodes]
+        for v, v_entry in zip(nodes, entries):
+            ancestors = set()
+            walker = v.parent
+            while walker is not None:
+                ancestors.add(id(walker))
+                walker = walker.parent
+            for u, u_entry in zip(nodes, entries):
+                assert u_entry.contains(v_entry) == (id(u) in ancestors)
+                assert u_entry.is_parent_of(v_entry) == (v.parent is u)
+
+    @given(st.lists(st.integers(min_value=0, max_value=3),
+                    min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_regions_agree_with_parent_pointers(self, shape):
+        document = random_tree(shape)
+        self.assert_agreement(document, list(document))
+
+    def test_generated_document_agrees(self):
+        generator = XmlGenerator(
+            DEPARTMENT_DTD, GeneratorConfig(max_depth=10), seed=5
+        )
+        document = generator.generate(300)
+        self.assert_agreement(document, list(document)[:80])
 
 
 class TestDocumentQueries:

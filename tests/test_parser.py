@@ -38,10 +38,6 @@ class TestBasicParsing:
         assert with_text.root.children[0].start == \
             without.root.children[0].start + 1
 
-    def test_text_numbers_can_be_disabled(self):
-        doc = parse_document("<a>x<b/></a>", text_numbers=False)
-        assert doc.root.children[0].start == 2
-
     def test_attributes_parsed(self):
         doc = parse_document('<a id="1" name=\'x y\'><b k="&lt;"/></a>')
         assert doc.root.tag == "a"  # attributes accepted, structure intact

@@ -16,13 +16,12 @@ import random
 
 import pytest
 
+from repro.core import XmlDatabase
 from repro.core.api import StorageContext, build_xr_tree
 from repro.joins import MemoryElementList, nested_loop_join
 from repro.joins.base import JoinStats
 from repro.query.engine import semi_join, stack_tree_join, xr_stack_join
 from repro.query.runtime import QueryContext, RowCapExceeded
-from repro.xmldata.corpus import Corpus
-from repro.xmldata.parser import parse_document
 
 SEED = int(os.environ.get("CHAOS_SEED", "20030307"))
 TAGS = ("a", "b", "c")
@@ -38,11 +37,11 @@ def _random_xml(rng, depth=0):
 
 
 def _corpus(rng):
-    corpus = Corpus()
+    db = XmlDatabase.create()
     for _ in range(rng.randrange(2, 5)):
-        corpus.add(parse_document("<r>%s</r>" % "".join(
-            _random_xml(rng) for _ in range(rng.randrange(1, 5)))))
-    return corpus
+        db.add_document("<r>%s</r>" % "".join(
+            _random_xml(rng) for _ in range(rng.randrange(1, 5))))
+    return db
 
 
 def _cases():
