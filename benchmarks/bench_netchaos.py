@@ -98,18 +98,15 @@ def build_cluster(tmp_dir, rng, lossy):
                           reorder_rate=0.1, latency_seconds=0.003,
                           jitter_seconds=0.002) if lossy else None)
 
-    # Retry budgets are deliberately small at BOTH layers: the monitor
-    # thread serializes standby tailing, so a blackholed standby costs
-    # every tick (read_timeout * transport retries + backoff) * replica
-    # retries before the failover branch runs.  Misdelivery survival
-    # comes from the layered retries multiplying, not from any single
-    # layer being deep.
+    # A shipper call is one exchange; the replica's retry loop is the
+    # only retry, so its budget bounds the wire: 12 exchanges per poll
+    # or fetch.  The monitor thread serializes standby tailing, so a
+    # blackholed standby costs every tick (read_timeout + backoff) *
+    # (max_retries + 1) before the failover branch runs.
     def new_shipper(address):
         return SocketShipper(
             address, page_size=PAGE_SIZE, connect_timeout=0.1,
-            read_timeout=0.1, max_retries=3, backoff_seconds=0.002,
-            max_backoff_seconds=0.01,
-            rng=random.Random(rng.randrange(1 << 30)))
+            read_timeout=0.1)
 
     def rebuild_factory(new_db, page_size):
         # Post-failover rebuilds tail the *new* primary's archive over
@@ -127,7 +124,7 @@ def build_cluster(tmp_dir, rng, lossy):
         replica = StandbyReplica.from_backup(
             backup, os.path.join(tmp_dir, "standby-%d.db" % index),
             new_shipper(proxy.address), page_size=PAGE_SIZE,
-            buffer_pages=BUFFER_PAGES, max_retries=2,
+            buffer_pages=BUFFER_PAGES, max_retries=11,
             backoff_seconds=0.001, max_backoff_seconds=0.01,
             rng=random.Random(rng.randrange(1 << 30)))
         replicas.append(replica)

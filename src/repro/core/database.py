@@ -762,17 +762,9 @@ class XmlDatabase:
 
     def _tree_for(self, tag):
         """The live XR-tree handle for ``tag`` (cached by the manager), or
-        None when it has none.
-
-        Fails fast with :class:`~repro.storage.scrub.\
-        IndexQuarantinedError` when the scrubber has quarantined the tag's
-        tree — before any join starts, instead of mid-join on a checksum.
-        """
-        name = "tag:%s" % tag
-        if self._scrubber is not None and self._scrubber.is_quarantined(name):
-            raise IndexQuarantinedError(
-                name, self._scrubber.quarantined[name])
-        return _stored_tree(self._indexes, tag)
+        None when it has none; quarantine fails fast (see
+        :func:`_stored_tree`)."""
+        return _stored_tree(self._indexes, tag, self._scrubber)
 
     def _forget_session(self, session):
         self._sessions.discard(session)
@@ -884,12 +876,20 @@ def _tree_name(tag):
     return name
 
 
-def _stored_tree(manager, tag):
+def _stored_tree(manager, tag, scrubber):
     """``tag``'s XR-tree in ``manager``, or None when it has none — as a
     tag too long to catalogue never has: no document holding one is
-    ever stored, so a read that names one answers empty."""
+    ever stored, so a read that names one answers empty.
+
+    The one tree loader of live and snapshot reads.  Fails fast with
+    :class:`~repro.storage.scrub.IndexQuarantinedError` when ``scrubber``
+    (the database's, or None) has quarantined the tag's tree — before
+    any join starts, instead of mid-join on a checksum.
+    """
     try:
         name = _tree_name(tag)
     except XmlDatabaseError:
         return None
+    if scrubber is not None and scrubber.is_quarantined(name):
+        raise IndexQuarantinedError(name, scrubber.quarantined[name])
     return manager.get_xrtree(name)

@@ -106,7 +106,7 @@ class Session:
     def _load_tree(self, tag):
         from repro.core.database import _stored_tree
 
-        return _stored_tree(self._manager, tag)
+        return _stored_tree(self._manager, tag, self._db._scrubber)
 
     # -- the query surface -----------------------------------------------------
 

@@ -9,10 +9,11 @@ length-prefixed, CRC-framed segment-shipping protocol over TCP.
   commit-group archive (latest-sequence and fetch-by-sequence) with
   bounded concurrent connections and per-request deadlines;
 * :class:`~repro.net.shipper.SocketShipper` — a drop-in for
-  :data:`~repro.storage.replication.LocalDirShipper`: connect/read
-  timeouts, bounded jittered-backoff retries, idempotent re-fetch
-  after reconnect, and rejection-with-count of frames whose checksum
-  or sequence does not match what was requested;
+  :data:`~repro.storage.replication.LocalDirShipper`: one exchange
+  per call under connect/read timeouts, reconnect on the next call
+  after any fault, and rejection-with-count of frames whose checksum
+  or sequence does not match what was requested (the replica's retry
+  loop re-issues the request);
 * :class:`~repro.net.proxy.ChaosProxy` — a seeded fault-injection
   proxy (latency, bandwidth caps, drops, half-open stalls, partitions
   with heal, duplicate/reordered/corrupt frames), in-process or as

@@ -4,11 +4,12 @@ Everything here subclasses
 :class:`~repro.storage.errors.TransientIOError` **on purpose**: a
 network fault — a refused connection, a read timeout, a frame that fails
 its checksum — is survivable by reconnecting and re-issuing the request
-(segment fetches are idempotent), so the whole replication retry stack
-(:meth:`SocketShipper <repro.net.shipper.SocketShipper>` internal
-retries, then :meth:`StandbyReplica._with_retry
-<repro.storage.replication.StandbyReplica._with_retry>` backoff, then
-cluster health suspicion) composes without any new plumbing.  The
+(segment fetches are idempotent), so the replication retry stack's two
+layers — :meth:`StandbyReplica._with_retry
+<repro.storage.replication.StandbyReplica._with_retry>` (the one retry
+and backoff; a :class:`SocketShipper <repro.net.shipper.SocketShipper>`
+call is a single exchange), then cluster health suspicion — compose
+without any new plumbing.  The
 distinction the cluster layer *does* care about — a network flap versus
 a dead node — is made by type: :func:`is_network_error` recognizes these
 exceptions (directly or as the ``__cause__`` of a

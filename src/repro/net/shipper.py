@@ -5,40 +5,40 @@ The client side of the segment-shipping protocol.  It is a drop-in for
 :data:`~repro.storage.replication.LocalDirShipper` under
 :class:`~repro.storage.replication.StandbyReplica` — the
 replica neither knows nor cares that ``latest_sequence()``/``fetch()``
-now cross a wire — but every network failure mode is handled *here*, so
-what the replica sees is either a correct answer or a
+now cross a wire.  Each call makes **one exchange**: it returns a
+validated answer, or it tears the connection down and raises
 :class:`~repro.net.errors.NetworkError` (a
-:class:`~repro.storage.errors.TransientIOError`) it already knows how to
-retry:
+:class:`~repro.storage.errors.TransientIOError`), exactly as a failed
+read of a local archive would.  Retrying is the replica's job — its
+``_with_retry`` loop, on its own clock and RNG, is the one retry and
+backoff on the shipping path, so :meth:`StandbyReplica.interrupt
+<repro.storage.replication.StandbyReplica.interrupt>` reaches every
+sleep and every remaining attempt.
+
+What the shipper itself guarantees:
 
 * **connect/read timeouts** — a refused, hung or half-open peer trips
   ``connect_timeout``/``read_timeout`` instead of blocking a monitor
   thread forever;
-* **bounded retry with jittered exponential backoff** — each request is
-  retried up to ``max_retries`` times inside the shipper; the backoff
-  doubles, is capped at ``max_backoff_seconds``, and is jittered by a
-  seeded RNG so a fleet of standbys reconnecting after a heal does not
-  retry in lockstep;
-* **idempotent re-fetch after reconnect** — any fault tears down the
-  connection; the next attempt reconnects and re-issues the *same*
-  request.  Segments are immutable, so re-fetching is always safe;
+* **reconnect on the next call** — any fault tears down the
+  connection, and the next call reconnects.  Segments are immutable, so
+  the caller re-issuing the same request is always safe;
 * **frame validation** — a response whose CRC fails, whose sequence is
   not the one requested (duplicated/reordered delivery), or whose type
-  is wrong is **rejected and counted** (``stats.rejections_by_cause``),
-  the connection reset, and the request retried — corruption and
-  misdelivery are survived, never applied.
+  is wrong is **rejected and counted** (``stats.rejections_by_cause``)
+  and raised as :class:`~repro.net.errors.FrameRejected` — corruption
+  and misdelivery are survived by the caller's retry, never applied.
 
-``stats`` counts every connect, retry, timeout and rejection; a
+``stats`` counts every connect, request, timeout and rejection; a
 rejected frame also emits a ``net.reject`` trace event (with its cause)
 on the observability hub, when one is passed.
 
 **Trace context.**  Every request carries the caller's trace context
 (trace id, open span, node name) in the frame's context field, so the
-server's spans join the same trace — on the first attempt and on every
+server's spans join the same trace — on the first call and on every
 retry alike.
 """
 
-import random
 import socket
 from dataclasses import dataclass, field
 
@@ -57,16 +57,10 @@ from repro.net.frames import (
     send_frame,
 )
 from repro.obs.trace import NULL_TRACER, current_trace_id
-from repro.storage.timemodel import SystemClock, backoff_delay
 
-#: Retry policy defaults for one request (connect + send + receive).
-DEFAULT_MAX_RETRIES = 3
+#: Deadlines for one exchange (connect, then send + receive).
 DEFAULT_CONNECT_TIMEOUT = 1.0
 DEFAULT_READ_TIMEOUT = 1.0
-DEFAULT_BACKOFF_SECONDS = 0.02
-DEFAULT_MAX_BACKOFF_SECONDS = 0.25
-#: Fraction of each backoff randomly shaved off (full-jitter-ish).
-DEFAULT_BACKOFF_JITTER = 0.5
 
 
 @dataclass
@@ -75,9 +69,8 @@ class ShipperStats:
 
     connects: int = 0              # successful connection establishments
     reconnects: int = 0            # connects after the first
-    requests: int = 0              # protocol requests attempted
+    requests: int = 0              # exchanges attempted (one per call)
     responses: int = 0             # validated responses accepted
-    retries: int = 0               # request attempts after the first
     timeouts: int = 0              # connect/read deadlines tripped
     server_busy: int = 0           # RESP_ERROR frames (capacity, etc.)
     frames_rejected: int = 0       # responses discarded as untrustworthy
@@ -86,7 +79,6 @@ class ShipperStats:
     #: ``"protocol"``, ``"oversize"``.
     rejections_by_cause: dict = field(default_factory=dict)
     bytes_received: int = 0        # segment payload bytes accepted
-    give_ups: int = 0              # requests that exhausted max_retries
 
     def snapshot(self):
         out = dict(self.__dict__)
@@ -98,33 +90,21 @@ class SocketShipper:
     """Fetch segments from a :class:`~repro.net.server.SegmentServer`.
 
     ``address`` is the server's ``(host, port)``.  The connection is
-    established lazily and re-established transparently after any fault,
+    established lazily and re-established on the call after any fault,
     so :meth:`close` followed by another call simply reconnects — the
-    shipper is always safe to retry.  ``rng`` seeds the backoff jitter
-    (pass ``random.Random(seed)`` for reproducible schedules); ``clock``
-    makes backoff sleeps virtual-time-testable.
+    shipper is always safe to retry, and never retries by itself.
     """
 
     def __init__(self, address, page_size=4096,
                  connect_timeout=DEFAULT_CONNECT_TIMEOUT,
                  read_timeout=DEFAULT_READ_TIMEOUT,
-                 max_retries=DEFAULT_MAX_RETRIES,
-                 backoff_seconds=DEFAULT_BACKOFF_SECONDS,
-                 max_backoff_seconds=DEFAULT_MAX_BACKOFF_SECONDS,
-                 backoff_jitter=DEFAULT_BACKOFF_JITTER,
                  max_frame_bytes=DEFAULT_MAX_FRAME_BYTES,
-                 rng=None, clock=None, observability=None):
+                 observability=None):
         self.address = tuple(address)
         self.page_size = page_size
         self.connect_timeout = connect_timeout
         self.read_timeout = read_timeout
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.max_backoff_seconds = max_backoff_seconds
-        self.backoff_jitter = backoff_jitter
         self.max_frame_bytes = max_frame_bytes
-        self.rng = rng if rng is not None else random.Random()
-        self.clock = clock if clock is not None else SystemClock()
         self.stats = ShipperStats()
         self._sock = None
         self._tracer = (observability.tracer if observability is not None
@@ -189,30 +169,22 @@ class SocketShipper:
     # -- request/response ----------------------------------------------------
 
     def _request(self, frame_type, sequence, expect):
-        """One validated request/response exchange, with bounded retry.
+        """One validated request/response exchange.
 
         Any fault — connect failure, timeout, torn read, rejected frame,
-        server-busy — tears the connection down and retries the same
-        request after a jittered exponential backoff.  Exhausting
-        ``max_retries`` raises the last failure (always a
-        :class:`NetworkError`, hence transient to callers).
+        server-busy — tears the connection down, is counted, and raises
+        (always a :class:`NetworkError`, hence transient to callers,
+        whose retry re-issues the request over a new connection).
         """
         if not isinstance(expect, tuple):
             expect = (expect,)
-        attempts = 0
-        while True:
-            self.stats.requests += 1
-            try:
-                return self._exchange(frame_type, sequence, expect)
-            except NetworkError as exc:
-                self.close()
-                self._note_failure(exc)
-                attempts += 1
-                if attempts > self.max_retries:
-                    self.stats.give_ups += 1
-                    raise
-                self.stats.retries += 1
-                self._backoff(attempts)
+        self.stats.requests += 1
+        try:
+            return self._exchange(frame_type, sequence, expect)
+        except NetworkError as exc:
+            self.close()
+            self._note_failure(exc)
+            raise
 
     def _exchange(self, frame_type, sequence, expect):
         sock = self._connect()
@@ -231,7 +203,7 @@ class SocketShipper:
         if (frame.type not in (RESP_LATEST, RESP_OLDEST)
                 and frame.sequence != sequence):
             # Duplicated or reordered delivery: this frame answers some
-            # other request.  Reject, resync (reconnect), re-fetch.
+            # other request.  Reject; the next call reconnects (resyncs).
             # (RESP_LATEST/RESP_OLDEST are exempt: their sequence field
             # carries the answer — head / retention floor — not an echo.)
             raise FrameRejected(
@@ -264,12 +236,6 @@ class SocketShipper:
                                error=str(exc))
         elif "timed out" in str(exc):
             self.stats.timeouts += 1
-
-    def _backoff(self, attempts):
-        if self.backoff_seconds:
-            self.clock.sleep(backoff_delay(
-                attempts, self.backoff_seconds, self.max_backoff_seconds,
-                self.backoff_jitter, self.rng))
 
     def __repr__(self):
         return ("SocketShipper(%s:%d, %sconnected, %d responses, "

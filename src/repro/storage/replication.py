@@ -32,10 +32,11 @@ Safety rules, enforced rather than assumed
 
 A shipper is any object answering ``latest_sequence()``,
 ``oldest_sequence()``, ``fetch(sequence)`` (raw bytes, or None for a
-segment it does not have) and ``close()``.  Two exist: the archive
-directory itself (:data:`LocalDirShipper`, a shared filesystem) and
-:class:`~repro.net.shipper.SocketShipper` (TCP); one conformance suite
-holds both to the same contract.
+segment it does not have) and ``close()``.  A call is one attempt: the
+replica's retry loop is the only one on the shipping path.  Two exist:
+the archive directory itself (:data:`LocalDirShipper`, a shared
+filesystem) and :class:`~repro.net.shipper.SocketShipper` (TCP); one
+conformance suite holds both to the same contract.
 """
 
 import random
@@ -296,7 +297,10 @@ class StandbyReplica:
     def _with_retry(self, what, fn):
         """Run ``fn`` retrying TransientIOError with jittered backoff.
 
-        The per-attempt sleep is
+        This is the only retry between the replica and its source: a
+        shipper call is one exchange, so ``max_retries + 1`` bounds the
+        exchanges one poll or fetch can cost, and ``retries_by_cause``
+        counts transport retries too.  The per-attempt sleep is
         :func:`~repro.storage.timemodel.backoff_delay` of
         ``backoff_seconds``, ``max_backoff_seconds`` and
         ``backoff_jitter``.  Sleeps run on the replica's injectable clock,

@@ -36,7 +36,11 @@ from repro.core.database import XmlDatabase
 from repro.storage.disk import FileDisk
 from repro.storage.errors import TransientIOError
 from repro.storage.faults import FaultInjectingDisk
-from repro.storage.replication import LocalDirShipper, StandbyReplica
+from repro.storage.replication import (
+    DEFAULT_MAX_RETRIES,
+    LocalDirShipper,
+    StandbyReplica,
+)
 from repro.storage.timemodel import VirtualClock
 
 SEED = int(os.environ.get("CHAOS_SEED", "20030305"))
@@ -79,6 +83,9 @@ def make_cluster(tmp_path, standbys=2, kill_after=None, torn_bytes=None,
         disk.torn_bytes = torn_bytes
     net_resources = []
     proxy = None
+    # A shipper call is one exchange, so over a socket the replica's
+    # retry budget is the whole per-operation budget: ten exchanges.
+    max_retries = 9 if transport == "socket" else DEFAULT_MAX_RETRIES
     if transport == "socket":
         from repro.net import ChaosProxy, SegmentServer, SocketShipper
 
@@ -90,8 +97,7 @@ def make_cluster(tmp_path, standbys=2, kill_after=None, torn_bytes=None,
         def new_shipper(address):
             return SocketShipper(
                 address, page_size=PAGE_SIZE, connect_timeout=0.25,
-                read_timeout=0.5, max_retries=1, backoff_seconds=0.001,
-                max_backoff_seconds=0.005, rng=random.Random(SEED))
+                read_timeout=0.5)
 
         def make_shipper():
             return new_shipper(proxy.address)
@@ -123,7 +129,8 @@ def make_cluster(tmp_path, standbys=2, kill_after=None, torn_bytes=None,
             backup, str(tmp_path / ("standby-%d.db" % index)),
             make_shipper(), page_size=PAGE_SIZE,
             buffer_pages=BUFFER_PAGES, backoff_seconds=0.001,
-            max_backoff_seconds=0.01, disk_factory=factory)
+            max_backoff_seconds=0.01, max_retries=max_retries,
+            rng=random.Random(SEED), disk_factory=factory)
         if index in faults:
             wrappers[0].fail_next(faults[index], "physical-write")
         replicas.append(replica)

@@ -8,13 +8,19 @@ the :class:`~repro.net.shipper.SocketShipper` gets the right bytes, but
 that the faults actually *fired* (proxy counters) and were *detected*
 (shipper rejection counters).  A chaos test that passes because nothing
 bad happened is not a chaos test.
+
+A shipper call is one exchange; the replica's retry loop is the only
+retry on the shipping path.  Tests that drive a bare shipper through
+chaos retry in :func:`retried`, a bounded loop of their own.
 """
 
 import os
 import random
 import re
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -25,9 +31,12 @@ from repro.net import (
     NetworkError,
     SegmentServer,
     SocketShipper,
+    is_network_error,
 )
+from repro.storage.errors import ReplicationError
 from repro.storage.journal import Archive, decode_group
 from repro.storage.replication import StandbyReplica
+from repro.storage.timemodel import VirtualClock
 
 PAGE_SIZE = 512
 SEED = int(os.environ.get("CHAOS_SEED", "20030305"))
@@ -50,12 +59,25 @@ def server(archive):
 
 def make_shipper(address, **options):
     options.setdefault("page_size", PAGE_SIZE)
-    options.setdefault("rng", random.Random(SEED))
     options.setdefault("connect_timeout", 0.5)
     options.setdefault("read_timeout", 0.5)
-    options.setdefault("backoff_seconds", 0.002)
-    options.setdefault("max_backoff_seconds", 0.02)
     return SocketShipper(address, **options)
+
+
+def retried(call, attempts=11):
+    """``call()``, re-issued on NetworkError up to ``attempts`` times in
+    all, after a doubling pause capped at 20 ms — what a replica with
+    ``max_retries=attempts - 1`` would do, minus the jitter.  The pause
+    matters: through a proxy, a torn-down connection keeps its server
+    slot for a moment, and a server with every slot taken answers
+    "busy"."""
+    for attempt in range(attempts):
+        try:
+            return call()
+        except NetworkError:
+            if attempt == attempts - 1:
+                raise
+            time.sleep(min(0.002 * 2 ** attempt, 0.02))
 
 
 class TestChaosSurvival:
@@ -67,9 +89,9 @@ class TestChaosSurvival:
         config = ChaosConfig(duplicate_rate=0.4, reorder_rate=0.4,
                              corrupt_rate=0.25)
         with ChaosProxy(server.address, config=config, seed=SEED) as proxy:
-            shipper = make_shipper(proxy.address, max_retries=10)
+            shipper = make_shipper(proxy.address)
             for sequence in range(1, 22):
-                blob = shipper.fetch(sequence)
+                blob = retried(lambda: shipper.fetch(sequence))
                 decoded, records = decode_group(blob, PAGE_SIZE)
                 assert decoded == sequence
                 assert records[sequence] == (
@@ -84,16 +106,16 @@ class TestChaosSurvival:
             assert causes.get("crc", 0) > 0
             assert causes.get("sequence", 0) > 0
             assert shipper.stats.frames_rejected == sum(causes.values())
-            # ...and never exhausted the retry budget.
-            assert shipper.stats.give_ups == 0
+            # ...and every fetch accepted exactly one validated response.
+            assert shipper.stats.responses == 21
 
     def test_connection_drops_are_survived_by_reconnect(self, server):
         config = ChaosConfig(drop_rate=0.3)
         with ChaosProxy(server.address, config=config, seed=SEED) as proxy:
-            shipper = make_shipper(proxy.address, max_retries=10)
-            assert shipper.latest_sequence() == 21
+            shipper = make_shipper(proxy.address)
+            assert retried(shipper.latest_sequence) == 21
             for sequence in (1, 10, 21):
-                assert shipper.fetch(sequence) is not None
+                assert retried(lambda: shipper.fetch(sequence)) is not None
             shipper.close()
             assert proxy.stats.dropped_connections > 0
             assert shipper.stats.reconnects > 0
@@ -103,12 +125,11 @@ class TestChaosSurvival:
         timeout, not a hung thread."""
         config = ChaosConfig(stall_rate=1.0, stall_seconds=1.0)
         with ChaosProxy(server.address, config=config, seed=SEED) as proxy:
-            shipper = make_shipper(proxy.address, read_timeout=0.1,
-                                   max_retries=1)
+            shipper = make_shipper(proxy.address, read_timeout=0.1)
             with pytest.raises(NetworkError):
-                shipper.latest_sequence()
+                retried(shipper.latest_sequence, attempts=2)
             assert shipper.stats.timeouts >= 1
-            assert shipper.stats.give_ups == 1
+            assert shipper.stats.requests == 2   # the whole budget spent
             shipper.close()
 
     def test_slow_link_still_delivers(self, server):
@@ -124,11 +145,11 @@ class TestChaosSurvival:
 class TestPartition:
     def test_refuse_partition_raises_then_heals(self, server):
         with ChaosProxy(server.address, seed=SEED) as proxy:
-            shipper = make_shipper(proxy.address, max_retries=2)
+            shipper = make_shipper(proxy.address)
             assert shipper.latest_sequence() == 21
             proxy.partition(mode="refuse")
             with pytest.raises(NetworkError):
-                shipper.fetch(1)
+                retried(lambda: shipper.fetch(1), attempts=3)
             assert proxy.stats.refused_connections > 0
             proxy.heal()
             assert shipper.fetch(1) is not None   # service restored
@@ -136,12 +157,11 @@ class TestPartition:
 
     def test_blackhole_partition_is_caught_by_read_timeout(self, server):
         with ChaosProxy(server.address, seed=SEED) as proxy:
-            shipper = make_shipper(proxy.address, read_timeout=0.1,
-                                   max_retries=1)
+            shipper = make_shipper(proxy.address, read_timeout=0.1)
             assert shipper.latest_sequence() == 21
             proxy.partition(mode="blackhole")
             with pytest.raises(NetworkError):
-                shipper.fetch(1)
+                retried(lambda: shipper.fetch(1), attempts=2)
             assert proxy.stats.blackholed_connections > 0
             proxy.heal()
             assert shipper.fetch(1) is not None
@@ -153,9 +173,9 @@ class TestServerRobustness:
                                                              archive):
         with SegmentServer(archive.directory, PAGE_SIZE,
                            max_connections=0) as srv:
-            shipper = make_shipper(srv.address, max_retries=1)
+            shipper = make_shipper(srv.address)
             with pytest.raises(NetworkError, match="busy"):
-                shipper.latest_sequence()
+                retried(shipper.latest_sequence, attempts=2)
             assert shipper.stats.server_busy >= 1
             assert srv.stats.rejected_connections >= 1
             shipper.close()
@@ -211,10 +231,11 @@ class TestReplicaOverChaos:
                              reorder_rate=0.2)
         with SegmentServer(archive_dir, PAGE_SIZE) as srv, \
                 ChaosProxy(srv.address, config=config, seed=SEED) as proxy:
-            shipper = make_shipper(proxy.address, max_retries=10)
+            shipper = make_shipper(proxy.address)
+            # 55 exchanges per operation: 11 per call times 5 calls.
             replica = StandbyReplica(
                 str(tmp_path / "standby.db"), shipper,
-                page_size=PAGE_SIZE, backoff_seconds=0.001,
+                page_size=PAGE_SIZE, max_retries=54, backoff_seconds=0.001,
                 max_backoff_seconds=0.01, rng=random.Random(SEED))
             applied = replica.catch_up()
             assert applied == head
@@ -224,6 +245,65 @@ class TestReplicaOverChaos:
             assert replica.stall_reason is None
             replica.close()
 
+
+
+class TestOneRetryLoop:
+    """The replica's retry loop is the only one: a shipper call is one
+    exchange, so the replica's budget and its interrupt bound the wire."""
+
+    def test_a_failed_poll_costs_max_retries_plus_one_exchanges(
+            self, tmp_path):
+        # A bound socket that never listens: every connect is refused.
+        closed = socket.socket()
+        closed.bind(("127.0.0.1", 0))
+        try:
+            shipper = make_shipper(closed.getsockname())
+            clock = VirtualClock()
+            replica = StandbyReplica(
+                str(tmp_path / "standby.db"), shipper, page_size=PAGE_SIZE,
+                max_retries=4, rng=random.Random(SEED), clock=clock)
+            with pytest.raises(ReplicationError) as excinfo:
+                replica.catch_up()
+            assert is_network_error(excinfo.value)
+            assert shipper.stats.requests == replica.max_retries + 1
+            assert replica.stats.retries_by_cause == {
+                "poll": replica.max_retries + 1}
+            assert len(clock.sleeps) == replica.max_retries
+            replica.close()
+        finally:
+            closed.close()
+
+    def test_interrupt_stops_an_inflight_catch_up_after_its_exchange(
+            self, tmp_path):
+        """A listener that accepts and never answers: the in-flight
+        exchange runs out its read timeout, and the interrupted replica
+        issues no further one."""
+        silent = socket.socket()
+        silent.bind(("127.0.0.1", 0))
+        silent.listen(4)   # the kernel completes the handshake; no reply
+        try:
+            shipper = make_shipper(silent.getsockname(), read_timeout=0.5)
+            replica = StandbyReplica(
+                str(tmp_path / "standby.db"), shipper, page_size=PAGE_SIZE,
+                max_retries=100, backoff_seconds=0.05,
+                rng=random.Random(SEED))
+            outcome = {}
+            tailer = threading.Thread(
+                target=lambda: outcome.update(applied=replica.catch_up()))
+            tailer.start()
+            give_up = time.monotonic() + 5.0
+            while (shipper.stats.requests < 1
+                    and time.monotonic() < give_up):
+                time.sleep(0.005)
+            replica.interrupt()
+            tailer.join(5.0)
+            assert not tailer.is_alive()
+            assert outcome["applied"] == 0
+            assert shipper.stats.requests == 1
+            assert shipper.stats.timeouts == 1
+            replica.close()
+        finally:
+            silent.close()
 
 class TestProxyCli:
     def test_cli_proxies_real_traffic_and_reports_stats(self, archive):
@@ -249,10 +329,11 @@ class TestProxyCli:
                     r"chaos proxy listening on ([\d.]+):(\d+)", banner)
                 assert match, "unexpected banner: %r" % banner
                 proxy_addr = (match.group(1), int(match.group(2)))
-                shipper = make_shipper(proxy_addr, max_retries=10)
-                assert shipper.latest_sequence() == 21
+                shipper = make_shipper(proxy_addr)
+                assert retried(shipper.latest_sequence) == 21
                 for sequence in range(1, 8):
-                    assert shipper.fetch(sequence) is not None
+                    assert retried(
+                        lambda: shipper.fetch(sequence)) is not None
                 shipper.close()
             finally:
                 proc.terminate()

@@ -418,7 +418,7 @@ class TestSocketTraceJoin:
                                observability=server_hub).start()
         proxy = ChaosProxy(server.address, seed=1).start()
         shipper = SocketShipper(proxy.address, page_size=512,
-                                max_retries=0, observability=shipper_hub)
+                                observability=shipper_hub)
         trace_id = new_trace_id()
         try:
             proxy.partition(mode="refuse")

@@ -24,6 +24,7 @@ import pytest
 from repro.core.api import oracle_join
 from repro.core.database import XmlDatabase
 from repro.query.engine import QueryError
+from repro.server import Server
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.storage.errors import ChecksumError
@@ -108,6 +109,16 @@ def test_quarantined_index_fails_fast_with_typed_error():
     assert not isinstance(excinfo.value, ChecksumError)
     with pytest.raises(IndexQuarantinedError):
         db.entries_for_tag("item")
+    # Snapshot sessions and the server load trees through the same path.
+    with db.session() as session:
+        with pytest.raises(IndexQuarantinedError) as excinfo:
+            session.query("//item//x")
+        assert excinfo.value.name == "tag:item"
+        assert len(session.query("//r//x").matches) == ITEMS
+    with Server(db) as server:
+        with pytest.raises(IndexQuarantinedError):
+            server.query("//item//x")
+        assert len(server.query("//r//x").matches) == ITEMS
     # Untouched indexes keep working.
     assert len(db.query("//r//x").matches) == ITEMS
 
