@@ -7,9 +7,9 @@ renders the same series as terminal charts: selectivity on the x axis
 algorithm, shared scale.
 """
 
+from repro.bench.harness import ALGORITHM_LABELS
+
 _GLYPHS = {"stack-tree": "N", "b+": "B", "xr-stack": "X", "mpmgjn": "M"}
-_LABELS = {"stack-tree": "NIDX", "b+": "B+", "xr-stack": "XR",
-           "mpmgjn": "MPMGJN"}
 
 
 def ascii_chart(result, metric="derived_seconds", width=64, height=16,
@@ -20,7 +20,7 @@ def ascii_chart(result, metric="derived_seconds", width=64, height=16,
     the selectivity grid in sweep order (high to low, matching the paper's
     figures), the y axis the chosen metric.
     """
-    algorithms = [a for a in ("stack-tree", "b+", "xr-stack", "mpmgjn")
+    algorithms = [a for a in ALGORITHM_LABELS
                   if any(c.algorithm == a for c in result.cells)]
     steps = list(result.config.steps)
     series = {
@@ -62,7 +62,7 @@ def ascii_chart(result, metric="derived_seconds", width=64, height=16,
             if 0 <= position < len(ticks):
                 ticks[position] = char
     lines.append("".join(ticks))
-    legend = "  ".join("%s=%s" % (_GLYPHS[a], _LABELS[a])
+    legend = "  ".join("%s=%s" % (_GLYPHS[a], ALGORITHM_LABELS[a])
                        for a in algorithms)
     lines.append(" " * 11 + legend + "   (* = overlap)")
     return "\n".join(lines)

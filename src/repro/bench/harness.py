@@ -23,7 +23,7 @@ from repro.workloads.selectivity import (
 #: The paper's selectivity grid (Tables 2-3, Figure 8 x-axes).
 SELECTIVITY_STEPS = (0.90, 0.70, 0.55, 0.40, 0.25, 0.15, 0.05, 0.01)
 
-#: Paper Table 1 notation.
+#: Paper Table 1 notation, in the column order every report uses.
 ALGORITHM_LABELS = {
     "stack-tree": "NIDX",
     "b+": "B+",

@@ -1,9 +1,7 @@
 """Rendering of sweep results in the paper's table/figure formats."""
 
+from repro.bench.harness import ALGORITHM_LABELS
 from repro.bench.paper_numbers import PAPER_TABLES
-
-_LABELS = {"stack-tree": "NIDX", "b+": "B+", "xr-stack": "XR",
-           "mpmgjn": "MPMGJN"}
 
 
 def _percent(value):
@@ -16,13 +14,13 @@ def format_scanned_table(result, paper_key=None):
     With ``paper_key`` the paper's reported thousands are interleaved for a
     side-by-side shape comparison.
     """
-    algorithms = [a for a in ("stack-tree", "b+", "xr-stack", "mpmgjn")
+    algorithms = [a for a in ALGORITHM_LABELS
                   if any(c.algorithm == a for c in result.cells)]
-    header = ["Join-%"] + [_LABELS[a] for a in algorithms]
+    header = ["Join-%"] + [ALGORITHM_LABELS[a] for a in algorithms]
     paper = PAPER_TABLES.get(paper_key, {})
     if paper:
-        header += ["paper:" + _LABELS[a] for a in algorithms if
-                   _LABELS[a] in next(iter(paper.values()))]
+        header += ["paper:" + ALGORITHM_LABELS[a] for a in algorithms if
+                   ALGORITHM_LABELS[a] in next(iter(paper.values()))]
     lines = ["\t".join(header)]
     for step in result.config.steps:
         row = [_percent(step)]
@@ -32,7 +30,7 @@ def format_scanned_table(result, paper_key=None):
         if paper:
             reported = paper.get(step, {})
             for algorithm in algorithms:
-                label = _LABELS[algorithm]
+                label = ALGORITHM_LABELS[algorithm]
                 if label in reported:
                     row.append(str(reported[label]))
         lines.append("\t".join(row))
@@ -41,10 +39,11 @@ def format_scanned_table(result, paper_key=None):
 
 def format_elapsed_table(result):
     """Render a Figure 8-style grid: derived elapsed seconds per algorithm."""
-    algorithms = [a for a in ("stack-tree", "b+", "xr-stack", "mpmgjn")
+    algorithms = [a for a in ALGORITHM_LABELS
                   if any(c.algorithm == a for c in result.cells)]
-    lines = ["\t".join(["Join-%"] + [_LABELS[a] for a in algorithms]
-                       + ["misses:" + _LABELS[a] for a in algorithms])]
+    labels = [ALGORITHM_LABELS[a] for a in algorithms]
+    lines = ["\t".join(["Join-%"] + labels
+                       + ["misses:" + label for label in labels])]
     for step in result.config.steps:
         row = [_percent(step)]
         for algorithm in algorithms:
@@ -58,12 +57,12 @@ def format_elapsed_table(result):
 def format_series(result, metric="derived_seconds"):
     """Figure-8 line series, one per algorithm: ``label: [(x, y), ...]``."""
     lines = []
-    for algorithm in ("stack-tree", "b+", "xr-stack", "mpmgjn"):
+    for algorithm in ALGORITHM_LABELS:
         series = result.series(algorithm, metric)
         if series:
             points = ", ".join("(%d%%, %.3f)" % (round(x * 100), y)
                                for x, y in series)
-            lines.append("%s: %s" % (_LABELS[algorithm], points))
+            lines.append("%s: %s" % (ALGORITHM_LABELS[algorithm], points))
     return "\n".join(lines)
 
 

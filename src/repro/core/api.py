@@ -14,26 +14,24 @@ Typical use::
 import time
 from dataclasses import dataclass, field
 
-from repro.indexes.bptree import BPlusTree
 from repro.indexes.xrtree import XRTree
 from repro.joins import nested_loop_join
 from repro.joins.base import JoinStats
-from repro.joins.registry import (
-    INPUT_BPLUS,
-    INPUT_ELEMENT_LIST,
-    INPUT_XRTREE,
+from repro.joins.registry import (  # the builders are public here too
+    INPUT_KINDS,
     algorithm_names,
+    build_bplus_tree,
+    build_element_list,
+    build_xr_tree,
     get_algorithm,
 )
 from repro.storage.buffer import DEFAULT_POOL_PAGES, BufferPool
 from repro.storage.disk import DEFAULT_PAGE_SIZE, FileDisk, InMemoryDisk
 from repro.storage.indexmanager import IndexManagerStats
-from repro.storage.pagedlist import PagedElementList
 from repro.storage.timemodel import DiskTimeModel
 
-#: The built-in :func:`structural_join` algorithms: the paper's Table 1 plus
-#: the ancestor-ordered Stack-Tree variant from the same cited work.  The
-#: registry (:mod:`repro.joins.registry`) may grow beyond these.
+#: The built-in :func:`structural_join` algorithms: the paper's Table 1.
+#: The registry (:mod:`repro.joins.registry`) may grow beyond these.
 ALGORITHMS = algorithm_names()
 
 
@@ -272,60 +270,50 @@ class JoinOutcome:
         return self.stats.pairs
 
 
-def build_element_list(entries, pool, fill_factor=1.0):
-    """Materialize a start-sorted paged element list (no-index input)."""
-    return PagedElementList.build(pool, entries, fill_factor)
+#: Every structure a join input may already be (an :class:`XRTreeIndex`
+#: stands for its tree).
+_STRUCTURES = tuple(structure for structure, _build in INPUT_KINDS.values())
 
 
-def build_bplus_tree(entries, pool, fill_factor=1.0):
-    """Bulk-load a B+-tree on the ``start`` attribute."""
-    tree = BPlusTree(pool)
-    tree.bulk_load(entries, fill_factor)
-    return tree
+def _resolve_join_inputs(values, input_kind, context, fill_factor):
+    """The two join inputs as ``input_kind``'s structure, and their context.
 
-
-def build_xr_tree(entries, pool, fill_factor=1.0, optimize_split_keys=True):
-    """Bulk-load an XR-tree."""
-    tree = XRTree(pool, optimize_split_keys=optimize_split_keys)
-    tree.bulk_load(entries, fill_factor)
-    return tree
-
-
-#: What a prebuilt join input is, per registry input kind.
-_PREBUILT_TYPES = {
-    INPUT_ELEMENT_LIST: PagedElementList,
-    INPUT_BPLUS: BPlusTree,
-    INPUT_XRTREE: XRTree,
-}
-
-_BUILDERS = {
-    INPUT_ELEMENT_LIST: build_element_list,
-    INPUT_BPLUS: build_bplus_tree,
-    INPUT_XRTREE: build_xr_tree,
-}
-
-
-def _resolve_join_input(side, value, input_kind, pool, fill_factor):
-    """``value`` as the representation ``input_kind`` requires.
-
-    Accepts either a start-sorted entry list (built fresh inside ``pool``)
-    or an already-built structure — :class:`XRTreeIndex`,
+    Each value is either a start-sorted entry list, built fresh, or an
+    already-built structure — :class:`XRTreeIndex`,
     :class:`~repro.indexes.xrtree.XRTree`,
     :class:`~repro.indexes.bptree.BPlusTree` or
-    :class:`~repro.storage.pagedlist.PagedElementList` — which is used
-    as-is (the rebuild is skipped).  Returns ``(input, was_prebuilt)``.
+    :class:`~repro.storage.pagedlist.PagedElementList` — used as-is (the
+    rebuild is skipped).  With no ``context`` the first prebuilt side
+    supplies it (its pool), and entry lists are built there; with no
+    prebuilt side either, a fresh in-memory context.  Returns
+    ``(context, [ancestor input, descendant input])``.
     """
-    if isinstance(value, XRTreeIndex):
-        value = value.tree
-    if isinstance(value, tuple(_PREBUILT_TYPES.values())):
-        expected = _PREBUILT_TYPES[input_kind]
-        if not isinstance(value, expected):
-            raise ValueError(
-                "prebuilt %s input is a %s but the algorithm needs a %s"
-                % (side, type(value).__name__, expected.__name__)
-            )
-        return value, True
-    return _BUILDERS[input_kind](value, pool, fill_factor), False
+    structure, build = INPUT_KINDS[input_kind]
+    unwrapped = []
+    for side, value in zip(("ancestor", "descendant"), values):
+        if isinstance(value, XRTreeIndex):
+            context = context or value.context
+            value = value.tree
+        if isinstance(value, _STRUCTURES):
+            if not isinstance(value, structure):
+                raise ValueError(
+                    "prebuilt %s input is a %s but the algorithm needs a %s"
+                    % (side, type(value).__name__, structure.__name__)
+                )
+            context = context or StorageContext.from_pool(value.pool)
+            if value.pool is not context.pool:
+                raise ValueError(
+                    "prebuilt inputs must live in the join context's buffer "
+                    "pool; pass context=<their StorageContext> (or none at "
+                    "all)"
+                )
+        unwrapped.append(value)
+    context = context or StorageContext()
+    return context, [
+        value if isinstance(value, _STRUCTURES)
+        else build(value, context.pool, fill_factor)
+        for value in unwrapped
+    ]
 
 
 def structural_join(ancestors, descendants, algorithm="xr-stack",
@@ -362,26 +350,9 @@ def structural_join(ancestors, descendants, algorithm="xr-stack",
     recorded as one operator with its scan/skip/page actuals.
     """
     spec = get_algorithm(algorithm)
-    if context is None:
-        for value in (ancestors, descendants):
-            if isinstance(value, XRTreeIndex):
-                context = value.context
-                break
-            if isinstance(value, tuple(_PREBUILT_TYPES.values())):
-                context = StorageContext.from_pool(value.pool)
-                break
-    context = context or StorageContext()
+    context, (a_input, d_input) = _resolve_join_inputs(
+        (ancestors, descendants), spec.input_kind, context, fill_factor)
     pool = context.pool
-    a_input, a_prebuilt = _resolve_join_input(
-        "ancestor", ancestors, spec.input_kind, pool, fill_factor)
-    d_input, d_prebuilt = _resolve_join_input(
-        "descendant", descendants, spec.input_kind, pool, fill_factor)
-    for prebuilt, built in ((a_prebuilt, a_input), (d_prebuilt, d_input)):
-        if prebuilt and built.pool is not pool:
-            raise ValueError(
-                "prebuilt inputs must live in the join context's buffer "
-                "pool; pass context=<their StorageContext> (or none at all)"
-            )
     if cold:
         pool.flush_all()
         pool.clear()  # start the measured join with a cold buffer pool

@@ -290,36 +290,6 @@ class BPlusTree:
         """Cursor at the smallest key."""
         return cursor_at(self.pool, self.root_id, MIN_KEY)
 
-    def predecessor(self, key):
-        """The entry with the largest ``start < key``, or None."""
-        if not self.root_id:
-            return None
-        path, leaf = descend_path(self.pool, self.root_id, key)
-        try:
-            slot = leaf.slot_of(key)
-            if slot > 0:
-                return leaf.records[slot - 1]
-        finally:
-            self.pool.unpin(leaf)
-        # The predecessor lives in an earlier leaf: climb the recorded path
-        # to the first ancestor with a left sibling, then descend rightmost.
-        for page_id, index in reversed(path):
-            if index > 0:
-                with self.pool.pinned(page_id) as parent:
-                    child_id = parent.children[index - 1]
-                break
-        else:
-            return None
-        page = self.pool.fetch(child_id)
-        while isinstance(page, BPlusInternalPage):
-            child_id = page.children[-1]
-            self.pool.unpin(page)
-            page = self.pool.fetch(child_id)
-        try:
-            return page.records[-1] if page.records else None
-        finally:
-            self.pool.unpin(page)
-
     def range_scan(self, low, high):
         """Yield entries with ``low <= start <= high`` in key order."""
         for entry in self.seek(low):

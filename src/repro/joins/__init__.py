@@ -3,7 +3,8 @@
 A structural join reports every pair ``(a, d)`` with ``a`` from the ancestor
 list and ``d`` from the descendant list such that ``a`` contains ``d``
 (ancestor-descendant) or is its parent (parent-child).  Four algorithms are
-provided, matching the paper's Table 1 plus one extra merge baseline:
+provided, the paper's Table 1 — XR-stack and the three baselines it is
+measured against:
 
 * :func:`stack_tree_join` — Stack-Tree-Desc, the "no-index" baseline;
 * :func:`mpmgjn_join` — multi-predicate merge join (Zhang et al.);
@@ -14,11 +15,6 @@ provided, matching the paper's Table 1 plus one extra merge baseline:
 
 from repro.joins.base import JoinStats, nested_loop_join
 from repro.joins.bplus_join import bplus_join
-from repro.joins.bplus_variants import (
-    bplus_psp_join,
-    bplus_sp_join,
-    with_containment_pointers,
-)
 from repro.joins.memory import MemoryElementList
 from repro.joins.mpmgjn import mpmgjn_join
 from repro.joins.registry import (
@@ -26,10 +22,8 @@ from repro.joins.registry import (
     algorithm_names,
     get_algorithm,
     register_algorithm,
-    unregister_algorithm,
 )
 from repro.joins.stack_tree import stack_tree_join
-from repro.joins.stack_tree_anc import stack_tree_anc_join
 from repro.joins.xr_stack import xr_stack_join
 
 __all__ = [
@@ -38,15 +32,10 @@ __all__ = [
     "MemoryElementList",
     "algorithm_names",
     "bplus_join",
-    "bplus_psp_join",
-    "bplus_sp_join",
     "get_algorithm",
     "mpmgjn_join",
     "nested_loop_join",
     "register_algorithm",
-    "stack_tree_anc_join",
     "stack_tree_join",
-    "unregister_algorithm",
-    "with_containment_pointers",
     "xr_stack_join",
 ]

@@ -7,7 +7,7 @@ together with the *input representation* it consumes, and the facade asks
 the registry what to build and what to call.
 
 An algorithm's ``input_kind`` names the representation both join inputs
-must take:
+must take; :data:`INPUT_KINDS` maps each to its structure type and builder:
 
 * ``"element-list"`` — a start-sorted :class:`~repro.storage.pagedlist.\
 PagedElementList` (the "no index" algorithms);
@@ -32,17 +32,45 @@ changes to :mod:`repro.core.api`.
 
 from dataclasses import dataclass
 
+from repro.indexes.bptree import BPlusTree
+from repro.indexes.xrtree import XRTree
 from repro.joins.bplus_join import bplus_join
 from repro.joins.mpmgjn import mpmgjn_join
 from repro.joins.stack_tree import stack_tree_join
-from repro.joins.stack_tree_anc import stack_tree_anc_join
 from repro.joins.xr_stack import xr_stack_join
+from repro.storage.pagedlist import PagedElementList
 
 INPUT_ELEMENT_LIST = "element-list"
 INPUT_BPLUS = "b+tree"
 INPUT_XRTREE = "xr-tree"
 
-_INPUT_KINDS = (INPUT_ELEMENT_LIST, INPUT_BPLUS, INPUT_XRTREE)
+
+def build_element_list(entries, pool, fill_factor=1.0):
+    """Materialize a start-sorted paged element list (no-index input)."""
+    return PagedElementList.build(pool, entries, fill_factor)
+
+
+def build_bplus_tree(entries, pool, fill_factor=1.0):
+    """Bulk-load a B+-tree on the ``start`` attribute."""
+    tree = BPlusTree(pool)
+    tree.bulk_load(entries, fill_factor)
+    return tree
+
+
+def build_xr_tree(entries, pool, fill_factor=1.0, optimize_split_keys=True):
+    """Bulk-load an XR-tree."""
+    tree = XRTree(pool, optimize_split_keys=optimize_split_keys)
+    tree.bulk_load(entries, fill_factor)
+    return tree
+
+
+#: Each input kind's ``(structure type, builder)``; a builder takes
+#: ``(entries, pool, fill_factor)``.
+INPUT_KINDS = {
+    INPUT_ELEMENT_LIST: (PagedElementList, build_element_list),
+    INPUT_BPLUS: (BPlusTree, build_bplus_tree),
+    INPUT_XRTREE: (XRTree, build_xr_tree),
+}
 
 
 @dataclass(frozen=True)
@@ -66,23 +94,16 @@ def register_algorithm(name, runner, input_kind, description="",
     parent_child=False, collect=True, stats=None) -> (pairs, JoinStats)``.
     Re-registering an existing name raises unless ``replace`` is true.
     """
-    if input_kind not in _INPUT_KINDS:
+    if input_kind not in INPUT_KINDS:
         raise ValueError(
             "unknown input kind %r (expected one of %s)"
-            % (input_kind, ", ".join(_INPUT_KINDS))
+            % (input_kind, ", ".join(INPUT_KINDS))
         )
     if name in _REGISTRY and not replace:
         raise ValueError("algorithm %r is already registered" % name)
     algorithm = JoinAlgorithm(name, runner, input_kind, description)
     _REGISTRY[name] = algorithm
     return algorithm
-
-
-def unregister_algorithm(name):
-    """Remove a registered algorithm (built-ins included — caveat emptor)."""
-    if name not in _REGISTRY:
-        raise ValueError("algorithm %r is not registered" % name)
-    del _REGISTRY[name]
 
 
 def get_algorithm(name):
@@ -101,12 +122,9 @@ def algorithm_names():
     return tuple(_REGISTRY)
 
 
-# The paper's Table 1 algorithms plus the ancestor-ordered Stack-Tree
-# variant, registered in the order the facade historically advertised.
+# The paper's Table 1 algorithms, in the order the facade advertises them.
 register_algorithm("stack-tree", stack_tree_join, INPUT_ELEMENT_LIST,
                    "Stack-Tree-Desc over plain merged lists")
-register_algorithm("stack-tree-anc", stack_tree_anc_join, INPUT_ELEMENT_LIST,
-                   "Stack-Tree-Anc (ancestor-ordered output)")
 register_algorithm("mpmgjn", mpmgjn_join, INPUT_ELEMENT_LIST,
                    "multi-predicate merge join (Zhang et al.)")
 register_algorithm("b+", bplus_join, INPUT_BPLUS,

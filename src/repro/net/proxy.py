@@ -158,11 +158,7 @@ class ChaosProxy:
             self._listener = None
         with self._conns_lock:
             pending = list(self._conns)
-        for sock in pending:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self._untrack_close(*pending)
 
     def __enter__(self):
         return self.start()
@@ -234,10 +230,18 @@ class ChaosProxy:
             self._conns.add(sock)
 
     def _untrack_close(self, *socks):
+        """Forget and close ``socks``.  Shut each down first: the other
+        pump may still be blocked in ``recv`` on it, and a bare close
+        then waits for that call to time out before the peer sees the
+        FIN — holding a server slot for up to ``_POLL_SECONDS``."""
         with self._conns_lock:
             for sock in socks:
                 self._conns.discard(sock)
         for sock in socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass   # never connected, or already shut down
             try:
                 sock.close()
             except OSError:

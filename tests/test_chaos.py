@@ -10,19 +10,7 @@ import random
 
 import pytest
 
-from repro.core.api import (
-    ALGORITHMS,
-    StorageContext,
-    build_bplus_tree,
-    build_element_list,
-    oracle_join,
-    structural_join,
-)
-from repro.joins import (
-    bplus_psp_join,
-    bplus_sp_join,
-    with_containment_pointers,
-)
+from repro.core.api import ALGORITHMS, oracle_join, structural_join
 from repro.joins.base import sort_pairs
 from repro.query import PathQueryEngine
 from repro.workloads.datasets import JoinDataset
@@ -69,22 +57,13 @@ def test_every_component_agrees(trial):
     descendants = list(workload.descendants)
     expected = oracle_join(ancestors, descendants)
 
-    # 1. The five public join algorithms.
+    # 1. The four public join algorithms.
     for algorithm in ALGORITHMS:
         outcome = structural_join(ancestors, descendants,
                                   algorithm=algorithm)
         assert sort_pairs(outcome.pairs) == expected, algorithm
 
-    # 2. The pointer-enhanced variants.
-    context = StorageContext(page_size=1024, buffer_pages=64)
-    a_tree = build_bplus_tree(with_containment_pointers(ancestors),
-                              context.pool)
-    d_tree = build_bplus_tree(descendants, context.pool)
-    for variant in (bplus_sp_join, bplus_psp_join):
-        pairs, _ = variant(a_tree, d_tree)
-        assert sort_pairs(pairs) == expected, variant.__name__
-
-    # 3. Query executors over the source document.
+    # 2. Query executors over the source document.
     document = dataset.document
     engine = PathQueryEngine(document)
     fallback = PathQueryEngine(document, strategy="stack-tree")

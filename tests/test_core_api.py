@@ -215,6 +215,37 @@ class TestPrebuiltInputs:
             structural_join(a_index, dept_data.descendants, algorithm="b+",
                             context=context)
 
+    def test_kind_mismatch_builds_nothing(self, dept_data):
+        from repro.core.api import build_xr_tree
+
+        context = StorageContext()
+        d_tree = build_xr_tree(dept_data.descendants, context.pool)
+        pages_before = context.disk.allocated_page_count
+        with pytest.raises(ValueError, match="needs a BPlusTree"):
+            structural_join(dept_data.ancestors, d_tree, algorithm="b+")
+        assert context.disk.allocated_page_count == pages_before
+
+    def test_entries_are_built_beside_the_prebuilt_side(self, dept_data):
+        from repro.core.api import build_xr_tree
+
+        expected = oracle_join(dept_data.ancestors, dept_data.descendants)
+        context = StorageContext()
+        d_tree = build_xr_tree(dept_data.descendants, context.pool)
+        pages_before = context.disk.allocated_page_count
+        outcome = structural_join(dept_data.ancestors, d_tree,
+                                  algorithm="xr-stack")
+        assert sort_pairs(outcome.pairs) == expected
+        # No context was given: the ancestor tree went into d_tree's pool.
+        assert context.disk.allocated_page_count > pages_before
+
+    def test_prebuilt_sides_in_two_pools_rejected(self, dept_data):
+        from repro.core.api import build_xr_tree
+
+        a_tree = build_xr_tree(dept_data.ancestors, StorageContext().pool)
+        d_tree = build_xr_tree(dept_data.descendants, StorageContext().pool)
+        with pytest.raises(ValueError, match="buffer pool"):
+            structural_join(a_tree, d_tree, algorithm="xr-stack")
+
     def test_prebuilt_foreign_pool_rejected(self, dept_data):
         a_index = XRTreeIndex.build(dept_data.ancestors)
         with pytest.raises(ValueError):
@@ -232,26 +263,23 @@ class TestAlgorithmRegistry:
         assert get_algorithm("b+").input_kind == "b+tree"
         assert get_algorithm("stack-tree").input_kind == "element-list"
 
-    def test_plugin_algorithm_dispatches(self, dept_data):
-        from repro.joins.registry import (
-            INPUT_ELEMENT_LIST,
-            register_algorithm,
-            unregister_algorithm,
-        )
+    def test_plugin_algorithm_dispatches(self, dept_data, monkeypatch):
+        from repro.joins import registry
         from repro.joins.stack_tree import stack_tree_join
 
-        register_algorithm("test-plugin", stack_tree_join,
-                           INPUT_ELEMENT_LIST, "registry test double")
-        try:
-            outcome = structural_join(dept_data.ancestors,
-                                      dept_data.descendants,
-                                      algorithm="test-plugin")
-            expected = oracle_join(dept_data.ancestors,
-                                   dept_data.descendants)
-            assert sort_pairs(outcome.pairs) == expected
-            assert outcome.algorithm == "test-plugin"
-        finally:
-            unregister_algorithm("test-plugin")
+        # A copy of the table takes the registration; teardown restores
+        # the original.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        registry.register_algorithm("test-plugin", stack_tree_join,
+                                    registry.INPUT_ELEMENT_LIST,
+                                    "registry test double")
+        outcome = structural_join(dept_data.ancestors,
+                                  dept_data.descendants,
+                                  algorithm="test-plugin")
+        expected = oracle_join(dept_data.ancestors,
+                               dept_data.descendants)
+        assert sort_pairs(outcome.pairs) == expected
+        assert outcome.algorithm == "test-plugin"
 
     def test_duplicate_registration_rejected(self):
         from repro.joins.registry import register_algorithm

@@ -68,9 +68,9 @@ def retried(call, attempts=11):
     """``call()``, re-issued on NetworkError up to ``attempts`` times in
     all, after a doubling pause capped at 20 ms — what a replica with
     ``max_retries=attempts - 1`` would do, minus the jitter.  The pause
-    matters: through a proxy, a torn-down connection keeps its server
-    slot for a moment, and a server with every slot taken answers
-    "busy"."""
+    paces the retries as the replica's backoff does; the proxy frees a
+    torn-down connection's server slot at once (see
+    :class:`TestProxyTeardown`), so it is not needed to dodge "busy"."""
     for attempt in range(attempts):
         try:
             return call()
@@ -207,6 +207,25 @@ class TestServerRobustness:
             assert shipper.latest_sequence() == 21
             assert shipper.fetch(21) is not None
             shipper.close()
+
+
+class TestProxyTeardown:
+    def test_a_closed_client_frees_its_server_slot_at_once(self, server):
+        """Back-to-back connect, poll and close through a healthy proxy
+        never meet a full server: when the client goes, the proxy shuts
+        both legs down at once, so the server sees the close before the
+        next connection arrives."""
+        with ChaosProxy(server.address, seed=SEED) as proxy:
+            shipper = make_shipper(proxy.address)
+            busy = 0
+            for _ in range(200):
+                try:
+                    assert shipper.latest_sequence() == 21
+                except NetworkError:
+                    busy += 1
+                shipper.close()
+            assert busy == 0
+            assert shipper.stats.server_busy == 0
 
 
 class TestReplicaOverChaos:

@@ -52,19 +52,6 @@ class TestApiConsistency:
                                       algorithm=algorithm)
             assert outcome.algorithm == algorithm
 
-    def test_stack_tree_anc_through_public_api(self, dept_data):
-        from repro.core import structural_join
-        from repro.core.api import oracle_join
-        from repro.joins.base import sort_pairs
-
-        outcome = structural_join(dept_data.ancestors,
-                                  dept_data.descendants,
-                                  algorithm="stack-tree-anc")
-        assert sort_pairs(outcome.pairs) == oracle_join(
-            dept_data.ancestors, dept_data.descendants)
-        order = [(a.start, d.start) for a, d in outcome.pairs]
-        assert order == sorted(order)
-
     def test_version_string(self):
         assert repro.__version__
 
