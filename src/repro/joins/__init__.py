@@ -9,8 +9,10 @@ measured against:
 * :func:`stack_tree_join` — Stack-Tree-Desc, the "no-index" baseline;
 * :func:`mpmgjn_join` — multi-predicate merge join (Zhang et al.);
 * :func:`bplus_join` — Anc_Des_B+ over B+-tree indexed inputs;
-* :func:`xr_stack_join` — the paper's XR-stack (Algorithm 6) over XR-trees,
-  or over a :class:`MemoryElementList` (a sorted list in the same shape).
+* :func:`xr_stack_join` — the paper's XR-stack (Algorithm 6) over XR-trees.
+  Its ancestor skip probes only a stored XR-tree; any other ancestor input,
+  such as a :class:`MemoryElementList` (a sorted list in the same shape),
+  is merged, and either kind may sit on the descendant side.
 """
 
 from repro.joins.base import JoinStats, nested_loop_join

@@ -28,14 +28,17 @@ the stab-list pages searched through it, kept for this call only — so a
 probe requests only what lies below the deepest node still covering its
 key and the stab-list pages no earlier probe through that node read.
 
-The ancestor input answers ``first()`` and ``probe(point)`` — FindAncestors
-and the re-seek past CurD from one lookup, the cursor starting on the leaf
-FindAncestors already holds — and the descendant input answers ``first()``
-and ``seek_after(key)``: an :class:`~repro.indexes.xrtree.XRTree` or a
-:class:`~repro.joins.memory.MemoryElementList`.
+Only a stored :class:`~repro.indexes.xrtree.XRTree` ancestor input is
+probed — the skip exists to save page reads — through ``probe(point)``:
+FindAncestors and the re-seek past CurD from one lookup.  Any other
+ancestor input (a :class:`~repro.joins.memory.MemoryElementList`) is
+merged, one unit per ancestor passed as in Stack-Tree, into the state a
+probe would leave.  The descendant input answers ``first()`` and
+``seek_after(key)``.
 """
 
 from repro.indexes.bptree import Finger
+from repro.indexes.xrtree import XRTree
 from repro.joins.base import JoinSink, JoinStats
 
 
@@ -56,6 +59,7 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
     tick = stats.runtime.tick if stats.runtime is not None else None
     a_items, d_items = iter(atree.first()), iter(dtree.first())
     a, d = next(a_items, None), next(d_items, None)
+    probe = atree.probe if isinstance(atree, XRTree) else None
     a_finger, d_finger = Finger(), Finger()
     stack = []
     scanned = 0
@@ -72,20 +76,9 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
             while stack and stack[-1].end < d_start:
                 stack.pop()
             if a is not None and a.start <= d_start:
-                # Lines 9-13.  With overlapping input sets the ancestor
-                # side may hold CurD's own element (start equality): it is
-                # not an ancestor of CurD but is a live candidate for
-                # *later* descendants, so it rides the stack rather than
-                # being leapt over (the sink never pairs it with its own
-                # element).  No probe is issued for it: CurD's ancestors
-                # all start before CurA and are on the stack already (see
-                # below), so FindAncestors would answer nothing and its
-                # re-seek would land on CurA itself.
+                # Lines 9-13: CurA catches up with CurD in one step.
                 scanned += 1
-                if a.start == d_start:
-                    stack.append(a)
-                    a = next(a_items, None)
-                else:
+                if probe is not None and a.start < d_start:
                     # One probe: fetch CurD's ancestors directly from the
                     # XR-tree and leap CurA past CurD.  Only those
                     # starting at or after CurA are new: every entry
@@ -95,14 +88,28 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
                     # stack at that probe (or was on it already) and has
                     # not been popped.  (Algorithm 6 bounds the probe by
                     # the stack top, which is looser.)
-                    ancestors, a_items = atree.probe(d_start, stats,
-                                                     a.start - 1, a_finger)
+                    ancestors, a_items = probe(d_start, stats,
+                                               a.start - 1, a_finger)
                     stack.extend(ancestors)
                     stats.ancestor_skips += 1
                     a = next(a_items, None)
-                    if a is not None and a.start == d_start:
-                        stack.append(a)
+                else:
+                    # Merge past CurD, one unit per ancestor (the step's
+                    # is CurD's), keeping those enclosing CurD; the rest
+                    # end before CurD and every later descendant.
+                    while a is not None and a.start < d_start:
+                        scanned += 1
+                        if d_start < a.end:
+                            stack.append(a)
                         a = next(a_items, None)
+                if a is not None and a.start == d_start:
+                    # Overlapping inputs: CurD's own element is no
+                    # ancestor of CurD but a candidate for *later*
+                    # descendants, so it rides the stack (the sink never
+                    # pairs it with itself).  As CurA it needs no probe:
+                    # CurD's ancestors start before it and are stacked.
+                    stack.append(a)
+                    a = next(a_items, None)
                 if stack:
                     emit_stack(stack, d)
                 d = next(d_items, None)

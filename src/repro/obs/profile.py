@@ -35,8 +35,9 @@ class OperatorProfile:
     """Actual measured cost of one executed operator.
 
     ``kind`` groups operators for rendering: ``"scan"`` (first-step element
-    fetch), ``"join"`` (a forward structural join), ``"probe"`` (a reverse
-    FindAncestors step) and ``"semi-join"`` / ``"filter"`` (predicates).
+    fetch), ``"join"`` (a forward structural join, or a ``*`` reverse
+    step's semi-join), ``"probe"`` (a tagged reverse FindAncestors step)
+    and ``"semi-join"`` / ``"filter"`` (predicates).
     ``tag`` names the index the operator probes (its descendant/target
     side), which is what ``pages_by_index`` aggregates on.
     """

@@ -20,6 +20,9 @@ Evaluation never writes: an intermediate result, already a start-sorted
 list, enters the kernel as a :class:`~repro.joins.MemoryElementList`
 (:func:`semi_join`), and the kernel emits into a
 :class:`~repro.joins.base.MatchSink` that keeps the matches, not the pairs.
+XR-stack merges that ancestor side and keeps only its descendant-side
+leap; FindAncestors runs only in a tagged ``parent::`` / ``ancestor::``
+step, against that tag's stored tree (``*`` is one semi-join instead).
 """
 
 import time
@@ -175,6 +178,14 @@ class PathQueryEngine:
         tree = self.index_for(tag)
         return [] if tree is None else list(items(tree))
 
+    def _first_set(self, step):
+        """The set a path's first step binds: an absolute ``/tag`` step
+        binds only root-level elements."""
+        entries = self.entries_for(step.tag)
+        if step.axis is Axis.CHILD:
+            entries = [e for e in entries if e.level == 0]
+        return entries
+
     def _entries(self, run, tag):
         run.tag = tag
         return self.entries_for(tag)
@@ -275,12 +286,11 @@ class PathQueryEngine:
             first = steps[0]
             if first.axis.is_reverse:
                 raise QueryError("a path cannot start with a reverse axis")
-            with self._operator(run, "scan //%s" % first.tag, "scan",
-                                "element-list", tag=first.tag) as op:
-                current = self._entries(run, first.tag)
-                if first.axis is Axis.CHILD:
-                    # An absolute /tag step binds only root-level elements.
-                    current = [e for e in current if e.level == 0]
+            with self._operator(run, "scan %s%s" % (first.axis.value,
+                                                     first.tag),
+                                "scan", "element-list", tag=first.tag) as op:
+                run.tag = first.tag
+                current = self._first_set(first)
                 if op is not None:
                     op.input_d = len(current)
                     op.rows_out = len(current)
@@ -347,15 +357,27 @@ class PathQueryEngine:
         return matched
 
     def _reverse_step(self, run, context, step):
-        """``parent::`` / ``ancestor::`` steps: one FindAncestors probe per
-        context element against the target tag's XR-tree — the Section 5.1
-        primitives driving navigation *up* the tree.  The context is in
-        start order, so the probes share one finger, as a join's do."""
+        """``parent::`` / ``ancestor::`` steps.  A tagged step makes one
+        FindAncestors probe per context element against the target tag's
+        XR-tree — the Section 5.1 primitives driving navigation *up* the
+        tree, sharing one finger as a join's do.  A ``*`` step has no
+        tree: it is one semi-join of the merged set against the context
+        (``parent::`` on the child axis)."""
+        axis_name = step.axis.name.lower()
+        if step.tag == "*":
+            merged = self._entries(run, "*")
+            with self._operator(run, "%s-join //*" % axis_name, "join",
+                                self.strategy, input_a=len(merged),
+                                input_d=len(context)) as op:
+                out, _ = semi_join(merged, context, axis_name == "parent",
+                                   run.stats, self.strategy)
+                if op is not None:
+                    op.rows_out = len(out)
+            return out
         tree = self._source(run, step.tag)
         if tree is None:
             return []
         stats = run.stats
-        axis_name = "parent" if step.axis is Axis.PARENT else "ancestor"
         with self._operator(run, "%s-probe //%s" % (axis_name, step.tag),
                             "probe", "find-ancestors", tag=step.tag,
                             input_a=tree.size,
@@ -484,7 +506,7 @@ class PathQueryEngine:
             raise QueryError("a path cannot start with a reverse axis")
         lines = ["plan for %s (strategy=%s)" % (expression, self.strategy)]
         previous_tag = steps[0].tag
-        previous_entries = self.entries_for(previous_tag)
+        previous_entries = self._first_set(steps[0])
         lines.append("  scan %-20s -> %d elements"
                      % (previous_tag, len(previous_entries)))
         lines.extend(self._explain_predicates(steps[0], indent="  "))
@@ -493,11 +515,10 @@ class PathQueryEngine:
             entries = self.entries_for(step.tag)
             if step.axis.is_reverse:
                 step_estimates.append(None)
-                lines.append(
-                    "  %s-probe into %s (%d): FindAncestors per match"
-                    % ("parent" if step.axis.name == "PARENT"
-                       else "ancestor", step.tag, len(entries))
-                )
+                how = ("join %s (%d): one semi-join" if step.tag == "*"
+                       else "probe into %s (%d): FindAncestors per match")
+                lines.append("  %s-%s" % (step.axis.name.lower(),
+                                          how % (step.tag, len(entries))))
                 lines.extend(self._explain_predicates(step, indent="  "))
                 previous_tag = step.tag
                 previous_entries = entries

@@ -116,18 +116,6 @@ class TestSeek:
         assert pool.pinned_count == 0
 
 
-def test_memory_find_ancestors_accepts_and_ignores_a_finger():
-    source = MemoryElementList(
-        [entry(1, 100), entry(2, 50), entry(3, 10), entry(60, 90)])
-    finger = Finger()
-    for point in (5, 70, 4, 95, 5):
-        for after in (None, 1, 2):
-            assert source.find_ancestors(point, after_start=after,
-                                         finger=finger) \
-                == source.find_ancestors(point, after_start=after)
-    assert finger.path == []
-
-
 class TestRecordCursor:
     def test_a_slot_at_a_pages_end_settles_on_the_next_page(self, pool):
         """A slot at a page's end yields the next page's first record

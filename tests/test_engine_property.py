@@ -97,7 +97,8 @@ NESTED = ("//a[b[c]]/b", "//a[b[c//b]]//c", "//b[*/a]", "//a[c]",
           "//b[a]/c")
 REVERSE = ("//c/parent::b", "//c/ancestor::a", "//b[c]/ancestor::a/b",
            "//c/parent::b/parent::a//c", "//a//c/ancestor::b[c]",
-           "//c/parent::a", "//b/ancestor::c")
+           "//c/parent::a", "//b/ancestor::c", "//c/parent::*",
+           "//b/ancestor::*/b", "//*/parent::*")
 # Same-tag steps join a tag's set with itself or with a subset of it, so
 # the two join inputs overlap.
 SAME_TAG = ("//a//a", "//a//a/b", "//b[c]//b")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import QueryProfile
 from repro.query import PathQueryEngine
 from repro.xmldata.parser import parse_document
 
@@ -59,3 +60,17 @@ class TestExplain:
         result = engine.evaluate("//emp/name")
         assert "emp (2)" in plan
         assert len(result) == 2
+
+    def test_absolute_first_step_plans_what_runs(self):
+        """``/a`` binds only the root ``a``: the plan's scan line and first
+        estimate count that one element, and the operator says ``/a``."""
+        engine = PathQueryEngine(parse_document(
+            "<a><a><b/></a><b/><a><a><b/></a></a></a>"))
+        profile = QueryProfile()
+        plan = engine.explain("/a/b", profile=profile)
+        assert "scan a                    -> 1 elements" in plan
+        assert "child-join a (1) with b (3) -> ~1 pairs" in plan
+        assert [op.name for op in profile.operators] == [
+            "scan /a", "child-join //b"]
+        assert profile.operators[0].rows_out == 1
+        assert len(engine.evaluate("/a/b")) == 1

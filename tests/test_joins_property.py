@@ -35,13 +35,18 @@ def memory_runs(ancestors, descendants, **options):
             yield join(MemoryElementList(ancestors), d_input, **options)
 
 
-def published_xr_stack(ancestors, descendants, parent_child=False):
+def published_xr_stack(ancestors, descendants, parent_child=False,
+                       merge=False):
     """Algorithm 6 over start-sorted lists, FindAncestors bounded by the
     stack top and answered by brute force: ``(pairs, elements_scanned,
     ancestor_skips, descendant_skips)``.  A step scans one element and
     FindAncestors charges one per ancestor it returns.  With overlapping
     inputs, an ancestor-side element starting where CurD does is CurD's
-    own element: it goes onto the stack with no probe and no skip."""
+    own element: it goes onto the stack with no probe and no skip.
+
+    With ``merge`` the ancestor side is not an XR-tree: instead of
+    FindAncestors, the step passes every ancestor starting before CurD,
+    one unit each, and keeps those enclosing CurD."""
     a_starts = [a.start for a in ancestors]
     d_starts = [d.start for d in descendants]
     pairs, stack = [], []
@@ -55,12 +60,18 @@ def published_xr_stack(ancestors, descendants, parent_child=False):
             stack.append(ancestors[i])
             i += 1
         elif i < len(ancestors) and ancestors[i].start < d.start:
-            top = stack[-1].start if stack else float("-inf")
-            found = [a for a in ancestors if top < a.start < d.start < a.end]
-            scanned += len(found)
+            passed = bisect_left(a_starts, d.start)
+            if merge:
+                found = [a for a in ancestors[i:passed] if d.start < a.end]
+                scanned += passed - i
+            else:
+                top = stack[-1].start if stack else float("-inf")
+                found = [a for a in ancestors
+                         if top < a.start < d.start < a.end]
+                scanned += len(found)
+                a_skips += 1
             stack += found
-            a_skips += 1
-            i = bisect_left(a_starts, d.start)
+            i = passed
             if i < len(ancestors) and ancestors[i].start == d.start:
                 stack.append(ancestors[i])
                 i += 1
@@ -147,9 +158,9 @@ def counting_probes(source):
 @settings(max_examples=30, deadline=None)
 def test_full_overlap_self_join(shape):
     """Every algorithm joins a set with itself; and since every ancestor
-    step then starts on CurD's own element, XR-stack never probes its
-    ancestor input — an XR-tree or a memory list, the same object on both
-    sides or two — and neither memory list builds its parent column."""
+    step then starts on CurD's own element, XR-stack never probes an
+    XR-tree ancestor input — the same object on both sides or two — and
+    over a memory list it merges with no ancestor skip either."""
     entries = tree_shape_to_entries(shape)
     expected = nested_loop_join(entries, entries)
     for algorithm in (stack_tree_join, mpmgjn_join, bplus_join,
@@ -161,39 +172,48 @@ def test_full_overlap_self_join(shape):
     assert_xr_stack_work_is_published(entries, entries)
     pool = StorageContext(page_size=512, buffer_pages=64).pool
     tree = build_xr_tree(entries, pool)
-    memory = MemoryElementList(entries)
-    for atree, dtree in ((tree, tree), (tree, build_xr_tree(entries, pool)),
-                         (memory, memory),
-                         (memory, MemoryElementList(entries))):
-        calls = counting_probes(atree)
+    for dtree in (tree, build_xr_tree(entries, pool)):
+        calls = counting_probes(tree)
         try:
-            pairs, stats = xr_stack_join(atree, dtree)
+            pairs, stats = xr_stack_join(tree, dtree)
         finally:
-            del atree.probe
+            del tree.probe
         assert sort_pairs(pairs) == expected
         assert calls == [] and stats.ancestor_skips == 0
-        for source in (atree, dtree):
-            assert getattr(source, "_parents", None) is None
+    memory = MemoryElementList(entries)
+    for dtree in (memory, MemoryElementList(entries)):
+        pairs, stats = xr_stack_join(memory, dtree)
+        assert sort_pairs(pairs) == expected
+        assert stats.ancestor_skips == 0
 
 
 @given(shapes, st.lists(st.integers(min_value=0, max_value=2),
-                        min_size=1, max_size=7))
-@settings(max_examples=30, deadline=None)
-def test_memory_list_builds_its_parent_column_only_when_probed(shape, bits):
-    """A memory list read only as a descendant input — by XR-stack or
-    Stack-Tree — never builds its parent column; an ancestor input builds
-    it exactly when XR-stack issues a probe."""
+                        min_size=1, max_size=7), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_xr_stack_merges_a_memory_ancestor_list(shape, bits, parent_child):
+    """Over a memory list on the ancestor side XR-stack merges: the
+    nested-loop pairs, no ancestor skip, the merge's charges, and the
+    descendant-side leaps XR-stack makes over an XR-tree of the same set
+    — against a memory list or an XR-tree on the descendant side."""
     entries = tree_shape_to_entries(shape)
     ancestors, descendants = split_sets(entries, bits)
-    expected = nested_loop_join(ancestors, descendants)
-    for join in (xr_stack_join, stack_tree_join):
-        a_input = MemoryElementList(ancestors)
-        calls = counting_probes(a_input)
-        d_input = MemoryElementList(descendants)
-        pairs, _ = join(a_input, d_input)
+    expected = nested_loop_join(ancestors, descendants,
+                                parent_child=parent_child)
+    _pairs, scanned, _a_skips, d_skips = published_xr_stack(
+        ancestors, descendants, parent_child, merge=True)
+    pool = StorageContext(page_size=512, buffer_pages=64).pool
+    atree = build_xr_tree(ancestors, pool)
+    for d_input in (MemoryElementList(descendants),
+                    build_xr_tree(descendants, pool)):
+        pairs, stats = xr_stack_join(MemoryElementList(ancestors), d_input,
+                                     parent_child=parent_child)
+        _, probed = xr_stack_join(atree, d_input, collect=False,
+                                  parent_child=parent_child)
         assert sort_pairs(pairs) == expected
-        assert d_input._parents is None
-        assert (a_input._parents is None) == (not calls)
+        assert (stats.elements_scanned, stats.ancestor_skips,
+                stats.descendant_skips) == (scanned, 0, d_skips)
+        assert stats.descendant_skips == probed.descendant_skips
+        assert stats.stab_pages == 0
 
 
 @given(shapes, st.lists(st.integers(min_value=0, max_value=2),

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.api import structural_join
 from repro.core.database import XmlDatabase
 from repro.obs import Observability, QueryProfile, Tracer
 from repro.obs.validate import validate_jsonl
@@ -46,14 +47,26 @@ def test_profile_records_operators_and_totals(dataset):
 
 
 def test_xr_stack_profile_reports_skip_probes(dataset):
-    """The acceptance criterion: EXPLAIN ANALYZE on //employee//name over
-    a generated document reports XR-stack skip counts > 0."""
+    """EXPLAIN ANALYZE on //employee//name over a generated document
+    reports the skips the engine's join makes: its ancestor side is the
+    scanned ``employee`` list, which XR-stack merges, so only the
+    descendant side leaps."""
     _, result, profile = _profiled_run(dataset)
     join = next(op for op in profile.operators if op.kind == "join")
-    assert join.skip_probes > 0
-    assert join.ancestor_skips > 0
+    assert join.skip_probes == join.descendant_skips > 0
+    assert join.ancestor_skips == 0
     assert join.elements_skipped >= 0
-    assert result.stats.ancestor_skips == join.ancestor_skips
+    assert result.stats.descendant_skips == join.descendant_skips
+
+
+def test_tree_join_profile_reports_ancestor_skips(dataset):
+    """A join over two XR-trees probes its ancestor side: the profiled
+    operator counts the FindAncestors leaps."""
+    profile = QueryProfile()
+    outcome = structural_join(dataset.ancestors, dataset.descendants,
+                              profile=profile)
+    (join,) = profile.operators
+    assert join.ancestor_skips == outcome.stats.ancestor_skips > 0
 
 
 def test_profile_rides_on_the_runtime_context(dataset):

@@ -1,10 +1,10 @@
 """``probe`` is FindAncestors and the re-seek past the point in one lookup.
 
-XR-stack's ancestor step (Algorithm 6 lines 9-13) asks its ancestor input
-``probe(p, stats, after, finger)`` once.  For random region sets indexed as
-XR-trees (bulk loaded or built by inserts in random order, leaf and internal
-capacities 4-8) and as ``MemoryElementList``s over the same sets, a probe
-must answer ``(find_ancestors(p, stats, after_start=after, finger=finger),
+XR-stack's ancestor step (Algorithm 6 lines 9-13) asks an XR-tree
+ancestor input ``probe(p, stats, after, finger)`` once.  For random region
+sets indexed as XR-trees (bulk loaded or built by inserts in random order,
+leaf and internal capacities 4-8), a probe must answer
+``(find_ancestors(p, stats, after_start=after, finger=finger),
 list(seek(p)))`` — with a finger kept across probes and with none — charge
 the same ``elements_scanned`` and ``stab_pages`` as that pair, request and
 miss the same pages as the pair on a twin tree in the same pool state, and
@@ -27,10 +27,12 @@ looked up on the class, per ancestor skip.
 
 A fourth sweep joins a tag with itself on random documents of the
 recursive DTDs (``employee`` in the Department DTD, ``parlist`` and
-``listitem`` in the auction one), over XR-trees and memory lists, on the
-descendant and the child axis: the pairs must be the nested-loop oracle's,
-and XR-stack must issue no probe — each of its ancestor steps starts on
-CurD's own element, where FindAncestors has nothing to find.
+``listitem`` in the auction one), on the descendant and the child axis,
+with an XR-tree or a memory list on the ancestor side: the pairs must be
+the nested-loop oracle's, and XR-stack must issue no probe into the tree —
+each of its ancestor steps starts on CurD's own element, where
+FindAncestors has nothing to find — and must charge one unit per element,
+over the tree as over the merged list.
 
 The sweep is seeded: set ``CHAOS_SEED`` to reproduce.
 """
@@ -111,7 +113,6 @@ def test_probe_is_find_ancestors_then_seek():
             SEED, number, leaf, internal, "bulk" if bulk else "inserts")
         probed, paired = twins(entries, leaf, internal,
                                None if bulk else order)
-        memory = MemoryElementList(entries)
         fingers = {"kept": (Finger(), Finger()), "none": None}
         for point, after in probe_points(rng, entries):
             expected_seek = [e for e in entries if e.start >= point]
@@ -135,17 +136,6 @@ def test_probe_is_find_ancestors_then_seek():
                 assert io(probed) == io(paired), here
                 assert probed.pool.pinned_count == 0, here
                 stab_pages += p_stats.stab_pages
-
-                m_stats, r_stats = JoinStats(), JoinStats()
-                ancestors, items = memory.probe(point, m_stats, after,
-                                                p_finger)
-                assert (ancestors, list(items)) == (
-                    memory.find_ancestors(point, r_stats, after_start=after,
-                                          finger=p_finger),
-                    list(memory.seek(point))), here
-                assert ancestors == got[0], here
-                assert charges(m_stats) == charges(r_stats) == \
-                    (p_stats.elements_scanned, 0), here
     assert stab_pages, "CHAOS_SEED=%d read no stab-list page" % SEED
 
 
@@ -215,11 +205,10 @@ def test_leaf_local_find_ancestors_matches_brute_force():
 
 
 def test_probing_an_empty_input():
-    for source in (fresh_tree(), MemoryElementList([])):
-        stats = JoinStats()
-        ancestors, items = source.probe(5, stats)
-        assert (ancestors, list(items)) == ([], [])
-        assert charges(stats) == (0, 0)
+    stats = JoinStats()
+    ancestors, items = fresh_tree().probe(5, stats)
+    assert (ancestors, list(items)) == ([], [])
+    assert charges(stats) == (0, 0)
 
 
 def test_xr_stack_traces_one_find_ancestors_call_per_ancestor_skip(
@@ -277,12 +266,12 @@ def test_self_join_on_recursive_documents_issues_no_probe():
                 here = ("CHAOS_SEED=%d round %d" % (SEED, number), tag,
                         parent_child, type(atree).__name__,
                         type(dtree).__name__)
-                calls = counting_probes(atree)
+                calls = counting_probes(tree)
                 try:
                     pairs, stats = xr_stack_join(atree, dtree,
                                                  parent_child=parent_child)
                 finally:
-                    del atree.probe
+                    del tree.probe
                 assert sort_pairs(pairs) == expected, here
                 assert calls == [], here
                 assert (stats.ancestor_skips, stats.stab_pages) == (0, 0), \

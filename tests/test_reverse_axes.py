@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import QueryProfile
 from repro.query import PathQueryEngine, parse_path
 from repro.query.engine import QueryError
 from repro.query.path import Axis, PathSyntaxError
@@ -125,6 +126,18 @@ class TestEvaluation:
     def test_explain_shows_probe(self, engine):
         plan = engine.explain("//name/parent::emp")
         assert "parent-probe into emp" in plan
+
+    def test_wildcard_reverse_step_is_one_semi_join(self, engine):
+        """``*`` has no tree to probe: the step semi-joins the merged set
+        against its context, as one step operator."""
+        profile = QueryProfile()
+        plan = engine.explain("//name/parent::*", profile=profile)
+        assert "parent-join * (" in plan
+        assert [op.name for op in profile.operators] == [
+            "scan //name", "parent-join //*"]
+        step = profile.operators[1]
+        assert step.rows_out == 4  # three emps and the office
+        assert step.ancestor_skips == 0
 
 
 def _ancestors(node):

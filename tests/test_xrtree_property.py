@@ -103,16 +103,21 @@ class TestBulkLoadProperties:
         got = [a.start for a in tree.find_ancestors(point)]
         expected = [e.start for e in entries if e.start < point < e.end]
         assert got == expected
-        # The in-memory input answers, and charges, like the tree.
-        memory = MemoryElementList(entries)
+        # The bounds XR-stack passes: one unit per ancestor past
+        # ``after_start``, charged before the ``required_level`` filter.
         after = expected[len(expected) // 2] if expected else point // 2
         for options in ({}, {"after_start": after}, {"required_level": 2},
                         {"after_start": after, "required_level": 3}):
-            tree_stats, memory_stats = JoinStats(), JoinStats()
-            assert memory.find_ancestors(point, memory_stats, **options) \
-                == tree.find_ancestors(point, tree_stats, **options)
-            assert memory_stats.elements_scanned == \
-                tree_stats.elements_scanned
+            floor = options.get("after_start", float("-inf"))
+            want = [e for e in entries if floor < e.start < point < e.end]
+            stats = JoinStats()
+            got = tree.find_ancestors(point, stats, **options)
+            assert stats.elements_scanned == len(want)
+            level = options.get("required_level")
+            assert got == [e for e in want
+                           if level is None or e.level == level]
+        # The in-memory input seeks like the tree.
+        memory = MemoryElementList(entries)
         for seek in ("seek", "seek_after"):
             assert next(getattr(memory, seek)(point), None) == \
                 next(iter(getattr(tree, seek)(point)), None)
