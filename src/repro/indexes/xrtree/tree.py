@@ -12,7 +12,8 @@ ranges).
 """
 
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import attrgetter, le, lt
 
 from repro.indexes.bptree import (
     MIN_KEY,
@@ -23,13 +24,21 @@ from repro.indexes.bptree import (
     items,
     search_entry,
 )
-from repro.indexes.xrtree.pages import NIL, XRInternalPage, XRLeafPage
+from repro.indexes.xrtree.pages import (
+    NIL,
+    StabDirectoryPage,
+    StabListPage,
+    XRInternalPage,
+    XRLeafPage,
+)
 from repro.indexes.xrtree.stablist import StabList, collect_stabbed
 from repro.storage.errors import StorageError
 from repro.storage.pagedlist import RecordCursor
 from repro.storage.pages import ElementEntry
 
 _START = attrgetter("start")
+_END = attrgetter("end")
+_IN_STAB_LIST = attrgetter("in_stab_list")
 #: The lowest bound a leaf's key range can have: the leftmost leaf's.
 _BELOW_ALL = float("-inf")
 
@@ -796,18 +805,28 @@ class XRTree:
         memory, each element is assigned to the stab list of the top-most
         node that stabs it (or to none), and the pages are then materialized
         through the buffer pool.
+
+        Every internal key is a leaf-boundary separator, so an element no
+        separator falls inside is stabbed by no node.  One C-level scan per
+        leaf finds the elements a separator does fall inside, and only they
+        are walked down the plan; the rest are neither walked nor copied.
+        The caller's list and entries are never mutated: an entry is copied
+        only when its flag must change, and a stabbed element's one flagged
+        entry is shared by its owner's stab list and its leaf.  So an
+        unflagged input entry that no key stabs becomes a leaf record as it
+        is.
         """
         if self.root_id:
             raise XRTreeError("bulk_load requires an empty tree")
         if not 0.0 < fill_factor <= 1.0:
             raise ValueError("fill factor must be in (0, 1]")
-        entries = [e.with_flag(False) for e in entries]
-        for left, right in zip(entries, entries[1:]):
-            if right.start <= left.start:
-                raise XRTreeError("bulk_load input must be sorted on start")
+        entries = list(entries)
+        starts = list(map(_START, entries))
+        if not all(map(lt, starts, starts[1:])):
+            raise XRTreeError("bulk_load input must be sorted on start")
         if not entries:
             return
-        plan = _BulkPlan(self, entries, fill_factor)
+        plan = _BulkPlan(self, entries, starts, fill_factor)
         plan.assign_stabs()
         self.root_id = plan.materialize()
         self.height = len(plan.levels) + 1
@@ -815,28 +834,31 @@ class XRTree:
 
 
 class _BulkPlan:
-    """In-memory skeleton used by :meth:`XRTree.bulk_load`."""
+    """In-memory skeleton used by :meth:`XRTree.bulk_load`.
 
-    def __init__(self, tree, entries, fill_factor):
+    ``entries`` is the load's own list (the caller's is left alone) and is
+    split into leaves of ``per_leaf``; ``boundary_keys`` holds the sorted
+    separator between each pair of neighbouring leaves, and every internal
+    key of the plan is one of them.
+    """
+
+    def __init__(self, tree, entries, starts, fill_factor):
         self.tree = tree
         self.entries = entries
         per_leaf = max(2, int(tree.leaf_capacity * fill_factor))
+        self.per_leaf = per_leaf
         per_internal = max(2, int(tree.internal_capacity * fill_factor))
-        self.leaves = [
-            list(entries[i : i + per_leaf])
-            for i in range(0, len(entries), per_leaf)
-        ]
         # Separator keys between consecutive leaves (split-key optimization
         # applies here exactly as during dynamic splits).
-        boundary_keys = [
-            tree._choose_separator(left[-1].start, right[0].start)
-            for left, right in zip(self.leaves, self.leaves[1:])
+        self.boundary_keys = [
+            tree._choose_separator(starts[cut - 1], starts[cut])
+            for cut in range(per_leaf, len(entries), per_leaf)
         ]
         # levels[0] is the lowest internal level; each node is a dict with
         # "keys", "children" (indices into the level below) and "stabs".
         self.levels = []
-        child_count = len(self.leaves)
-        keys = boundary_keys
+        child_count = len(self.boundary_keys) + 1
+        keys = self.boundary_keys
         while child_count > 1:
             nodes = []
             child = 0
@@ -845,10 +867,9 @@ class _BulkPlan:
                 take = min(per_internal + 1, child_count - child)
                 if child_count - child - take == 1:
                     take -= 1  # never leave a dangling single child
-                node_keys = keys[child : child + take - 1]
                 nodes.append({
-                    "keys": list(node_keys),
-                    "children": list(range(child, child + take)),
+                    "keys": keys[child : child + take - 1],
+                    "children": range(child, child + take),
                     "stabs": [],
                 })
                 child += take
@@ -857,46 +878,70 @@ class _BulkPlan:
             self.levels.append(nodes)
             keys = next_keys
             child_count = len(nodes)
-        if not self.levels and len(self.leaves) == 1:
-            self.levels = []
+
+    def stabbed_positions(self):
+        """Ascending positions of the elements some separator key stabs.
+
+        Starts are strictly ascending, so the separator ``key`` cutting the
+        entries at ``cut`` lies above every start before the cut and at or
+        below ``entries[cut].start``.  The elements it stabs are those
+        before the cut ending at or past it (one C-level scan per leaf),
+        plus ``entries[cut]`` when its start equals the key.  An element of
+        a leaf that neither bounding separator stabs is stabbed by none.
+        """
+        entries = self.entries
+        stabbed = []
+        low = 0
+        for cut, key in zip(range(self.per_leaf, len(entries), self.per_leaf),
+                            self.boundary_keys):
+            stabbed.extend(compress(
+                range(low, cut),
+                map(le, repeat(key), map(_END, entries[low:cut]))))
+            low = cut
+            if entries[cut].start == key:
+                stabbed.append(cut)
+                low += 1
+        return stabbed
 
     def assign_stabs(self):
-        """Assign each element to the top-most node whose key stabs it."""
-        if not self.levels:
+        """Assign each stabbed element to the top-most node whose key stabs
+        it, and give every entry the flag its placement needs."""
+        entries = self.entries
+        stabbed = self.stabbed_positions()
+        flagged = set(compress(range(len(entries)),
+                               map(_IN_STAB_LIST, entries)))
+        for position in flagged.difference(stabbed):
+            entries[position] = entries[position].with_flag(False)
+        if not stabbed:
             return
-        for position, entry in enumerate(self.entries):
-            level_index = len(self.levels) - 1
-            node = self.levels[level_index][0]
+        top = len(self.levels) - 1
+        for position in stabbed:
+            entry = entries[position]
+            if not entry.in_stab_list:
+                entries[position] = entry = entry.with_flag(True)
+            start, end = entry.start, entry.end
+            node = self.levels[top][0]
+            level_index = top
             while True:
                 keys = node["keys"]
-                j = bisect_left(keys, entry.start)
-                if j < len(keys) and keys[j] <= entry.end:
-                    node["stabs"].append(entry.with_flag(True))
-                    self._flag_entry(position)
+                j = bisect_left(keys, start)
+                if j < len(keys) and keys[j] <= end:
+                    node["stabs"].append(entry)
                     break
-                child = bisect_right(keys, entry.start)
-                child_index = node["children"][child]
+                # A separator stabs the entry, so some node on its start's
+                # path holds it: the walk ends above the leaves.
                 level_index -= 1
-                if level_index < 0:
-                    break
-                node = self.levels[level_index][child_index]
-
-    def _flag_entry(self, position):
-        entry = self.entries[position].with_flag(True)
-        self.entries[position] = entry
-        per_leaf = len(self.leaves[0])
-        leaf_index = position // per_leaf
-        self.leaves[leaf_index][position - leaf_index * per_leaf] = entry
+                node = self.levels[level_index][
+                    node["children"][bisect_right(keys, start)]]
 
     def materialize(self):
         """Write all pages bottom-up; returns the root page id."""
-        from repro.indexes.xrtree.pages import StabDirectoryPage, StabListPage
-
         pool = self.tree.pool
+        entries, per_leaf = self.entries, self.per_leaf
         leaf_ids = []
         previous = None
-        for records in self.leaves:
-            page = pool.new_page(XRLeafPage(records))
+        for low in range(0, len(entries), per_leaf):
+            page = pool.new_page(XRLeafPage(entries[low : low + per_leaf]))
             if previous is not None:
                 previous.next_id = page.page_id
                 pool.unpin(previous, dirty=True)
@@ -924,8 +969,6 @@ class _BulkPlan:
         return child_ids[0]
 
     def _write_stab_chain(self, stabs):
-        from repro.indexes.xrtree.pages import StabDirectoryPage, StabListPage
-
         pool = self.tree.pool
         if not stabs:
             return 0, 0

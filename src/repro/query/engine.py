@@ -10,11 +10,13 @@ Every element set a query reads comes from the stored per-tag XR-tree, per
 query: a join's descendant side is the tree itself under either strategy
 (XR-stack probes it, ``strategy="stack-tree"`` scans its leaves), and a
 list is read from it only where a kernel needs one — the first step's
-context, a predicate's candidates and ``explain``'s samples.  The engine
-keeps no copy of a set and no state between calls, so it needs no word
-from its owner when a set changes, and one engine serves concurrent and
-re-entrant callers.  An engine over an in-memory document (no loader)
-builds and keeps its own trees.
+context, a predicate's candidates and ``explain``'s samples.  A query
+reads each set inside the operator that consumes it, so a profile's
+operators account for every page the query requests.  The engine keeps no
+copy of a set and no state between calls, so it needs no word from its
+owner when a set changes, and one engine serves concurrent and re-entrant
+callers.  An engine over an in-memory document (no loader) builds and
+keeps its own trees.
 
 Evaluation never writes: an intermediate result, already a start-sorted
 list, enters the kernel as a :class:`~repro.joins.MemoryElementList`
@@ -28,6 +30,7 @@ step, against that tag's stored tree (``*`` is one semi-join instead).
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 
 from repro.core.api import StorageContext, build_xr_tree
@@ -41,6 +44,12 @@ from repro.query.runtime import QueryContext
 from repro.storage.errors import ChecksumError
 
 _START = attrgetter("start")
+
+
+def _read(elements):
+    """Read an element set passed on unread (a callable); a list is
+    returned as it is."""
+    return elements() if callable(elements) else elements
 
 
 def semi_join(ancestors, descendants, parent_child=False, stats=None,
@@ -190,6 +199,11 @@ class PathQueryEngine:
         run.tag = tag
         return self.entries_for(tag)
 
+    def _unread(self, run, tag):
+        """``tag``'s set, to be read by the operator that consumes it (see
+        :func:`_read`), so that its page requests are charged there."""
+        return partial(self._entries, run, tag)
+
     def _source(self, run, tag):
         """``tag``'s set as a join input: its tree, or for ``*`` the merged
         list; None when the set is empty."""
@@ -218,16 +232,17 @@ class PathQueryEngine:
         evaluation — including failed ones — feeds the query metrics.
         """
         expression = parse_path(path) if isinstance(path, str) else path
+        text = str(expression)
         if profile is None and runtime is not None:
             profile = runtime.profile
         if profile is not None:
             if not profile.path:
-                profile.path = str(expression)
+                profile.path = text
             if not profile.strategy:
                 profile.strategy = self.strategy
         obs = self.observability
         tracer = obs.tracer if obs is not None else None
-        span = (tracer.span("query", path=str(expression),
+        span = (tracer.span("query", path=text,
                             strategy=self.strategy)
                 if tracer is not None else NULL_SPAN)
         pool = self.context.pool
@@ -238,17 +253,18 @@ class PathQueryEngine:
             runtime.start(pool)
         try:
             with span:
-                result = self._evaluate_once(expression, runtime, profile)
+                result = self._evaluate_once(expression, text, runtime,
+                                             profile)
         except Exception as exc:
-            self._finish_query(expression, profile, started, base_hits,
+            self._finish_query(text, profile, started, base_hits,
                                base_misses, rows=0,
                                error=type(exc).__name__)
             raise
-        self._finish_query(expression, profile, started, base_hits,
-                           base_misses, rows=len(result), error=None)
+        self._finish_query(text, profile, started, base_hits, base_misses,
+                           rows=len(result), error=None)
         return result
 
-    def _finish_query(self, expression, profile, started, base_hits,
+    def _finish_query(self, text, profile, started, base_hits,
                       base_misses, rows, error):
         """Stamp query-level totals on the profile and feed the metrics."""
         seconds = time.perf_counter() - started
@@ -263,11 +279,11 @@ class PathQueryEngine:
             profile.rows = rows
         obs = self.observability
         if obs is not None:
-            obs.observe_query(str(expression), seconds, hits + misses,
-                              rows, error=error)
+            obs.observe_query(text, seconds, hits + misses, rows,
+                              error=error)
 
-    def _evaluate_once(self, expression, runtime, profile):
-        """One evaluation pass.
+    def _evaluate_once(self, expression, text, runtime, profile):
+        """One evaluation pass; ``text`` is the expression rendered once.
 
         A :class:`~repro.storage.errors.ChecksumError` escaping from deep
         inside a join loop (a corrupt index page read mid-query) is
@@ -282,7 +298,7 @@ class PathQueryEngine:
             steps = list(expression.steps)
             if tracer is not None and tracer.enabled:
                 tracer.event("plan", strategy=self.strategy,
-                             steps=len(steps), path=str(expression))
+                             steps=len(steps), path=text)
             first = steps[0]
             if first.axis.is_reverse:
                 raise QueryError("a path cannot start with a reverse axis")
@@ -306,10 +322,10 @@ class PathQueryEngine:
         except ChecksumError as exc:
             raise QueryError(
                 "query %s failed: %s (index for tag %r is corrupt)"
-                % (expression, exc, run.tag),
-                query=str(expression), index_name=run.tag,
+                % (text, exc, run.tag),
+                query=text, index_name=run.tag,
             ) from exc
-        return QueryResult(str(expression), current, run.stats, run.joins,
+        return QueryResult(text, current, run.stats, run.joins,
                            runtime=runtime, profile=profile)
 
     @contextmanager
@@ -365,13 +381,13 @@ class PathQueryEngine:
         (``parent::`` on the child axis)."""
         axis_name = step.axis.name.lower()
         if step.tag == "*":
-            merged = self._entries(run, "*")
             with self._operator(run, "%s-join //*" % axis_name, "join",
-                                self.strategy, input_a=len(merged),
-                                input_d=len(context)) as op:
+                                self.strategy, input_d=len(context)) as op:
+                merged = self._entries(run, "*")
                 out, _ = semi_join(merged, context, axis_name == "parent",
                                    run.stats, self.strategy)
                 if op is not None:
+                    op.input_a = len(merged)
                     op.rows_out = len(out)
             return out
         tree = self._source(run, step.tag)
@@ -405,7 +421,8 @@ class PathQueryEngine:
 
     def _apply_predicates(self, run, matches, step):
         """Keep only elements satisfying every ``[...]`` predicate —
-        structural (``[rel-path]``) or value (``[@attr=...]``)."""
+        structural (``[rel-path]``) or value (``[@attr=...]``).  ``matches``
+        may be unread (see :meth:`_unread`); the first filter reads it."""
         for predicate in step.predicates:
             if not matches:
                 break
@@ -427,7 +444,8 @@ class PathQueryEngine:
             )
         stats = run.stats
         with self._operator(run, "filter [@%s]" % predicate.name, "filter",
-                            "value-lookup", input_d=len(matches)) as op:
+                            "value-lookup") as op:
+            matches = _read(matches)
             survivors = []
             for element in matches:
                 stats.checkpoint()
@@ -439,6 +457,7 @@ class PathQueryEngine:
                 if predicate.value is None or value == predicate.value:
                     survivors.append(element)
             if op is not None:
+                op.input_d = len(matches)
                 op.rows_out = len(survivors)
         return survivors
 
@@ -448,34 +467,41 @@ class PathQueryEngine:
         For a predicate ``t1 / t2 // t3`` the qualifying ``t2`` elements are
         those with a ``t3`` descendant, the qualifying ``t1`` those with a
         qualifying ``t2`` child, and the surviving context elements those
-        with a qualifying ``t1`` on the predicate's leading axis.
+        with a qualifying ``t1`` on the predicate's leading axis.  Each
+        step's set is passed on unread, so the operator consuming it reads
+        it.
         """
         steps = list(predicate.steps)
         if any(step.axis.is_reverse for step in steps):
             raise QueryError("reverse axes are not supported inside "
                              "predicates")
         current = self._apply_predicates(
-            run, self._entries(run, steps[-1].tag), steps[-1])
+            run, self._unread(run, steps[-1].tag), steps[-1])
         for earlier, later in zip(reversed(steps[:-1]), reversed(steps[1:])):
             candidates = self._apply_predicates(
-                run, self._entries(run, earlier.tag), earlier)
+                run, self._unread(run, earlier.tag), earlier)
             current = self._semi_join(run, candidates, current, later.axis)
         return self._semi_join(run, context, current, steps[0].axis)
 
     def _semi_join(self, run, ancestors, descendants, axis):
-        """Distinct ancestors with at least one match among descendants."""
+        """Distinct ancestors with at least one match among descendants;
+        either side may be unread (see :meth:`_unread`)."""
         if not ancestors or not descendants:
             return []
-        run.joins += 1
         parent_child = axis is Axis.CHILD
         name = "semi-join (%s)" % ("child" if parent_child
                                    else "descendant")
-        with self._operator(run, name, "semi-join", self.strategy,
-                            input_a=len(ancestors),
-                            input_d=len(descendants)) as op:
-            survivors, _ = semi_join(ancestors, descendants, parent_child,
-                                     run.stats, self.strategy)
+        with self._operator(run, name, "semi-join", self.strategy) as op:
+            ancestors, descendants = _read(ancestors), _read(descendants)
+            survivors = []
+            if ancestors and descendants:
+                run.joins += 1
+                survivors, _ = semi_join(ancestors, descendants,
+                                         parent_child, run.stats,
+                                         self.strategy)
             if op is not None:
+                op.input_a = len(ancestors)
+                op.input_d = len(descendants)
                 op.rows_out = len(survivors)
         return survivors
 
@@ -511,7 +537,7 @@ class PathQueryEngine:
                      % (previous_tag, len(previous_entries)))
         lines.extend(self._explain_predicates(steps[0], indent="  "))
         step_estimates = []  # one entry per non-first step; None for probes
-        for step in steps[1:]:
+        for previous, step in zip(steps, steps[1:]):
             entries = self.entries_for(step.tag)
             if step.axis.is_reverse:
                 step_estimates.append(None)
@@ -528,11 +554,14 @@ class PathQueryEngine:
                 parent_child=step.axis is Axis.CHILD,
             )
             step_estimates.append(estimate)
+            # The previous step's predicates filter its set before the join
+            # runs: its whole size is only an upper bound.
             lines.append(
-                "  %s-join %s (%d) with %s (%d) -> ~%d pairs, "
+                "  %s-join %s (%s%d) with %s (%d) -> ~%d pairs, "
                 "~%d%% of %s match"
                 % ("child" if step.axis is Axis.CHILD else "descendant",
-                   previous_tag, len(previous_entries), step.tag,
+                   previous_tag, "≤" if previous.predicates else "",
+                   len(previous_entries), step.tag,
                    len(entries), round(estimate.pairs),
                    round(100 * estimate.descendant_fraction), step.tag)
             )

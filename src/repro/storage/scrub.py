@@ -379,8 +379,8 @@ class IntegrityScrubber:
             # is unreadable.  Fall back to the disk-wide exclusion scan.
             records, extra_lost = self._exclusion_salvage(name)
             lost += extra_lost
-        survivors = [records[start].with_flag(False)
-                     for start in sorted(records)]
+        # Salvaged records keep their old flags; the load resets them.
+        survivors = [records[start] for start in sorted(records)]
         if self._manager is not None:
             self._manager.discard(name)
         try:

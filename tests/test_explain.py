@@ -35,6 +35,26 @@ class TestExplain:
         plan = engine.explain("//emp[email]/name")
         assert "semi-join filter [email]" in plan
 
+    def test_predicated_ancestor_size_is_an_upper_bound(self, engine):
+        """``[email]`` filters the two ``emp`` to one before the join, so
+        the plan prints the unfiltered size as a bound."""
+        profile = QueryProfile()
+        plan = engine.explain("//emp[email]/name", profile=profile)
+        assert "child-join emp (≤2) with name (2)" in plan
+        join = next(op for op in profile.operators if op.kind == "join")
+        assert join.input_a == 1
+
+    @pytest.mark.parametrize("path", ["//emp[email]/name",
+                                      "//name/parent::*/ancestor::dept"])
+    def test_every_page_request_belongs_to_an_operator(self, path):
+        """A predicate's candidate sets and the merged ``*`` set are read
+        inside the operators that consume them."""
+        engine = PathQueryEngine(parse_document(SOURCE))
+        profile = QueryProfile()
+        engine.evaluate(path, profile=profile)
+        assert profile.page_requests > 0
+        assert profile.total("page_requests") == profile.page_requests
+
     def test_value_predicate_line(self, engine):
         plan = engine.explain('//emp[@id="e1"]')
         assert 'filter [@id="e1"] (value lookup per match)' in plan

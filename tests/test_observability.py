@@ -9,6 +9,7 @@ from repro.core.database import XmlDatabase
 from repro.obs import Observability, QueryProfile, Tracer
 from repro.obs.validate import validate_jsonl
 from repro.query.engine import PathQueryEngine
+from repro.query.path import PathExpression, parse_path
 from repro.query.runtime import QueryContext
 from repro.workloads.datasets import department_dataset
 
@@ -133,6 +134,28 @@ def test_engine_tracing_emits_causal_chain(dataset):
     kinds = {record["kind"] for record in records}
     assert {"query", "plan", "operator", "page-fetch"} <= kinds
     assert validate_jsonl(obs.tracer.export_jsonl()) == []
+
+
+def test_one_evaluation_renders_its_path_once(dataset, monkeypatch):
+    """The query span, the plan event, the profile, the result and the
+    slow-query log all take the one rendering of the path text."""
+    renders = []
+    render = PathExpression.__str__
+
+    def counted(expression):
+        renders.append(expression)
+        return render(expression)
+
+    expression = parse_path(PATH)
+    monkeypatch.setattr(PathExpression, "__str__", counted)
+    obs = Observability(tracer=Tracer(capacity=1 << 16, enabled=True),
+                        slow_query_seconds=0.0)
+    engine = PathQueryEngine(dataset.document, observability=obs)
+    profile = QueryProfile()
+    result = engine.evaluate(expression, profile=profile)
+    assert len(renders) == 1
+    assert result.path == profile.path == PATH
+    assert [entry["path"] for entry in obs.slow_queries()] == [PATH]
 
 
 def test_disabled_observability_records_nothing(dataset):

@@ -3,9 +3,11 @@
 Strategies generate random *valid* XML-style region sets (strictly nested or
 disjoint) from random tree shapes; a stateful machine interleaves inserts and
 deletes, validating Definition 4's invariants and query answers after every
-step.
+step.  A seeded sweep (``CHAOS_SEED``) holds the bulk load to byte-identical
+pages whatever flags its input carries.
 """
 
+import os
 import random
 
 import pytest
@@ -20,6 +22,9 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.xmldata.model import Document, Element, annotate_regions
 from tests.conftest import entry
+
+SEED = int(os.environ.get("CHAOS_SEED", "20030307"))
+BULK_ROUNDS = 40
 
 
 def tree_shape_to_entries(shape, max_children=3):
@@ -84,7 +89,56 @@ def stab_chains(tree):
     return chains
 
 
+def page_images(tree):
+    """Every allocated page of ``tree``'s disk as written (a bulk load
+    frees none, so the ids run from 1)."""
+    tree.pool.flush_all()
+    disk = tree.pool.disk
+    return [disk.peek(page_id)
+            for page_id in range(1, disk.allocated_page_count + 1)]
+
+
 class TestBulkLoadProperties:
+    def test_seeded_sweep_is_flag_blind_and_leaves_its_input(self):
+        """Random capacities 2-8, fill factors and inputs (tree shapes and
+        nested towers, whose stab chains span pages and get a ps
+        directory).  The same elements loaded unflagged, all flagged and
+        randomly flagged give a valid tree and byte-identical page images,
+        and the load leaves the caller's list and entries as they were.
+        Seeded: set ``CHAOS_SEED`` to reproduce."""
+        rng = random.Random(SEED)
+        directories = 0
+        for number in range(BULK_ROUNDS):
+            leaf, internal = rng.randint(2, 8), rng.randint(2, 8)
+            fill = rng.choice((1.0, rng.uniform(0.25, 1.0)))
+            if rng.random() < 0.5:
+                entries = tree_shape_to_entries(
+                    [rng.randrange(4) for _ in range(rng.randint(1, 150))])
+            else:
+                entries = nested_towers(rng.randint(1, 4),
+                                        rng.randint(5, 50), rng.randint(0, 2))
+            context = "CHAOS_SEED=%d round %d (leaf %d, internal %d, " \
+                "fill %.2f)" % (SEED, number, leaf, internal, fill)
+            images = []
+            for flags in ([False] * len(entries), [True] * len(entries),
+                          [rng.random() < 0.5 for _ in entries]):
+                given = [e.with_flag(flag) for e, flag in zip(entries, flags)]
+                kept = list(map(id, given))
+                fields = [(e.doc_id, e.start, e.end, e.level, e.in_stab_list,
+                           e.ptr) for e in given]
+                tree = fresh_tree(leaf, internal)
+                tree.bulk_load(given, fill)
+                check_xrtree(tree)
+                assert list(map(id, given)) == kept, context
+                assert [(e.doc_id, e.start, e.end, e.level, e.in_stab_list,
+                         e.ptr) for e in given] == fields, context
+                images.append(page_images(tree))
+            assert images[1] == images[0], context
+            assert images[2] == images[0], context
+            directories += sum(1 for directory, _pages
+                               in stab_chains(tree).values() if directory)
+        assert directories, "CHAOS_SEED=%d built no ps directory" % SEED
+
     @given(shapes)
     @settings(max_examples=40, deadline=None)
     def test_bulk_load_invariants(self, shape):
