@@ -101,7 +101,9 @@ class Finger:
 
     ``slot`` is where the last XR-tree FindAncestors through the finger
     stopped in the path's leaf — the slot of the first entry at or past
-    its point, where the re-seek past that point starts.
+    its point.  XR-stack reads on from there, through
+    ``path[-1][0].records[slot:]`` and then each later leaf: the re-seek
+    past the point, with no descent and no cursor.
     """
 
     __slots__ = ("path", "slot")

@@ -33,7 +33,6 @@ from repro.indexes.xrtree.pages import (
 )
 from repro.indexes.xrtree.stablist import StabList, collect_stabbed
 from repro.storage.errors import StorageError
-from repro.storage.pagedlist import RecordCursor
 from repro.storage.pages import ElementEntry
 
 _START = attrgetter("start")
@@ -156,29 +155,41 @@ class XRTree:
         ``finger`` as for :meth:`seek`: neither the path's pages kept on it
         nor the stab-list pages its nodes' memos hold are requested again,
         and the answer and the scan-counter charges do not depend on it.
+        A call whose point the finger's leaf still covers makes no descent
+        at all.  The call leaves ``finger.path`` ending at ``point``'s leaf
+        and ``finger.slot`` at the first entry there with ``start >=
+        point``: reading on from that slot, then each later leaf, is
+        ``seek(point)``'s scan, with no page requested for the first leaf.
         """
         if not self.root_id:
             return []
         finger = Finger() if finger is None else finger
-        leaf = descend(self.pool, self.root_id, point, finger)
+        path = finger.path
+        if not (path and path[-1][1] <= point < path[-1][2]):
+            descend(self.pool, self.root_id, point, finger)
+        leaf, low, _high, _memo = path[-1]
         # S2: only records before the query point can be stabbed, and only
         # those after ``after_start`` are wanted.  Both slots are located by
         # binary search within the leaf; the scan counter charges each
         # produced ancestor, not the in-page filtering — in-page work is
         # CPU, not a list scan, which is how the paper's XR counts stay
         # below the merge baselines'.
-        first = 0 if after_start is None else leaf.slot_after(after_start)
-        finger.slot = leaf.slot_of(point)
-        records = leaf.records[first:finger.slot]
-        if finger.path[-1][1] <= (_BELOW_ALL if after_start is None
-                                  else after_start):
+        records = leaf.records
+        finger.slot = slot = bisect_left(records, point, key=_START)
+        if after_start is None:
+            first, floor = 0, _BELOW_ALL
+        else:
+            first = bisect_right(records, after_start, 0, slot, key=_START)
+            floor = after_start
+        records = records[first:slot]
+        if low <= floor:
             # Every element has a leaf record, flagged or not, and every
             # start in (after_start, point) lies in this leaf.
             results = [entry for entry in records if point < entry.end]
             found = results
         else:
             results = []
-            for node, _low, _high, memo in finger.path[:-1]:
+            for node, _low, _high, memo in path[:-1]:
                 results += collect_stabbed(self.pool, node, point, counter,
                                            after_start, memo)
             found = [entry for entry in records
@@ -190,25 +201,6 @@ class XRTree:
         if required_level is not None:
             results = [r for r in results if r.level == required_level]
         return results
-
-    def probe(self, point, counter=None, after_start=None, finger=None):
-        """XR-stack's ancestor step (Algorithm 6 lines 9-13) as one lookup:
-        ``(find_ancestors(point, counter, after_start=after_start,
-        finger=finger), iter(seek(point, finger=finger)))``.
-
-        FindAncestors runs through :meth:`find_ancestors` itself, so its
-        answer and every charge are that method's; the iterator starts on
-        the leaf its descent ended at, at the slot it found for ``point``
-        (``finger.slot``), with no second descent or bisect.
-        """
-        finger = Finger() if finger is None else finger
-        ancestors = self.find_ancestors(point, counter, after_start,
-                                        finger=finger)
-        if not self.root_id:
-            return ancestors, iter(())
-        leaf = finger.path[-1][0]
-        return ancestors, iter(RecordCursor(self.pool, leaf.page_id,
-                                            finger.slot, leaf))
 
     # --------------------------------------------------- Algorithm 1: insertion
 

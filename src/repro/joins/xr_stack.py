@@ -26,20 +26,27 @@ answers and every scan charge are the published algorithm's.
 Each input's probes share one *finger* — the last root-to-leaf path and
 the stab-list pages searched through it, kept for this call only — so a
 probe requests only what lies below the deepest node still covering its
-key and the stab-list pages no earlier probe through that node read.
+key and the stab-list pages no earlier probe through that node read.  A
+probe whose point the finger's leaf covers makes no descent at all.
 
 Only a stored :class:`~repro.indexes.xrtree.XRTree` ancestor input is
-probed — the skip exists to save page reads — through ``probe(point)``:
-FindAncestors and the re-seek past CurD from one lookup.  Any other
-ancestor input (a :class:`~repro.joins.memory.MemoryElementList`) is
-merged, one unit per ancestor passed as in Stack-Tree, into the state a
-probe would leave.  The descendant input answers ``first()`` and
-``seek_after(key)``.
+probed — the skip exists to save page reads — through its
+``find_ancestors``, once per ancestor skip.  The probe leaves the finger
+on CurD's leaf at the slot of the first entry past CurD, and CurA reads
+on from there: through that leaf's records, then each later leaf with one
+fetch and one unpin (:func:`~repro.storage.pagedlist.read_page`, the
+page read of :class:`~repro.storage.pagedlist.RecordCursor`), no pin held
+between entries — the pages a cursor at that slot would request, and no
+cursor built.  Any other ancestor input (a
+:class:`~repro.joins.memory.MemoryElementList`) is merged, one unit per
+ancestor passed as in Stack-Tree, into the state a probe would leave.
+The descendant input answers ``first()`` and ``seek_after(key)``.
 """
 
 from repro.indexes.bptree import Finger
 from repro.indexes.xrtree import XRTree
 from repro.joins.base import JoinSink, JoinStats
+from repro.storage.pagedlist import iter_from, read_page
 
 
 def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
@@ -59,8 +66,13 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
     tick = stats.runtime.tick if stats.runtime is not None else None
     a_items, d_items = iter(atree.first()), iter(dtree.first())
     a, d = next(a_items, None), next(d_items, None)
-    probe = atree.probe if isinstance(atree, XRTree) else None
+    find_ancestors = (atree.find_ancestors if isinstance(atree, XRTree)
+                      else None)
     a_finger, d_finger = Finger(), Finger()
+    # After a probe ``a_items`` runs over one leaf's records and
+    # ``a_next_id`` is the leaf after it (0 also while ``a_items`` walks
+    # its own chain).
+    a_next_id = 0
     stack = []
     scanned = 0
     try:
@@ -78,7 +90,7 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
             if a is not None and a.start <= d_start:
                 # Lines 9-13: CurA catches up with CurD in one step.
                 scanned += 1
-                if probe is not None and a.start < d_start:
+                if find_ancestors is not None and a.start < d_start:
                     # One probe: fetch CurD's ancestors directly from the
                     # XR-tree and leap CurA past CurD.  Only those
                     # starting at or after CurA are new: every entry
@@ -88,10 +100,12 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
                     # stack at that probe (or was on it already) and has
                     # not been popped.  (Algorithm 6 bounds the probe by
                     # the stack top, which is looser.)
-                    ancestors, a_items = probe(d_start, stats,
-                                               a.start - 1, a_finger)
-                    stack.extend(ancestors)
+                    stack.extend(find_ancestors(d_start, stats, a.start - 1,
+                                                finger=a_finger))
                     stats.ancestor_skips += 1
+                    leaf = a_finger.path[-1][0]
+                    a_items = iter_from(leaf.records, a_finger.slot)
+                    a_next_id = leaf.next_id
                     a = next(a_items, None)
                 else:
                     # Merge past CurD, one unit per ancestor (the step's
@@ -109,6 +123,13 @@ def xr_stack_join(atree, dtree, parent_child=False, collect=True, stats=None,
                     # pairs it with itself).  As CurA it needs no probe:
                     # CurD's ancestors start before it and are stacked.
                     stack.append(a)
+                    a = next(a_items, None)
+                while a is None and a_next_id:
+                    # CurA ran off the probe's leaf: read the next one at
+                    # once, as a cursor would.  (Its entries start past
+                    # the leaf's range, so none is CurD's own element.)
+                    records, a_next_id = read_page(atree.pool, a_next_id)
+                    a_items = iter(records)
                     a = next(a_items, None)
                 if stack:
                     emit_stack(stack, d)

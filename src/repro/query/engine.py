@@ -554,16 +554,22 @@ class PathQueryEngine:
                 parent_child=step.axis is Axis.CHILD,
             )
             step_estimates.append(estimate)
-            # The previous step's predicates filter its set before the join
-            # runs: its whole size is only an upper bound.
+            # Only the first step's unfiltered set is what the join gets.
+            # Predicates filter a step's set before the join runs, and a
+            # later step's ancestor side is what the steps before it
+            # matched: its whole tag set is an upper bound, and the
+            # estimate samples that whole set.
+            exact = previous is steps[0] and not previous.predicates
             lines.append(
                 "  %s-join %s (%s%d) with %s (%d) -> ~%d pairs, "
-                "~%d%% of %s match"
+                "~%d%% of %s match%s"
                 % ("child" if step.axis is Axis.CHILD else "descendant",
-                   previous_tag, "≤" if previous.predicates else "",
+                   previous_tag, "" if exact else "≤",
                    len(previous_entries), step.tag,
                    len(entries), round(estimate.pairs),
-                   round(100 * estimate.descendant_fraction), step.tag)
+                   round(100 * estimate.descendant_fraction), step.tag,
+                   "" if exact else
+                   ", sampled from the unfiltered %s set" % previous_tag)
             )
             lines.extend(self._explain_predicates(step, indent="  "))
             previous_tag = step.tag

@@ -36,6 +36,17 @@ def iter_from(records, slot):
     return records
 
 
+def read_page(pool, page_id):
+    """``(records, next_id)`` of the record page ``page_id``: one fetch and
+    one unpin, no pin kept.  The one page read of a chain walk —
+    :class:`RecordCursor`'s, and XR-stack's when it reads on from the
+    leaf a FindAncestors probe left its finger on."""
+    page = pool.fetch(page_id)
+    records, next_id = page.records, page.next_id
+    pool.unpin(page)
+    return records, next_id
+
+
 class RecordPage(Page):
     """A page of :class:`ElementEntry` records and a next-page link.
 
@@ -204,8 +215,5 @@ class RecordCursor:
         self._records = ()
 
     def _load(self, page_id):
-        page = self._pool.fetch(page_id)
-        self._records = page.records
-        self._next_id = page.next_id
-        self._pool.unpin(page)
+        self._records, self._next_id = read_page(self._pool, page_id)
         self.page_id = page_id

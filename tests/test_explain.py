@@ -29,7 +29,7 @@ class TestExplain:
     def test_join_lines(self, engine):
         plan = engine.explain("//dept//emp/name")
         assert "descendant-join dept (1) with emp (2)" in plan
-        assert "child-join emp (2) with name (2)" in plan
+        assert "child-join emp (≤2) with name (2)" in plan
 
     def test_structural_predicate_line(self, engine):
         plan = engine.explain("//emp[email]/name")
@@ -43,6 +43,23 @@ class TestExplain:
         assert "child-join emp (≤2) with name (2)" in plan
         join = next(op for op in profile.operators if op.kind == "join")
         assert join.input_a == 1
+
+    def test_only_the_first_unfiltered_set_is_exact(self, engine):
+        """A later step's ancestor side is what the steps before it
+        matched, so its whole tag set is printed as a bound, and its pair
+        estimate says it sampled that whole set; the first step's
+        unfiltered set is exact."""
+        plan = engine.explain("//dept//emp/name")
+        lines = plan.splitlines()
+        assert "  descendant-join dept (1) with emp (2) -> ~2 pairs, " \
+            "~100% of emp match" in lines
+        assert "  child-join emp (≤2) with name (2) -> ~2 pairs, ~100% of " \
+            "name match, sampled from the unfiltered emp set" in lines
+        predicated = engine.explain("//emp[email]/name")
+        assert "sampled from the unfiltered emp set" in predicated
+        reverse = engine.explain("//name/parent::emp/name")
+        assert "child-join emp (≤2) with name (2)" in reverse
+        assert "sampled from the unfiltered emp set" in reverse
 
     @pytest.mark.parametrize("path", ["//emp[email]/name",
                                       "//name/parent::*/ancestor::dept"])

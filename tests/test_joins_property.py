@@ -142,15 +142,16 @@ def test_parent_child_matches_oracle(shape, bits):
                                       parent_child=True)
 
 
-def counting_probes(source):
-    """Wrap ``source.probe`` to record every call; returns the record."""
-    calls, probe = [], source.probe
+def counting_probes(tree):
+    """Wrap ``tree.find_ancestors`` — XR-stack's probe — on the instance
+    to record every call; returns the record."""
+    calls, find_ancestors = [], tree.find_ancestors
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return probe(*args, **kwargs)
+        return find_ancestors(*args, **kwargs)
 
-    source.probe = counted
+    tree.find_ancestors = counted
     return calls
 
 
@@ -177,7 +178,7 @@ def test_full_overlap_self_join(shape):
         try:
             pairs, stats = xr_stack_join(tree, dtree)
         finally:
-            del tree.probe
+            del tree.find_ancestors
         assert sort_pairs(pairs) == expected
         assert calls == [] and stats.ancestor_skips == 0
     memory = MemoryElementList(entries)
