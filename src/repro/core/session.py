@@ -85,8 +85,7 @@ class Session:
         base_context = database._context
         self._disk = SnapshotDisk(base_context.disk)
         try:
-            pool = BufferPool(self._disk, base_context.pool.capacity,
-                              latching=False)
+            pool = BufferPool(self._disk, base_context.pool.capacity)
             pool.tracer = database.observability.tracer
             context = StorageContext.from_pool(
                 pool, time_model=base_context.time_model)

@@ -45,7 +45,6 @@ class BPlusInternalPage(Page):
     _PAIR = struct.Struct("<iI")  # key, right child
 
     def __init__(self, keys=None, children=None):
-        super().__init__()
         self.keys = list(keys) if keys else []
         self.children = list(children) if children else []
 
@@ -74,7 +73,10 @@ class BPlusInternalPage(Page):
             )
         columns = zip(*cls._PAIR.iter_unpack(data[cls._HEADER.size : end]))
         keys, children = columns if count else ((), ())
-        return cls(keys, (first_child,) + children)
+        page = cls.__new__(cls)
+        page.keys = list(keys)
+        page.children = [first_child, *children]
+        return page
 
     def child_index_for(self, key):
         """Index of the child subtree to descend into for ``key``."""

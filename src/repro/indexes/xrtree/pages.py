@@ -56,7 +56,6 @@ class StabDirectoryPage(Page):
     _ENTRY = struct.Struct("<iI")
 
     def __init__(self, entries=None):
-        super().__init__()
         self.entries = list(entries) if entries else []
 
     @classmethod
@@ -79,7 +78,10 @@ class StabDirectoryPage(Page):
                 "holds at most %d"
                 % (count, (len(data) - cls._HEADER.size) // cls._ENTRY.size)
             )
-        return cls(list(cls._ENTRY.iter_unpack(data[cls._HEADER.size : end])))
+        page = cls.__new__(cls)
+        page.entries = list(
+            cls._ENTRY.iter_unpack(data[cls._HEADER.size : end]))
+        return page
 
 
 @register_page_type
@@ -96,7 +98,6 @@ class XRInternalPage(Page):
 
     def __init__(self, keys=None, children=None, ps=None, pe=None,
                  sl_head=0, sl_dir=0, sl_count=0):
-        super().__init__()
         self.keys = list(keys) if keys else []
         self.children = list(children) if children else []
         self.ps = list(ps) if ps else [NIL] * len(self.keys)
@@ -135,8 +136,15 @@ class XRInternalPage(Page):
             )
         columns = zip(*cls._ENTRY.iter_unpack(data[cls._HEADER.size : end]))
         keys, ps, pe, children = columns if count else ((), (), (), ())
-        return cls(keys, (first_child,) + children, ps, pe,
-                   sl_head, sl_dir, sl_count)
+        page = cls.__new__(cls)
+        page.keys = list(keys)
+        page.children = [first_child, *children]
+        page.ps = list(ps)
+        page.pe = list(pe)
+        page.sl_head = sl_head
+        page.sl_dir = sl_dir
+        page.sl_count = sl_count
+        return page
 
     # -- key helpers -----------------------------------------------------------
 

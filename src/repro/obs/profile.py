@@ -59,6 +59,9 @@ class OperatorProfile:
     ancestor_skips: int = 0
     descendant_skips: int = 0
     est_pairs: float = None
+    #: Set when ``est_pairs`` sampled a superset of the join's ancestor
+    #: input: the tag whose unfiltered set the estimate read.
+    est_sampled_from: str = None
 
     @property
     def elements_skipped(self):
@@ -98,6 +101,8 @@ class OperatorProfile:
         }
         if self.est_pairs is not None:
             out["est_pairs"] = self.est_pairs
+        if self.est_sampled_from is not None:
+            out["est_sampled_from"] = self.est_sampled_from
         return out
 
     def describe(self):
@@ -209,8 +214,12 @@ class QueryProfile:
         for op in self.operators:
             actual = op.describe()
             if op.est_pairs is not None:
-                actual = "est ~%d pairs -> %s" % (round(op.est_pairs),
-                                                  actual)
+                actual = "est ~%d pairs%s -> %s" % (
+                    round(op.est_pairs),
+                    "" if op.est_sampled_from is None else
+                    " (sampled from the unfiltered %s set)"
+                    % op.est_sampled_from,
+                    actual)
             lines.append("  %-36s %s" % (op.name, actual))
         lines.append(
             "  total: %d rows, %d pages (%d hits + %d misses), "

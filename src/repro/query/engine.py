@@ -536,7 +536,10 @@ class PathQueryEngine:
         lines.append("  scan %-20s -> %d elements"
                      % (previous_tag, len(previous_entries)))
         lines.extend(self._explain_predicates(steps[0], indent="  "))
-        step_estimates = []  # one entry per non-first step; None for probes
+        # One entry per non-first step: (estimate, the tag whose unfiltered
+        # set it sampled when that is more than the join reads), None for
+        # probes.
+        step_estimates = []
         for previous, step in zip(steps, steps[1:]):
             entries = self.entries_for(step.tag)
             if step.axis.is_reverse:
@@ -553,13 +556,14 @@ class PathQueryEngine:
                 previous_entries, entries,
                 parent_child=step.axis is Axis.CHILD,
             )
-            step_estimates.append(estimate)
             # Only the first step's unfiltered set is what the join gets.
             # Predicates filter a step's set before the join runs, and a
             # later step's ancestor side is what the steps before it
             # matched: its whole tag set is an upper bound, and the
             # estimate samples that whole set.
             exact = previous is steps[0] and not previous.predicates
+            step_estimates.append(
+                (estimate, None if exact else previous_tag))
             lines.append(
                 "  %s-join %s (%s%d) with %s (%d) -> ~%d pairs, "
                 "~%d%% of %s match%s"
@@ -589,7 +593,8 @@ class PathQueryEngine:
                     if op.kind in ("join", "probe")]
         for op, estimate in zip(step_ops, step_estimates):
             if estimate is not None and op.kind == "join":
-                op.est_pairs = estimate.pairs
+                op.est_pairs = estimate[0].pairs
+                op.est_sampled_from = estimate[1]
         return "\n".join(lines) + "\n\n" + profile.render()
 
     def _explain_predicates(self, step, indent):

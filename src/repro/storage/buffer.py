@@ -77,35 +77,25 @@ class _Latch:
     the blocking acquire begin.  ``waits`` is itself updated without a
     lock — it is a diagnostic counter, and an occasional lost increment
     is acceptable where an extra lock on the hot path is not.
+    :meth:`BufferPool.fetch` and :meth:`BufferPool.unpin` run the same
+    protocol inline on ``lock``, without the two Python-level calls of a
+    ``with`` block.
     """
 
-    __slots__ = ("_lock", "waits")
+    __slots__ = ("lock", "waits")
 
     def __init__(self):
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         self.waits = 0
 
     def __enter__(self):
-        if not self._lock.acquire(blocking=False):
+        if not self.lock.acquire(False):
             self.waits += 1
-            self._lock.acquire()
+            self.lock.acquire()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._lock.release()
-        return False
-
-
-class _NullLatch:
-    """No-op latch for single-threaded pools (per-session pools)."""
-
-    __slots__ = ()
-    waits = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
+        self.lock.release()
         return False
 
 
@@ -118,15 +108,14 @@ class BufferPool:
     table is kept in recency order and the victim is its first unpinned
     frame.
 
-    With ``latching=True`` (the default) every pool operation runs under a
-    single re-entrant latch, making the pool safe for concurrent callers
-    (the server's live sessions share the main pool).  Contended
-    acquisitions are counted in :attr:`latch_waits`.  Per-session snapshot
-    pools are built with ``latching=False`` — they are owned by one thread
-    and skip the latch entirely.
+    Every pool operation runs under one re-entrant latch, making the pool
+    safe for concurrent callers (the server's live sessions share the main
+    pool).  Contended acquisitions are counted in :attr:`latch_waits`.  A
+    per-session snapshot pool is owned by one thread and takes the same
+    latch uncontended: one C-level acquire and release per page visit.
     """
 
-    def __init__(self, disk, capacity=DEFAULT_POOL_PAGES, latching=True):
+    def __init__(self, disk, capacity=DEFAULT_POOL_PAGES):
         if capacity < 1:
             raise BufferPoolError("buffer pool needs at least one frame")
         self.disk = disk
@@ -138,7 +127,7 @@ class BufferPool:
         self.tracer = None
         self._frames = OrderedDict()  # page_id -> Page, least recent first
         self._pinned = 0   # frames with pin_count > 0 (kept incrementally)
-        self._latch = _Latch() if latching else _NullLatch()
+        self._latch = _Latch()
 
     @property
     def latch_waits(self):
@@ -159,16 +148,22 @@ class BufferPool:
         :class:`~repro.storage.errors.ChecksumError` (tagged with the page
         id) instead of silently decoding garbage.
         """
-        tracer = self.tracer
-        with self._latch:
+        latch = self._latch
+        lock = latch.lock
+        if not lock.acquire(False):
+            latch.waits += 1
+            lock.acquire()
+        try:
+            stats = self.stats
+            tracer = self.tracer
             page = self._frames.get(page_id)
             if page is not None:
-                self.stats.hits += 1
+                stats.hits += 1
                 if tracer is not None and tracer.enabled:
                     tracer.event("page-fetch", page=page_id, hit=True)
                 self._frames.move_to_end(page_id)
             else:
-                self.stats.misses += 1
+                stats.misses += 1
                 if tracer is not None and tracer.enabled:
                     tracer.event("page-fetch", page=page_id, hit=False)
                 self._make_room()
@@ -180,10 +175,15 @@ class BufferPool:
                                         page_id=page_id) from exc
                 page.page_id = page_id
                 self._frames[page_id] = page
-            if page.pin_count == 0:
-                self._note_pinned()
+            if not page.pin_count:
+                # 0 -> 1: one more frame pinned; track the high-water mark.
+                self._pinned = pinned = self._pinned + 1
+                if pinned > stats.max_pinned:
+                    stats.max_pinned = pinned
             page.pin_count += 1
             return page
+        finally:
+            lock.release()
 
     def new_page(self, page):
         """Allocate a disk page for ``page``, pin it and cache it."""
@@ -194,21 +194,29 @@ class BufferPool:
             page.page_id = self.disk.allocate()
             page.dirty = True
             page.pin_count = 1
-            self._note_pinned()
+            self._pinned += 1
+            self.stats.max_pinned = max(self.stats.max_pinned, self._pinned)
             self._frames[page.page_id] = page
             return page
 
     def unpin(self, page, dirty=False):
         """Release one pin on ``page``; ``dirty`` marks it modified."""
-        with self._latch:
+        latch = self._latch
+        lock = latch.lock
+        if not lock.acquire(False):
+            latch.waits += 1
+            lock.acquire()
+        try:
             if page.pin_count <= 0:
                 raise BufferPoolError(
                     "unpin of page %r with no pins" % (page.page_id,))
             if dirty:
                 page.dirty = True
             page.pin_count -= 1
-            if page.pin_count == 0:
+            if not page.pin_count:
                 self._pinned -= 1
+        finally:
+            lock.release()
 
     @contextmanager
     def pinned(self, page_id):
@@ -268,12 +276,6 @@ class BufferPool:
     def reset_stats(self):
         with self._latch:
             self.stats.reset(pinned_now=self._pinned)
-
-    def _note_pinned(self):
-        """A frame's pin count just went 0 -> 1: update the high-water mark."""
-        self._pinned += 1
-        if self._pinned > self.stats.max_pinned:
-            self.stats.max_pinned = self._pinned
 
     @property
     def pinned_count(self):

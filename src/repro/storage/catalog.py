@@ -44,7 +44,6 @@ class CatalogPage(Page):
     # leaf capacity, internal capacity
 
     def __init__(self, entries=None, next_id=0):
-        super().__init__()
         self.entries = list(entries) if entries else []
         self.next_id = next_id
 
@@ -99,7 +98,6 @@ class BlobPage(Page):
     _HEADER = struct.Struct("<HI")  # bytes in this page, next page id
 
     def __init__(self, data=b"", next_id=0):
-        super().__init__()
         self.data = bytes(data)
         self.next_id = next_id
 

@@ -14,6 +14,7 @@ element lists and tree leaf levels alike, and is read only by iteration.
 
 import struct
 from bisect import bisect_left, bisect_right
+from itertools import starmap
 from operator import attrgetter
 
 from repro.storage.errors import PageDecodeError
@@ -59,7 +60,6 @@ class RecordPage(Page):
     _HEADER = struct.Struct("<HI")  # record count, next page id (0 = nil)
 
     def __init__(self, records=None, next_id=0):
-        super().__init__()
         self.records = list(records) if records else []
         self.next_id = next_id
 
@@ -88,8 +88,12 @@ class RecordPage(Page):
                 % (cls.__name__, count,
                    (len(data) - cls._HEADER.size) // ElementEntry.SIZE)
             )
-        fields = ElementEntry.STRUCT.iter_unpack(data[cls._HEADER.size : end])
-        return cls([ElementEntry(*record) for record in fields], next_id)
+        page = cls.__new__(cls)
+        page.records = list(starmap(
+            ElementEntry,
+            ElementEntry.STRUCT.iter_unpack(data[cls._HEADER.size : end])))
+        page.next_id = next_id
+        return page
 
     def slot_of(self, key):
         """Slot of the first record with ``start >= key``."""

@@ -28,14 +28,17 @@ PAGE_HEADER_SIZE = 1 + _CHECKSUM.size
 _ZEROED_CHECKSUM = bytes(_CHECKSUM.size)
 
 
+def _prefix_crc(type_id):
+    """CRC-32 of a header with tag ``type_id`` and its checksum field zeroed:
+    the seed that :func:`page_checksum` continues over the payload."""
+    return zlib.crc32(_ZEROED_CHECKSUM, zlib.crc32(bytes((type_id,))))
+
+
 def page_checksum(image):
-    """CRC-32 of a full page image, with the checksum field zeroed (chained
-    over views of the tag, four zero bytes and the rest: no copy)."""
-    view = memoryview(image)
-    return zlib.crc32(
-        view[PAGE_HEADER_SIZE:],
-        zlib.crc32(_ZEROED_CHECKSUM, zlib.crc32(view[:1])),
-    )
+    """CRC-32 of a full page image, with the checksum field zeroed (the
+    header's prefix CRC continued over a view of the payload: no copy)."""
+    return zlib.crc32(memoryview(image)[PAGE_HEADER_SIZE:],
+                      _prefix_crc(image[0]))
 
 
 def seal_image(image):
@@ -49,28 +52,30 @@ def seal_image(image):
     return bytes(buf)
 
 
-#: Registry mapping the page-type byte to the page class.
+#: Registry mapping the page-type byte to ``(page class, prefix CRC)``.
 _PAGE_TYPES = {}
 
 
 def register_page_type(cls):
-    """Class decorator registering ``cls`` under its ``TYPE_ID`` byte."""
+    """Class decorator registering ``cls`` under its ``TYPE_ID`` byte, with
+    the CRC of its header prefix so a decode checksums only the payload."""
     type_id = cls.TYPE_ID
     if not isinstance(type_id, int) or not 0 <= type_id <= 255:
         raise ValueError("TYPE_ID must be a byte, got %r" % (type_id,))
     existing = _PAGE_TYPES.get(type_id)
-    if existing is not None and existing is not cls:
+    if existing is not None and existing[0] is not cls:
         raise ValueError(
-            "page type %d already registered by %s" % (type_id, existing.__name__)
+            "page type %d already registered by %s"
+            % (type_id, existing[0].__name__)
         )
-    _PAGE_TYPES[type_id] = cls
+    _PAGE_TYPES[type_id] = (cls, _prefix_crc(type_id))
     return cls
 
 
 def page_codec(type_id):
     """Return the page class registered for ``type_id``."""
     try:
-        return _PAGE_TYPES[type_id]
+        return _PAGE_TYPES[type_id][0]
     except KeyError:
         raise PageDecodeError("unknown page type %d" % type_id)
 
@@ -81,14 +86,17 @@ class Page:
     Subclasses define a ``TYPE_ID`` byte, ``encode_payload`` and
     ``decode_payload``.  The buffer pool keeps decoded page objects in memory
     and serializes them back on eviction or flush.
+
+    A page's frame state starts from the class defaults below and becomes
+    the instance's own when the buffer pool first sets it, so a decoder
+    builds its page with ``cls.__new__(cls)`` and the fields it decoded —
+    no constructor chain and no copy of the lists it just made.
     """
 
     TYPE_ID = None
-
-    def __init__(self):
-        self.page_id = None
-        self.dirty = False
-        self.pin_count = 0
+    page_id = None
+    dirty = False
+    pin_count = 0
 
     def mark_dirty(self):
         self.dirty = True
@@ -134,19 +142,24 @@ class Page:
                 "page image of %d bytes is shorter than the %d-byte header"
                 % (len(data), PAGE_HEADER_SIZE)
             )
+        payload = memoryview(data)[PAGE_HEADER_SIZE:]
+        registered = _PAGE_TYPES.get(data[0])
         if verify:
+            computed = zlib.crc32(
+                payload,
+                _prefix_crc(data[0]) if registered is None else registered[1],
+            )
             (stored,) = _CHECKSUM.unpack_from(data, 1)
-            computed = page_checksum(data)
             if stored != computed:
                 raise ChecksumError(
                     "page image failed CRC-32 verification "
                     "(stored 0x%08x, computed 0x%08x)" % (stored, computed)
                 )
-        page_cls = page_codec(data[0])
+        if registered is None:
+            raise PageDecodeError("unknown page type %d" % data[0])
+        page_cls = registered[0]
         try:
-            return page_cls.decode_payload(
-                memoryview(data)[PAGE_HEADER_SIZE:], page_size
-            )
+            return page_cls.decode_payload(payload, page_size)
         except PageDecodeError:
             raise
         except (struct.error, IndexError, ValueError) as exc:
@@ -174,7 +187,6 @@ class RawPage(Page):
     _HEADER = struct.Struct("<I")
 
     def __init__(self, payload=b""):
-        super().__init__()
         self.payload = bytes(payload)
 
     def encode_payload(self, out):

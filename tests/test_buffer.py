@@ -1,10 +1,13 @@
 """Tests for the LRU buffer pool (repro.storage.buffer)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
-from repro.storage.errors import BufferPoolError
+from repro.storage.errors import BufferPoolError, ChecksumError
 from repro.storage.pages import RawPage
 
 
@@ -180,3 +183,72 @@ class TestStats:
         delta = pool.stats.delta(before)
         assert delta.misses == 1
         assert delta.hits == 0
+
+
+class TestLatch:
+    """Every pool takes one latch; ``fetch`` and ``unpin`` take it inline."""
+
+    @staticmethod
+    def _in_other_thread(function):
+        """Run ``function`` on a thread and return ``(thread, outcome)``."""
+        outcome = []
+        thread = threading.Thread(target=lambda: outcome.append(function()))
+        thread.start()
+        return thread, outcome
+
+    @staticmethod
+    def _wait_for(condition):
+        deadline = time.monotonic() + 5
+        while not condition():
+            assert time.monotonic() < deadline, "timed out"
+            time.sleep(0.001)
+
+    def test_a_fresh_pool_has_waited_for_nothing(self, disk):
+        pool = BufferPool(disk, capacity=4)
+        pool.unpin(pool.fetch(new_raw(pool, b"a")))
+        assert pool.latch_waits == 0
+
+    def test_contended_fetch_and_unpin_count_a_wait(self, pool):
+        page_id = new_raw(pool, b"w")
+        with pool._latch:
+            thread, fetched = self._in_other_thread(
+                lambda: pool.fetch(page_id))
+            self._wait_for(lambda: pool.latch_waits == 1)
+            assert not fetched  # blocked behind the held latch
+        thread.join()
+        assert fetched[0].pin_count == 1
+        with pool._latch:
+            thread, _ = self._in_other_thread(
+                lambda: pool.unpin(fetched[0]))
+            self._wait_for(lambda: pool.latch_waits == 2)
+            assert fetched[0].pin_count == 1
+        thread.join()
+        assert fetched[0].pin_count == 0 and pool.pinned_count == 0
+
+    def test_a_failed_fetch_releases_the_latch(self, pool, disk):
+        page_id = new_raw(pool, b"torn")
+        pool.clear()
+        image = bytearray(disk.read(page_id))
+        image[-1] ^= 0xFF
+        disk.poke(page_id, bytes(image))
+        with pytest.raises(ChecksumError):
+            pool.fetch(page_id)
+        with pytest.raises(BufferPoolError):
+            pool.unpin(RawPage())
+        thread, acquired = self._in_other_thread(
+            lambda: pool._latch.lock.acquire(False))
+        thread.join()
+        assert acquired == [True]
+
+    def test_max_pinned_tracks_the_high_water_mark(self, pool):
+        ids = [new_raw(pool, b"%d" % index) for index in range(3)]
+        pool.reset_stats()
+        first, second = pool.fetch(ids[0]), pool.fetch(ids[1])
+        again = pool.fetch(ids[0])  # a second pin on a pinned frame
+        assert pool.pinned_count == 2 and pool.stats.max_pinned == 2
+        for page in (first, second, again):
+            pool.unpin(page)
+        pool.unpin(pool.fetch(ids[2]))
+        assert pool.pinned_count == 0 and pool.stats.max_pinned == 2
+        pool.reset_stats()
+        assert pool.stats.max_pinned == 0

@@ -61,6 +61,26 @@ class TestExplain:
         assert "child-join emp (≤2) with name (2)" in reverse
         assert "sampled from the unfiltered emp set" in reverse
 
+    def test_profile_line_says_what_the_estimate_sampled(self, engine):
+        """EXPLAIN ANALYZE's operator line carries the plan's note: the
+        ``emp -> name`` estimate read both ``emp``, the join got one."""
+        profile = QueryProfile()
+        report = engine.explain("//emp[email]/name", profile=profile)
+        join = next(op for op in profile.operators if op.kind == "join")
+        assert join.est_sampled_from == "emp"
+        assert join.to_dict()["est_sampled_from"] == "emp"
+        line = next(line for line in report.splitlines()
+                    if line.strip().startswith(join.name)
+                    and "est ~" in line)
+        assert "est ~2 pairs (sampled from the unfiltered emp set) -> " \
+            in line
+        exact = QueryProfile()
+        engine.explain("//dept//emp", profile=exact)
+        first = next(op for op in exact.operators if op.kind == "join")
+        assert first.est_pairs is not None
+        assert first.est_sampled_from is None
+        assert "sampled" not in exact.render()
+
     @pytest.mark.parametrize("path", ["//emp[email]/name",
                                       "//name/parent::*/ancestor::dept"])
     def test_every_page_request_belongs_to_an_operator(self, path):

@@ -2,9 +2,14 @@
 
 import copy
 import pickle
+import struct
+import zlib
 
 import pytest
 
+from repro.indexes.bptree import BPlusInternalPage
+from repro.indexes.xrtree.pages import StabDirectoryPage, XRInternalPage
+from repro.storage import pages
 from repro.storage.errors import ChecksumError, PageDecodeError, StorageError
 from repro.storage.pagedlist import ElementListPage
 from repro.storage.pages import (
@@ -12,7 +17,9 @@ from repro.storage.pages import (
     ElementEntry,
     Page,
     RawPage,
+    page_checksum,
     page_codec,
+    register_page_type,
     seal_image,
 )
 from tests.conftest import entry
@@ -90,6 +97,100 @@ class TestChecksums:
         image = RawPage(b"abc").encode(64)
         with pytest.raises(PageDecodeError):
             Page.decode(image[:PAGE_HEADER_SIZE - 1], 64)
+
+
+class TestDecodeFastPath:
+    """The decode a page miss runs: one CRC call seeded by the registered
+    header prefix, normalisation only of an image that needs it, and a
+    page that owns the lists it was decoded into."""
+
+    @staticmethod
+    def _prefix_crc_matches(type_id):
+        image = bytes([type_id]) + b"\xde\xad\xbe\xef" + bytes(range(59))
+        _cls, prefix = pages._PAGE_TYPES[type_id]
+        return zlib.crc32(image[PAGE_HEADER_SIZE:], prefix) \
+            == page_checksum(image)
+
+    def test_prefix_crc_matches_page_checksum_for_every_type(self):
+        assert len(pages._PAGE_TYPES) >= 10
+        for type_id in pages._PAGE_TYPES:
+            assert self._prefix_crc_matches(type_id), type_id
+
+    def test_a_type_registered_later_gets_its_prefix(self):
+        type_id = next(t for t in range(255, 0, -1)
+                       if t not in pages._PAGE_TYPES)
+
+        class LatePage(RawPage):
+            TYPE_ID = type_id
+
+        register_page_type(LatePage)
+        try:
+            assert self._prefix_crc_matches(type_id)
+            decoded = Page.decode(LatePage(b"late").encode(64), 64)
+            assert type(decoded) is LatePage and decoded.payload == b"late"
+        finally:
+            del pages._PAGE_TYPES[type_id]
+
+    def test_bytearray_and_memoryview_images_decode(self):
+        image = RawPage(b"abc").encode(64)
+        for variant in (bytearray(image), memoryview(image),
+                        bytearray(image + b"\xff" * 8)):
+            assert Page.decode(variant, 64).payload == b"abc"
+
+    def test_over_long_image_is_cut_to_the_page_size(self):
+        image = ElementListPage([entry(1, 2)]).encode(128)
+        decoded = Page.decode(image + b"\x07" * 40, 128)
+        assert decoded.records == [entry(1, 2)]
+
+    def test_empty_and_short_images_still_raise(self):
+        for image in (b"", bytearray(), memoryview(b"")):
+            with pytest.raises(PageDecodeError, match="empty page image"):
+                Page.decode(image, 64)
+        with pytest.raises(PageDecodeError, match="shorter than"):
+            Page.decode(bytearray(RawPage(b"a").encode(64)[:3]), 64)
+
+    def test_unknown_type_with_a_stale_crc_is_a_checksum_error(self):
+        image = bytearray(RawPage(b"abc").encode(64))
+        image[0] = 250
+        with pytest.raises(ChecksumError):
+            Page.decode(bytes(image), 64)
+        with pytest.raises(PageDecodeError, match="unknown page type 250") \
+                as caught:
+            Page.decode(seal_image(image), 64)
+        assert type(caught.value) is PageDecodeError
+
+    def test_stored_crc_is_read_from_the_header(self):
+        image = bytearray(RawPage(b"abc").encode(64))
+        struct.pack_into("<I", image, 1, page_checksum(image) ^ 1)
+        with pytest.raises(ChecksumError, match="stored 0x"):
+            Page.decode(bytes(image), 64)
+
+    def test_decoded_record_page_owns_its_list(self):
+        image = ElementListPage([entry(1, 4), entry(2, 3)], 9).encode(128)
+        first = Page.decode(image, 128)
+        second = Page.decode(image, 128)
+        assert first.records is not second.records
+        first.records.append(entry(5, 6))
+        assert second.records == [entry(1, 4), entry(2, 3)]
+        assert Page.decode(image, 128).records == second.records
+        assert (first.page_id, first.dirty, first.pin_count) \
+            == (None, False, 0)
+
+    def test_decoded_internal_and_directory_pages_own_their_lists(self):
+        for page in (BPlusInternalPage([10, 20], [1, 2, 3]),
+                     XRInternalPage([10, 20], [1, 2, 3], [4, 5], [6, 7],
+                                    sl_head=8, sl_dir=9, sl_count=2),
+                     StabDirectoryPage([(1, 2), (3, 4)])):
+            image = page.encode(256)
+            first = Page.decode(image, 256)
+            second = Page.decode(image, 256)
+            assert vars(first) == vars(second) == vars(page)
+            for name, value in vars(first).items():
+                if isinstance(value, list):
+                    assert type(value) is list
+                    assert value is not getattr(second, name)
+                    value.append(0)
+            assert vars(second) == vars(page)
 
 
 class TestElementEntryCodec:

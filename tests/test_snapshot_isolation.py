@@ -15,6 +15,7 @@ scales the number of seeded schedules (CI's concurrency-stress job runs
 
 import os
 import random
+import sys
 import threading
 import time
 
@@ -178,9 +179,9 @@ def test_concurrent_snapshots_match_oracle_file_backed(tmp_path):
 
 
 def test_buffer_pool_latch_contention_smoke():
-    """Many threads hammer one latched pool; every read stays intact."""
+    """Many threads hammer one pool; every read stays intact."""
     disk = InMemoryDisk(page_size=PAGE_SIZE)
-    pool = BufferPool(disk, capacity=8, latching=True)
+    pool = BufferPool(disk, capacity=8)
     page_ids = []
     for index in range(32):
         page = pool.new_page(RawPage(index.to_bytes(8, "big")))
@@ -204,14 +205,25 @@ def test_buffer_pool_latch_contention_smoke():
             finally:
                 pool.unpin(page)
 
+    pool.reset_stats()
     threads = [threading.Thread(target=hammer, args=(SEED + i,))
                for i in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside fetch and unpin
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors
+    # Counters and pin accounting change only under the latch: a lost
+    # update would show here.
+    assert pool.stats.requests == 8 * 300
+    assert pool.pinned_count == 0
+    assert 1 <= pool.stats.max_pinned <= 8
     assert pool.latch_waits >= 0  # diagnostic counter, never negative
 
-    unlatched = BufferPool(disk, capacity=8, latching=False)
-    assert unlatched.latch_waits == 0
+    assert BufferPool(disk, capacity=8).latch_waits == 0
