@@ -27,18 +27,18 @@ from repro.core import (
     XRTreeIndex,
     structural_join,
 )
-from repro.query import AdmissionController, CancellationToken, QueryContext
+from repro.query import CancellationToken, QueryContext, QueryRejected
 from repro.storage.pages import ElementEntry
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ALGORITHMS",
-    "AdmissionController",
     "CancellationToken",
     "ElementEntry",
     "JoinOutcome",
     "QueryContext",
+    "QueryRejected",
     "Session",
     "StorageContext",
     "XmlDatabase",

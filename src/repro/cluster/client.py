@@ -45,8 +45,7 @@ from repro.cluster.replicaset import (
     NoPrimaryError,
     is_fatal_backend_error,
 )
-from repro.query.admission import QueryRejected
-from repro.query.runtime import DeadlineExceeded, QueryContext
+from repro.query.runtime import DeadlineExceeded, QueryContext, QueryRejected
 from repro.server.server import ServerError
 from repro.storage.errors import (
     ReplicationError,
@@ -65,7 +64,7 @@ DEFAULT_RETRY_BACKOFF = 0.005
 #: RowCapExceeded are *not* here: they are the caller's own guardrails
 #: and would trip identically on every backend.
 RETRYABLE_ERRORS = (
-    QueryRejected,        # admission shed / full queue — try a peer
+    QueryRejected,        # server queue full / slot wait ran out — try a peer
     TransientIOError,     # injected or real transient I/O
     DeadlineExceeded,     # per-attempt deadline, not the request's
     ReplicationError,     # replica refused (e.g. promoted mid-read)

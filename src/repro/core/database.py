@@ -64,7 +64,6 @@ class XmlDatabase:
         self._sessions = set()
         self._live_session = None
         self._scrubber = None
-        self._admission = None
         self._replication = None
         self._retention = None
         #: Non-None while the database is degraded read-only (disk full).
@@ -428,11 +427,8 @@ class XmlDatabase:
         ``runtime`` is an optional
         :class:`~repro.query.runtime.QueryContext` imposing a deadline,
         cancellation token, page budget and/or row cap on the evaluation.
-        When an :class:`~repro.query.admission.AdmissionController` is
-        attached (:meth:`attach_admission`), the query first claims an
-        execution slot — and may be rejected outright under load — and
-        inherits the controller's per-query limits unless ``runtime`` is
-        given explicitly.
+        The query is never queued or shed here; a bounded number of
+        concurrent readers is what :class:`~repro.server.Server` adds.
 
         ``profile`` optionally attaches a
         :class:`~repro.obs.profile.QueryProfile` recording per-operator
@@ -444,15 +440,6 @@ class XmlDatabase:
         if self._live_session is None or self._live_session.closed:
             self._live_session = Session(self, snapshot=False)
         return self._live_session
-
-    def attach_admission(self, controller):
-        """Route queries through an admission controller; returns it."""
-        self._admission = controller
-        return controller
-
-    @property
-    def admission(self):
-        return self._admission
 
     # -- backup & replication --------------------------------------------------
 
@@ -565,8 +552,7 @@ class XmlDatabase:
         """Every subsystem's counters in one nested dict.
 
         Keys: ``buffer`` (pool hits/misses/evictions/...), ``indexes``
-        (handle-cache counters), ``admission`` (None until a controller
-        is attached), ``recovery`` (None for in-memory databases),
+        (handle-cache counters), ``recovery`` (None for in-memory databases),
         ``scrub`` (zeroes until the scrubber has run), ``queries`` (the
         hub's query counters).
         """
@@ -589,17 +575,6 @@ class XmlDatabase:
             "writebacks": index.writebacks,
             "invalidations": index.invalidations,
         }
-        admission = None
-        if self._admission is not None:
-            a = self._admission.stats
-            admission = {
-                "admitted": a.admitted,
-                "rejected": a.rejected,
-                "completed": a.completed,
-                "queued": a.queued,
-                "peak_active": a.peak_active,
-                "peak_waiting": a.peak_waiting,
-            }
         recovery = None
         if self.recovery_stats is not None:
             r = self.recovery_stats
@@ -651,7 +626,6 @@ class XmlDatabase:
         return {
             "buffer": buffer_stats,
             "indexes": index_stats,
-            "admission": admission,
             "recovery": recovery,
             "replication": replication,
             "retention": retention,

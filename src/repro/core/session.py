@@ -6,8 +6,8 @@ loader — differing only in which pool and which trees:
 
 * **snapshot sessions** (``db.session()``) pin the last committed
   sequence and serve every query from that frozen state: their own
-  :class:`~repro.storage.snapshot.SnapshotDisk`, their own (unlatched)
-  buffer pool, their own catalog and index handles.  Writers keep
+  :class:`~repro.storage.snapshot.SnapshotDisk`, their own buffer pool,
+  their own catalog and index handles.  Writers keep
   committing; the session keeps seeing its pinned sequence until
   released.  Many snapshot sessions run concurrently; the server pools
   them, one per caller holding a slot.
@@ -20,14 +20,16 @@ loader — differing only in which pool and which trees:
 The engine keeps no state between queries and no copy of an element set:
 every query reads the trees it joins, so nothing needs invalidating when a
 write changes them, and the live session may serve concurrent callers.
-A snapshot session's pool is unlatched, so it serves one thread at a
-time.
+The server still hands a pooled snapshot session to one caller at a
+time, so its pool's latch is never contended.
 
 A query through either kind allocates no page and commits nothing (a
-snapshot's disk refuses to).  Both kinds route queries through the database's
-:class:`~repro.query.admission.AdmissionController` (when attached),
-inherit its per-query deadlines/quotas, and feed the shared
-observability hub — a query is a query no matter which surface ran it.
+snapshot's disk refuses to).  Neither kind queues or sheds a query — a
+caller governs one with its own
+:class:`~repro.query.runtime.QueryContext`, and the
+:class:`~repro.server.Server` bounds concurrent callers.  Both feed the
+shared observability hub — a query is a query no matter which surface
+ran it.
 
 Sessions are context managers; releasing one frees its pinned page
 versions::
@@ -113,14 +115,11 @@ class Session:
         """Evaluate a path/twig expression in this session's view.
 
         Snapshot sessions answer from the pinned sequence; live sessions
-        from the database's current (staged included) state.  Goes
-        through the database's admission controller when one is attached
-        — the query may be rejected under load and inherits the
-        controller's per-query runtime limits unless ``runtime`` is
-        given.
+        from the database's current (staged included) state.  ``runtime``
+        is the query's own :class:`~repro.query.runtime.QueryContext`.
         """
-        return self._run(runtime, lambda engine, rt: engine.evaluate(
-            path, runtime=rt, profile=profile))
+        return self._engine_for_query().evaluate(
+            path, runtime=runtime, profile=profile)
 
     def explain(self, path, analyze=False, runtime=None, profile=None):
         """The engine's plan for ``path`` in this session's view.
@@ -128,8 +127,8 @@ class Session:
         Same trio as :meth:`query`; ``analyze=True`` (or a supplied
         ``profile``) executes the query and appends measured actuals.
         """
-        return self._run(runtime, lambda engine, rt: engine.explain(
-            path, analyze=analyze, runtime=rt, profile=profile))
+        return self._engine_for_query().explain(
+            path, analyze=analyze, runtime=runtime, profile=profile)
 
     def entries_for_tag(self, tag):
         """The corpus-wide element set for ``tag`` in this view."""
@@ -144,16 +143,10 @@ class Session:
             return self._db.tags()
         return list(self._registry["tags"])
 
-    def _run(self, runtime, call):
+    def _engine_for_query(self):
         self._check_open()
-        engine = self._engine
-        admission = self._db._admission
         self.queries_run += 1
-        if admission is None:
-            return call(engine, runtime)
-        with admission.slot() as slot_runtime:
-            return call(engine,
-                        runtime if runtime is not None else slot_runtime)
+        return self._engine
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Before this module the system's counters were per-subsystem islands —
 ``BufferStats`` on the pool, ``IndexManagerStats`` on the handle cache,
-``AdmissionStats`` on the controller, recovery and scrub reports on their
+``ServerStats`` on the server, recovery and scrub reports on their
 owners — each with its own field names and no single place to read them
 all.  :class:`MetricsRegistry` is that place: one namespace of named
 instruments plus *collectors* (pull callbacks that refresh gauges from the

@@ -10,11 +10,6 @@ A path like ``//department//employee/name`` is parsed into steps
 reused across queries.
 """
 
-from repro.query.admission import (
-    AdmissionController,
-    AdmissionStats,
-    QueryRejected,
-)
 from repro.query.engine import PathQueryEngine, QueryError, QueryResult
 from repro.query.runtime import (
     CancellationToken,
@@ -22,6 +17,7 @@ from repro.query.runtime import (
     PageQuotaExceeded,
     QueryCancelled,
     QueryContext,
+    QueryRejected,
     QueryRuntimeError,
     RowCapExceeded,
 )
@@ -35,8 +31,6 @@ from repro.query.path import (
 from repro.query.estimate import JoinEstimate, estimate_join
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionStats",
     "CancellationToken",
     "DeadlineExceeded",
     "PageQuotaExceeded",

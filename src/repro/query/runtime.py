@@ -61,11 +61,18 @@ class RowCapExceeded(QueryRuntimeError):
     reason = "row-cap"
 
 
+class QueryRejected(QueryRuntimeError):
+    """The query was never admitted: a :class:`~repro.server.Server`'s
+    queue was full, or its slot wait outlived the call's timeout."""
+
+    reason = "rejected"
+
+
 class CancellationToken:
     """A cooperative cancellation flag shared between caller and query.
 
     The caller keeps a reference and calls :meth:`cancel` (from a signal
-    handler, another thread, an admission controller shedding load, ...);
+    handler, another thread, ...);
     the running query observes the flag at its next checkpoint and raises
     :class:`QueryCancelled`.
 
@@ -108,9 +115,9 @@ class QueryContext:
 
     All limits are optional; a context with none set is *idle* and adds
     only a counter increment per checkpoint.  One context governs one
-    query evaluation — create a fresh one per query (or use
-    :meth:`AdmissionController.runtime_for
-    <repro.query.admission.AdmissionController.runtime_for>`).
+    query evaluation — create a fresh one per query (a
+    :class:`~repro.server.Server` call with a ``timeout`` and no context
+    gets one with that deadline).
 
     ``deadline`` is in wall-clock seconds from :meth:`start`.
     ``page_budget`` bounds *logical* page requests (buffer-pool hits plus

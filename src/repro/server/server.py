@@ -5,23 +5,20 @@ sessions.
 Many client threads call :meth:`Server.query` concurrently.  The server
 starts no thread of its own; between the caller and the engine it keeps
 
-* **one bound** — an :class:`~repro.query.admission.AdmissionController`
-  with ``workers`` execution slots and room for ``queue_depth`` callers
-  to wait for one.  A caller beyond that is shed at once with the
-  controller's :class:`~repro.query.admission.QueryRejected`, so a
-  saturated server answers "try later" instead of stacking work;
+* **one bound** — ``workers`` execution slots and room for
+  ``queue_depth`` callers to wait for one, counted on the server's one
+  condition variable.  A caller beyond that is shed at once with
+  :class:`~repro.query.runtime.QueryRejected`, so a saturated server
+  answers "try later" instead of stacking work.  It is the only query
+  gate: the database itself queues and sheds nothing;
 * **pooled snapshot sessions** — a free list of at most ``workers``
   :meth:`XmlDatabase.session` snapshots.  A caller checks one out under
   its slot, re-pins it when the database has committed past it, and
   checks it back in on exit: reads never block writers, writers never
-  tear reads, and no session is used by two threads at once (a snapshot
-  session's buffer pool is unlatched);
+  tear reads, and no session is used by two threads at once;
 * **instruments** — ``repro_server_*`` counters/histograms here and a
   ``server-request`` span around the engine's ``query`` span.  The span
   opens on the caller's thread, so it joins the caller's trace as is.
-
-Queries still pass the database's own admission controller when one is
-attached, and inherit its per-query deadlines and page quotas.
 
     with Server(db, workers=8) as server:
         result = server.query("//employee[email]/name")
@@ -30,8 +27,7 @@ attached, and inherit its per-query deadlines and page quotas.
 import threading
 import time
 
-from repro.query.admission import AdmissionController, QueryRejected
-from repro.query.runtime import QueryContext
+from repro.query.runtime import QueryContext, QueryRejected
 
 
 class ServerError(Exception):
@@ -39,65 +35,54 @@ class ServerError(Exception):
 
 
 class ServerStats:
-    """Lifetime counters for one server (thread-safe increments).
+    """Lifetime counters for one server, written under its condition
+    variable.
 
-    ``peak_queue`` is the admission bound's high-water mark of callers
-    waiting for a slot.
+    ``timeouts`` counts slot waits that outlived the call's timeout;
+    ``rejected`` counts callers shed by a full queue; ``peak_queue`` is
+    the high-water mark of callers waiting for a slot.
     """
 
     __slots__ = ("served", "errors", "rejected", "session_refreshes",
-                 "timeouts", "_admission", "_lock")
+                 "timeouts", "peak_queue")
 
-    def __init__(self, admission):
+    def __init__(self):
         self.served = 0
         self.errors = 0
         self.rejected = 0
         self.session_refreshes = 0
-        self.timeouts = 0      # slot waits that outlived the call's timeout
-        self._admission = admission
-        self._lock = threading.Lock()
-
-    @property
-    def peak_queue(self):
-        return self._admission.stats.peak_waiting
-
-    def _count(self, field, amount=1):
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
+        self.timeouts = 0
+        self.peak_queue = 0
 
     def as_dict(self):
-        return {
-            "served": self.served,
-            "errors": self.errors,
-            "rejected": self.rejected,
-            "session_refreshes": self.session_refreshes,
-            "peak_queue": self.peak_queue,
-            "timeouts": self.timeouts,
-        }
+        return {field: getattr(self, field) for field in self.__slots__}
 
 
 class Server:
     """Serve path queries on the callers' threads, at most ``workers`` at
     once, with up to ``queue_depth`` more callers waiting for a slot.
 
-    Admission control, deadlines and page quotas attached to the
-    database still apply inside each call — the server adds the bound,
-    the session pool and metrics, not policy.
+    A per-call ``timeout`` is the only other limit; deadlines, page
+    quotas and row caps ride on the caller's own ``runtime``.
     """
 
     def __init__(self, database, workers=4, queue_depth=128):
         if workers < 1:
             raise ServerError("workers must be at least 1")
+        if queue_depth < 0:
+            raise ServerError("queue_depth must be non-negative")
         self._db = database
-        self._admission = AdmissionController(max_active=workers,
-                                              max_waiting=queue_depth)
-        #: Guards ``_running``, ``_calls`` and ``_sessions``; ``stop()``
-        #: waits on it for the last call to leave.
+        self._workers = workers
+        self._queue_depth = queue_depth
+        #: Guards the slot counts, ``_running``, ``_sessions`` and
+        #: ``stats``.  Callers wait on it for a slot, ``stop()`` for the
+        #: last call to leave.
         self._cond = threading.Condition()
         self._running = False
-        self._calls = 0
+        self._active = 0
+        self._waiting = 0
         self._sessions = []
-        self.stats = ServerStats(self._admission)
+        self.stats = ServerStats()
         metrics = database.observability.metrics
         self._requests_total = metrics.counter(
             "repro_server_requests_total", "Requests accepted by the server")
@@ -120,16 +105,17 @@ class Server:
         return self
 
     def stop(self):
-        """Refuse new callers, let in-flight calls finish, then release
-        the pooled sessions.
+        """Refuse new callers, fail the queued ones, let in-flight calls
+        finish, then release the pooled sessions.
 
-        A caller still waiting for a slot gets :class:`ServerError` when
-        one frees, so once ``stop()`` returns no query runs here and no
+        A caller still waiting for a slot gets :class:`ServerError` at
+        once, so once ``stop()`` returns no query runs here and no
         snapshot pin is left behind.
         """
         with self._cond:
             self._running = False
-            self._cond.wait_for(lambda: not self._calls)
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: not self._active)
             sessions, self._sessions = self._sessions, []
         for session in sessions:
             session.close()
@@ -158,7 +144,7 @@ class Server:
         """Evaluate ``path`` on a pooled snapshot session, on this thread.
 
         ``timeout`` bounds the wait for a slot (a longer wait raises
-        :class:`~repro.query.admission.QueryRejected` and counts in
+        :class:`~repro.query.runtime.QueryRejected` and counts in
         ``stats.timeouts``) and, when no ``runtime`` is given, becomes the
         run's :class:`~repro.query.runtime.QueryContext` deadline.
         """
@@ -171,61 +157,70 @@ class Server:
                           analyze=analyze)
 
     def _call(self, kind, path, runtime, profile, timeout, **options):
-        with self._cond:
-            if not self._running:
-                raise ServerError("server is not running")
-            self._calls += 1
-        try:
-            self._requests_total.inc()
-            started = time.monotonic()
-            try:
-                slot = self._admission.acquire(timeout)
-            except QueryRejected:
-                if timeout is not None \
-                        and time.monotonic() - started >= timeout:
-                    self.stats._count("timeouts")
-                    self._timeouts_total.inc()
-                else:
-                    self.stats._count("rejected")
-                raise
-            finally:
-                self._queue_gauge.set(self._admission.waiting)
-            with slot:
-                if not self._running:
-                    raise ServerError("server stopped")
-                if runtime is None and timeout:
-                    runtime = QueryContext(deadline=timeout)
-                return self._serve(kind, path, runtime, profile, options,
-                                   started)
-        finally:
-            with self._cond:
-                self._calls -= 1
-                if not self._calls:
-                    self._cond.notify_all()
-
-    def _serve(self, kind, path, runtime, profile, options, started):
+        started = time.monotonic()
+        self._admit(timeout)
+        served = False
         session = None
-        tracer = self._db.observability.tracer
         try:
-            with tracer.span("server-request", op=kind, path=str(path),
-                             waited_seconds=time.monotonic() - started):
+            if runtime is None and timeout:
+                runtime = QueryContext(deadline=timeout)
+            with self._db.observability.tracer.span(
+                    "server-request", op=kind, path=str(path),
+                    waited_seconds=time.monotonic() - started):
                 session = self._checkout()
                 result = getattr(session, kind)(
                     path, runtime=runtime, profile=profile, **options)
-        except BaseException as exc:
-            self.stats._count("errors")
-            if isinstance(exc, QueryRejected):
-                self.stats._count("rejected")
-            raise
-        else:
-            self.stats._count("served")
+            served = True
             return result
         finally:
-            if session is not None:
-                with self._cond:
-                    self._sessions.append(session)
             self._latency.observe(time.monotonic() - started)
-            self._queue_gauge.set(self._admission.waiting)
+            with self._cond:
+                if served:
+                    self.stats.served += 1
+                else:
+                    self.stats.errors += 1
+                if session is not None:
+                    self._sessions.append(session)
+                self._active -= 1
+                # Only queued callers wait on the condition while the
+                # server runs; once stopped, stop() does.
+                if self._running:
+                    self._cond.notify()
+                else:
+                    self._cond.notify_all()
+
+    def _admit(self, timeout):
+        """Take a slot, waiting behind at most ``queue_depth`` others for
+        up to ``timeout`` seconds (None: no limit)."""
+        with self._cond:
+            if not self._running:
+                raise ServerError("server is not running")
+            self._requests_total.inc()
+            if self._active >= self._workers:
+                if self._waiting >= self._queue_depth:
+                    self.stats.rejected += 1
+                    raise QueryRejected(
+                        "server queue full (%d active, %d waiting)"
+                        % (self._active, self._waiting))
+                self._waiting += 1
+                self.stats.peak_queue = max(self.stats.peak_queue,
+                                            self._waiting)
+                self._queue_gauge.set(self._waiting)
+                try:
+                    freed = self._cond.wait_for(
+                        lambda: self._active < self._workers
+                        or not self._running, timeout)
+                finally:
+                    self._waiting -= 1
+                    self._queue_gauge.set(self._waiting)
+                if not self._running:
+                    raise ServerError("server stopped")
+                if not freed:
+                    self.stats.timeouts += 1
+                    self._timeouts_total.inc()
+                    raise QueryRejected(
+                        "no slot freed within %.3fs" % timeout)
+            self._active += 1
 
     def _checkout(self):
         """A pooled session, re-pinned when the database has committed
@@ -237,5 +232,6 @@ class Server:
             if session is not None:
                 session.close()
             session = self._db.session()
-            self.stats._count("session_refreshes")
+            with self._cond:
+                self.stats.session_refreshes += 1
         return session

@@ -77,11 +77,10 @@ def _emit_sites():
 @pytest.fixture(scope="class")
 def wired_cluster(tmp_path_factory):
     """A fully wired cluster: a ReplicaSet (per-node hubs, retention,
-    client) whose primary has admission, a scrubber and a replica
+    client) whose primary has a scrubber and a replica
     attached, plus a SocketShipper and a SegmentServer on their own hub.
     Yields ``(replica_set, net_hub)``."""
     from repro.net import SegmentServer, SocketShipper
-    from repro.query.admission import AdmissionController
     from repro.storage.retention import RetentionPolicy
 
     replica_set, client, _disk, _standby_disks = _small_cluster(
@@ -95,7 +94,6 @@ def wired_cluster(tmp_path_factory):
     shipper = SocketShipper(server.address, page_size=512,
                             observability=net_hub)
     try:
-        db.attach_admission(AdmissionController())
         db.scrub()
         db.attach_replication(replica_set.view.standbys[0].replica)
         shipper.latest_sequence()

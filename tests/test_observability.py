@@ -181,13 +181,12 @@ def test_database_stats_covers_every_subsystem():
         db.query("//emp//name")
         db.scrub()
         stats = db.stats()
-        assert set(stats) == {"buffer", "indexes", "admission", "recovery",
+        assert set(stats) == {"buffer", "indexes", "recovery",
                               "replication", "retention", "disk_full",
                               "scrub", "queries"}
         assert stats["buffer"]["requests"] == (stats["buffer"]["hits"]
                                                + stats["buffer"]["misses"])
         assert stats["indexes"]["creations"] == 3
-        assert stats["admission"] is None    # none attached
         assert stats["recovery"] is None     # in-memory database
         assert stats["replication"] is None  # no replica attached
         assert stats["retention"] is None    # no retention manager attached

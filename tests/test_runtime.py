@@ -1,4 +1,4 @@
-"""Query-runtime guardrails: deadlines, cancellation, quotas, admission.
+"""Query-runtime guardrails: deadlines, cancellation, quotas.
 
 The contract under test:
 
@@ -7,16 +7,16 @@ The contract under test:
   pool stays fully reusable;
 * an unbounded descendant-heavy join over a 30k-element corpus is stopped
   within 2x its configured deadline;
-* a query that exhausts its page quota raises, leaving no pin behind;
-* the admission controller bounds concurrency, queues up to its limit and
-  sheds load beyond it.
+* a query that exhausts its page quota raises, leaving no pin behind.
+
+Admission (the slot bound, its queue and load shedding) is the server's
+and is tested in ``tests/test_sessions.py::TestServer``.
 
 The cancellation sweep is seeded: set ``CHAOS_SEED`` to reproduce.
 """
 
 import os
 import random
-import threading
 import time
 
 import pytest
@@ -25,7 +25,6 @@ from repro.core.api import StorageContext, build_xr_tree, oracle_join, \
     structural_join
 from repro.core.database import XmlDatabase
 from repro.joins.registry import algorithm_names
-from repro.query.admission import AdmissionController, QueryRejected
 from repro.query.runtime import (
     CancellationToken,
     DeadlineExceeded,
@@ -265,81 +264,6 @@ def test_tripped_page_quota_raises_and_releases_pins():
         db.query("//shelf//title", runtime=runtime)
     assert db._context.pool.pinned_count == 0
     assert db.query("//shelf//title").starts() == expected
-
-
-# -- admission control ---------------------------------------------------------
-
-
-def test_admission_rejects_when_saturated():
-    controller = AdmissionController(max_active=1, max_waiting=0)
-    slot = controller.acquire()
-    with pytest.raises(QueryRejected):
-        controller.acquire()
-    slot.release()
-    with controller.slot():
-        pass
-    assert controller.stats.admitted == 2
-    assert controller.stats.rejected == 1
-    assert controller.stats.completed == 2
-
-
-def test_admission_wait_timeout_rejects():
-    controller = AdmissionController(max_active=1, max_waiting=2)
-    slot = controller.acquire()
-    with pytest.raises(QueryRejected):
-        controller.acquire(timeout=0.02)
-    assert controller.stats.queued == 1
-    assert controller.waiting == 0
-    slot.release()
-
-
-def test_admission_queue_drains_under_threads():
-    controller = AdmissionController(max_active=2, max_waiting=8)
-    running = []
-    lock = threading.Lock()
-
-    def work():
-        with controller.slot():
-            with lock:
-                running.append(1)
-                assert len(running) <= 2
-            time.sleep(0.005)
-            with lock:
-                running.pop()
-
-    threads = [threading.Thread(target=work) for _ in range(6)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert controller.stats.admitted == 6
-    assert controller.stats.completed == 6
-    assert controller.stats.peak_active <= 2
-    assert controller.active == 0
-
-
-def test_admission_stamps_per_query_runtime():
-    controller = AdmissionController(page_quota=500, deadline=1.5, row_cap=9)
-    with controller.slot() as runtime:
-        assert runtime.page_budget == 500
-        assert runtime.deadline == 1.5
-        assert runtime.row_cap == 9
-    assert AdmissionController().runtime_for() is None
-
-
-def test_database_routes_queries_through_admission():
-    db = _nested_db()
-    controller = db.attach_admission(
-        AdmissionController(max_active=1, max_waiting=0, page_quota=10 ** 9)
-    )
-    result = db.query("//shelf//title")
-    assert result.runtime is not None  # controller-stamped context
-    held = controller.acquire()
-    with pytest.raises(QueryRejected):
-        db.query("//shelf//title")
-    held.release()
-    assert controller.stats.completed == 2  # query slot + manual slot
-    assert db.query("//book//title").starts() == result.starts()
 
 
 def test_max_pinned_high_water_mark_surfaces():

@@ -12,8 +12,7 @@ from repro import Session, XmlDatabase
 from repro.core.api import StorageContext, structural_join
 from repro.core.session import SessionError
 from repro.obs.profile import QueryProfile
-from repro.query.admission import AdmissionController, QueryRejected
-from repro.query.runtime import QueryContext
+from repro.query.runtime import QueryContext, QueryRejected
 from repro.server import Server, ServerError
 from repro.storage.errors import StorageError
 
@@ -77,14 +76,6 @@ class TestSession:
                 assert session.entries_for_tag(tag) == \
                     db.entries_for_tag(tag)
             assert session.entries_for_tag("nonesuch") == []
-
-    def test_session_routes_through_admission(self, db):
-        db.add_document(XML_ONE)
-        controller = db.attach_admission(
-            AdmissionController(max_active=2, max_waiting=0))
-        with db.session() as session:
-            session.query("//employee/name")
-        assert controller.stats.admitted >= 1
 
     def test_version_store_drains_after_release(self, db):
         db.add_document(XML_ONE)
@@ -411,7 +402,7 @@ class TestServer:
             running = _spawn(lambda: server.query("//employee/name"))
             assert gate.entered.acquire(timeout=10)
             waiting = _spawn(lambda: server.query("//employee/name"))
-            _until(lambda: server._admission.waiting == 1)
+            _until(lambda: server._waiting == 1)
             with pytest.raises(QueryRejected):
                 server.query("//employee/name")
             assert db.metrics()["repro_server_queue_depth"] == 1
@@ -468,7 +459,7 @@ class TestServer:
         in_flight = _spawn(lambda: server.query("//employee/name"))
         assert gate.entered.acquire(timeout=10)
         waiter = _spawn(lambda: server.query("//employee/name"))
-        _until(lambda: server._admission.waiting == 1)
+        _until(lambda: server._waiting == 1)
         stopper, _ = _spawn(server.stop)
         _until(lambda: not server.running)
         with pytest.raises(ServerError):
@@ -494,7 +485,7 @@ class TestServer:
         assert gate.entered.acquire(timeout=10)
         waiters = [_spawn(lambda: server.query("//employee/name"))
                    for _ in range(3)]
-        _until(lambda: server._admission.waiting == 3)
+        _until(lambda: server._waiting == 3)
         stopper, _ = _spawn(server.stop)
         _until(lambda: not server.running)
         gate.open()
@@ -508,3 +499,87 @@ class TestServer:
         assert server.stats.served == 1
         assert db.metrics()["repro_server_queue_depth"] == 0
         assert db._context.disk.versions.pin_count == 0
+
+    def test_stop_fails_a_queued_caller_before_the_in_flight_call_ends(
+            self, db, monkeypatch):
+        db.add_document(XML_ONE)
+        db.flush()
+        gate = _Gate(monkeypatch)
+        server = Server(db, workers=1).start()
+        in_flight = _spawn(lambda: server.query("//employee/name"))
+        assert gate.entered.acquire(timeout=10)
+        waiter = _spawn(lambda: server.query("//employee/name"))
+        _until(lambda: server._waiting == 1)
+        stopper, _ = _spawn(server.stop)
+        try:
+            waiter[0].join(10)
+            assert not waiter[0].is_alive(), \
+                "the queued caller waited for the in-flight call"
+            assert isinstance(waiter[1]["error"], ServerError)
+            assert stopper.is_alive()
+        finally:
+            gate.open()
+        for thread in (stopper, in_flight[0]):
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(in_flight[1]["result"].matches) == 1
+        assert server.stats.served == 1
+        assert db.metrics()["repro_server_queue_depth"] == 0
+
+    def test_a_shed_call_with_zero_timeout_counts_as_rejected(
+            self, db, monkeypatch):
+        db.add_document(XML_ONE)
+        db.flush()
+        gate = _Gate(monkeypatch)
+        server = Server(db, workers=1, queue_depth=0).start()
+        try:
+            thread, box = _spawn(lambda: server.query("//employee/name"))
+            assert gate.entered.acquire(timeout=10)
+            with pytest.raises(QueryRejected):
+                server.query("//employee/name", timeout=0)
+        finally:
+            gate.open()
+            thread.join(10)
+            server.stop()
+        assert len(box["result"].matches) == 1
+        assert server.stats.rejected == 1
+        assert server.stats.timeouts == 0
+        assert server.stats.peak_queue == 0
+        assert db.metrics()["repro_server_timeouts"] == 0
+
+    def test_negative_queue_depth_is_refused(self, db):
+        with pytest.raises(ServerError):
+            Server(db, workers=1, queue_depth=-1)
+
+    def test_queue_drains_under_threads(self, db, monkeypatch):
+        """Six callers on two slots: never more than two inside
+        ``Session.query`` at once, and every one is served."""
+        db.add_document(XML_ONE)
+        db.flush()
+        inside = []
+        peak = [0]
+        lock = threading.Lock()
+        real = Session.query
+
+        def query(session, path, runtime=None, profile=None):
+            with lock:
+                inside.append(1)
+                peak[0] = max(peak[0], len(inside))
+            try:
+                time.sleep(0.005)
+                return real(session, path, runtime=runtime,
+                            profile=profile)
+            finally:
+                with lock:
+                    inside.pop()
+
+        monkeypatch.setattr(Session, "query", query)
+        with Server(db, workers=2, queue_depth=8) as server:
+            callers = [_spawn(lambda: server.query("//employee/name"))
+                       for _ in range(6)]
+            for thread, box in callers:
+                thread.join(10)
+                assert len(box["result"].matches) == 1
+        assert peak[0] <= 2
+        assert server.stats.served == 6
+        assert server.stats.rejected == 0
